@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, fields, replace
@@ -41,6 +42,7 @@ from .llm import (
     ReplayBackend,
     HTTPBackend,
     UsageMeter,
+    in_lane,
     leakage_probe,
 )
 from .market import (
@@ -223,10 +225,6 @@ def build_market_client(ns: argparse.Namespace, cfg: RunConfig) -> MarketClient:
     return LiveMarketClient(cfg.market_base_url)
 
 
-def _is_replay(ns: argparse.Namespace) -> bool:
-    return bool(getattr(ns, "cassette", None)) and not getattr(ns, "record", False)
-
-
 # --- forecast ------------------------------------------------------------------
 
 MemberRunner = Callable[[Question], "tuple[Forecast | Declined, TranscriptTree]"]
@@ -246,6 +244,11 @@ def run_forecast(
 ) -> dict[str, str]:
     """Run the ensemble over every question and persist records, transcripts
     and a manifest.
+
+    Every (question, member) pair is one task; `workers` is how many run at
+    once, in dataset and member order. Each member runs in its own lane, so
+    record/replay stays deterministic at any `workers`. A question's record
+    and transcript index are built when its last member finishes.
 
     Questions that already have a record in the output file are skipped, so an
     interrupted run resumes where it stopped. The records file is rewritten in
@@ -268,53 +271,58 @@ def run_forecast(
     }
     errors: dict[str, str] = {}
     pending = [q for q in dataset if q.id not in existing]
-
-    def work(question: Question) -> tuple[ForecastRecord, str]:
-        members: list[MemberForecast] = []
-        index_entries: list[dict] = []
-        for m in range(ensemble_size):
-            outcome, tree = run_member(question)
-            ref, entries = save_transcript_tree(tree, transcripts_dir, question.id, m)
-            index_entries.extend(entries)
-            members.append(MemberForecast(member_index=m, forecast=outcome, transcript_ref=ref))
-        write_tree_index(transcripts_dir, question.id, index_entries)
-        if any(isinstance(m.forecast, Declined) for m in members):
-            return ForecastRecord(question.id, tuple(members), aggregator_mode, None), "declined"
-        values = [m.forecast for m in members if isinstance(m.forecast, Forecast)]
-        agg = aggregate(values, aggregator_mode, seed=f"{seed}:{question.id}")
-        return ForecastRecord(question.id, tuple(members), aggregator_mode, agg), "forecasted"
-
     results: dict[str, ForecastRecord] = dict(existing)
 
-    def record_result(question: Question, outcome: "tuple[ForecastRecord, str] | Exception") -> None:
-        if isinstance(outcome, Exception):
-            logger.error("question %s failed: %s", question.id, outcome)
-            statuses[question.id] = "error"
-            errors[question.id] = str(outcome)
-        else:
-            record, status = outcome
-            results[question.id] = record
-            statuses[question.id] = status
+    missed = threading.Event()
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(work, q): q for q in pending}
-            for future in as_completed(futures):
-                question = futures[future]
-                try:
-                    record_result(question, future.result())
-                except CassetteMiss:
-                    raise
-                except Exception as exc:
-                    record_result(question, exc)
-    else:
-        for question in pending:
+    def run_one(question: Question, m: int) -> tuple[MemberForecast, list[dict]] | None:
+        if missed.is_set():
+            return None  # the run is aborting on a cassette miss
+        try:
+            with in_lane(question.id, m):
+                outcome, tree = run_member(question)
+        except CassetteMiss:
+            missed.set()
+            raise
+        ref, entries = save_transcript_tree(tree, transcripts_dir, question.id, m)
+        return MemberForecast(member_index=m, forecast=outcome, transcript_ref=ref), entries
+
+    def finish(question: Question, outcomes: list[tuple[MemberForecast, list[dict]]]) -> None:
+        write_tree_index(transcripts_dir, question.id, [e for _, entries in outcomes for e in entries])
+        members = tuple(member for member, _ in outcomes)
+        if any(isinstance(m.forecast, Declined) for m in members):
+            results[question.id] = ForecastRecord(question.id, members, aggregator_mode, None)
+            statuses[question.id] = "declined"
+            return
+        values = [m.forecast for m in members if isinstance(m.forecast, Forecast)]
+        agg = aggregate(values, aggregator_mode, seed=f"{seed}:{question.id}")
+        results[question.id] = ForecastRecord(question.id, members, aggregator_mode, agg)
+        statuses[question.id] = "forecasted"
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        tasks = {pool.submit(run_one, q, m): (q, m) for q in pending for m in range(ensemble_size)}
+        done: dict[str, list] = {q.id: [None] * ensemble_size for q in pending}
+        for future in as_completed(tasks):
+            question, m = tasks[future]
+            if statuses.get(question.id) == "error":
+                continue
             try:
-                record_result(question, work(question))
+                done[question.id][m] = future.result()
+                if all(done[question.id]):
+                    finish(question, done[question.id])
             except CassetteMiss:
                 raise
             except Exception as exc:
-                record_result(question, exc)
+                logger.error("question %s failed: %s", question.id, exc)
+                statuses[question.id] = "error"
+                errors[question.id] = str(exc)
+                for sibling, (q, _) in tasks.items():
+                    if q is question:
+                        sibling.cancel()
+    finally:
+        # a cassette miss (or an interrupt) must not start the queued members
+        pool.shutdown(cancel_futures=True)
 
     write_records(records_path, [results[q.id] for q in dataset if q.id in results])
     manifest = {
@@ -386,12 +394,6 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
     provider = build_search_provider(ns, cfg)
     run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent)
 
-    workers = cfg.workers
-    if _is_replay(ns) and workers > 1:
-        # replay consumes cassette entries in recorded order; parallelism would race it
-        logger.info("replay mode: forcing sequential execution")
-        workers = 1
-
     config_echo = {
         "cutoff": cutoff.isoformat(),
         "ensemble_size": cfg.ensemble_size,
@@ -408,7 +410,7 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
         ensemble_size=cfg.ensemble_size,
         aggregator_mode=cfg.aggregator,
         seed=cfg.seed,
-        workers=workers,
+        workers=cfg.workers * cfg.ensemble_size,
         config_echo=config_echo,
         usage=backend,
     )
@@ -631,7 +633,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--aggregator", choices=("mean", "median", "sampled"), help="ensemble aggregation")
     parser.add_argument("--bins", type=int, help="calibration bin count")
     parser.add_argument("--seed", type=int, help="seed for sampled aggregation")
-    parser.add_argument("--workers", type=int, help="parallel questions (live backends only)")
+    parser.add_argument(
+        "--workers", type=int, help="questions in flight; each runs its ensemble members concurrently"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

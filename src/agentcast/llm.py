@@ -3,22 +3,24 @@
 One protocol (`complete(ChatRequest) -> ChatResponse`) with four
 implementations: a live HTTP adapter with retry and rate limiting, a scripted
 backend for tests, and a recording/replay pair built on JSONL cassettes keyed
-by a stable request fingerprint. Replay is the offline mode the whole test
-suite and the deterministic CLI runs sit on.
+by the calling lane and a stable request fingerprint. Replay is the offline
+mode the whole test suite and the deterministic CLI runs sit on.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import logging
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 import requests
 
@@ -54,10 +56,37 @@ class CassetteError(BackendError):
 class CassetteMiss(BackendError):
     """Replay saw a request the cassette has no (remaining) entry for."""
 
-    def __init__(self, fp: str, request: "ChatRequest"):
+    def __init__(self, fp: str, request: "ChatRequest", lane: "Lane | None" = None):
         preview = request.messages[-1].content[:80] if request.messages else ""
-        super().__init__(f"no cassette entry for fingerprint {fp[:12]}... (last message: {preview!r})")
+        super().__init__(
+            f"no cassette entry for fingerprint {fp[:12]}... in lane {lane} (last message: {preview!r})"
+        )
         self.fingerprint = fp
+
+
+# --- lanes ------------------------------------------------------------------
+
+# (question_id, member_index): one ensemble member's stream of requests.
+# Members run concurrently, but the requests inside one lane keep a fixed
+# order, so record/replay matches entries per lane.
+Lane = tuple[str, int]
+
+_lane: contextvars.ContextVar[Lane | None] = contextvars.ContextVar("agentcast_lane", default=None)
+
+
+def current_lane() -> Lane | None:
+    return _lane.get()
+
+
+@contextmanager
+def in_lane(question_id: str, member_index: int) -> Iterator[None]:
+    """Tag every request made inside the block with its lane. Threads do not
+    inherit context variables, so the thread that runs the member sets it."""
+    token = _lane.set((question_id, member_index))
+    try:
+        yield
+    finally:
+        _lane.reset(token)
 
 
 @dataclass(frozen=True)
@@ -183,7 +212,9 @@ class Attempt:
     slept: float
 
 
-def _parse_retry_after(headers: dict) -> float | None:
+def parse_retry_after(headers: dict) -> float | None:
+    """Seconds from a Retry-After header (any key case); None when absent or
+    not a number."""
     value = None
     for key, v in headers.items():
         if key.lower() == "retry-after":
@@ -216,8 +247,8 @@ class HTTPBackend:
     """Live chat-completions adapter (OpenAI-style wire format).
 
     401/403 raise AuthError immediately; 429 and 5xx retry with exponential
-    backoff, honoring Retry-After when present. The attempt log of the last
-    call is kept on `last_attempts` for diagnostics.
+    backoff, honoring Retry-After when present. The attempt log of the calling
+    thread's last call is kept on `last_attempts` for diagnostics.
     """
 
     def __init__(
@@ -238,7 +269,11 @@ class HTTPBackend:
         self._rate_limiter = rate_limiter
         self._sleep = sleep
         self._timeout = timeout
-        self.last_attempts: list[Attempt] = []
+        self._local = threading.local()
+
+    @property
+    def last_attempts(self) -> list[Attempt]:
+        return getattr(self._local, "attempts", [])
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         body: dict[str, Any] = {
@@ -253,7 +288,7 @@ class HTTPBackend:
         headers = {"Authorization": f"Bearer {self._api_key}"}
 
         attempts: list[Attempt] = []
-        self.last_attempts = attempts
+        self._local.attempts = attempts
         slept = 0.0
         last_error: BackendError | None = None
         for attempt in range(self._retry.max_attempts):
@@ -272,7 +307,7 @@ class HTTPBackend:
                 if status in (401, 403):
                     raise AuthError(f"authentication rejected ({status})")
                 if status == 429:
-                    hint = _parse_retry_after(resp_headers)
+                    hint = parse_retry_after(resp_headers)
                     attempts.append(Attempt(status=429, error="rate limited", slept=0.0))
                     last_error = RateLimited("rate limited by provider", retry_after=hint)
                 elif status >= 500:
@@ -344,7 +379,8 @@ def _request_summary(request: ChatRequest) -> dict:
 
 
 class RecordingBackend:
-    """Wraps a live backend and appends every exchange to a cassette file."""
+    """Wraps a live backend and appends every exchange to a cassette file,
+    tagged with the lane it was made in (null outside any lane)."""
 
     def __init__(self, inner: Backend, cassette_path: str | Path):
         self._inner = inner
@@ -360,6 +396,7 @@ class RecordingBackend:
         response = self._inner.complete(request)
         entry = {
             "fingerprint": fingerprint(request),
+            "lane": current_lane(),
             "request": _request_summary(request),
             "response": {
                 "content": response.content,
@@ -385,11 +422,15 @@ def record_mode(backend: Backend, cassette_path: str | Path) -> RecordingBackend
     return RecordingBackend(backend, cassette_path)
 
 
-def load_cassette(path: str | Path) -> dict[str, list[ChatResponse]]:
-    """Parse a cassette into fingerprint -> ordered responses. Corrupt lines
-    raise CassetteError naming the file and line number."""
+CassetteKey = tuple[Lane | None, str]
+
+
+def load_cassette(path: str | Path) -> dict[CassetteKey, list[ChatResponse]]:
+    """Parse a cassette into (lane, fingerprint) -> ordered responses. Entries
+    without a lane load under lane None. Corrupt lines raise CassetteError
+    naming the file and line number."""
     path = Path(path)
-    entries: dict[str, list[ChatResponse]] = {}
+    entries: dict[CassetteKey, list[ChatResponse]] = {}
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -401,6 +442,10 @@ def load_cassette(path: str | Path) -> dict[str, list[ChatResponse]]:
             try:
                 raw = json.loads(line)
                 fp = raw["fingerprint"]
+                lane = raw.get("lane")
+                if lane is not None:
+                    question_id, member_index = lane
+                    lane = (str(question_id), int(member_index))
                 resp = raw["response"]
                 response = ChatResponse(
                     content=resp["content"],
@@ -410,20 +455,22 @@ def load_cassette(path: str | Path) -> dict[str, list[ChatResponse]]:
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CassetteError(f"{path}:{lineno}: corrupt cassette entry ({exc})") from None
-            entries.setdefault(fp, []).append(response)
+            entries.setdefault((lane, fp), []).append(response)
     return entries
 
 
 class ReplayBackend:
-    """Serves recorded responses by request fingerprint, in recorded order.
+    """Serves recorded responses by lane and request fingerprint, in recorded
+    order.
 
-    Identical requests (same fingerprint) consume successive entries; a
-    request with no remaining entry raises CassetteMiss. Never touches the
-    network.
+    Identical requests in the same lane consume successive entries; a request
+    with no remaining entry raises CassetteMiss. Since each lane is one
+    member's sequential stream, replay gives the same replies however many
+    members run at once. Never touches the network.
     """
 
-    def __init__(self, entries: dict[str, list[ChatResponse]]):
-        self._remaining = {fp: deque(responses) for fp, responses in entries.items()}
+    def __init__(self, entries: dict[CassetteKey, list[ChatResponse]]):
+        self._remaining = {key: deque(responses) for key, responses in entries.items()}
         self._lock = threading.Lock()
 
     @classmethod
@@ -432,10 +479,11 @@ class ReplayBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         fp = fingerprint(request)
+        lane = current_lane()
         with self._lock:
-            queue = self._remaining.get(fp)
+            queue = self._remaining.get((lane, fp))
             if not queue:
-                raise CassetteMiss(fp, request)
+                raise CassetteMiss(fp, request, lane)
             return queue.popleft()
 
 

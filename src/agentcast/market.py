@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Protocol
 
 import requests
 
-from .llm import AuthError, Backend, BackendError, ChatRequest, Message
+from .llm import AuthError, Backend, BackendError, ChatRequest, Message, RetryPolicy, parse_retry_after
 from .models import (
     Category,
     Question,
@@ -91,24 +91,27 @@ class MarketClient(Protocol):
 
 
 class LiveMarketClient:
-    """Thin REST adapter with simple retry on transient failures."""
+    """Thin REST adapter that retries transient failures with backoff,
+    honoring Retry-After on 429."""
 
     def __init__(
         self,
         base_url: str = DEFAULT_MARKET_BASE_URL,
         *,
-        max_attempts: int = 5,
+        retry: RetryPolicy = RetryPolicy(),
         sleep: Callable[[float], None] = time.sleep,
         timeout: float = 30.0,
     ):
         self._base_url = base_url.rstrip("/")
-        self._max_attempts = max_attempts
+        self._retry = retry
         self._sleep = sleep
         self._timeout = timeout
 
     def _get(self, path: str, params: dict | None = None):
+        slept = 0.0
         last_error = "no attempts made"
-        for attempt in range(self._max_attempts):
+        for attempt in range(self._retry.max_attempts):
+            hint: float | None = None
             try:
                 resp = requests.get(self._base_url + path, params=params, timeout=self._timeout)
             except requests.RequestException as exc:
@@ -118,10 +121,14 @@ class LiveMarketClient:
                     return resp.json()
                 if 400 <= resp.status_code < 500 and resp.status_code != 429:
                     raise MarketError(f"market API rejected {path}: status {resp.status_code}")
+                if resp.status_code == 429:
+                    hint = parse_retry_after(resp.headers)
                 last_error = f"status {resp.status_code}"
-            if attempt + 1 < self._max_attempts:
-                self._sleep(min(30.0, 2.0**attempt))
-        raise MarketError(f"market API failed after {self._max_attempts} attempts: {last_error}")
+            if attempt + 1 < self._retry.max_attempts:
+                delay = self._retry.delay(attempt, slept, hint)
+                self._sleep(delay)
+                slept += delay
+        raise MarketError(f"market API failed after {self._retry.max_attempts} attempts: {last_error}")
 
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]:
         params = {"limit": str(limit)}

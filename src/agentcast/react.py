@@ -230,14 +230,24 @@ def _render_step_as_assistant(step: AgentStep) -> str:
     return step.thought
 
 
+def _head_messages(config: ReactConfig, task: str) -> tuple[Message, Message]:
+    system = config.system_prompt + "\n\n" + render_tool_instructions(config.tools)
+    return Message("system", system), Message("user", task)
+
+
+def _step_messages(step: AgentStep) -> tuple[Message, Message]:
+    return (
+        Message("assistant", _render_step_as_assistant(step)),
+        Message("user", f"{OBSERVATION_KEY} {step.observation}"),
+    )
+
+
 def assemble_messages(config: ReactConfig, task: str, steps: list[AgentStep]) -> tuple[Message, ...]:
     """Build the request messages: system prompt with tool instructions, the
     task, then one assistant/user pair per completed step."""
-    system = config.system_prompt + "\n\n" + render_tool_instructions(config.tools)
-    messages = [Message("system", system), Message("user", task)]
+    messages = list(_head_messages(config, task))
     for step in steps:
-        messages.append(Message("assistant", _render_step_as_assistant(step)))
-        messages.append(Message("user", f"{OBSERVATION_KEY} {step.observation}"))
+        messages.extend(_step_messages(step))
     return tuple(messages)
 
 
@@ -250,30 +260,27 @@ def context_budget_guard(context_text: str, limit_tokens: int) -> bool:
     return estimate_tokens(context_text) <= limit_tokens
 
 
+_MARKER_STEP = AgentStep(thought=OMITTED_MARKER, action="", action_input="", observation=OMITTED_MARKER)
+
+
 def compact_steps(config: ReactConfig, task: str, steps: list[AgentStep]) -> list[AgentStep]:
     """Drop oldest steps until the assembled context fits the budget.
 
     Dropped steps are replaced by one marker step so the model knows history
-    is missing; the two most recent steps are always kept verbatim.
+    is missing; the two most recent steps are always kept verbatim. The
+    context estimate is a per-message sum, so each step's share is computed
+    once and subtracted as the step drops.
     """
     limit = config.context_token_limit
     assert limit is not None
-    kept = list(steps)
+    costs = [context_estimate(_step_messages(step)) for step in steps]
+    total = context_estimate(_head_messages(config, task)) + sum(costs)
+    marker = context_estimate(_step_messages(_MARKER_STEP))
     dropped = 0
-    while len(kept) > 2:
-        view = _with_marker(kept, dropped)
-        if context_estimate(assemble_messages(config, task, view)) <= limit:
-            break
-        kept.pop(0)
+    while len(steps) - dropped > 2 and total + (marker if dropped else 0) > limit:
+        total -= costs[dropped]
         dropped += 1
-    return _with_marker(kept, dropped)
-
-
-def _with_marker(kept: list[AgentStep], dropped: int) -> list[AgentStep]:
-    if not dropped:
-        return kept
-    marker = AgentStep(thought=OMITTED_MARKER, action="", action_input="", observation=OMITTED_MARKER)
-    return [marker] + kept
+    return [_MARKER_STEP] + steps[dropped:] if dropped else list(steps)
 
 
 # --- the loop -----------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Any, Callable, Iterable, Protocol
 
 import requests
 
-from .llm import RateLimiter, RetryPolicy
-from .models import read_jsonl
+from .llm import RateLimiter, RetryPolicy, parse_retry_after
+from .models import ValidationError, parse_timestamp, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +102,20 @@ def _parse_result(raw: dict) -> SearchResult:
         title=str(raw.get("title", "")),
         url=str(raw.get("url", "")),
         snippet=str(raw.get("snippet", "")),
-        published=date.fromisoformat(published) if published else None,
+        published=parse_timestamp(published, "published").date() if published else None,
     )
+
+
+def _parse_results(raws: Iterable[dict]) -> list[SearchResult]:
+    """Parse results one at a time: a result with an unreadable date is
+    dropped on its own, since its position against the cutoff is unknown."""
+    results = []
+    for raw in raws:
+        try:
+            results.append(_parse_result(raw))
+        except ValidationError as exc:
+            logger.warning("dropped search result %r: %s", raw.get("url", ""), exc)
+    return results
 
 
 class LiveSearchProvider:
@@ -134,6 +146,7 @@ class LiveSearchProvider:
         for attempt in range(self._retry.max_attempts):
             if self._rate_limiter is not None:
                 self._rate_limiter.acquire()
+            hint: float | None = None
             try:
                 resp = requests.get(
                     self._base_url + "/search",
@@ -146,12 +159,14 @@ class LiveSearchProvider:
             else:
                 if resp.status_code == 200:
                     payload = resp.json()
-                    return [_parse_result(r) for r in payload.get("results", [])]
+                    return _parse_results(payload.get("results", []))
                 if resp.status_code in (401, 403):
                     raise ProviderError(f"search authentication rejected ({resp.status_code})")
+                if resp.status_code == 429:
+                    hint = parse_retry_after(resp.headers)
                 last_error = f"status {resp.status_code}"
             if attempt + 1 < self._retry.max_attempts:
-                delay = self._retry.delay(attempt, slept)
+                delay = self._retry.delay(attempt, slept, hint)
                 self._sleep(delay)
                 slept += delay
         raise ProviderError(f"search failed after {self._retry.max_attempts} attempts: {last_error}")
@@ -174,7 +189,7 @@ class FixtureSearchProvider:
     def from_file(cls, path: str | Path) -> "FixtureSearchProvider":
         entries: dict[str, list[SearchResult]] = {}
         for _, raw in read_jsonl(path):
-            entries[raw["query"]] = [_parse_result(r) for r in raw.get("results", [])]
+            entries[raw["query"]] = _parse_results(raw.get("results", []))
         return cls(entries)
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:

@@ -37,6 +37,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(lines[number])
 
 
+class FakeResponse:
+    """Stands in for a `requests` response in the live-client tests."""
+
+    def __init__(self, status_code, headers=None, payload=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.payload = payload
+
+    def json(self):
+        return self.payload
+
+
 def make_question(
     qid: str = "q1",
     title: str = "Will the widget ship by June?",

@@ -2,6 +2,8 @@
 commands run end to end over fixtures, resume semantics, and exit codes."""
 
 import json
+import threading
+import time
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -19,7 +21,18 @@ from agentcast.cli import (
     resolve_config,
     run_forecast,
 )
-from agentcast.llm import ReplayBackend, ScriptedBackend, UsageMeter, leakage_probe, record_mode
+from agentcast.llm import (
+    CassetteMiss,
+    ChatRequest,
+    ChatResponse,
+    Message,
+    ReplayBackend,
+    ScriptedBackend,
+    UsageMeter,
+    current_lane,
+    leakage_probe,
+    record_mode,
+)
 from agentcast.market import classify_category, llm_filter
 from agentcast.metrics import parse_table
 from agentcast.models import read_questions, read_records, write_questions
@@ -90,18 +103,18 @@ def test_cutoff_date_validation():
 # --- forecast ------------------------------------------------------------------
 
 
-def replay_forecast(out_dir, *extra):
+def replay_forecast(out_dir, *extra, dataset=E2E / "questions.jsonl", cassette=E2E / "cassette.jsonl"):
     return cli.main(
         [
             "forecast",
             "--dataset",
-            str(E2E / "questions.jsonl"),
+            str(dataset),
             "--out",
             str(out_dir),
             "--search-fixture",
             str(E2E / "search.jsonl"),
             "--cassette",
-            str(E2E / "cassette.jsonl"),
+            str(cassette),
             "--cutoff",
             "2024-04-15",
             *extra,
@@ -139,13 +152,98 @@ def test_forecast_replay_is_deterministic(tmp_path):
     assert first == second
 
 
-def test_forecast_replay_forces_sequential(tmp_path):
-    # --workers 4 under replay must not race the cassette; output identical
+def run_outputs(out_dir: Path) -> dict[str, bytes]:
+    """forecasts.jsonl plus every transcript file, by path under out_dir."""
+    files = [out_dir / "forecasts.jsonl", *sorted((out_dir / "transcripts").rglob("*"))]
+    return {str(f.relative_to(out_dir)): f.read_bytes() for f in files if f.is_file()}
+
+
+def test_forecast_replay_matches_across_workers(tmp_path):
+    # replay matches entries per lane, so members and questions in flight
+    # together still get their own recorded replies
     assert replay_forecast(tmp_path / "a") == EXIT_OK
     assert replay_forecast(tmp_path / "b", "--workers", "4") == EXIT_OK
-    assert (tmp_path / "a" / "forecasts.jsonl").read_bytes() == (
-        tmp_path / "b" / "forecasts.jsonl"
-    ).read_bytes()
+    assert run_outputs(tmp_path / "a") == run_outputs(tmp_path / "b")
+
+
+class BarrierBackend:
+    """Answers only once `parties` requests are waiting at the same time."""
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def complete(self, request):
+        self.barrier.wait()
+        return ChatResponse("Thought: enough.\nFinal Answer: 0.4")
+
+
+def test_forecast_runs_a_questions_members_concurrently(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(BarrierBackend(3)))
+    dataset = tmp_path / "one.jsonl"
+    write_questions(dataset, [make_question()])
+    out = tmp_path / "run"
+    assert replay_forecast(out, "--workers", "1", dataset=dataset) == EXIT_OK
+    (record,) = read_records(out / "forecasts.jsonl")
+    assert record.aggregate.value == 0.4 and len(record.members) == 3
+
+
+class ArrivalOrderBackend:
+    """Live stand-in whose replies depend on how many requests arrived
+    before: planners delegate or answer by arrival parity, and every answer
+    carries the arrival count. Later members' requests arrive first, the
+    reverse of the order replay sends them in."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.arrivals = 0
+
+    def complete(self, request):
+        _, member_index = current_lane()
+        time.sleep(0.01 * (2 - member_index))
+        with self.lock:
+            n = self.arrivals
+            self.arrivals += 1
+        worker = "<one of: web_search>" in request.messages[0].content
+        first_turn = len(request.messages) == 2
+        if worker:
+            reply = f"Action: web_search\nAction Input: query {n}" if first_turn else f"Final Answer: found {n}"
+        elif first_turn and n % 2 == 0:
+            reply = f"Action: web_research\nAction Input: topic {n}"
+        else:
+            reply = f"Final Answer: {(n + 10) / 100}"
+        return ChatResponse(reply)
+
+
+def test_concurrent_recording_replays_byte_identically_at_any_workers(tmp_path, monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "key")
+    monkeypatch.setenv("LLM_BASE_URL", "http://llm.invalid/v1")
+    monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: ArrivalOrderBackend())
+    dataset = tmp_path / "two.jsonl"
+    write_questions(dataset, [make_question(qid="qa"), make_question(qid="qb", title="Will the gadget ship?")])
+    cassette = tmp_path / "cassette.jsonl"
+
+    def forecast(out, *extra):
+        return replay_forecast(out, *extra, dataset=dataset, cassette=cassette)
+
+    assert forecast(tmp_path / "recorded", "--record", "--workers", "2") == EXIT_OK
+    recorded = run_outputs(tmp_path / "recorded")
+    assert any("web_research" in name for name in recorded)
+    for workers in ("1", "4"):
+        assert forecast(tmp_path / f"replay{workers}", "--workers", workers) == EXIT_OK
+        assert run_outputs(tmp_path / f"replay{workers}") == recorded
+
+
+def test_cassette_miss_starts_no_queued_member(tmp_path):
+    started = []
+
+    def run_member(question):
+        started.append(question.id)
+        raise CassetteMiss("f" * 64, ChatRequest("default", (Message("user", "x"),)))
+
+    dataset = [make_question(qid="qa"), make_question(qid="qb")]
+    with pytest.raises(CassetteMiss):
+        run_forecast(dataset, run_member, tmp_path / "run", ensemble_size=3, aggregator_mode="median", seed=0)
+    assert started == ["qa"]
 
 
 def counting_runner(counter):

@@ -1,6 +1,7 @@
 """Backends: fingerprints, cassette record/replay, retry policy, rate limiting."""
 
 import json
+import threading
 
 import pytest
 
@@ -23,6 +24,7 @@ from agentcast.llm import (
     TransportError,
     UsageMeter,
     fingerprint,
+    in_lane,
     leakage_probe,
     load_cassette,
     record_mode,
@@ -93,6 +95,29 @@ def test_record_then_replay_round_trip(tmp_path):
     assert replay.complete(req).content == "second"
     with pytest.raises(CassetteMiss):
         replay.complete(req)  # entries for this fingerprint are used up
+
+
+def test_replay_serves_each_lane_its_own_entries(tmp_path):
+    cassette = tmp_path / "cassette.jsonl"
+    recording = record_mode(ScriptedBackend(["member 0", "member 1", "no lane"]), cassette)
+    req = make_request("same prompt")
+    with in_lane("q1", 0):
+        recording.complete(req)
+    with in_lane("q1", 1):
+        recording.complete(req)
+    recording.complete(req)
+    recording.close()
+    lanes = [json.loads(line)["lane"] for line in cassette.read_text().splitlines()]
+    assert lanes == [["q1", 0], ["q1", 1], None]
+
+    replay = ReplayBackend.from_file(cassette)
+    with in_lane("q1", 1):
+        assert replay.complete(req).content == "member 1"  # replayed out of recorded order
+    assert replay.complete(req).content == "no lane"
+    with in_lane("q1", 0):
+        assert replay.complete(req).content == "member 0"
+    with in_lane("q2", 0), pytest.raises(CassetteMiss, match="q2"):
+        replay.complete(req)
 
 
 def test_replay_misses_unknown_request(tmp_path):
@@ -217,6 +242,32 @@ def test_http_backend_attempt_cap_and_backoff_ceiling():
         backend.complete(make_request())
     assert len(transport.requests) == 4  # never exceeds the cap
     assert sum(sleeps) <= 35.0  # cumulative backoff respects the ceiling
+
+
+def test_http_backend_attempt_log_is_per_thread():
+    def transport(url, headers, body, timeout):
+        if body["messages"][-1]["content"] == "throttled" and not throttled:
+            throttled.append(True)
+            return 429, {"Retry-After": "0"}, ""
+        return ok_payload()
+
+    throttled = []
+    backend, _ = make_backend(transport)
+    both_done = threading.Barrier(2, timeout=5)
+    seen = {}
+
+    def call(content):
+        backend.complete(make_request(content))
+        both_done.wait()  # the other thread's call has finished too
+        seen[content] = [a.status for a in backend.last_attempts]
+
+    threads = [threading.Thread(target=call, args=(c,)) for c in ("throttled", "plain")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {"throttled": [429, 200], "plain": [200]}
 
 
 def test_http_backend_auth_error_is_immediate():

@@ -9,6 +9,7 @@ from agentcast.llm import AuthError, ScriptedBackend, TransportError
 from agentcast.market import (
     FILTER_PROMPT,
     FixtureMarketClient,
+    LiveMarketClient,
     MarketRecord,
     MarketSchemaError,
     backfill_resolutions,
@@ -21,7 +22,7 @@ from agentcast.market import (
 )
 from agentcast.models import Category, read_questions, write_questions
 
-from conftest import make_question
+from conftest import FakeResponse, make_question
 
 
 def market(mid, close="2024-04-20T00:00:00Z", prob=0.5, resolved=False, resolution=None, **extra):
@@ -52,6 +53,20 @@ def test_market_record_from_api():
         MarketRecord.from_api({"id": "m3", "question": "q"})
     with pytest.raises(MarketSchemaError, match="closeTime"):
         MarketRecord.from_api({**market("m4"), "closeTime": "soon"})
+
+
+def test_live_client_honors_retry_after_and_backs_off_without_it(monkeypatch):
+    responses = [
+        FakeResponse(429, {"Retry-After": "0.05"}),
+        FakeResponse(503),
+        FakeResponse(429),
+        FakeResponse(200, payload=market("m1")),
+    ]
+    monkeypatch.setattr("agentcast.market.requests.get", lambda *args, **kwargs: responses.pop(0))
+    sleeps = []
+    client = LiveMarketClient("https://market.example", sleep=sleeps.append)
+    assert client.get_market("m1")["id"] == "m1"
+    assert sleeps == [0.05, 2.0, 4.0]  # the hint, then the usual 2**attempt backoff
 
 
 def test_fetch_window_pages_with_before_cursor():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from agentcast.llm import AuthError, CassetteMiss, ScriptedBackend, TransportError
-from agentcast.models import Declined, Forecast
+from agentcast.models import AgentStep, Declined, Forecast
 from agentcast.react import (
     ActionEmission,
     FinalEmission,
@@ -17,6 +17,7 @@ from agentcast.react import (
     assemble_messages,
     compact_steps,
     context_budget_guard,
+    context_estimate,
     corrective_observation,
     estimate_tokens,
     extract_probability,
@@ -350,6 +351,33 @@ def test_compact_drops_oldest_and_keeps_recent_two():
     assert kept[-2:] == steps[-2:]  # most recent steps verbatim
     messages = assemble_messages(cfg, "task", compacted)
     assert OMITTED_MARKER in messages[2].content
+
+
+def quadratic_compact(cfg, task, steps):
+    """Reference: reassemble and re-estimate the whole context after every
+    dropped step, as compaction first did."""
+    marker = AgentStep(OMITTED_MARKER, "", "", OMITTED_MARKER)
+    kept, dropped = list(steps), 0
+    while len(kept) > 2:
+        view = [marker] + kept if dropped else kept
+        if context_estimate(assemble_messages(cfg, task, view)) <= cfg.context_token_limit:
+            break
+        kept.pop(0)
+        dropped += 1
+    return [marker] + kept if dropped else kept
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_compact_matches_quadratic_reference(n):
+    registry, _ = echo_registry()
+    rng = random.Random(n)
+    steps = [
+        AgentStep(f"thought {i}", "web_search", f"query {i}", "o" * rng.randrange(0, 900)) for i in range(n)
+    ]
+    full = context_estimate(assemble_messages(config(registry), "task", steps))
+    for limit in (0, 100, full // 3, full // 2, full - 1, full):
+        cfg = config(registry, context_token_limit=limit)
+        assert compact_steps(cfg, "task", steps) == quadratic_compact(cfg, "task", steps), limit
 
 
 def test_budget_fail_mode_declines_with_budget_reason():

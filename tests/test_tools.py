@@ -9,6 +9,7 @@ import pytest
 from agentcast.tools import (
     ExecResult,
     FixtureSearchProvider,
+    LiveSearchProvider,
     ProviderError,
     Sandbox,
     SandboxTimeout,
@@ -22,6 +23,8 @@ from agentcast.tools import (
     search,
     truncate_text,
 )
+
+from conftest import FakeResponse
 
 CUTOFF = date(2024, 4, 15)
 
@@ -93,6 +96,39 @@ def test_fixture_provider_round_trips_file(tmp_path):
     assert hit[0].title == "ETH today" and hit[0].published == date(2024, 4, 10)
     assert provider.search("unknown", CUTOFF, 8)[0].title == "fallback"
     assert provider.calls[0] == ("ethereum price", CUTOFF, 8)
+
+
+def dated_fixture(tmp_path, published_values):
+    path = tmp_path / "search.jsonl"
+    results = [
+        {"title": f"r{i}", "url": f"u{i}", "snippet": "s", "published": value}
+        for i, value in enumerate(published_values)
+    ]
+    path.write_text(json.dumps({"query": "q", "results": results}), encoding="utf-8")
+    return FixtureSearchProvider.from_file(path)
+
+
+def test_search_reads_timestamped_dates_against_the_cutoff(tmp_path):
+    provider = dated_fixture(tmp_path, ["2024-04-14T10:15:00Z", "2024-04-15T00:30:00Z", "2024-04-13"])
+    assert [r.title for r in search(provider, "q", CUTOFF)] == ["r0", "r2"]
+    assert provider.search("q", CUTOFF, 8)[0].published == date(2024, 4, 14)
+
+
+def test_unreadable_search_date_drops_only_that_result(monkeypatch):
+    raw = [{"title": f"r{i}", "published": p} for i, p in enumerate(["2024-04-10", "last Tuesday", None])]
+    response = FakeResponse(200, payload={"results": raw})
+    monkeypatch.setattr("agentcast.tools.requests.get", lambda *args, **kwargs: response)
+    provider = LiveSearchProvider("https://search.example", "key")
+    assert [r.title for r in search(provider, "q", CUTOFF)] == ["r0", "r2"]
+
+
+def test_live_search_honors_retry_after(monkeypatch):
+    responses = [FakeResponse(429, {"Retry-After": "0.05"}), FakeResponse(200, payload={"results": []})]
+    monkeypatch.setattr("agentcast.tools.requests.get", lambda *args, **kwargs: responses.pop(0))
+    sleeps = []
+    provider = LiveSearchProvider("https://search.example", "key", sleep=sleeps.append)
+    assert provider.search("q", CUTOFF, 8) == []
+    assert sleeps == [0.05]
 
 
 def test_render_search_observation():
