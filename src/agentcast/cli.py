@@ -391,29 +391,32 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
         print("dataset is empty; nothing to forecast", file=sys.stderr)
         return EXIT_EMPTY
     backend = build_backend(ns, cfg)
-    provider = build_search_provider(ns, cfg)
-    run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent)
+    try:
+        provider = build_search_provider(ns, cfg)
+        run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent)
 
-    config_echo = {
-        "cutoff": cutoff.isoformat(),
-        "ensemble_size": cfg.ensemble_size,
-        "aggregator": cfg.aggregator,
-        "seed": cfg.seed,
-        "model_id": cfg.model_id,
-        "temperature": cfg.temperature,
-        "single_agent": bool(ns.single_agent),
-    }
-    statuses = run_forecast(
-        dataset,
-        run_member,
-        ns.out,
-        ensemble_size=cfg.ensemble_size,
-        aggregator_mode=cfg.aggregator,
-        seed=cfg.seed,
-        workers=cfg.workers * cfg.ensemble_size,
-        config_echo=config_echo,
-        usage=backend,
-    )
+        config_echo = {
+            "cutoff": cutoff.isoformat(),
+            "ensemble_size": cfg.ensemble_size,
+            "aggregator": cfg.aggregator,
+            "seed": cfg.seed,
+            "model_id": cfg.model_id,
+            "temperature": cfg.temperature,
+            "single_agent": bool(ns.single_agent),
+        }
+        statuses = run_forecast(
+            dataset,
+            run_member,
+            ns.out,
+            ensemble_size=cfg.ensemble_size,
+            aggregator_mode=cfg.aggregator,
+            seed=cfg.seed,
+            workers=cfg.workers * cfg.ensemble_size,
+            config_echo=config_echo,
+            usage=backend,
+        )
+    finally:
+        backend.close()
     counts = {status: sum(1 for s in statuses.values() if s == status) for status in set(statuses.values())}
     print(
         f"forecast complete: {counts.get('forecasted', 0)} forecasted, "
@@ -444,19 +447,22 @@ def cmd_curate(ns: argparse.Namespace) -> int:
     backend = build_backend(ns, cfg)
     kept = []
     audit = []
-    for record in fetched:
-        verdict = llm_filter(backend, record.question_text, model_id=cfg.model_id)
-        audit.append(
-            {
-                "market_id": record.market_id,
-                "question": record.question_text,
-                "verdict": verdict.verdict,
-                "judge_reply": verdict.judge_reply,
-            }
-        )
-        if verdict.keep:
-            kept.append(record)
-    categories = {r.market_id: classify_category(backend, r.question_text, model_id=cfg.model_id) for r in kept}
+    try:
+        for record in fetched:
+            verdict = llm_filter(backend, record.question_text, model_id=cfg.model_id)
+            audit.append(
+                {
+                    "market_id": record.market_id,
+                    "question": record.question_text,
+                    "verdict": verdict.verdict,
+                    "judge_reply": verdict.judge_reply,
+                }
+            )
+            if verdict.keep:
+                kept.append(record)
+        categories = {r.market_id: classify_category(backend, r.question_text, model_id=cfg.model_id) for r in kept}
+    finally:
+        backend.close()
     at = parse_timestamp(ns.at, "at") if ns.at else utc_now()
     questions = snapshot(kept, at, ns.out, categories=categories)
     audit_path = Path(ns.out).with_suffix(".audit.jsonl")
@@ -608,14 +614,17 @@ def cmd_probe(ns: argparse.Namespace) -> int:
         return EXIT_EMPTY
     backend = build_backend(ns, cfg)
     counts: dict[str, int] = {}
-    for probe in probes:
-        question = probe["question"]
-        patterns = probe.get("answer_patterns", [])
-        result, _reply = leakage_probe(
-            backend, question, patterns, model_id=cfg.model_id, temperature=cfg.temperature
-        )
-        counts[result.value] = counts.get(result.value, 0) + 1
-        print(f"{result.value}\t{question}")
+    try:
+        for probe in probes:
+            question = probe["question"]
+            patterns = probe.get("answer_patterns", [])
+            result, _reply = leakage_probe(
+                backend, question, patterns, model_id=cfg.model_id, temperature=cfg.temperature
+            )
+            counts[result.value] = counts.get(result.value, 0) + 1
+            print(f"{result.value}\t{question}")
+    finally:
+        backend.close()
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"probe summary: {summary}")
     return EXIT_OK
@@ -634,7 +643,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bins", type=int, help="calibration bin count")
     parser.add_argument("--seed", type=int, help="seed for sampled aggregation")
     parser.add_argument(
-        "--workers", type=int, help="questions in flight; each runs its ensemble members concurrently"
+        "--workers",
+        type=int,
+        help="forecast only: questions in flight, each running its ensemble members concurrently "
+        "(the other commands ignore it)",
     )
 
 

@@ -418,10 +418,6 @@ class RecordingBackend:
         self._fh.close()
 
 
-def record_mode(backend: Backend, cassette_path: str | Path) -> RecordingBackend:
-    return RecordingBackend(backend, cassette_path)
-
-
 CassetteKey = tuple[Lane | None, str]
 
 
@@ -504,6 +500,11 @@ class UsageMeter:
             self.prompt_tokens += response.prompt_tokens
             self.completion_tokens += response.completion_tokens
         return response
+
+    def close(self) -> None:
+        """Close the wrapped backend if it holds a file open (a recording)."""
+        if isinstance(self._inner, RecordingBackend):
+            self._inner.close()
 
 
 # --- leakage probe --------------------------------------------------------

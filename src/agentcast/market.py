@@ -376,7 +376,8 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path) -> Back
 
     YES -> 1, NO -> 0; anything else a market resolved to (cancelled,
     ambiguous, numeric) marks the question excluded. Unresolved markets stay
-    pending and are retried on the next run.
+    pending and are retried on the next run, and so does a market whose fetch
+    fails: one bad market never loses the outcomes found for the others.
     """
     questions = read_questions(dataset_path)
     updated: list[Question] = []
@@ -387,7 +388,13 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path) -> Back
             excluded += question.excluded
             updated.append(question)
             continue
-        raw = client.get_market(question.id)
+        try:
+            raw = client.get_market(question.id)
+        except MarketError as exc:
+            logger.warning("market %s could not be fetched (%s); leaving it pending", question.id, exc)
+            pending += 1
+            updated.append(question)
+            continue
         if not raw.get("isResolved", False):
             pending += 1
             updated.append(question)

@@ -172,19 +172,32 @@ def aggregate(members: list[Forecast] | list[float], mode: str, seed: str | int 
 
 def ensemble_std(records: list[ForecastRecord]) -> float:
     """Mean over questions of the population standard deviation of the
-    members' probabilities. Declined records are skipped."""
-    stds = []
+    members' probabilities. Declined records are skipped.
+
+    All records are reduced in one pass over a flat value array. Each record's
+    segment opens with a 0.0, so `reduceat` adds its members onto a zero start
+    in the same order as `np.std` on that record alone, and the result matches
+    the per-record computation bit for bit.
+    """
+    flat: list[float] = []
+    starts: list[int] = []
+    counts: list[int] = []
     for record in records:
         if record.declined:
             continue
-        values = np.array(
-            [m.forecast.value for m in record.members if isinstance(m.forecast, Forecast)],
-            dtype=float,
-        )
-        stds.append(float(np.std(values)))
-    if not stds:
+        starts.append(len(flat))
+        flat.append(0.0)
+        flat.extend(m.forecast.value for m in record.members)
+        counts.append(len(record.members))
+    if not counts:
         raise EmptySet("no completed ensembles to measure spread over")
-    return float(np.mean(stds))
+    values = np.array(flat, dtype=float)
+    n = np.array(counts)
+    means = np.add.reduceat(values, starts) / n
+    deviations = values - np.repeat(means, n + 1)
+    squares = deviations * deviations
+    squares[starts] = 0.0
+    return float(np.mean(np.sqrt(np.add.reduceat(squares, starts) / n)))
 
 
 # --- cross-method drop rule ---------------------------------------------

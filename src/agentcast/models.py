@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -46,12 +47,13 @@ class Category(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Category":
-        """Map a label to a Category; anything unrecognized becomes UNKNOWN."""
+        """Map a label to a Category; anything unrecognized becomes UNKNOWN.
+        Matching ignores case and runs of whitespace, and reads "and" as "&"."""
         normalized = " ".join(str(label).split()).lower().replace(" and ", " & ")
-        for member in cls:
-            if member.value.lower() == normalized:
-                return member
-        return cls.UNKNOWN
+        return _CATEGORY_BY_LABEL.get(normalized, cls.UNKNOWN)
+
+
+_CATEGORY_BY_LABEL = {c.value.lower(): c for c in Category}
 
 
 # --- timestamps ---------------------------------------------------------
@@ -88,6 +90,8 @@ def parse_timestamp(value: Any, field_name: str = "timestamp") -> datetime:
 
 def normalize_timestamp(dt: datetime) -> datetime:
     """Coerce to UTC and drop sub-second precision. Naive datetimes are read as UTC."""
+    if dt.tzinfo is timezone.utc and not dt.microsecond:
+        return dt
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc).replace(microsecond=0)
@@ -112,11 +116,13 @@ class Forecast:
 
     def __post_init__(self):
         v = self.value
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        is_float = type(v) is float
+        if not is_float and (isinstance(v, bool) or not isinstance(v, (int, float))):
             raise ValidationError("value", f"forecast must be a number, got {v!r}")
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
+        if not 0.0 <= v <= 1.0:  # also false for NaN and the infinities
             raise ValidationError("value", f"forecast must lie in [0, 1], got {v!r}")
-        object.__setattr__(self, "value", float(v))
+        if not is_float:
+            object.__setattr__(self, "value", float(v))
 
 
 @dataclass(frozen=True)
@@ -300,6 +306,7 @@ class ForecastRecord:
     members: tuple[MemberForecast, ...]
     aggregator: str
     aggregate: Forecast | None = None
+    declined: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.question_id, str) or not self.question_id.strip():
@@ -309,23 +316,21 @@ class ForecastRecord:
             raise ValidationError("members", "ensemble has no members")
         if self.aggregator not in AGGREGATORS:
             raise ValidationError("aggregator", f"unknown aggregator {self.aggregator!r}")
-        if self.declined:
+        values = [m.forecast.value for m in self.members if isinstance(m.forecast, Forecast)]
+        declined = len(values) < len(self.members)
+        object.__setattr__(self, "declined", declined)
+        if declined:
             if self.aggregate is not None:
                 raise ValidationError("aggregate", "declined record cannot carry an aggregate")
         else:
             if self.aggregate is None:
                 raise ValidationError("aggregate", "missing aggregate for a completed ensemble")
-            values = [m.forecast.value for m in self.members if isinstance(m.forecast, Forecast)]
             lo, hi = min(values), max(values)
             if not lo <= self.aggregate.value <= hi:
                 raise ValidationError(
                     "aggregate",
                     f"aggregate {self.aggregate.value!r} outside member range [{lo!r}, {hi!r}]",
                 )
-
-    @property
-    def declined(self) -> bool:
-        return any(isinstance(m.forecast, Declined) for m in self.members)
 
     def to_dict(self) -> dict:
         members = []
@@ -394,11 +399,19 @@ def dump_json_line(d: dict) -> str:
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
+    """Write one JSON object per line. The lines go to a temp file beside the
+    target, which then replaces it, so a crash mid-write leaves the old file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in dicts:
-            fh.write(dump_json_line(d) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for d in dicts:
+                fh.write(dump_json_line(d) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

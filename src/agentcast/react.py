@@ -255,11 +255,6 @@ def context_estimate(messages: tuple[Message, ...]) -> int:
     return sum(estimate_tokens(m.content) for m in messages)
 
 
-def context_budget_guard(context_text: str, limit_tokens: int) -> bool:
-    """True when the text fits the token budget."""
-    return estimate_tokens(context_text) <= limit_tokens
-
-
 _MARKER_STEP = AgentStep(thought=OMITTED_MARKER, action="", action_input="", observation=OMITTED_MARKER)
 
 

@@ -9,6 +9,7 @@ publication date are filtered out again locally.
 from __future__ import annotations
 
 import logging
+import os
 import shlex
 import subprocess
 import sys
@@ -264,12 +265,17 @@ class Sandbox:
         object.__setattr__(self, "command_template", template)
 
 
+_SANDBOX_ENV = ("PATH", "LANG")
+
+
 def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
     """Run a program under the sandbox and capture its output.
 
-    The program gets a fresh temp directory as cwd, deleted afterwards.
-    Raises SandboxTimeout when the wall clock cap is hit (the process is
-    killed); nonzero exits come back as a normal ExecResult.
+    The program gets a fresh temp directory as cwd, deleted afterwards, and
+    an environment holding only PATH and LANG, so it cannot read the API
+    keys of the process that runs it. Raises SandboxTimeout when the wall
+    clock cap is hit (the process is killed); nonzero exits come back as a
+    normal ExecResult.
     """
     with tempfile.TemporaryDirectory(prefix="agentcast-sandbox-") as workdir:
         program_path = Path(workdir) / "program.py"
@@ -286,6 +292,7 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
                 text=True,
                 timeout=sandbox.timeout,
                 cwd=workdir,
+                env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
             )
         except subprocess.TimeoutExpired:
             raise SandboxTimeout(sandbox.timeout) from None

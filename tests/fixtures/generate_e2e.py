@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from agentcast.cli import RunConfig, make_member_runner, run_forecast
-from agentcast.llm import ScriptedBackend, record_mode
+from agentcast.llm import RecordingBackend, ScriptedBackend
 from agentcast.models import Category, Question, read_records, write_questions
 from agentcast.tools import FixtureSearchProvider
 
@@ -201,7 +201,7 @@ def main() -> int:
     if cassette_path.exists():
         cassette_path.unlink()
     cfg = RunConfig(cutoff=CUTOFF)
-    backend = record_mode(ScriptedBackend(build_script()), cassette_path)
+    backend = RecordingBackend(ScriptedBackend(build_script()), cassette_path)
     provider = FixtureSearchProvider.from_file(E2E / "search.jsonl")
     runner = make_member_runner(cfg, backend, provider)
 

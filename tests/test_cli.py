@@ -1,9 +1,11 @@
 """CLI wiring: config precedence, the forecast/curate/resolve/score/probe
 commands run end to end over fixtures, resume semantics, and exit codes."""
 
+import gc
 import json
 import threading
 import time
+import warnings
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -26,12 +28,12 @@ from agentcast.llm import (
     ChatRequest,
     ChatResponse,
     Message,
+    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
     UsageMeter,
     current_lane,
     leakage_probe,
-    record_mode,
 )
 from agentcast.market import classify_category, llm_filter
 from agentcast.metrics import parse_table
@@ -379,7 +381,7 @@ def write_market_fixture(path: Path) -> None:
 
 def record_curate_cassette(path: Path) -> None:
     # same calls cmd_curate makes, in the same order, so fingerprints line up
-    backend = record_mode(ScriptedBackend(["Yes", "No", "Economics & Business"]), path)
+    backend = RecordingBackend(ScriptedBackend(["Yes", "No", "Economics & Business"]), path)
     assert llm_filter(backend, "Will the central bank cut rates before July?").keep
     assert not llm_filter(backend, "Will I finish my thesis this month?").keep
     classify_category(backend, "Will the central bank cut rates before July?")
@@ -556,7 +558,7 @@ def record_probe_cassette(path: Path) -> None:
 
     ref = resources.files("agentcast").joinpath("data/probes.jsonl")
     probes = [json.loads(line) for line in ref.read_text().splitlines() if line.strip()]
-    backend = record_mode(ScriptedBackend(PROBE_REPLIES), path)
+    backend = RecordingBackend(ScriptedBackend(PROBE_REPLIES), path)
     for probe in probes:
         leakage_probe(backend, probe["question"], probe.get("answer_patterns", []))
     backend.close()
@@ -576,6 +578,44 @@ def test_probe_empty_file_exits_2(tmp_path):
     probes.write_text("")
     rc = cli.main(["probe", "--probes", str(probes), "--cassette", str(tmp_path / "unused.jsonl")])
     assert rc == EXIT_EMPTY
+
+
+# --- recording -------------------------------------------------------------------
+
+
+class ConstantBackend:
+    """Stands in for the live HTTP backend: every call gets the same reply."""
+
+    def __init__(self, reply: str):
+        self.reply = reply
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        return ChatResponse(self.reply)
+
+
+@pytest.mark.parametrize("command", ["forecast", "curate", "probe"])
+def test_record_closes_the_cassette(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("LLM_API_KEY", "test-key")
+    monkeypatch.setenv("LLM_BASE_URL", "http://127.0.0.1:9")
+    reply = "Thought: enough.\nFinal Answer: 0.4" if command == "forecast" else "Yes"
+    monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: ConstantBackend(reply))
+    write_market_fixture(tmp_path / "markets.jsonl")
+    args = {
+        "forecast": ["--dataset", str(E2E / "questions.jsonl"), "--out", str(tmp_path / "o"),
+                     "--search-fixture", str(E2E / "search.jsonl"), "--cutoff", "2024-04-15", "--ensemble", "1"],
+        "curate": ["--from", "2024-05-01", "--to", "2024-05-31", "--out", str(tmp_path / "dataset.jsonl"),
+                   "--at", "2024-04-15T00:00:00Z", "--market-fixture", str(tmp_path / "markets.jsonl")],
+        "probe": [],
+    }[command]
+    cassette = tmp_path / "cassette.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, *args, "--cassette", str(cassette), "--record"])
+        gc.collect()
+    assert rc == EXIT_OK
+    assert cassette.read_text(encoding="utf-8").count("\n") >= 2
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning) and "cassette.jsonl" in str(w.message)]
+    assert leaks == []
 
 
 # --- fixture drift ------------------------------------------------------------

@@ -27,7 +27,6 @@ from agentcast.llm import (
     in_lane,
     leakage_probe,
     load_cassette,
-    record_mode,
 )
 
 
@@ -82,7 +81,7 @@ def test_scripted_backend_plays_in_order_and_logs_requests():
 def test_record_then_replay_round_trip(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
     scripted = ScriptedBackend(["first", "second", "other"])
-    recording = record_mode(scripted, cassette)
+    recording = RecordingBackend(scripted, cassette)
     req = make_request("same prompt")
     assert recording.complete(req).content == "first"
     assert recording.complete(req).content == "second"  # same fingerprint, second entry
@@ -99,7 +98,7 @@ def test_record_then_replay_round_trip(tmp_path):
 
 def test_replay_serves_each_lane_its_own_entries(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
-    recording = record_mode(ScriptedBackend(["member 0", "member 1", "no lane"]), cassette)
+    recording = RecordingBackend(ScriptedBackend(["member 0", "member 1", "no lane"]), cassette)
     req = make_request("same prompt")
     with in_lane("q1", 0):
         recording.complete(req)
@@ -122,7 +121,9 @@ def test_replay_serves_each_lane_its_own_entries(tmp_path):
 
 def test_replay_misses_unknown_request(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
-    record_mode(ScriptedBackend(["x"]), cassette).complete(make_request("known"))
+    recording = RecordingBackend(ScriptedBackend(["x"]), cassette)
+    recording.complete(make_request("known"))
+    recording.close()
     replay = ReplayBackend.from_file(cassette)
     with pytest.raises(CassetteMiss, match="fingerprint"):
         replay.complete(make_request("never recorded"))
@@ -130,7 +131,9 @@ def test_replay_misses_unknown_request(tmp_path):
 
 def test_cassette_metadata_keeps_max_tokens(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
-    record_mode(ScriptedBackend(["x"]), cassette).complete(make_request(max_tokens=256))
+    recording = RecordingBackend(ScriptedBackend(["x"]), cassette)
+    recording.complete(make_request(max_tokens=256))
+    recording.close()
     entry = json.loads(cassette.read_text().splitlines()[0])
     assert entry["request"]["max_tokens"] == 256
     assert entry["request"]["model_id"] == "default"

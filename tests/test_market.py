@@ -1,6 +1,7 @@
 """Market ingestion: pagination, windowing, the LLM judge, snapshots, resolution."""
 
 import json
+import logging
 from datetime import date, datetime, timezone
 
 import pytest
@@ -10,6 +11,7 @@ from agentcast.market import (
     FILTER_PROMPT,
     FixtureMarketClient,
     LiveMarketClient,
+    MarketError,
     MarketRecord,
     MarketSchemaError,
     backfill_resolutions,
@@ -216,3 +218,30 @@ def test_backfill_resolutions(tmp_path):
     after = {q.id: q for q in read_questions(dataset)}
     for qid in before:
         assert after[qid] == by_id[qid]
+
+
+def test_backfill_counts_a_failing_market_as_pending_and_keeps_the_rest(tmp_path, caplog):
+    class FlakyClient(FixtureMarketClient):
+        def get_market(self, market_id):
+            if market_id == "broken1":
+                raise MarketError("market API failed after 4 attempts: status 503")
+            return super().get_market(market_id)
+
+    dataset = tmp_path / "dataset.jsonl"
+    write_questions(dataset, [make_question(qid="yes1"), make_question(qid="broken1"), make_question(qid="no1")])
+    client = FlakyClient(
+        [
+            market("yes1", resolved=True, resolution="YES"),
+            market("broken1", resolved=True, resolution="YES"),
+            market("no1", resolved=True, resolution="NO"),
+        ]
+    )
+    with caplog.at_level(logging.WARNING, logger="agentcast.market"):
+        summary = backfill_resolutions(client, dataset)
+    assert (summary.resolved, summary.pending, summary.excluded) == (2, 1, 0)
+    assert "broken1" in caplog.text
+    by_id = {q.id: q for q in read_questions(dataset)}
+    assert by_id["yes1"].outcome == 1  # resolved before the failing market
+    assert by_id["broken1"].outcome is None and not by_id["broken1"].excluded
+    assert by_id["no1"].outcome == 0  # resolved after it
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]

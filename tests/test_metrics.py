@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from agentcast.metrics import (
@@ -168,11 +169,23 @@ def make_declined_record(qid, values, declined_at=0):
     return ForecastRecord(qid, tuple(members), "median", None)
 
 
+def loop_ensemble_std(records):
+    """The per-record computation the one-pass reduction replaced."""
+    stds = [float(np.std(np.array([m.forecast.value for m in r.members]))) for r in records if not r.declined]
+    return float(np.mean(stds))
+
+
 def test_ensemble_std_matches_oracle():
-    rng = random.Random(7)
-    lists = [[rng.random() for _ in range(rng.randint(2, 6))] for _ in range(50)]
-    records = [make_record(f"q{i}", values) for i, values in enumerate(lists)]
-    assert abs(ensemble_std(records) - oracle_ensemble_std(lists)) < 1e-12
+    # ragged ensembles: every run mixes 1-member and 10-or-more-member records
+    for sizes in [(2, 6), (1, 1), (1, 12), (9, 9), (3, 200)]:
+        rng = random.Random(f"7:{sizes}")
+        lists = [[rng.random() for _ in range(rng.randint(*sizes))] for _ in range(50)]
+        lists[0], lists[-1] = lists[0][:1], lists[-1] + [rng.random() for _ in range(9)]
+        records = [make_record(f"q{i}", values) for i, values in enumerate(lists)]
+        # declined records in between must not shift the other records' segments
+        records[10:10] = [make_declined_record("d1", [0.1] * 9), make_declined_record("d2", [0.7])]
+        assert abs(ensemble_std(records) - oracle_ensemble_std(lists)) < 1e-12
+        assert ensemble_std(records) == loop_ensemble_std(records)
 
 
 def test_ensemble_std_skips_declined_records():
@@ -180,6 +193,10 @@ def test_ensemble_std_skips_declined_records():
     assert ensemble_std(records) == pytest.approx(oracle_ensemble_std([[0.2, 0.4, 0.6]]))
     with pytest.raises(EmptySet):
         ensemble_std([make_declined_record("q1", [0.5, 0.5])])
+    with pytest.raises(EmptySet):
+        ensemble_std([make_declined_record("q1", [0.5] * 9), make_declined_record("q2", [0.5])])
+    with pytest.raises(EmptySet):
+        ensemble_std([])
 
 
 # --- drop rule -----------------------------------------------------------

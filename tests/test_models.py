@@ -1,6 +1,7 @@
 """Domain type validation and JSONL round-trips."""
 
-from datetime import datetime, timezone
+import dataclasses
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -16,6 +17,7 @@ from agentcast.models import (
     Transcript,
     ValidationError,
     format_timestamp,
+    normalize_timestamp,
     parse_timestamp,
     read_jsonl,
     read_questions,
@@ -102,6 +104,27 @@ def test_category_from_label():
     assert len(Category.labels()) == 9
 
 
+def test_category_from_label_maps_every_label_and_its_and_spelling():
+    for category in Category:
+        label = category.value
+        assert Category.from_label(label) is category
+        assert Category.from_label(label.upper()) is category
+        assert Category.from_label(label.replace(" & ", " and ")) is category
+        assert Category.from_label(f" {label.replace(' & ', '  AND  ')}\t") is category
+    for unknown in ("", "Economics", "Economics &", "Business & Economics", "Sports & Sports", 42):
+        assert Category.from_label(unknown) is Category.UNKNOWN
+
+
+def test_normalize_timestamp_keeps_utc_whole_seconds_and_coerces_the_rest():
+    utc = datetime(2024, 4, 30, 12, 34, 56, tzinfo=timezone.utc)
+    assert normalize_timestamp(utc) is utc
+    assert normalize_timestamp(utc.replace(microsecond=789)) == utc
+    assert normalize_timestamp(utc.replace(tzinfo=None)) == utc
+    plus_two = timezone(timedelta(hours=2))
+    shifted = normalize_timestamp(datetime(2024, 4, 30, 14, 34, 56, 5, tzinfo=plus_two))
+    assert shifted == utc and shifted.tzinfo is timezone.utc
+
+
 def test_question_jsonl_round_trip_is_byte_identical(tmp_path):
     questions = [
         make_question(qid="q1", outcome=1, crowd_prob=0.62, category=Category.SPORTS, source="market"),
@@ -180,6 +203,56 @@ def test_record_round_trip(tmp_path):
     assert loaded[1].members[0].forecast == Declined("budget")
     write_records(path, loaded)
     assert path.read_bytes() == first
+
+
+def test_cached_declined_flag_leaves_equality_repr_and_dict_unchanged():
+    completed = (MemberForecast(0, Forecast(0.3)), MemberForecast(1, Forecast(0.5), "q1/1.planner.transcript"))
+    record = ForecastRecord("q1", completed, "median", Forecast(0.4))
+    assert record == ForecastRecord("q1", list(completed), "median", Forecast(0.4))
+    assert hash(record) == hash(ForecastRecord("q1", completed, "median", Forecast(0.4)))
+    assert repr(record) == (
+        "ForecastRecord(question_id='q1', members=(MemberForecast(member_index=0, "
+        "forecast=Forecast(value=0.3), transcript_ref=''), MemberForecast(member_index=1, "
+        "forecast=Forecast(value=0.5), transcript_ref='q1/1.planner.transcript')), "
+        "aggregator='median', aggregate=Forecast(value=0.4))"
+    )
+    assert record.to_dict() == {
+        "question_id": "q1",
+        "aggregator": "median",
+        "members": [
+            {"member_index": 0, "forecast": 0.3},
+            {"member_index": 1, "forecast": 0.5, "transcript_ref": "q1/1.planner.transcript"},
+        ],
+        "declined": False,
+        "aggregate": 0.4,
+    }
+    assert not record.declined
+
+    declined = dataclasses.replace(record, members=(MemberForecast(0, Declined("budget")),), aggregate=None)
+    assert declined.declined  # recomputed, not copied from the completed record
+    assert "declined" not in repr(declined)
+    assert declined.to_dict() == {
+        "question_id": "q1",
+        "aggregator": "median",
+        "members": [{"member_index": 0, "declined": True, "reason": "budget"}],
+        "declined": True,
+    }
+    assert declined != record
+
+
+def test_write_jsonl_keeps_the_old_file_when_a_write_fails(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    write_questions(path, [make_question(qid="q1")])
+    before = path.read_bytes()
+
+    def broken():
+        yield make_question(qid="q2")
+        raise RuntimeError("disk went away")
+
+    with pytest.raises(RuntimeError, match="disk went away"):
+        write_questions(path, broken())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["questions.jsonl"]
 
 
 def test_validate_record_rejects_malformed_members():

@@ -16,7 +16,6 @@ from agentcast.react import (
     ReactConfig,
     assemble_messages,
     compact_steps,
-    context_budget_guard,
     context_estimate,
     corrective_observation,
     estimate_tokens,
@@ -330,8 +329,8 @@ def test_estimate_tokens_chars_over_four():
     assert estimate_tokens("") == 0
     assert estimate_tokens("abcd") == 1
     assert estimate_tokens("abcde") == 2
-    assert context_budget_guard("x" * 400, 100)
-    assert not context_budget_guard("x" * 401, 100)
+    assert estimate_tokens("x" * 400) == 100
+    assert estimate_tokens("x" * 401) == 101
 
 
 def make_steps(n, obs_chars=400):

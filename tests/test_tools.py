@@ -182,6 +182,16 @@ def test_execute_code_nonzero_exit_keeps_error_tail():
     assert "math is hard" in outcome.stderr
 
 
+def test_execute_code_cannot_read_api_keys(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "llm-secret-4711")
+    monkeypatch.setenv("SEARCH_API_KEY", "search-secret-0815")
+    program = "import os\nprint(os.environ.get('LLM_API_KEY'), os.environ.get('SEARCH_API_KEY'))\nprint(dict(os.environ))"
+    outcome = execute_code(Sandbox(), program)
+    assert outcome.exit_status == 0
+    assert "llm-secret-4711" not in outcome.stdout + outcome.stderr
+    assert "search-secret-0815" not in outcome.stdout + outcome.stderr
+
+
 def test_execute_code_timeout_enforced_with_grace():
     sandbox = Sandbox(timeout=0.5)
     start = time.monotonic()
