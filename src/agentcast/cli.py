@@ -53,9 +53,8 @@ from .market import (
     MarketError,
     backfill_resolutions,
     category_frequencies,
-    classify_category,
+    curate_markets,
     fetch_window,
-    llm_filter,
     render_category_table,
     snapshot,
 )
@@ -128,6 +127,12 @@ class RunConfig:
     search_base_url: str | None = None
     market_base_url: str = DEFAULT_MARKET_BASE_URL
     cutoff: str | None = None
+
+    @property
+    def in_flight(self) -> int:
+        """Requests kept in flight: `workers` questions times their ensemble
+        members in forecast, and that many markets in curate and resolve."""
+        return self.workers * self.ensemble_size
 
     def cutoff_date(self) -> date:
         if not self.cutoff:
@@ -411,7 +416,7 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
             ensemble_size=cfg.ensemble_size,
             aggregator_mode=cfg.aggregator,
             seed=cfg.seed,
-            workers=cfg.workers * cfg.ensemble_size,
+            workers=cfg.in_flight,
             config_echo=config_echo,
             usage=backend,
         )
@@ -445,24 +450,25 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         print(f"no binary markets close in [{from_date}, {to_date}]; wrote empty dataset", file=sys.stderr)
         return EXIT_EMPTY
     backend = build_backend(ns, cfg)
-    kept = []
-    audit = []
     try:
-        for record in fetched:
-            verdict = llm_filter(backend, record.question_text, model_id=cfg.model_id)
-            audit.append(
-                {
-                    "market_id": record.market_id,
-                    "question": record.question_text,
-                    "verdict": verdict.verdict,
-                    "judge_reply": verdict.judge_reply,
-                }
-            )
-            if verdict.keep:
-                kept.append(record)
-        categories = {r.market_id: classify_category(backend, r.question_text, model_id=cfg.model_id) for r in kept}
+        curated = curate_markets(backend, fetched, model_id=cfg.model_id, workers=cfg.in_flight)
     finally:
         backend.close()
+    kept = []
+    audit = []
+    categories = {}
+    for record, (verdict, category) in zip(fetched, curated):
+        audit.append(
+            {
+                "market_id": record.market_id,
+                "question": record.question_text,
+                "verdict": verdict.verdict,
+                "judge_reply": verdict.judge_reply,
+            }
+        )
+        if verdict.keep:
+            kept.append(record)
+            categories[record.market_id] = category
     at = parse_timestamp(ns.at, "at") if ns.at else utc_now()
     questions = snapshot(kept, at, ns.out, categories=categories)
     audit_path = Path(ns.out).with_suffix(".audit.jsonl")
@@ -478,7 +484,7 @@ def cmd_curate(ns: argparse.Namespace) -> int:
 def cmd_resolve(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     client = build_market_client(ns, cfg)
-    summary = backfill_resolutions(client, ns.dataset)
+    summary = backfill_resolutions(client, ns.dataset, workers=cfg.in_flight)
     print(f"resolved {summary.resolved}, pending {summary.pending}, excluded {summary.excluded}")
     return EXIT_OK
 
@@ -645,8 +651,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help="forecast only: questions in flight, each running its ensemble members concurrently "
-        "(the other commands ignore it)",
+        help="forecast: questions in flight, each running its ensemble members concurrently; "
+        "curate and resolve: N x ensemble markets in flight; score and probe ignore it",
     )
 
 

@@ -22,8 +22,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol
 
-import requests
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.5
@@ -66,8 +64,9 @@ class CassetteMiss(BackendError):
 
 # --- lanes ------------------------------------------------------------------
 
-# (question_id, member_index): one ensemble member's stream of requests.
-# Members run concurrently, but the requests inside one lane keep a fixed
+# One sequential stream of requests: (question_id, member_index) for an
+# ensemble member in forecast, (market_id, 0) for one market in curate.
+# Lanes run concurrently, but the requests inside one lane keep a fixed
 # order, so record/replay matches entries per lane.
 Lane = tuple[str, int]
 
@@ -151,7 +150,8 @@ def fingerprint(request: ChatRequest) -> str:
 
 
 class RateLimiter:
-    """Token bucket shared by every live backend in a process.
+    """Token bucket for one live client. The CLI gives the chat backend and
+    the search provider one each, both sized by `rate_limit_rpm`.
 
     Capacity equals the per-minute budget, so a fresh limiter allows a burst
     of that size before callers start waiting.
@@ -232,6 +232,8 @@ Transport = Callable[[str, dict, dict, float], tuple[int, dict, Any]]
 
 
 def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, dict, Any]:
+    import requests  # only live runs pay for importing it
+
     try:
         resp = requests.post(url, headers=headers, json=body, timeout=timeout)
     except requests.RequestException as exc:
@@ -380,7 +382,7 @@ def _request_summary(request: ChatRequest) -> dict:
 
 class RecordingBackend:
     """Wraps a live backend and appends every exchange to a cassette file,
-    tagged with the lane it was made in (null outside any lane)."""
+    tagged with the lane it was made in (null outside any lane: probe)."""
 
     def __init__(self, inner: Backend, cassette_path: str | Path):
         self._inner = inner

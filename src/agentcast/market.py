@@ -13,16 +13,26 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
-import requests
-
-from .llm import AuthError, Backend, BackendError, ChatRequest, Message, RetryPolicy, parse_retry_after
+from .llm import (
+    AuthError,
+    Backend,
+    BackendError,
+    CassetteMiss,
+    ChatRequest,
+    Message,
+    RetryPolicy,
+    in_lane,
+    parse_retry_after,
+)
 from .models import (
     Category,
     Question,
@@ -108,6 +118,8 @@ class LiveMarketClient:
         self._timeout = timeout
 
     def _get(self, path: str, params: dict | None = None):
+        import requests  # only live runs pay for importing it
+
         slept = 0.0
         last_error = "no attempts made"
         for attempt in range(self._retry.max_attempts):
@@ -254,7 +266,8 @@ def llm_filter(backend: Backend, question_text: str, *, model_id: str = "default
 
     Keep iff the reply normalizes to "Yes". An unparsable reply is retried
     once, then dropped with a warning. Backend failures drop the market
-    (auth failures propagate; they mean the whole run is misconfigured).
+    (auth failures and cassette misses propagate; they mean the whole run is
+    misconfigured).
     """
     request = ChatRequest(
         model_id=model_id,
@@ -264,7 +277,7 @@ def llm_filter(backend: Backend, question_text: str, *, model_id: str = "default
     for _ in range(2):
         try:
             reply = backend.complete(request).content
-        except AuthError:
+        except (AuthError, CassetteMiss):
             raise
         except BackendError as exc:
             logger.warning("judge backend error for %r: %s", question_text[:60], exc)
@@ -291,7 +304,8 @@ def classify_category(backend: Backend, question_text: str, *, model_id: str = "
     """Classify a question into one of the fixed topic buckets.
 
     Replies that are not an exact label (after whitespace/case normalization)
-    come back as Unknown, as do backend failures.
+    come back as Unknown, as do backend failures other than auth failures and
+    cassette misses.
     """
     request = ChatRequest(
         model_id=model_id,
@@ -304,7 +318,7 @@ def classify_category(backend: Backend, question_text: str, *, model_id: str = "
     )
     try:
         reply = backend.complete(request).content
-    except AuthError:
+    except (AuthError, CassetteMiss):
         raise
     except BackendError as exc:
         logger.warning("classifier backend error for %r: %s", question_text[:60], exc)
@@ -313,6 +327,55 @@ def classify_category(backend: Backend, question_text: str, *, model_id: str = "
     if category is Category.UNKNOWN:
         logger.warning("unrecognized category reply %r for %r", reply.strip()[:40], question_text[:60])
     return category
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+    """Call `fn` on every item, `workers` calls at a time, and return the
+    results in item order. When a call raises, the calls not yet started are
+    cancelled and the error propagates once the running ones finish."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def curate_markets(
+    backend: Backend,
+    records: Sequence[MarketRecord],
+    *,
+    model_id: str = "default",
+    workers: int = 1,
+) -> list[tuple[FilterVerdict, Category | None]]:
+    """Judge every market and classify the kept ones, `workers` markets at a
+    time. Returns (verdict, category) per record in listing order; the
+    category is None for a dropped market.
+
+    Each market's requests run in lane (market_id, 0), so a recorded curate
+    replays the same at any `workers`. An auth failure or a cassette miss
+    stops the run: markets not started yet send no request, and the error
+    propagates once the markets in flight finish.
+    """
+    failed = threading.Event()
+
+    def curate_one(record: MarketRecord) -> tuple[FilterVerdict, Category | None] | None:
+        if failed.is_set():
+            return None  # another market failed; the run is aborting
+        try:
+            with in_lane(record.market_id, 0):
+                verdict = llm_filter(backend, record.question_text, model_id=model_id)
+                if not verdict.keep:
+                    return verdict, None
+                return verdict, classify_category(backend, record.question_text, model_id=model_id)
+        except (AuthError, CassetteMiss):
+            failed.set()
+            raise
+
+    return _map_in_order(curate_one, records, workers)
 
 
 def category_frequencies(questions: Iterable[Question]) -> list[tuple[Category, int]]:
@@ -371,15 +434,27 @@ class BackfillSummary:
     excluded: int
 
 
-def backfill_resolutions(client: MarketClient, dataset_path: str | Path) -> BackfillSummary:
+def backfill_resolutions(client: MarketClient, dataset_path: str | Path, *, workers: int = 1) -> BackfillSummary:
     """Fill in outcomes for a dataset in place.
 
     YES -> 1, NO -> 0; anything else a market resolved to (cancelled,
     ambiguous, numeric) marks the question excluded. Unresolved markets stay
     pending and are retried on the next run, and so does a market whose fetch
     fails: one bad market never loses the outcomes found for the others.
+    Open markets are fetched `workers` at a time; outcomes are applied in
+    dataset order, so the rewritten file does not depend on `workers`.
     """
     questions = read_questions(dataset_path)
+
+    def fetch(question: Question) -> dict | None:
+        try:
+            return client.get_market(question.id)
+        except MarketError as exc:
+            logger.warning("market %s could not be fetched (%s); leaving it pending", question.id, exc)
+            return None
+
+    open_questions = [q for q in questions if q.outcome is None and not q.excluded]
+    fetched = iter(_map_in_order(fetch, open_questions, workers))
     updated: list[Question] = []
     resolved = pending = excluded = 0
     for question in questions:
@@ -388,14 +463,8 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path) -> Back
             excluded += question.excluded
             updated.append(question)
             continue
-        try:
-            raw = client.get_market(question.id)
-        except MarketError as exc:
-            logger.warning("market %s could not be fetched (%s); leaving it pending", question.id, exc)
-            pending += 1
-            updated.append(question)
-            continue
-        if not raw.get("isResolved", False):
+        raw = next(fetched)
+        if raw is None or not raw.get("isResolved", False):
             pending += 1
             updated.append(question)
             continue

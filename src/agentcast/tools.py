@@ -20,8 +20,6 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol
 
-import requests
-
 from .llm import RateLimiter, RetryPolicy, parse_retry_after
 from .models import ValidationError, parse_timestamp, read_jsonl
 
@@ -141,6 +139,8 @@ class LiveSearchProvider:
         self._timeout = timeout
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
+        import requests  # only live runs pay for importing it
+
         params = {"q": query, "num": str(limit), "before": before_date.isoformat()}
         slept = 0.0
         last_error = "no attempts made"

@@ -3,6 +3,8 @@ commands run end to end over fixtures, resume semantics, and exit codes."""
 
 import gc
 import json
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -24,6 +26,7 @@ from agentcast.cli import (
     run_forecast,
 )
 from agentcast.llm import (
+    AuthError,
     CassetteMiss,
     ChatRequest,
     ChatResponse,
@@ -33,11 +36,12 @@ from agentcast.llm import (
     ScriptedBackend,
     UsageMeter,
     current_lane,
+    in_lane,
     leakage_probe,
 )
-from agentcast.market import classify_category, llm_filter
+from agentcast.market import FixtureMarketClient, classify_category, llm_filter
 from agentcast.metrics import parse_table
-from agentcast.models import read_questions, read_records, write_questions
+from agentcast.models import Category, read_questions, read_records, write_questions
 from agentcast.tools import FixtureSearchProvider
 
 from conftest import FIXTURES, make_question
@@ -171,12 +175,13 @@ def test_forecast_replay_matches_across_workers(tmp_path):
 class BarrierBackend:
     """Answers only once `parties` requests are waiting at the same time."""
 
-    def __init__(self, parties: int):
+    def __init__(self, parties: int, reply: str = "Thought: enough.\nFinal Answer: 0.4"):
         self.barrier = threading.Barrier(parties, timeout=5)
+        self.reply = reply
 
     def complete(self, request):
         self.barrier.wait()
-        return ChatResponse("Thought: enough.\nFinal Answer: 0.4")
+        return ChatResponse(self.reply)
 
 
 def test_forecast_runs_a_questions_members_concurrently(tmp_path, monkeypatch):
@@ -380,11 +385,14 @@ def write_market_fixture(path: Path) -> None:
 
 
 def record_curate_cassette(path: Path) -> None:
-    # same calls cmd_curate makes, in the same order, so fingerprints line up
-    backend = RecordingBackend(ScriptedBackend(["Yes", "No", "Economics & Business"]), path)
-    assert llm_filter(backend, "Will the central bank cut rates before July?").keep
-    assert not llm_filter(backend, "Will I finish my thesis this month?").keep
-    classify_category(backend, "Will the central bank cut rates before July?")
+    # same calls cmd_curate makes, each in its market's lane, so fingerprints
+    # and lanes line up
+    backend = RecordingBackend(ScriptedBackend(["Yes", "Economics & Business", "No"]), path)
+    with in_lane("mkt_rates", 0):
+        assert llm_filter(backend, "Will the central bank cut rates before July?").keep
+        classify_category(backend, "Will the central bank cut rates before July?")
+    with in_lane("mkt_personal", 0):
+        assert not llm_filter(backend, "Will I finish my thesis this month?").keep
     backend.close()
 
 
@@ -451,6 +459,166 @@ def test_curate_empty_window_exits_2(tmp_path):
     )
     assert rc == EXIT_EMPTY
     assert out.exists() and out.read_text() == ""
+
+
+def many_markets(n: int) -> list[dict]:
+    """n binary markets closing in May 2024, cycling through resolved YES,
+    resolved NO, cancelled and still open."""
+    fates = [("YES", True), ("NO", True), ("CANCEL", True), (None, False)]
+    return [
+        {
+            "id": f"mkt{i}",
+            "question": f"Will event number {i} happen before June?",
+            "closeTime": ms(f"2024-05-{10 + i:02d}T12:00:00"),
+            "probability": round(0.05 + i / 20, 2),
+            "isResolved": fates[i % 4][1],
+            "resolution": fates[i % 4][0],
+            "outcomeType": "BINARY",
+        }
+        for i in range(n)
+    ]
+
+
+def curate_args(market_fixture: Path, out: Path, *extra: str) -> list[str]:
+    return ["curate", "--from", "2024-05-01", "--to", "2024-05-31", "--out", str(out),
+            "--at", "2024-04-15T00:00:00Z", "--market-fixture", str(market_fixture), *extra]
+
+
+class BarrierMarketClient(FixtureMarketClient):
+    """Serves a market only once `parties` fetches are waiting at the same time."""
+
+    def __init__(self, markets, parties: int):
+        super().__init__(markets)
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def get_market(self, market_id):
+        self.barrier.wait()
+        return super().get_market(market_id)
+
+
+def test_curate_and_resolve_keep_ensemble_many_markets_in_flight_at_default_settings(tmp_path, monkeypatch):
+    # workers 1 x ensemble 3: three judge requests, then three classifier
+    # requests, then three fetches must all be waiting at once
+    markets = many_markets(3)
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": markets}))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(BarrierBackend(3, "Yes")))
+    dataset = tmp_path / "dataset.jsonl"
+    assert cli.main(curate_args(market_fixture, dataset)) == EXIT_OK
+    assert [q.id for q in read_questions(dataset)] == ["mkt0", "mkt1", "mkt2"]
+
+    monkeypatch.setattr(cli, "build_market_client", lambda ns, cfg: BarrierMarketClient(markets, 3))
+    assert cli.main(["resolve", "--dataset", str(dataset)]) == EXIT_OK
+    by_id = {q.id: q for q in read_questions(dataset)}
+    assert (by_id["mkt0"].outcome, by_id["mkt1"].outcome, by_id["mkt2"].excluded) == (1, 0, True)
+
+
+class MarketArrivalBackend:
+    """Live stand-in whose replies depend on how many requests arrived
+    before. Later markets' requests arrive first, the reverse of the order
+    a one-at-a-time replay sends them in. Some judge replies are unparsable,
+    so their market sends a second judge request."""
+
+    def __init__(self, markets: list[dict]):
+        self.position = {m["id"]: i for i, m in enumerate(markets)}
+        self.lock = threading.Lock()
+        self.arrivals = 0
+
+    def complete(self, request):
+        market_id, _ = current_lane()
+        time.sleep(0.005 * (len(self.position) - self.position[market_id]))
+        with self.lock:
+            n = self.arrivals
+            self.arrivals += 1
+        if "Categories:" in request.messages[0].content:
+            return ChatResponse(Category.labels()[n % len(Category.labels())])
+        return ChatResponse(["Maybe.", "No.", "Yes.", "Yes."][n % 4])
+
+
+class SlowFixtureClient(FixtureMarketClient):
+    """Fixture client whose later markets answer first."""
+
+    def get_market(self, market_id):
+        ids = list(self._by_id)
+        time.sleep(0.005 * (len(ids) - ids.index(market_id)))
+        return super().get_market(market_id)
+
+
+def test_curate_and_resolve_replay_byte_identically_at_any_in_flight(tmp_path, monkeypatch):
+    markets = many_markets(12)
+    # two markets ask the same question: only their lanes tell their replies apart
+    markets[5]["question"] = markets[4]["question"]
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": markets}))
+    monkeypatch.setenv("LLM_API_KEY", "key")
+    monkeypatch.setenv("LLM_BASE_URL", "http://llm.invalid/v1")
+    monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: MarketArrivalBackend(markets))
+    monkeypatch.setattr(cli, "build_market_client", lambda ns, cfg: SlowFixtureClient(markets))
+    cassette = tmp_path / "cassette.jsonl"
+
+    def curate_then_resolve(name: str, *extra: str) -> dict[str, bytes]:
+        dataset = tmp_path / name / "dataset.jsonl"
+        dataset.parent.mkdir()
+        assert cli.main(curate_args(market_fixture, dataset, "--cassette", str(cassette), *extra)) == EXIT_OK
+        curated = dataset.read_bytes()
+        flags = [flag for flag in extra if flag != "--record"]
+        assert cli.main(["resolve", "--dataset", str(dataset), *flags]) == EXIT_OK
+        audit = dataset.with_suffix(".audit.jsonl").read_bytes()
+        return {"curated": curated, "audit": audit, "resolved": dataset.read_bytes()}
+
+    recorded = curate_then_resolve("recorded", "--record", "--workers", "4")
+    verdicts = {json.loads(line)["verdict"] for line in recorded["audit"].splitlines()}
+    resolved = read_questions(tmp_path / "recorded" / "dataset.jsonl")
+    assert verdicts == {"keep", "drop"}
+    assert {q.outcome for q in resolved} == {0, 1, None} and any(q.excluded for q in resolved)
+    assert curate_then_resolve("one", "--workers", "1", "--ensemble", "1") == recorded
+    assert curate_then_resolve("many", "--workers", "4") == recorded
+
+
+class AuthFailsOnFirstMarket:
+    """Rejects the first market's request; the others answer slowly."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.markets_seen: list[str] = []
+
+    def complete(self, request):
+        market_id, _ = current_lane()
+        with self.lock:
+            self.markets_seen.append(market_id)
+        if market_id == "mkt0":
+            raise AuthError("authentication rejected (401)")
+        time.sleep(0.05)
+        return ChatResponse("No.")
+
+
+def test_curate_auth_error_exits_1_and_starts_no_queued_market(tmp_path, monkeypatch):
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": many_markets(9)}))
+    backend = AuthFailsOnFirstMarket()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    dataset = tmp_path / "dataset.jsonl"
+    assert cli.main(curate_args(market_fixture, dataset)) == EXIT_FATAL
+    # only the three markets already in flight beside mkt0 sent a request
+    assert "mkt0" in backend.markets_seen
+    assert set(backend.markets_seen) <= {"mkt0", "mkt1", "mkt2"}
+    assert not dataset.exists()
+
+
+def test_curate_replay_of_a_laneless_cassette_exits_1(tmp_path):
+    # curate cassettes recorded before per-market lanes miss on replay; the
+    # miss aborts the run instead of dropping every market as a judge error
+    market_fixture = tmp_path / "markets.jsonl"
+    write_market_fixture(market_fixture)
+    cassette = tmp_path / "old_cassette.jsonl"
+    backend = RecordingBackend(ScriptedBackend(["Yes", "No", "Economics & Business"]), cassette)
+    llm_filter(backend, "Will the central bank cut rates before July?")
+    llm_filter(backend, "Will I finish my thesis this month?")
+    classify_category(backend, "Will the central bank cut rates before July?")
+    backend.close()
+    dataset = tmp_path / "dataset.jsonl"
+    assert cli.main(curate_args(market_fixture, dataset, "--cassette", str(cassette))) == EXIT_FATAL
+    assert not dataset.exists()
 
 
 def test_resolve_backfills_outcomes(tmp_path, capsys):
@@ -616,6 +784,18 @@ def test_record_closes_the_cassette(tmp_path, monkeypatch, command):
     assert cassette.read_text(encoding="utf-8").count("\n") >= 2
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning) and "cassette.jsonl" in str(w.message)]
     assert leaks == []
+
+
+# --- imports -------------------------------------------------------------------
+
+
+def test_importing_the_cli_does_not_import_requests():
+    # only live HTTP clients need requests; score and replay runs skip it
+    code = "import sys, agentcast.cli; print('requests' in sys.modules)"
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "False"
 
 
 # --- fixture drift ------------------------------------------------------------

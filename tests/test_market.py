@@ -2,13 +2,16 @@
 
 import json
 import logging
+import sys
+import threading
 from datetime import date, datetime, timezone
 
 import pytest
 
-from agentcast.llm import AuthError, ScriptedBackend, TransportError
+from agentcast.llm import AuthError, ChatResponse, ScriptedBackend, TransportError, UsageMeter, current_lane
 from agentcast.market import (
     FILTER_PROMPT,
+    FilterVerdict,
     FixtureMarketClient,
     LiveMarketClient,
     MarketError,
@@ -17,6 +20,7 @@ from agentcast.market import (
     backfill_resolutions,
     category_frequencies,
     classify_category,
+    curate_markets,
     fetch_window,
     llm_filter,
     render_category_table,
@@ -64,7 +68,7 @@ def test_live_client_honors_retry_after_and_backs_off_without_it(monkeypatch):
         FakeResponse(429),
         FakeResponse(200, payload=market("m1")),
     ]
-    monkeypatch.setattr("agentcast.market.requests.get", lambda *args, **kwargs: responses.pop(0))
+    monkeypatch.setattr("requests.get", lambda *args, **kwargs: responses.pop(0))
     sleeps = []
     client = LiveMarketClient("https://market.example", sleep=sleeps.append)
     assert client.get_market("m1")["id"] == "m1"
@@ -245,3 +249,65 @@ def test_backfill_counts_a_failing_market_as_pending_and_keeps_the_rest(tmp_path
     assert by_id["broken1"].outcome is None and not by_id["broken1"].excluded
     assert by_id["no1"].outcome == 0  # resolved after it
     assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+
+
+def test_concurrent_backfill_keeps_a_failing_market_pending_and_resolves_the_rest(tmp_path, caplog):
+    class BarrierClient(FixtureMarketClient):
+        # serves nothing until all three fetches are in flight at once
+        barrier = threading.Barrier(3, timeout=5)
+
+        def get_market(self, market_id):
+            self.barrier.wait()
+            if market_id == "broken1":
+                raise MarketError("market API failed after 5 attempts: status 503")
+            return super().get_market(market_id)
+
+    dataset = tmp_path / "dataset.jsonl"
+    ids = ["yes1", "broken1", "no1", "done1"]
+    write_questions(dataset, [make_question(qid=qid, outcome=1 if qid == "done1" else None) for qid in ids])
+    client = BarrierClient(
+        [
+            market("yes1", resolved=True, resolution="YES"),
+            market("broken1", resolved=True, resolution="YES"),
+            market("no1", resolved=True, resolution="NO"),
+        ]
+    )
+    with caplog.at_level(logging.WARNING, logger="agentcast.market"):
+        summary = backfill_resolutions(client, dataset, workers=3)
+    assert (summary.resolved, summary.pending, summary.excluded) == (3, 1, 0)
+    assert "broken1" in caplog.text
+    questions = read_questions(dataset)
+    assert [q.id for q in questions] == ids  # dataset order, whatever order the fetches finished in
+    assert [q.outcome for q in questions] == [1, None, 0, 1]
+    assert not any(q.excluded for q in questions)
+
+
+class LaneEchoBackend:
+    """Keeps a market whose lane number is even and files it under a label
+    picked by that number; checks that every request carries its market's lane."""
+
+    def complete(self, request):
+        market_id, member_index = current_lane()
+        assert member_index == 0 and f"Will {market_id} happen?" in request.messages[-1].content
+        n = int(market_id[1:])
+        if "Categories:" in request.messages[-1].content:
+            return ChatResponse(Category.labels()[n % len(Category.labels())])
+        return ChatResponse("Yes" if n % 2 == 0 else "No")
+
+
+def test_curate_markets_under_thread_switch_stress_loses_no_call():
+    records = [MarketRecord.from_api(market(f"m{i:03d}")) for i in range(120)]
+    backend = UsageMeter(LaneEchoBackend())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        curated = curate_markets(backend, records, workers=16)
+    finally:
+        sys.setswitchinterval(interval)
+    labels = Category.labels()
+    assert curated == [
+        (FilterVerdict("keep", "Yes"), Category.from_label(labels[i % len(labels)])) if i % 2 == 0
+        else (FilterVerdict("drop", "No"), None)
+        for i in range(120)
+    ]
+    assert backend.calls == 120 + 60  # every judge, plus a classifier per kept market

@@ -117,14 +117,14 @@ def test_search_reads_timestamped_dates_against_the_cutoff(tmp_path):
 def test_unreadable_search_date_drops_only_that_result(monkeypatch):
     raw = [{"title": f"r{i}", "published": p} for i, p in enumerate(["2024-04-10", "last Tuesday", None])]
     response = FakeResponse(200, payload={"results": raw})
-    monkeypatch.setattr("agentcast.tools.requests.get", lambda *args, **kwargs: response)
+    monkeypatch.setattr("requests.get", lambda *args, **kwargs: response)
     provider = LiveSearchProvider("https://search.example", "key")
     assert [r.title for r in search(provider, "q", CUTOFF)] == ["r0", "r2"]
 
 
 def test_live_search_honors_retry_after(monkeypatch):
     responses = [FakeResponse(429, {"Retry-After": "0.05"}), FakeResponse(200, payload={"results": []})]
-    monkeypatch.setattr("agentcast.tools.requests.get", lambda *args, **kwargs: responses.pop(0))
+    monkeypatch.setattr("requests.get", lambda *args, **kwargs: responses.pop(0))
     sleeps = []
     provider = LiveSearchProvider("https://search.example", "key", sleep=sleeps.append)
     assert provider.search("q", CUTOFF, 8) == []
