@@ -372,7 +372,7 @@ def make_member_runner(
             max_iterations=cfg.max_iterations,
             context_token_limit=cfg.context_token_limit,
         )
-        return lambda question: forecast_one_single(config, backend, question, cutoff)
+        return lambda question: forecast_one_single(config, backend, question)
     planner = default_planner(
         provider,
         sandbox,
@@ -385,7 +385,7 @@ def make_member_runner(
         worker_iterations=cfg.worker_iterations,
         context_token_limit=cfg.context_token_limit,
     )
-    return lambda question: forecast_one(planner, backend, question, cutoff)
+    return lambda question: forecast_one(planner, backend, question)
 
 
 def cmd_forecast(ns: argparse.Namespace) -> int:

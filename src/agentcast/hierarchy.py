@@ -154,16 +154,9 @@ def forecast_one(
     planner: PlannerConfig,
     backend: Backend,
     question: Question,
-    cutoff: date,
 ) -> tuple[Forecast | Declined, TranscriptTree]:
-    """Run the full hierarchy on one question.
-
-    cutoff is validated against the run date here; the search tools inside
-    the workers were built against the same cutoff, so no request can leave
-    without it.
-    """
-    if cutoff > date.today():
-        raise ValueError(f"cutoff {cutoff} lies in the future")
+    """Run the full hierarchy on one question. The cutoff is already inside
+    the workers' search tools, so no request can leave without it."""
     pending: list[tuple[str, str, Transcript]] = []
 
     def sink(name: str, task: str, transcript: Transcript) -> None:
@@ -191,11 +184,8 @@ def forecast_one_single(
     config: ReactConfig,
     backend: Backend,
     question: Question,
-    cutoff: date,
 ) -> tuple[Forecast | Declined, TranscriptTree]:
     """Flat-agent variant used for ablations: all raw tools on one agent."""
-    if cutoff > date.today():
-        raise ValueError(f"cutoff {cutoff} lies in the future")
     task = render_task_prompt(question)
     outcome = run_react(config, backend, task)
     return outcome.result, TranscriptTree(task=task, planner=outcome.transcript)

@@ -19,6 +19,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol
 
@@ -228,14 +229,19 @@ def parse_retry_after(headers: dict) -> float | None:
         return None
 
 
-Transport = Callable[[str, dict, dict, float], tuple[int, dict, Any]]
+Response = tuple[int, dict, Any]  # (status, headers, decoded JSON body or body text)
+Transport = Callable[[str, dict, dict, float], Response]
 
 
-def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, dict, Any]:
+def http_transport(url: str, headers: dict, body: dict | None, timeout: float, params: dict | None = None) -> Response:
+    """POST `body` as JSON, or GET with `params` when there is no body, and
+    return the status, the headers and the JSON payload (the body text when
+    it is not JSON). A network failure raises TransportError."""
     import requests  # only live runs pay for importing it
 
+    send = requests.get if body is None else requests.post
     try:
-        resp = requests.post(url, headers=headers, json=body, timeout=timeout)
+        resp = send(url, headers=headers, params=params, json=body, timeout=timeout)
     except requests.RequestException as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
     try:
@@ -245,12 +251,57 @@ def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> 
     return resp.status_code, dict(resp.headers), payload
 
 
+def send_with_retry(
+    send: Callable[[], Response],
+    retry: RetryPolicy,
+    sleep: Callable[[float], None],
+    rate_limiter: RateLimiter | None = None,
+    attempts: list[Attempt] | None = None,
+) -> Response:
+    """The retry policy of every live client: chat, search and market.
+
+    Calls `send` up to `retry.max_attempts` times, taking a rate-limiter token
+    first when a limiter is given. A TransportError, a 429 and a 5xx are
+    retried after `retry.delay` (a 429's Retry-After when it has one); any
+    other status, and whatever the last attempt gives, goes to the caller.
+    Each attempt is appended to `attempts` when a list is given.
+    """
+    log = [] if attempts is None else attempts
+    slept = 0.0
+    for attempt in range(retry.max_attempts):
+        final = attempt + 1 == retry.max_attempts
+        if rate_limiter is not None:
+            rate_limiter.acquire()
+        hint: float | None = None
+        try:
+            response = send()
+        except TransportError as exc:
+            log.append(Attempt(status=None, error=str(exc), slept=0.0))
+            if final:
+                raise
+        else:
+            status, headers, _ = response
+            error = "rate limited" if status == 429 else "server error" if status >= 500 else None
+            log.append(Attempt(status=status, error=error, slept=0.0))
+            if error is None or final:
+                return response
+            if status == 429:
+                hint = parse_retry_after(headers)
+        delay = retry.delay(attempt, slept, hint)
+        if delay > 0:
+            sleep(delay)
+            slept += delay
+            log[-1] = Attempt(log[-1].status, log[-1].error, delay)
+    raise ValueError(f"RetryPolicy.max_attempts must be at least 1, got {retry.max_attempts}")
+
+
 class HTTPBackend:
     """Live chat-completions adapter (OpenAI-style wire format).
 
-    401/403 raise AuthError immediately; 429 and 5xx retry with exponential
-    backoff, honoring Retry-After when present. The attempt log of the calling
-    thread's last call is kept on `last_attempts` for diagnostics.
+    Requests go through `send_with_retry`. A 401/403 raises AuthError, a 429
+    that outlasts the retries RateLimited, and anything else unusable
+    TransportError. The attempt log of the calling thread's last call is kept
+    on `last_attempts` for diagnostics.
     """
 
     def __init__(
@@ -266,7 +317,7 @@ class HTTPBackend:
     ):
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._api_key = api_key
-        self._transport = transport or _requests_transport
+        self._transport = transport or http_transport
         self._retry = retry
         self._rate_limiter = rate_limiter
         self._sleep = sleep
@@ -289,42 +340,18 @@ class HTTPBackend:
             body["stop"] = list(request.stop_sequences)
         headers = {"Authorization": f"Bearer {self._api_key}"}
 
-        attempts: list[Attempt] = []
-        self._local.attempts = attempts
-        slept = 0.0
-        last_error: BackendError | None = None
-        for attempt in range(self._retry.max_attempts):
-            if self._rate_limiter is not None:
-                self._rate_limiter.acquire()
-            hint: float | None = None
-            try:
-                status, resp_headers, payload = self._transport(self._url, headers, body, self._timeout)
-            except TransportError as exc:
-                attempts.append(Attempt(status=None, error=str(exc), slept=0.0))
-                last_error = exc
-            else:
-                if status == 200:
-                    attempts.append(Attempt(status=200, error=None, slept=0.0))
-                    return _parse_chat_payload(payload)
-                if status in (401, 403):
-                    raise AuthError(f"authentication rejected ({status})")
-                if status == 429:
-                    hint = parse_retry_after(resp_headers)
-                    attempts.append(Attempt(status=429, error="rate limited", slept=0.0))
-                    last_error = RateLimited("rate limited by provider", retry_after=hint)
-                elif status >= 500:
-                    attempts.append(Attempt(status=status, error="server error", slept=0.0))
-                    last_error = TransportError(f"server error ({status})")
-                else:
-                    raise TransportError(f"unexpected status {status}: {str(payload)[:200]}")
-            if attempt + 1 < self._retry.max_attempts:
-                delay = self._retry.delay(attempt, slept, hint)
-                if delay > 0:
-                    self._sleep(delay)
-                    slept += delay
-                    attempts[-1] = Attempt(attempts[-1].status, attempts[-1].error, delay)
-        assert last_error is not None
-        raise last_error
+        self._local.attempts = attempts = []
+        send = partial(self._transport, self._url, headers, body, self._timeout)
+        status, resp_headers, payload = send_with_retry(send, self._retry, self._sleep, self._rate_limiter, attempts)
+        if status == 200:
+            return _parse_chat_payload(payload)
+        if status in (401, 403):
+            raise AuthError(f"authentication rejected ({status})")
+        if status == 429:
+            raise RateLimited("rate limited by provider", retry_after=parse_retry_after(resp_headers))
+        if status >= 500:
+            raise TransportError(f"server error ({status})")
+        raise TransportError(f"unexpected status {status}: {str(payload)[:200]}")
 
 
 def _parse_chat_payload(payload: Any) -> ChatResponse:

@@ -19,6 +19,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
@@ -30,8 +31,10 @@ from .llm import (
     ChatRequest,
     Message,
     RetryPolicy,
+    TransportError,
+    http_transport,
     in_lane,
-    parse_retry_after,
+    send_with_retry,
 )
 from .models import (
     Category,
@@ -101,8 +104,9 @@ class MarketClient(Protocol):
 
 
 class LiveMarketClient:
-    """Thin REST adapter that retries transient failures with backoff,
-    honoring Retry-After on 429."""
+    """Thin REST adapter that retries through `llm.send_with_retry`. Every
+    failure raises MarketError, including a body that is not JSON (the
+    transport hands it over as text, which fails the payload type checks)."""
 
     def __init__(
         self,
@@ -118,29 +122,16 @@ class LiveMarketClient:
         self._timeout = timeout
 
     def _get(self, path: str, params: dict | None = None):
-        import requests  # only live runs pay for importing it
-
-        slept = 0.0
-        last_error = "no attempts made"
-        for attempt in range(self._retry.max_attempts):
-            hint: float | None = None
-            try:
-                resp = requests.get(self._base_url + path, params=params, timeout=self._timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if resp.status_code == 200:
-                    return resp.json()
-                if 400 <= resp.status_code < 500 and resp.status_code != 429:
-                    raise MarketError(f"market API rejected {path}: status {resp.status_code}")
-                if resp.status_code == 429:
-                    hint = parse_retry_after(resp.headers)
-                last_error = f"status {resp.status_code}"
-            if attempt + 1 < self._retry.max_attempts:
-                delay = self._retry.delay(attempt, slept, hint)
-                self._sleep(delay)
-                slept += delay
-        raise MarketError(f"market API failed after {self._retry.max_attempts} attempts: {last_error}")
+        send = partial(http_transport, self._base_url + path, {}, None, self._timeout, params)
+        try:
+            status, _, payload = send_with_retry(send, self._retry, self._sleep)
+        except TransportError as exc:
+            raise MarketError(f"market API failed after {self._retry.max_attempts} attempts: {exc}") from exc
+        if status == 429 or status >= 500:
+            raise MarketError(f"market API failed after {self._retry.max_attempts} attempts: status {status}")
+        if status != 200:
+            raise MarketError(f"market API rejected {path}: status {status}")
+        return payload
 
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]:
         params = {"limit": str(limit)}

@@ -17,10 +17,11 @@ import tempfile
 import time
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol
 
-from .llm import RateLimiter, RetryPolicy, parse_retry_after
+from .llm import RateLimiter, RetryPolicy, TransportError, http_transport, send_with_retry
 from .models import ValidationError, parse_timestamp, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -119,7 +120,9 @@ def _parse_results(raws: Iterable[dict]) -> list[SearchResult]:
 
 class LiveSearchProvider:
     """HTTP search adapter. Sends the cutoff as a query parameter on every
-    request; never called in replay runs."""
+    request and retries through `llm.send_with_retry`; every failure,
+    including a body with no `results` list, raises ProviderError. Never
+    called in replay runs."""
 
     def __init__(
         self,
@@ -139,38 +142,23 @@ class LiveSearchProvider:
         self._timeout = timeout
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
-        import requests  # only live runs pay for importing it
-
+        url = self._base_url + "/search"
+        headers = {"Authorization": f"Bearer {self._api_key}"}
         params = {"q": query, "num": str(limit), "before": before_date.isoformat()}
-        slept = 0.0
-        last_error = "no attempts made"
-        for attempt in range(self._retry.max_attempts):
-            if self._rate_limiter is not None:
-                self._rate_limiter.acquire()
-            hint: float | None = None
-            try:
-                resp = requests.get(
-                    self._base_url + "/search",
-                    params=params,
-                    headers={"Authorization": f"Bearer {self._api_key}"},
-                    timeout=self._timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if resp.status_code == 200:
-                    payload = resp.json()
-                    return _parse_results(payload.get("results", []))
-                if resp.status_code in (401, 403):
-                    raise ProviderError(f"search authentication rejected ({resp.status_code})")
-                if resp.status_code == 429:
-                    hint = parse_retry_after(resp.headers)
-                last_error = f"status {resp.status_code}"
-            if attempt + 1 < self._retry.max_attempts:
-                delay = self._retry.delay(attempt, slept, hint)
-                self._sleep(delay)
-                slept += delay
-        raise ProviderError(f"search failed after {self._retry.max_attempts} attempts: {last_error}")
+        send = partial(http_transport, url, headers, None, self._timeout, params)
+        try:
+            status, _, payload = send_with_retry(send, self._retry, self._sleep, self._rate_limiter)
+        except TransportError as exc:
+            raise ProviderError(f"search failed after {self._retry.max_attempts} attempts: {exc}") from exc
+        if status in (401, 403):
+            raise ProviderError(f"search authentication rejected ({status})")
+        if status == 429 or status >= 500:
+            raise ProviderError(f"search failed after {self._retry.max_attempts} attempts: status {status}")
+        if status != 200:
+            raise ProviderError(f"search rejected: status {status}")
+        if not isinstance(payload, dict) or not isinstance(payload.get("results"), list):
+            raise ProviderError(f"malformed search payload: {str(payload)[:200]}")
+        return _parse_results(payload["results"])
 
 
 class FixtureSearchProvider:

@@ -1,3 +1,4 @@
+import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,14 +39,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 class FakeResponse:
-    """Stands in for a `requests` response in the live-client tests."""
+    """Stands in for a `requests` response in the live-client tests. Given a
+    `text` body, `json()` fails the way `requests` does on a body that is not
+    JSON."""
 
-    def __init__(self, status_code, headers=None, payload=None):
+    def __init__(self, status_code, headers=None, payload=None, text=None):
         self.status_code = status_code
         self.headers = headers or {}
         self.payload = payload
+        self.text = text
 
     def json(self):
+        if self.text is not None:
+            raise json.JSONDecodeError("Expecting value", self.text, 0)
         return self.payload
 
 

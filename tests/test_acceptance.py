@@ -355,7 +355,7 @@ def test_criterion_8_context_budget_ablation(tmp_path):
             "Thought: need a second angle\nAction: web_search\nAction Input: second angle",
         ]
     )
-    flat_result, flat_tree = forecast_one_single(flat, flat_backend, question, cutoff)
+    flat_result, flat_tree = forecast_one_single(flat, flat_backend, question)
     assert flat_result == Declined("budget")
     assert len(flat_tree.planner.steps) == 2  # both observations landed, then the guard fired
 
@@ -373,7 +373,7 @@ def test_criterion_8_context_budget_ablation(tmp_path):
             "Thought: both summaries in hand\nFinal Answer: 0.6",
         ]
     )
-    hier_result, hier_tree = forecast_one(planner, hier_backend, question, cutoff)
+    hier_result, hier_tree = forecast_one(planner, hier_backend, question)
     assert hier_result == Forecast(0.6)
     assert len(hier_tree.children) == 2
     for child in hier_tree.children:

@@ -164,7 +164,7 @@ def test_forecast_one_builds_transcript_tree():
         ]
     )
     question = make_question(title="Will ETH close above 3700?")
-    result, tree = forecast_one(planner, backend, question, CUTOFF)
+    result, tree = forecast_one(planner, backend, question)
     assert result == Forecast(0.35)
     assert tree.task == render_task_prompt(question)
     assert tree.planner.agent_id == "planner"
@@ -187,16 +187,10 @@ def test_forecast_one_planner_never_sees_raw_tools():
             "Final Answer: 0.5",
         ]
     )
-    result, tree = forecast_one(planner, backend, make_question(), CUTOFF)
+    result, tree = forecast_one(planner, backend, make_question())
     assert result == Forecast(0.5)
     assert "UnknownTool" in tree.planner.steps[0].observation
     assert tree.children == ()
-
-
-def test_forecast_one_rejects_future_cutoff():
-    planner, _ = two_worker_planner()
-    with pytest.raises(ValueError, match="future"):
-        forecast_one(planner, ScriptedBackend([]), make_question(), date(2999, 1, 1))
 
 
 def test_forecast_one_single_has_flat_tree():
@@ -205,7 +199,7 @@ def test_forecast_one_single_has_flat_tree():
     backend = ScriptedBackend(
         ["Action: web_search\nAction Input: q", "Final Answer: 0.25"]
     )
-    result, tree = forecast_one_single(config, backend, make_question(), CUTOFF)
+    result, tree = forecast_one_single(config, backend, make_question())
     assert result == Forecast(0.25)
     assert tree.children == ()
     assert tree.planner.agent_id == "single"
@@ -230,7 +224,7 @@ def test_save_transcript_tree_layout(tmp_path):
             "Final Answer: 0.6",
         ]
     )
-    _, tree = forecast_one(planner, backend, make_question(qid="q77"), CUTOFF)
+    _, tree = forecast_one(planner, backend, make_question(qid="q77"))
     ref, entries = save_transcript_tree(tree, tmp_path, "q77", member_index=1)
     write_tree_index(tmp_path, "q77", entries)
     assert ref == "q77/1.planner.transcript"

@@ -2,8 +2,10 @@
 
 import json
 import threading
+from datetime import date
 
 import pytest
+import requests
 
 from agentcast.llm import (
     AuthError,
@@ -28,6 +30,10 @@ from agentcast.llm import (
     leakage_probe,
     load_cassette,
 )
+from agentcast.market import LiveMarketClient, MarketError
+from agentcast.tools import LiveSearchProvider, ProviderError
+
+from conftest import FakeResponse
 
 
 def make_request(content="hello", temperature=0.5, max_tokens=None, stop=()):
@@ -303,6 +309,67 @@ def test_http_backend_malformed_payload():
     backend, _ = make_backend(transport)
     with pytest.raises(TransportError, match="malformed"):
         backend.complete(make_request())
+
+
+# --- one status table for every live client ---------------------------------
+
+# client: (call given a sleep, 200 body, error raised on each failing row)
+LIVE_CLIENTS = {
+    "chat": (
+        lambda sleep: HTTPBackend("https://llm.example/v1", "key", sleep=sleep).complete(make_request()),
+        ok_payload()[2],
+        {"401": AuthError, "404": TransportError, "exhausted": RateLimited},
+    ),
+    "search": (
+        lambda sleep: LiveSearchProvider("https://search.example", "key", sleep=sleep).search("q", date(2024, 4, 1), 8),
+        {"results": [{"title": "T", "url": "u", "snippet": "s"}]},
+        dict.fromkeys(("401", "404", "exhausted"), ProviderError),
+    ),
+    "market": (
+        lambda sleep: LiveMarketClient("https://market.example", sleep=sleep).get_market("m1"),
+        {"id": "m1"},
+        dict.fromkeys(("401", "404", "exhausted"), MarketError),
+    ),
+}
+
+THROTTLED = FakeResponse(429, {"Retry-After": "30"})
+
+
+@pytest.mark.parametrize(
+    "served, sleeps, fails_with",
+    [
+        pytest.param([200], [], None, id="200-succeeds"),
+        pytest.param([401], [], "401", id="401-fails-at-once"),
+        pytest.param([404], [], "404", id="404-fails-at-once"),
+        pytest.param([503, 200], [1.0], None, id="503-then-200"),
+        pytest.param([requests.ConnectionError("refused"), 200], [1.0], None, id="connection-error-then-200"),
+        # 30 + 30 s reaches the 60 s ceiling; the last two retries do not sleep
+        pytest.param([THROTTLED] * 5, [30.0, 30.0], "exhausted", id="429s-stop-at-max-attempts"),
+    ],
+)
+@pytest.mark.parametrize("client", sorted(LIVE_CLIENTS))
+def test_live_clients_share_one_status_table(monkeypatch, client, served, sleeps, fails_with):
+    call, ok_body, errors = LIVE_CLIENTS[client]
+    outcomes = [FakeResponse(o, payload=ok_body if o == 200 else {}) if isinstance(o, int) else o for o in served]
+    sent = []
+
+    def fake_request(url, **kwargs):
+        sent.append(url)
+        outcome = outcomes.pop(0) if len(outcomes) > 1 else outcomes[0]  # the last one repeats
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr("requests.get", fake_request)
+    monkeypatch.setattr("requests.post", fake_request)
+    slept = []
+    if fails_with is None:
+        assert call(slept.append)
+    else:
+        with pytest.raises(errors[fails_with], match=None if fails_with == "exhausted" else fails_with):
+            call(slept.append)
+    assert len(sent) == len(served)
+    assert slept == sleeps and sum(slept) <= RetryPolicy().total_delay_ceiling
 
 
 def test_rate_limiter_allows_burst_then_waits():

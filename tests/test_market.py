@@ -251,6 +251,23 @@ def test_backfill_counts_a_failing_market_as_pending_and_keeps_the_rest(tmp_path
     assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
 
 
+def test_backfill_keeps_a_market_whose_body_is_not_json_pending(tmp_path, monkeypatch):
+    def fake_get(url, **kwargs):
+        market_id = url.rsplit("/", 1)[-1]
+        if market_id == "html1":
+            return FakeResponse(200, text="<html>maintenance</html>")
+        return FakeResponse(200, payload=market(market_id, resolved=True, resolution="YES"))
+
+    monkeypatch.setattr("requests.get", fake_get)
+    dataset = tmp_path / "dataset.jsonl"
+    write_questions(dataset, [make_question(qid=qid) for qid in ("yes1", "html1", "yes2")])
+    with pytest.raises(MarketError, match="expected a market object, got str"):
+        LiveMarketClient("https://market.example").get_market("html1")
+    summary = backfill_resolutions(LiveMarketClient("https://market.example"), dataset)
+    assert (summary.resolved, summary.pending, summary.excluded) == (2, 1, 0)
+    assert [q.outcome for q in read_questions(dataset)] == [1, None, 1]
+
+
 def test_concurrent_backfill_keeps_a_failing_market_pending_and_resolves_the_rest(tmp_path, caplog):
     class BarrierClient(FixtureMarketClient):
         # serves nothing until all three fetches are in flight at once

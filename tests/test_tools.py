@@ -131,6 +131,22 @@ def test_live_search_honors_retry_after(monkeypatch):
     assert sleeps == [0.05]
 
 
+@pytest.mark.parametrize(
+    "response",
+    [
+        FakeResponse(200, text="<html>busy</html>"),
+        FakeResponse(200, payload=[{"title": "T"}]),
+        FakeResponse(200, payload={"items": []}),
+        FakeResponse(200, payload={"results": "none"}),
+    ],
+    ids=["not-json", "not-an-object", "no-results", "results-not-a-list"],
+)
+def test_unusable_search_body_becomes_a_search_error(monkeypatch, response):
+    monkeypatch.setattr("requests.get", lambda *args, **kwargs: response)
+    tool = make_search_tool(LiveSearchProvider("https://search.example", "key"), CUTOFF)
+    assert tool.invoke("q").startswith("search error: malformed search payload")
+
+
 def test_render_search_observation():
     text = render_observation([result("A", "first"), result("B", "second")])
     assert text == "A — first\nB — second"
