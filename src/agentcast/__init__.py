@@ -46,7 +46,7 @@ from .metrics import (
     ensemble_std,
 )
 from .react import ReactConfig, extract_probability, parse_emission, run_react
-from .hierarchy import PlannerConfig, default_planner, forecast_one, single_agent_config
+from .hierarchy import default_planner, forecast_one, single_agent_config
 from .tools import Sandbox, SearchResult, ToolRegistry, ToolSpec, execute_code
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ from .hierarchy import (
     TranscriptTree,
     default_planner,
     forecast_one,
-    forecast_one_single,
     save_transcript_tree,
     single_agent_config,
     write_tree_index,
@@ -358,34 +357,9 @@ def make_member_runner(
     """Build the per-member forecasting callable exactly as the forecast
     command wires it; the fixture generator uses this too, so recorded
     cassettes replay against identical request fingerprints."""
-    cutoff = cfg.cutoff_date()
-    sandbox = Sandbox(timeout=cfg.sandbox_timeout)
-    if single_agent:
-        config = single_agent_config(
-            provider,
-            sandbox,
-            cutoff,
-            model_id=cfg.model_id,
-            temperature=cfg.temperature,
-            results_per_search=cfg.results_per_search,
-            observation_budget=cfg.observation_budget,
-            max_iterations=cfg.max_iterations,
-            context_token_limit=cfg.context_token_limit,
-        )
-        return lambda question: forecast_one_single(config, backend, question)
-    planner = default_planner(
-        provider,
-        sandbox,
-        cutoff,
-        model_id=cfg.model_id,
-        temperature=cfg.temperature,
-        results_per_search=cfg.results_per_search,
-        observation_budget=cfg.observation_budget,
-        max_iterations=cfg.max_iterations,
-        worker_iterations=cfg.worker_iterations,
-        context_token_limit=cfg.context_token_limit,
-    )
-    return lambda question: forecast_one(planner, backend, question)
+    build = single_agent_config if single_agent else default_planner
+    config = build(provider, Sandbox(timeout=cfg.sandbox_timeout), cfg.cutoff_date(), cfg)
+    return lambda question: forecast_one(config, backend, question)
 
 
 def cmd_forecast(ns: argparse.Namespace) -> int:

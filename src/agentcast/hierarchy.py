@@ -1,25 +1,28 @@
 """Two-level agent hierarchy: a planner that can only delegate, and low-level
 worker agents that hold the raw tools.
 
-The planner sees each worker as just another tool; invoking it runs a full
-inner ReAct loop and hands back that agent's final answer as the observation
-text. Raw observations (search snippets, program output) never reach the
-planner's context, which is what keeps long research runs inside the context
-budget. Depth is exactly two: workers cannot hold other agents as tools.
+Every ensemble member is one `run_react` call on one `ReactConfig`; the
+planner and the flat ablation agent differ only in the tools their configs
+hold. The planner's tools are its workers: invoking one runs a full inner
+ReAct loop and hands back that agent's final answer as the observation text.
+Raw observations (search snippets, program output) never reach the planner's
+context, which is what keeps long research runs inside the context budget.
+Depth is exactly two: workers cannot hold other agents as tools.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Iterable
 
 from . import prompts
-from .llm import Backend, DEFAULT_TEMPERATURE
+from .llm import Backend
 from .models import Declined, Forecast, Question, Transcript, write_jsonl
-from .react import ReactConfig, RunOutcome, render_transcript_text, run_react
+from .react import ReactConfig, render_transcript_text, run_react
 from .tools import (
     DEFAULT_OBSERVATION_BUDGET,
     Sandbox,
@@ -30,6 +33,9 @@ from .tools import (
     make_search_tool,
     truncate_text,
 )
+
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
 logger = logging.getLogger(__name__)
 
@@ -58,44 +64,29 @@ class LowLevelAgent:
                 )
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
-    """The high-level agent: delegates to workers, emits the probability."""
-
-    system_prompt: str
-    subagents: tuple[LowLevelAgent, ...]
-    model_id: str = "default"
-    temperature: float = DEFAULT_TEMPERATURE
-    max_iterations: int = 10
-    max_completion_tokens: int | None = None
-    context_token_limit: int | None = None
-    on_budget_exceeded: str = "compact"
-
-    def __post_init__(self):
-        object.__setattr__(self, "subagents", tuple(self.subagents))
-        if not self.subagents:
-            raise ValueError("a planner needs at least one subagent")
-        names = [a.name for a in self.subagents]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate subagent names: {names}")
+# The backend of the running `forecast_one` call and the worker runs it has
+# collected, as (agent name, task, transcript). Set and reset by each call, so
+# concurrent members share neither; threads do not inherit it.
+_member_run: contextvars.ContextVar[tuple[Backend, list[tuple[str, str, Transcript]]]] = (
+    contextvars.ContextVar("agentcast_member_run")
+)
 
 
-ChildSink = Callable[[str, str, Transcript], None]
-
-
-def as_tool(agent: LowLevelAgent, backend: Backend, on_child: ChildSink | None = None) -> ToolSpec:
+def as_tool(agent: LowLevelAgent) -> ToolSpec:
     """Wrap a worker agent as a planner-invocable tool.
 
     The action input becomes the worker's task; the observation is the
     worker's final answer text (truncated to the agent's observation budget),
     never a probability the planner could just copy. Worker failures come
     back as bracketed error observations so the planner can route around them.
+    The worker runs on the backend of the `forecast_one` call that invoked it,
+    and its transcript joins that call's tree.
     """
 
     def invoke(task: str) -> str:
+        backend, children = _member_run.get()
         outcome = run_react(agent.config, backend, task)
-        if on_child is not None:
-            on_child(agent.name, task, outcome.transcript)
+        children.append((agent.name, task, outcome.transcript))
         final = outcome.transcript.final
         if final.kind in ("final", "truncated_finalized") and final.answer_text.strip():
             return truncate_text(final.answer_text, agent.observation_budget)
@@ -151,142 +142,99 @@ def _attach_parent_steps(planner: Transcript, pending: list[tuple[str, str, Tran
 
 
 def forecast_one(
-    planner: PlannerConfig,
-    backend: Backend,
-    question: Question,
-) -> tuple[Forecast | Declined, TranscriptTree]:
-    """Run the full hierarchy on one question. The cutoff is already inside
-    the workers' search tools, so no request can leave without it."""
-    pending: list[tuple[str, str, Transcript]] = []
-
-    def sink(name: str, task: str, transcript: Transcript) -> None:
-        pending.append((name, task, transcript))
-
-    registry = ToolRegistry(as_tool(agent, backend, on_child=sink) for agent in planner.subagents)
-    config = ReactConfig(
-        system_prompt=planner.system_prompt,
-        tools=registry,
-        agent_id="planner",
-        model_id=planner.model_id,
-        temperature=planner.temperature,
-        max_iterations=planner.max_iterations,
-        max_completion_tokens=planner.max_completion_tokens,
-        context_token_limit=planner.context_token_limit,
-        on_budget_exceeded=planner.on_budget_exceeded,
-    )
-    task = render_task_prompt(question)
-    outcome = run_react(config, backend, task)
-    children = _attach_parent_steps(outcome.transcript, pending)
-    return outcome.result, TranscriptTree(task=task, planner=outcome.transcript, children=children)
-
-
-def forecast_one_single(
     config: ReactConfig,
     backend: Backend,
     question: Question,
 ) -> tuple[Forecast | Declined, TranscriptTree]:
-    """Flat-agent variant used for ablations: all raw tools on one agent."""
+    """Run one ensemble member on one question: a planner whose tools are
+    workers, or the flat agent whose tools are raw.
+
+    Workers invoked during the run use `backend`, and their transcripts
+    become the tree's children. The cutoff is already inside the search
+    tools, so no request can leave without it.
+    """
     task = render_task_prompt(question)
-    outcome = run_react(config, backend, task)
-    return outcome.result, TranscriptTree(task=task, planner=outcome.transcript)
+    pending: list[tuple[str, str, Transcript]] = []
+    token = _member_run.set((backend, pending))
+    try:
+        outcome = run_react(config, backend, task)
+    finally:
+        _member_run.reset(token)
+    children = _attach_parent_steps(outcome.transcript, pending)
+    return outcome.result, TranscriptTree(task=task, planner=outcome.transcript, children=children)
 
 
 # --- default wiring ------------------------------------------------------------
 
+# (name, system prompt, description) of each worker, in the planner's tool order
+_WORKERS = (
+    (
+        "web_research",
+        prompts.WEB_RESEARCH_PROMPT,
+        "A research assistant with date-restricted web search. "
+        "Input: a specific research task; output: a factual summary of findings.",
+    ),
+    (
+        "computation",
+        prompts.COMPUTATION_PROMPT,
+        "A computation assistant that writes and runs Python. "
+        "Input: a quantitative task; output: the computed results.",
+    ),
+)
 
-def default_planner(
-    search_provider: SearchProvider,
-    sandbox: Sandbox,
-    cutoff: date,
-    *,
-    model_id: str = "default",
-    temperature: float = DEFAULT_TEMPERATURE,
-    results_per_search: int = 8,
-    observation_budget: int = DEFAULT_OBSERVATION_BUDGET,
-    max_iterations: int = 10,
-    worker_iterations: int = 10,
-    context_token_limit: int | None = None,
-) -> PlannerConfig:
-    """The standard two-worker setup: web research and computation."""
-    search_tool = make_search_tool(
-        search_provider, cutoff, k=results_per_search, observation_budget=observation_budget
-    )
-    code_tool = make_code_tool(sandbox, observation_budget=observation_budget)
-    web = LowLevelAgent(
-        name="web_research",
-        description=(
-            "A research assistant with date-restricted web search. "
-            "Input: a specific research task; output: a factual summary of findings."
-        ),
-        config=ReactConfig(
-            system_prompt=prompts.WEB_RESEARCH_PROMPT,
-            tools=ToolRegistry([search_tool]),
-            agent_id="web_research",
-            model_id=model_id,
-            temperature=temperature,
-            max_iterations=worker_iterations,
-            context_token_limit=context_token_limit,
-        ),
-        observation_budget=observation_budget,
-    )
-    computation = LowLevelAgent(
-        name="computation",
-        description=(
-            "A computation assistant that writes and runs Python. "
-            "Input: a quantitative task; output: the computed results."
-        ),
-        config=ReactConfig(
-            system_prompt=prompts.COMPUTATION_PROMPT,
-            tools=ToolRegistry([code_tool]),
-            agent_id="computation",
-            model_id=model_id,
-            temperature=temperature,
-            max_iterations=worker_iterations,
-            context_token_limit=context_token_limit,
-        ),
-        observation_budget=observation_budget,
-    )
-    return PlannerConfig(
-        system_prompt=prompts.PLANNER_PROMPT,
-        subagents=(web, computation),
-        model_id=model_id,
-        temperature=temperature,
-        max_iterations=max_iterations,
-        context_token_limit=context_token_limit,
+
+def _raw_tools(provider: SearchProvider, sandbox: Sandbox, cutoff: date, cfg: RunConfig) -> tuple[ToolSpec, ToolSpec]:
+    """The search tool bound to the cutoff, then the code tool."""
+    return (
+        make_search_tool(provider, cutoff, k=cfg.results_per_search, observation_budget=cfg.observation_budget),
+        make_code_tool(sandbox, observation_budget=cfg.observation_budget),
     )
 
 
-def single_agent_config(
-    search_provider: SearchProvider,
-    sandbox: Sandbox,
-    cutoff: date,
-    *,
-    model_id: str = "default",
-    temperature: float = DEFAULT_TEMPERATURE,
-    results_per_search: int = 8,
-    observation_budget: int = DEFAULT_OBSERVATION_BUDGET,
-    max_iterations: int = 10,
-    context_token_limit: int | None = None,
-    on_budget_exceeded: str = "fail",
+def _agent_config(
+    agent_id: str,
+    system_prompt: str,
+    tools: Iterable[ToolSpec],
+    cfg: RunConfig,
+    max_iterations: int,
+    on_budget_exceeded: str = "compact",
 ) -> ReactConfig:
-    """One agent holding both raw tools; by default the context guard fails
-    hard instead of compacting, which is the ablation configuration."""
+    """One agent's config; model, temperature and context budget come from `cfg`."""
     return ReactConfig(
-        system_prompt=prompts.PLANNER_PROMPT,
-        tools=ToolRegistry(
-            [
-                make_search_tool(
-                    search_provider, cutoff, k=results_per_search, observation_budget=observation_budget
-                ),
-                make_code_tool(sandbox, observation_budget=observation_budget),
-            ]
-        ),
-        agent_id="single",
-        model_id=model_id,
-        temperature=temperature,
+        system_prompt=system_prompt,
+        tools=ToolRegistry(tools),
+        agent_id=agent_id,
+        model_id=cfg.model_id,
+        temperature=cfg.temperature,
         max_iterations=max_iterations,
-        context_token_limit=context_token_limit,
+        context_token_limit=cfg.context_token_limit,
         on_budget_exceeded=on_budget_exceeded,
+    )
+
+
+def default_planner(provider: SearchProvider, sandbox: Sandbox, cutoff: date, cfg: RunConfig) -> ReactConfig:
+    """The standard planner: its tools are two workers, web research holding
+    search and computation holding the sandbox. The planner runs for
+    `cfg.max_iterations`, each worker for `cfg.worker_iterations`; every agent
+    compacts its history when it exceeds the context budget."""
+    workers = [
+        LowLevelAgent(
+            name=name,
+            description=description,
+            config=_agent_config(name, prompt, [tool], cfg, cfg.worker_iterations),
+            observation_budget=cfg.observation_budget,
+        )
+        for (name, prompt, description), tool in zip(_WORKERS, _raw_tools(provider, sandbox, cutoff, cfg))
+    ]
+    return _agent_config("planner", prompts.PLANNER_PROMPT, map(as_tool, workers), cfg, cfg.max_iterations)
+
+
+def single_agent_config(provider: SearchProvider, sandbox: Sandbox, cutoff: date, cfg: RunConfig) -> ReactConfig:
+    """One agent holding both raw tools, for `cfg.max_iterations`. Its context
+    guard fails hard instead of compacting, which is the ablation
+    configuration."""
+    return _agent_config(
+        "single", prompts.PLANNER_PROMPT, _raw_tools(provider, sandbox, cutoff, cfg), cfg, cfg.max_iterations, "fail"
     )
 
 

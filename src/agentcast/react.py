@@ -41,6 +41,9 @@ FINALIZE_INSTRUCTION = "Do not use a tool; give Final Answer:"
 
 OMITTED_MARKER = "[earlier steps omitted]"
 
+# every request stops before the model can write its own observation
+STOP_SEQUENCES = (OBSERVATION_KEY,)
+
 
 class MalformedReason(Enum):
     NO_KEYWORD = "NoKeyword"
@@ -189,8 +192,6 @@ class ReactConfig:
     model_id: str = "default"
     temperature: float = DEFAULT_TEMPERATURE
     max_iterations: int = 10
-    max_completion_tokens: int | None = None
-    stop_sequences: tuple[str, ...] = (OBSERVATION_KEY,)
     context_token_limit: int | None = None
     on_budget_exceeded: str = "compact"
 
@@ -338,8 +339,7 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             model_id=config.model_id,
             messages=messages,
             temperature=config.temperature,
-            max_tokens=config.max_completion_tokens,
-            stop_sequences=config.stop_sequences,
+            stop_sequences=STOP_SEQUENCES,
         )
         try:
             return backend.complete(request).content, None

@@ -106,11 +106,15 @@ def _parse_result(raw: dict) -> SearchResult:
     )
 
 
-def _parse_results(raws: Iterable[dict]) -> list[SearchResult]:
-    """Parse results one at a time: a result with an unreadable date is
-    dropped on its own, since its position against the cutoff is unknown."""
+def _parse_results(raws: Iterable[Any]) -> list[SearchResult]:
+    """Parse results one at a time: an entry that is not an object, or a
+    result with an unreadable date, is dropped on its own (for the date,
+    because its position against the cutoff is unknown)."""
     results = []
     for raw in raws:
+        if not isinstance(raw, dict):
+            logger.warning("dropped search result that is not an object: %.200r", raw)
+            continue
         try:
             results.append(_parse_result(raw))
         except ValidationError as exc:
@@ -354,7 +358,6 @@ def make_search_tool(
     *,
     k: int = DEFAULT_RESULTS_PER_SEARCH,
     observation_budget: int = DEFAULT_OBSERVATION_BUDGET,
-    name: str = "web_search",
 ) -> ToolSpec:
     """Search tool bound to a cutoff date. The action input is the query."""
 
@@ -369,7 +372,7 @@ def make_search_tool(
         return render_observation(results, observation_budget)
 
     return ToolSpec(
-        name=name,
+        name="web_search",
         description=(
             f"Search the web for snippets published before {cutoff.isoformat()}. "
             "Input: a search query."
@@ -383,7 +386,6 @@ def make_code_tool(
     sandbox: Sandbox,
     *,
     observation_budget: int = DEFAULT_OBSERVATION_BUDGET,
-    name: str = "python",
 ) -> ToolSpec:
     """Code-execution tool. The action input is a Python program."""
 
@@ -398,7 +400,7 @@ def make_code_tool(
         return render_observation(result, observation_budget)
 
     return ToolSpec(
-        name=name,
+        name="python",
         description=(
             "Run a Python program in an isolated sandbox and observe its output. "
             "Input: Python source code."

@@ -15,10 +15,10 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from agentcast import cli
+from agentcast.cli import RunConfig
 from agentcast.hierarchy import (
     default_planner,
     forecast_one,
-    forecast_one_single,
     render_task_prompt,
     single_agent_config,
 )
@@ -343,7 +343,7 @@ def test_criterion_8_context_budget_ablation(tmp_path):
     sandbox = Sandbox()
 
     # pick a per-agent budget that admits one raw search observation but not two
-    flat = single_agent_config(_ablation_fixture(), sandbox, cutoff)
+    flat = single_agent_config(_ablation_fixture(), sandbox, cutoff, RunConfig())
     base = context_estimate(assemble_messages(flat, task, []))
     limit = base + 1500  # one ~1000-token observation fits, two cannot
 
@@ -355,13 +355,13 @@ def test_criterion_8_context_budget_ablation(tmp_path):
             "Thought: need a second angle\nAction: web_search\nAction Input: second angle",
         ]
     )
-    flat_result, flat_tree = forecast_one_single(flat, flat_backend, question)
+    flat_result, flat_tree = forecast_one(flat, flat_backend, question)
     assert flat_result == Declined("budget")
     assert len(flat_tree.planner.steps) == 2  # both observations landed, then the guard fired
 
     # same budget per agent, but each delegation runs in a fresh context and
     # the planner only ever sees the workers' short summaries
-    planner = default_planner(_ablation_fixture(), sandbox, cutoff, context_token_limit=limit)
+    planner = default_planner(_ablation_fixture(), sandbox, cutoff, RunConfig(context_token_limit=limit))
     hier_backend = ScriptedBackend(
         [
             "Thought: split the research\nAction: web_research\nAction Input: first angle",

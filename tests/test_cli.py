@@ -41,7 +41,8 @@ from agentcast.llm import (
 )
 from agentcast.market import FixtureMarketClient, classify_category, llm_filter
 from agentcast.metrics import parse_table
-from agentcast.models import Category, read_questions, read_records, write_questions
+from agentcast.models import Category, Declined, read_jsonl, read_questions, read_records, write_questions
+from agentcast.react import context_estimate
 from agentcast.tools import FixtureSearchProvider
 
 from conftest import FIXTURES, make_question
@@ -238,6 +239,65 @@ def test_concurrent_recording_replays_byte_identically_at_any_workers(tmp_path, 
     for workers in ("1", "4"):
         assert forecast(tmp_path / f"replay{workers}", "--workers", workers) == EXIT_OK
         assert run_outputs(tmp_path / f"replay{workers}") == recorded
+
+
+def test_forecast_single_agent_end_to_end(tmp_path, monkeypatch):
+    # the flat ablation agent holds the raw tools itself, so each member
+    # leaves one transcript and no worker runs; past its context budget it
+    # declines instead of compacting
+    def forecast(out, dataset, script, *extra):
+        backend = ScriptedBackend(script)
+        monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+        rc = cli.main(
+            [
+                "forecast",
+                "--dataset",
+                str(dataset),
+                "--out",
+                str(out),
+                "--search-fixture",
+                str(E2E / "search.jsonl"),
+                "--cutoff",
+                "2024-04-15",
+                "--ensemble",
+                "1",
+                "--single-agent",
+                *extra,
+            ]
+        )
+        assert rc == EXIT_OK
+        return backend
+
+    search_then_answer = [
+        "Thought: look it up\nAction: web_search\nAction Input: historical price data of Ethereum",
+        "Thought: enough\nFinal Answer: 0.3",
+    ]
+    dataset = read_questions(E2E / "questions.jsonl")
+    out = tmp_path / "flat"
+    backend = forecast(out, E2E / "questions.jsonl", search_then_answer * len(dataset))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["single_agent"] is True
+    assert [r.aggregate.value for r in read_records(out / "forecasts.jsonl")] == [0.3] * len(dataset)
+    for question in dataset:
+        qdir = out / "transcripts" / question.id
+        index = [raw for _, raw in read_jsonl(qdir / "index.jsonl")]
+        assert [(e["file"], e["agent_id"], e["parent"]) for e in index] == [("0.planner.transcript", "single", None)]
+        assert sorted(p.name for p in qdir.iterdir()) == ["0.planner.transcript", "index.jsonl"]
+        # the search fixture's raw output reached the agent directly
+        assert "2900-3300 band" in (qdir / "0.planner.transcript").read_text()
+
+    # a budget that fits the first request but not the search observation
+    limit = context_estimate(backend.requests[0].messages) + 10
+    config = tmp_path / "budget.json"
+    config.write_text(json.dumps({"context_token_limit": limit}))
+    one = tmp_path / "one.jsonl"
+    write_questions(one, dataset[:1])
+    out = tmp_path / "budget"
+    backend = forecast(out, one, search_then_answer, "--config", str(config))
+    (record,) = read_records(out / "forecasts.jsonl")
+    assert record.declined and record.members[0].forecast == Declined("budget")
+    assert len(backend.requests) == 1  # no compacted second request was sent
+    assert json.loads((out / "manifest.json").read_text())["questions"] == {dataset[0].id: "declined"}
 
 
 def test_cassette_miss_starts_no_queued_member(tmp_path):

@@ -1,5 +1,7 @@
 """Planner/worker wiring: delegation as tool calls, transcript trees, depth."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
 import pytest
@@ -7,17 +9,16 @@ import pytest
 from agentcast.hierarchy import (
     LowLevelAgent,
     NO_FINAL_ANSWER,
-    PlannerConfig,
     as_tool,
     default_planner,
     forecast_one,
-    forecast_one_single,
     render_task_prompt,
     save_transcript_tree,
     single_agent_config,
     write_tree_index,
 )
-from agentcast.llm import ScriptedBackend, TransportError
+from agentcast.cli import RunConfig
+from agentcast.llm import ChatResponse, ScriptedBackend, TransportError
 from agentcast.models import Declined, Forecast, read_jsonl
 from agentcast.react import ReactConfig
 from agentcast.tools import Sandbox, ToolRegistry, ToolSpec
@@ -66,58 +67,67 @@ def test_worker_agents_cannot_hold_other_agents():
         LowLevelAgent(name="w", description="d", config=config)
 
 
+def planner_over(*agents):
+    """A planner whose tools are the given workers."""
+    return ReactConfig(system_prompt="You plan.", tools=ToolRegistry(map(as_tool, agents)), agent_id="planner")
+
+
 def test_planner_config_validation():
+    # a planner with no workers, or with two workers of one name, is rejected
     agent, _ = research_agent()
-    with pytest.raises(ValueError, match="at least one subagent"):
-        PlannerConfig(system_prompt="p", subagents=())
+    with pytest.raises(ValueError, match="at least one tool"):
+        planner_over()
     with pytest.raises(ValueError, match="duplicate"):
-        PlannerConfig(system_prompt="p", subagents=(agent, agent))
+        planner_over(agent, agent)
 
 
 def test_as_tool_returns_final_answer_text():
     agent, provider = research_agent()
     backend = ScriptedBackend(
         [
+            "Action: web_research\nAction Input: find eth price history",
             "Thought: search\nAction: web_search\nAction Input: eth price history",
             "Final Answer: Prices ranged 2900-3300 in April.",
+            "Final Answer: 0.5",
         ]
     )
-    seen = []
-    tool = as_tool(agent, backend, on_child=lambda n, t, tr: seen.append((n, t, tr)))
-    assert tool.kind == "agent"
-    observation = tool.invoke("find eth price history")
+    assert as_tool(agent).kind == "agent"
+    _, tree = forecast_one(planner_over(agent), backend, make_question())
+    observation = tree.planner.steps[0].observation
     assert observation == "Prices ranged 2900-3300 in April."
     assert provider.calls[0][0] == "eth price history"
-    name, task, transcript = seen[0]
-    assert (name, task) == ("web_research", "find eth price history")
-    assert transcript.final.kind == "final"
+    (child,) = tree.children
+    assert (child.agent_name, child.task) == ("web_research", "find eth price history")
+    assert child.transcript.final.kind == "final"
 
 
 def test_as_tool_truncates_to_observation_budget():
     agent, _ = research_agent(observation_budget=50)
-    backend = ScriptedBackend([f"Final Answer: {'w' * 500}"])
-    observation = as_tool(agent, backend).invoke("task")
+    backend = ScriptedBackend(
+        ["Action: web_research\nAction Input: task", f"Final Answer: {'w' * 500}", "Final Answer: 0.5"]
+    )
+    _, tree = forecast_one(planner_over(agent), backend, make_question())
+    observation = tree.planner.steps[0].observation
     assert len(observation) == 50
     assert observation.endswith("[truncated]")
 
 
 def test_as_tool_reports_worker_failures_as_bracketed_text():
     agent, _ = research_agent()
-    outcome = as_tool(agent, ScriptedBackend([TransportError("down")])).invoke("t")
-    assert outcome.startswith("[subagent error: backend:")
+    backend = ScriptedBackend(["Action: web_research\nAction Input: t", TransportError("down"), "Final Answer: 0.5"])
+    _, tree = forecast_one(planner_over(agent), backend, make_question())
+    assert tree.planner.steps[0].observation.startswith("[subagent error: backend:")
 
     # a worker that burns its iterations and produces nothing usable
     agent2, _ = research_agent()
     no_answer = ScriptedBackend(
-        ["Action: web_search\nAction Input: a", "no thoughts"]
+        ["Action: web_research\nAction Input: t", "Action: web_search\nAction Input: a", "no thoughts", "Final Answer: 0.5"]
     )
-    outcome = as_tool(
-        LowLevelAgent("web_research", "d", ReactConfig(
-            system_prompt="p", tools=agent2.config.tools, max_iterations=1
-        )),
-        no_answer,
-    ).invoke("t")
-    assert outcome.startswith("[subagent error: truncated:")
+    worker = LowLevelAgent("web_research", "d", ReactConfig(
+        system_prompt="p", tools=agent2.config.tools, max_iterations=1
+    ))
+    _, tree = forecast_one(planner_over(worker), no_answer, make_question())
+    assert tree.planner.steps[0].observation.startswith("[subagent error: truncated:")
 
 
 def test_render_task_prompt_with_and_without_optionals():
@@ -146,7 +156,7 @@ def test_render_task_prompt_with_and_without_optionals():
 
 def two_worker_planner(snippet="nothing of note"):
     provider = StaticProvider(snippet)
-    return default_planner(provider, Sandbox(timeout=5), CUTOFF), provider
+    return default_planner(provider, Sandbox(timeout=5), CUTOFF, RunConfig()), provider
 
 
 def test_forecast_one_builds_transcript_tree():
@@ -195,11 +205,11 @@ def test_forecast_one_planner_never_sees_raw_tools():
 
 def test_forecast_one_single_has_flat_tree():
     provider = StaticProvider()
-    config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF)
+    config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF, RunConfig())
     backend = ScriptedBackend(
         ["Action: web_search\nAction Input: q", "Final Answer: 0.25"]
     )
-    result, tree = forecast_one_single(config, backend, make_question())
+    result, tree = forecast_one(config, backend, make_question())
     assert result == Forecast(0.25)
     assert tree.children == ()
     assert tree.planner.agent_id == "single"
@@ -208,10 +218,48 @@ def test_forecast_one_single_has_flat_tree():
 
 def test_single_agent_default_guard_fails_hard():
     provider = StaticProvider()
-    config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF)
+    config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF, RunConfig())
     assert config.on_budget_exceeded == "fail"
     names = config.tools.names()
     assert "web_search" in names and "python" in names
+
+
+class MemberBackend:
+    """One member's backend: its planner delegates once. Every request waits
+    for the other member's matching request, so the two members start, run
+    their workers and finish in step."""
+
+    def __init__(self, name, barrier):
+        self.name = name
+        self.barrier = barrier
+
+    def complete(self, request):
+        self.barrier.wait()
+        if "<one of: web_search>" in request.messages[0].content:
+            return ChatResponse(f"Final Answer: {self.name} found it")
+        if len(request.messages) == 2:
+            return ChatResponse(f"Action: web_research\nAction Input: research for {self.name}")
+        return ChatResponse("Final Answer: 0.5")
+
+
+def test_concurrent_members_keep_their_own_workers():
+    # two members share one planner config and are inside worker runs at the
+    # same time; each tree holds only the worker run its own planner started,
+    # made on its own backend
+    planner, _ = two_worker_planner()
+    barrier = threading.Barrier(2, timeout=5)
+    names = ("alpha", "beta")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [
+            pool.submit(forecast_one, planner, MemberBackend(name, barrier), make_question(qid=name))
+            for name in names
+        ]
+        trees = [future.result()[1] for future in futures]
+    for name, tree in zip(names, trees):
+        (child,) = tree.children
+        assert child.task == f"research for {name}"
+        assert child.transcript.final.answer_text == f"{name} found it"
+        assert tree.planner.steps[0].observation == f"{name} found it"
 
 
 def test_save_transcript_tree_layout(tmp_path):

@@ -122,6 +122,14 @@ def test_unreadable_search_date_drops_only_that_result(monkeypatch):
     assert [r.title for r in search(provider, "q", CUTOFF)] == ["r0", "r2"]
 
 
+def test_non_object_search_entry_drops_only_that_entry(monkeypatch):
+    valid = {"title": "T", "url": "https://e.org", "snippet": "s", "published": "2024-04-10"}
+    response = FakeResponse(200, payload={"results": ["just a string", 7, valid]})
+    monkeypatch.setattr("requests.get", lambda *args, **kwargs: response)
+    provider = LiveSearchProvider("https://search.example", "key")
+    assert search(provider, "q", CUTOFF) == [SearchResult("T", "https://e.org", "s", date(2024, 4, 10))]
+
+
 def test_live_search_honors_retry_after(monkeypatch):
     responses = [FakeResponse(429, {"Retry-After": "0.05"}), FakeResponse(200, payload={"results": []})]
     monkeypatch.setattr("requests.get", lambda *args, **kwargs: responses.pop(0))
