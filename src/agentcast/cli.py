@@ -41,6 +41,7 @@ from .llm import (
     ReplayBackend,
     HTTPBackend,
     UsageMeter,
+    close_connections,
     in_lane,
     leakage_probe,
 )
@@ -696,6 +697,8 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        close_connections()
 
 
 if __name__ == "__main__":

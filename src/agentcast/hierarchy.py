@@ -233,9 +233,8 @@ def single_agent_config(provider: SearchProvider, sandbox: Sandbox, cutoff: date
     """One agent holding both raw tools, for `cfg.max_iterations`. Its context
     guard fails hard instead of compacting, which is the ablation
     configuration."""
-    return _agent_config(
-        "single", prompts.PLANNER_PROMPT, _raw_tools(provider, sandbox, cutoff, cfg), cfg, cfg.max_iterations, "fail"
-    )
+    tools = _raw_tools(provider, sandbox, cutoff, cfg)
+    return _agent_config("single", prompts.SINGLE_AGENT_PROMPT, tools, cfg, cfg.max_iterations, "fail")
 
 
 # --- persistence ----------------------------------------------------------------

@@ -9,19 +9,27 @@ mode the whole test suite and the deterministic CLI runs sit on.
 
 from __future__ import annotations
 
+import base64
 import contextvars
 import hashlib
 import json
 import logging
+import select
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
+from urllib.parse import SplitResult, unquote, urlencode, urlsplit
+
+if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
+    import socket
+    import ssl
+    from http.client import HTTPConnection
 
 logger = logging.getLogger(__name__)
 
@@ -232,23 +240,163 @@ def parse_retry_after(headers: dict) -> float | None:
 Response = tuple[int, dict, Any]  # (status, headers, decoded JSON body or body text)
 Transport = Callable[[str, dict, dict, float], Response]
 
+# The origin's (scheme, host, port), then the proxy's (host, port,
+# Proxy-Authorization value), or None when the request goes direct.
+Route = tuple[str, str, int, "tuple[str, int, str | None] | None"]
+
+
+class ConnectionPool:
+    """Idle keep-alive connections by route, shared by the live clients of a
+    process.
+
+    A call takes a connection out and gives it back only after reading its
+    whole response, so no two threads ever hold the same connection, and the
+    pool never keeps more connections than were in use at once.
+    """
+
+    def __init__(self):
+        self._idle: dict[Route, list[HTTPConnection]] = {}
+        self._lock = threading.Lock()
+
+    def take(self, route: Route) -> HTTPConnection | None:
+        """The most recently used idle connection for `route` that the
+        server has not closed, or None."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(route)
+                if not idle:
+                    return None
+                conn = idle.pop()
+            if conn.sock is not None and not _readable(conn.sock):
+                return conn
+            conn.close()
+
+    def give(self, route: Route, conn: HTTPConnection) -> None:
+        with self._lock:
+            self._idle.setdefault(route, []).append(conn)
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
+def _readable(sock: socket.socket) -> bool:
+    """An idle connection turns readable only when the server closed it or
+    sent bytes nobody asked for; either way it cannot carry a request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+_POOL = ConnectionPool()
+
+
+def close_connections() -> None:
+    """Close the idle connections of every live client in the process."""
+    _POOL.close()
+
+
+@cache
+def _tls_context() -> ssl.SSLContext:
+    import ssl
+
+    return ssl.create_default_context()  # verifies against the system trust store
+
+
+def _route(parts: SplitResult) -> Route:
+    """Where a request for `parts` goes: direct, or through the proxy that
+    `HTTP_PROXY`/`HTTPS_PROXY` name unless `NO_PROXY` exempts the host.
+    A malformed port raises ValueError."""
+    from urllib.request import getproxies, proxy_bypass
+
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError("not an http(s) URL")
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(f"{parts.hostname}:{port}"):
+        return parts.scheme, parts.hostname, port, None
+    via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if via.scheme != "http" or not via.hostname:
+        raise ValueError(f"unsupported {parts.scheme} proxy: only http:// proxies are supported")
+    auth = None
+    if via.username is not None:
+        credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+        auth = "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+    return parts.scheme, parts.hostname, port, (via.hostname, via.port or 80, auth)
+
+
+def _connect(route: Route, timeout: float) -> HTTPConnection:
+    """A new, not yet connected connection for `route`. HTTPS through a
+    proxy tunnels with CONNECT, and TLS is verified against the origin."""
+    import http.client
+
+    scheme, host, port, proxy = route
+    address = (host, port) if proxy is None else proxy[:2]
+    if scheme == "http":
+        return http.client.HTTPConnection(*address, timeout=timeout)
+    conn = http.client.HTTPSConnection(*address, timeout=timeout, context=_tls_context())
+    if proxy is not None:
+        conn.set_tunnel(host, port, headers={"Proxy-Authorization": proxy[2]} if proxy[2] else None)
+    return conn
+
 
 def http_transport(url: str, headers: dict, body: dict | None, timeout: float, params: dict | None = None) -> Response:
-    """POST `body` as JSON, or GET with `params` when there is no body, and
-    return the status, the headers and the JSON payload (the body text when
-    it is not JSON). A network failure raises TransportError."""
-    import requests  # only live runs pay for importing it
+    """POST `body` as JSON, or GET with `params` (None values dropped) when
+    there is no body, and return the status, the headers and the JSON payload
+    (the body text when it is not JSON).
 
-    send = requests.get if body is None else requests.post
+    The request goes over a kept-alive connection from the process pool.
+    Redirects are not followed. A network failure closes the connection and
+    raises TransportError; the caller's retry policy decides what follows.
+    """
+    import http.client
+
+    parts = urlsplit(url)
     try:
-        resp = send(url, headers=headers, params=params, json=body, timeout=timeout)
-    except requests.RequestException as exc:
+        route = _route(parts)
+    except ValueError as exc:
+        raise TransportError(f"cannot send to {url}: {exc}") from None
+    query = urlencode([(k, v) for k, v in (params or {}).items() if v is not None], doseq=True)
+    query = "&".join(q for q in (parts.query, query) if q)
+    target = (parts.path or "/") + (f"?{query}" if query else "")
+    send_headers = {"User-Agent": "agentcast", "Accept": "*/*", **headers}
+    proxy = route[3]
+    if proxy is not None and parts.scheme == "http":
+        # a plain proxy takes the absolute URL, and its credentials on every request
+        target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+        if proxy[2]:
+            send_headers["Proxy-Authorization"] = proxy[2]
+    data = None
+    if body is not None:
+        try:
+            data = json.dumps(body, allow_nan=False).encode("utf-8")
+        except ValueError as exc:
+            raise TransportError(f"cannot send to {url}: body is not valid JSON ({exc})") from None
+        send_headers["Content-Type"] = "application/json"
+
+    conn = _POOL.take(route) or _connect(route, timeout)
+    try:
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        conn.request("GET" if data is None else "POST", target, body=data, headers=send_headers)
+        resp = conn.getresponse()
+        raw = resp.read()
+    except (OSError, http.client.HTTPException) as exc:
+        conn.close()
         raise TransportError(f"request to {url} failed: {exc}") from exc
+    if resp.will_close:
+        conn.close()
+    else:
+        _POOL.give(route, conn)
     try:
-        payload = resp.json()
+        payload = json.loads(raw)
     except ValueError:
-        payload = resp.text
-    return resp.status_code, dict(resp.headers), payload
+        payload = raw.decode("utf-8", errors="replace")
+    return resp.status, dict(resp.getheaders()), payload
 
 
 def send_with_retry(

@@ -12,10 +12,12 @@ import random
 import re
 import statistics
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import Declined, Forecast, ForecastRecord
+
+if TYPE_CHECKING:  # imported where used, so only `score` pays for numpy
+    import numpy as np
 
 
 class MetricError(ValueError):
@@ -74,6 +76,8 @@ class ScoredSet:
 def _arrays(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
     if not scored.pairs:
         raise EmptySet(f"no scorable pairs for method {scored.method_label!r}")
+    import numpy as np
+
     f = np.array([p.forecast for p in scored.pairs], dtype=float)
     o = np.array([p.outcome for p in scored.pairs], dtype=float)
     return f, o
@@ -81,6 +85,8 @@ def _arrays(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
 
 def brier(scored: ScoredSet) -> float:
     """Mean squared error between forecasts and binary outcomes. Lower is better."""
+    import numpy as np
+
     f, o = _arrays(scored)
     return float(np.mean((f - o) ** 2))
 
@@ -90,6 +96,8 @@ def accuracy(scored: ScoredSet) -> float:
 
     A forecast of exactly 0.5 counts as predicting NO.
     """
+    import numpy as np
+
     f, o = _arrays(scored)
     predicted = (f > 0.5).astype(float)
     return float(np.mean(predicted == o))
@@ -125,6 +133,8 @@ def calibration_index(scored: ScoredSet, k: int = 10) -> CalibrationReport:
         raise EmptySet(f"no scorable pairs for method {scored.method_label!r}")
     if n < k:
         raise TooFewForecasts(f"{n} forecasts cannot fill {k} bins")
+    import numpy as np
+
     ordered = sorted(scored.pairs, key=lambda p: (p.forecast, p.question_id))
     f = np.array([p.forecast for p in ordered], dtype=float)
     o = np.array([p.outcome for p in ordered], dtype=float)
@@ -191,6 +201,8 @@ def ensemble_std(records: list[ForecastRecord]) -> float:
         counts.append(len(record.members))
     if not counts:
         raise EmptySet("no completed ensembles to measure spread over")
+    import numpy as np
+
     values = np.array(flat, dtype=float)
     n = np.array(counts)
     means = np.add.reduceat(values, starts) / n

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -265,9 +266,10 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
 
     The program gets a fresh temp directory as cwd, deleted afterwards, and
     an environment holding only PATH and LANG, so it cannot read the API
-    keys of the process that runs it. Raises SandboxTimeout when the wall
-    clock cap is hit (the process is killed); nonzero exits come back as a
-    normal ExecResult.
+    keys of the process that runs it. It runs in its own process group,
+    which is killed when the call ends, so no process it started outlives
+    the call. Raises SandboxTimeout when the wall clock cap is hit; nonzero
+    exits come back as a normal ExecResult.
     """
     with tempfile.TemporaryDirectory(prefix="agentcast-sandbox-") as workdir:
         program_path = Path(workdir) / "program.py"
@@ -277,25 +279,38 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
             for part in shlex.split(sandbox.command_template)
         ]
         start = time.monotonic()
-        try:
-            proc = subprocess.run(
-                argv,
-                capture_output=True,
-                text=True,
-                timeout=sandbox.timeout,
-                cwd=workdir,
-                env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
-            )
-        except subprocess.TimeoutExpired:
-            raise SandboxTimeout(sandbox.timeout) from None
+        with subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=workdir,
+            env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=sandbox.timeout)
+            except subprocess.TimeoutExpired:
+                _kill_group(proc.pid)
+                proc.communicate()  # reap it; the pipes close once the group is gone
+                raise SandboxTimeout(sandbox.timeout) from None
+            finally:
+                _kill_group(proc.pid)  # whatever the program left running in the background
         wall = time.monotonic() - start
         cap = sandbox.output_cap
         return ExecResult(
-            stdout=proc.stdout[:cap],
-            stderr=proc.stderr[-cap:],
+            stdout=stdout[:cap],
+            stderr=stderr[-cap:],
             exit_status=proc.returncode,
             wall_time=wall,
         )
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group has already exited
 
 
 # --- observation rendering --------------------------------------------------

@@ -849,13 +849,49 @@ def test_record_closes_the_cassette(tmp_path, monkeypatch, command):
 # --- imports -------------------------------------------------------------------
 
 
-def test_importing_the_cli_does_not_import_requests():
-    # only live HTTP clients need requests; score and replay runs skip it
-    code = "import sys, agentcast.cli; print('requests' in sys.modules)"
+def test_importing_the_cli_loads_neither_numpy_nor_requests():
+    # only `score` needs numpy, and the live clients use the standard library
+    code = "import sys, agentcast.cli; print([m for m in ('numpy', 'requests') if m in sys.modules])"
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_score_report_matches_the_reference_byte_for_byte(tmp_path):
+    # the reference files were written by `score` before numpy became a lazy import
+    run_dir = tmp_path / "run"
+    assert replay_forecast(run_dir) == EXIT_OK
+    agent_path = tmp_path / "agent.jsonl"
+    agent_path.write_bytes((run_dir / "forecasts.jsonl").read_bytes())
+    out = tmp_path / "scores"
+    argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(agent_path),
+            "--out", str(out), "--bins", "2"]
+    assert cli.main(argv) == EXIT_OK
+    reference = FIXTURES / "e2e_score"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in reference.iterdir())
+    for path in reference.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# --- live connections ----------------------------------------------------------
+
+
+def test_main_closes_every_connection_it_opened(tmp_path, loopback, capsys):
+    def route(method, target):
+        return 200, {}, {"id": target.rsplit("/", 1)[-1], "isResolved": True, "resolution": "YES"}
+
+    loopback.route = route
+    dataset = tmp_path / "dataset.jsonl"
+    write_questions(dataset, [make_question(qid=f"m{i}", source="market") for i in range(6)])
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"market_base_url": loopback.url}))
+    assert cli.main(["resolve", "--dataset", str(dataset), "--config", str(config)]) == EXIT_OK
+    assert "resolved 6, pending 0, excluded 0" in capsys.readouterr().out
+    assert len(loopback.requests) == 6 and 1 <= loopback.accepts <= RunConfig().in_flight
+    # the server sees the client close its end of every connection
+    assert loopback.wait_closed(loopback.accepts)
+    gc.collect()  # an unclosed socket would warn here, and warnings are errors
 
 
 # --- fixture drift ------------------------------------------------------------

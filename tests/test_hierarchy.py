@@ -216,6 +216,17 @@ def test_forecast_one_single_has_flat_tree():
     assert provider.calls  # raw tool reachable directly
 
 
+def test_single_agent_is_told_to_use_its_own_tools():
+    config = single_agent_config(StaticProvider(), Sandbox(timeout=5), CUTOFF, RunConfig())
+    backend = ScriptedBackend(["Final Answer: 0.4"])
+    forecast_one(config, backend, make_question())
+    system = backend.requests[0].messages[0]
+    assert system.role == "system"
+    assert "<one of: web_search, python>" in system.content
+    assert "Use the tools listed below yourself" in system.content
+    assert "cannot browse" not in system.content and "Delegate" not in system.content
+
+
 def test_single_agent_default_guard_fails_hard():
     provider = StaticProvider()
     config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF, RunConfig())

@@ -1,11 +1,13 @@
 """Backends: fingerprints, cassette record/replay, retry policy, rate limiting."""
 
+import base64
 import json
+import sys
 import threading
+import time
 from datetime import date
 
 import pytest
-import requests
 
 from agentcast.llm import (
     AuthError,
@@ -26,6 +28,7 @@ from agentcast.llm import (
     TransportError,
     UsageMeter,
     fingerprint,
+    http_transport,
     in_lane,
     leakage_probe,
     load_cassette,
@@ -33,7 +36,7 @@ from agentcast.llm import (
 from agentcast.market import LiveMarketClient, MarketError
 from agentcast.tools import LiveSearchProvider, ProviderError
 
-from conftest import FakeResponse
+from conftest import DROP
 
 
 def make_request(content="hello", temperature=0.5, max_tokens=None, stop=()):
@@ -313,26 +316,26 @@ def test_http_backend_malformed_payload():
 
 # --- one status table for every live client ---------------------------------
 
-# client: (call given a sleep, 200 body, error raised on each failing row)
+# client: (call given a base URL and a sleep, 200 body, error raised on each failing row)
 LIVE_CLIENTS = {
     "chat": (
-        lambda sleep: HTTPBackend("https://llm.example/v1", "key", sleep=sleep).complete(make_request()),
+        lambda url, sleep: HTTPBackend(url, "key", sleep=sleep).complete(make_request()),
         ok_payload()[2],
         {"401": AuthError, "404": TransportError, "exhausted": RateLimited},
     ),
     "search": (
-        lambda sleep: LiveSearchProvider("https://search.example", "key", sleep=sleep).search("q", date(2024, 4, 1), 8),
+        lambda url, sleep: LiveSearchProvider(url, "key", sleep=sleep).search("q", date(2024, 4, 1), 8),
         {"results": [{"title": "T", "url": "u", "snippet": "s"}]},
         dict.fromkeys(("401", "404", "exhausted"), ProviderError),
     ),
     "market": (
-        lambda sleep: LiveMarketClient("https://market.example", sleep=sleep).get_market("m1"),
+        lambda url, sleep: LiveMarketClient(url, sleep=sleep).get_market("m1"),
         {"id": "m1"},
         dict.fromkeys(("401", "404", "exhausted"), MarketError),
     ),
 }
 
-THROTTLED = FakeResponse(429, {"Retry-After": "30"})
+THROTTLED = (429, {"Retry-After": "30"}, {})
 
 
 @pytest.mark.parametrize(
@@ -342,34 +345,131 @@ THROTTLED = FakeResponse(429, {"Retry-After": "30"})
         pytest.param([401], [], "401", id="401-fails-at-once"),
         pytest.param([404], [], "404", id="404-fails-at-once"),
         pytest.param([503, 200], [1.0], None, id="503-then-200"),
-        pytest.param([requests.ConnectionError("refused"), 200], [1.0], None, id="connection-error-then-200"),
+        pytest.param([DROP, 200], [1.0], None, id="connection-error-then-200"),
         # 30 + 30 s reaches the 60 s ceiling; the last two retries do not sleep
         pytest.param([THROTTLED] * 5, [30.0, 30.0], "exhausted", id="429s-stop-at-max-attempts"),
     ],
 )
 @pytest.mark.parametrize("client", sorted(LIVE_CLIENTS))
-def test_live_clients_share_one_status_table(monkeypatch, client, served, sleeps, fails_with):
+def test_live_clients_share_one_status_table(loopback, client, served, sleeps, fails_with):
     call, ok_body, errors = LIVE_CLIENTS[client]
-    outcomes = [FakeResponse(o, payload=ok_body if o == 200 else {}) if isinstance(o, int) else o for o in served]
-    sent = []
-
-    def fake_request(url, **kwargs):
-        sent.append(url)
-        outcome = outcomes.pop(0) if len(outcomes) > 1 else outcomes[0]  # the last one repeats
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr("requests.get", fake_request)
-    monkeypatch.setattr("requests.post", fake_request)
+    loopback.serve(*[(o, {}, ok_body if o == 200 else {}) if isinstance(o, int) else o for o in served])
     slept = []
     if fails_with is None:
-        assert call(slept.append)
+        assert call(loopback.url, slept.append)
     else:
         with pytest.raises(errors[fails_with], match=None if fails_with == "exhausted" else fails_with):
-            call(slept.append)
-    assert len(sent) == len(served)
+            call(loopback.url, slept.append)
+    assert len(loopback.requests) == len(served)
     assert slept == sleeps and sum(slept) <= RetryPolicy().total_delay_ceiling
+
+
+# --- the keep-alive transport, against a loopback server ----------------------
+
+
+def market_route(method, target):
+    """Answers /market/<id> with that market, so a reply shows which request it belongs to."""
+    return 200, {}, {"id": target.rsplit("/", 1)[-1]}
+
+
+def test_calls_from_one_thread_share_one_connection(loopback):
+    loopback.route = market_route
+    client = LiveMarketClient(loopback.url)
+    assert [client.get_market(f"m{i}")["id"] for i in range(6)] == [f"m{i}" for i in range(6)]
+    assert len(loopback.requests) == 6
+    assert loopback.accepts == 1
+
+
+def test_a_connection_the_server_closed_is_not_reused(loopback):
+    loopback.route = market_route
+    loopback.close_when_idle = True
+    sleeps = []
+    client = LiveMarketClient(loopback.url, sleep=sleeps.append)
+    for i in range(4):
+        assert client.get_market(f"m{i}")["id"] == f"m{i}"
+        assert loopback.wait_closed(i + 1)
+    # every call found its idle connection closed and opened a new one instead
+    assert (len(loopback.requests), loopback.accepts, sleeps) == (4, 4, [])
+    # without waiting, a close can race the next request; the retry policy covers that
+    for i in range(4):
+        assert client.get_market(f"n{i}")["id"] == f"n{i}"
+
+
+def test_concurrent_calls_never_share_a_connection(loopback):
+    loopback.route = market_route
+    client = LiveMarketClient(loopback.url, retry=RetryPolicy(max_attempts=1), timeout=5.0)
+    threads_n, calls = 8, 25
+    wrong = []
+
+    def work(t):
+        for i in range(calls):
+            market_id = f"t{t}c{i}"
+            try:
+                got = client.get_market(market_id)["id"]
+            except MarketError as exc:
+                got = exc
+            if got != market_id:
+                wrong.append((market_id, got))
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(threads_n)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(loopback.requests) == threads_n * calls
+    assert loopback.accepts <= threads_n  # a connection is reused, never shared
+
+
+def test_http_proxy_gets_the_absolute_url_and_no_proxy_bypasses_it(make_loopback, monkeypatch):
+    origin, proxy = make_loopback(), make_loopback()
+    origin.route = proxy.route = market_route
+    proxy_host = proxy.url.removeprefix("http://")
+    monkeypatch.setenv("http_proxy", f"http://user:pa%40ss@{proxy_host}")
+    LiveMarketClient(origin.url).get_market("m1")
+    method, target, headers, _ = proxy.requests[0]
+    assert (method, target) == ("GET", f"{origin.url}/market/m1")
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pa@ss").decode()
+    assert origin.requests == []
+
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    LiveMarketClient(origin.url).get_market("m2")
+    assert [r[:2] for r in origin.requests] == [("GET", "/market/m2")]
+    assert len(proxy.requests) == 1
+
+
+def test_https_through_a_proxy_opens_a_tunnel(loopback, monkeypatch):
+    loopback.serve((502, {}, None))  # refuse the tunnel, so no TLS is needed
+    monkeypatch.setenv("https_proxy", loopback.url)
+    client = LiveMarketClient("https://market.example", retry=RetryPolicy(max_attempts=1))
+    with pytest.raises(MarketError, match="Tunnel connection failed: 502"):
+        client.get_market("m1")
+    assert [r[:2] for r in loopback.requests] == [("CONNECT", "market.example:443")]
+
+
+def test_transport_posts_json_and_drops_none_params(loopback):
+    loopback.serve((200, {"X-Trace": "7"}, {"ok": True}))
+    status, headers, payload = http_transport(loopback.url + "/chat?v=1", {"Authorization": "k"}, {"a": 1}, 5.0)
+    assert (status, headers["X-Trace"], payload) == (200, "7", {"ok": True})
+    status, _, _ = http_transport(loopback.url + "/list", {}, None, 5.0, {"limit": "5", "before": None})
+    assert status == 200
+    (m1, t1, h1, b1), (m2, t2, _, b2) = loopback.requests
+    assert (m1, t1, json.loads(b1), h1["Content-Type"], h1["Authorization"]) == (
+        "POST", "/chat?v=1", {"a": 1}, "application/json", "k"
+    )
+    assert (m2, t2, b2) == ("GET", "/list?limit=5", b"")
+    with pytest.raises(TransportError, match="not valid JSON"):
+        http_transport(loopback.url, {}, {"p": float("nan")}, 5.0)
+    with pytest.raises(TransportError, match="http"):
+        http_transport("ftp://example.org/x", {}, None, 5.0)
 
 
 def test_rate_limiter_allows_burst_then_waits():

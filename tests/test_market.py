@@ -28,7 +28,7 @@ from agentcast.market import (
 )
 from agentcast.models import Category, read_questions, write_questions
 
-from conftest import FakeResponse, make_question
+from conftest import make_question
 
 
 def market(mid, close="2024-04-20T00:00:00Z", prob=0.5, resolved=False, resolution=None, **extra):
@@ -61,16 +61,15 @@ def test_market_record_from_api():
         MarketRecord.from_api({**market("m4"), "closeTime": "soon"})
 
 
-def test_live_client_honors_retry_after_and_backs_off_without_it(monkeypatch):
-    responses = [
-        FakeResponse(429, {"Retry-After": "0.05"}),
-        FakeResponse(503),
-        FakeResponse(429),
-        FakeResponse(200, payload=market("m1")),
-    ]
-    monkeypatch.setattr("requests.get", lambda *args, **kwargs: responses.pop(0))
+def test_live_client_honors_retry_after_and_backs_off_without_it(loopback):
+    loopback.serve(
+        (429, {"Retry-After": "0.05"}, None),
+        (503, {}, None),
+        (429, {}, None),
+        (200, {}, market("m1")),
+    )
     sleeps = []
-    client = LiveMarketClient("https://market.example", sleep=sleeps.append)
+    client = LiveMarketClient(loopback.url, sleep=sleeps.append)
     assert client.get_market("m1")["id"] == "m1"
     assert sleeps == [0.05, 2.0, 4.0]  # the hint, then the usual 2**attempt backoff
 
@@ -251,19 +250,19 @@ def test_backfill_counts_a_failing_market_as_pending_and_keeps_the_rest(tmp_path
     assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
 
 
-def test_backfill_keeps_a_market_whose_body_is_not_json_pending(tmp_path, monkeypatch):
-    def fake_get(url, **kwargs):
-        market_id = url.rsplit("/", 1)[-1]
+def test_backfill_keeps_a_market_whose_body_is_not_json_pending(tmp_path, loopback):
+    def route(method, target):
+        market_id = target.rsplit("/", 1)[-1]
         if market_id == "html1":
-            return FakeResponse(200, text="<html>maintenance</html>")
-        return FakeResponse(200, payload=market(market_id, resolved=True, resolution="YES"))
+            return 200, {}, "<html>maintenance</html>"
+        return 200, {}, market(market_id, resolved=True, resolution="YES")
 
-    monkeypatch.setattr("requests.get", fake_get)
+    loopback.route = route
     dataset = tmp_path / "dataset.jsonl"
     write_questions(dataset, [make_question(qid=qid) for qid in ("yes1", "html1", "yes2")])
     with pytest.raises(MarketError, match="expected a market object, got str"):
-        LiveMarketClient("https://market.example").get_market("html1")
-    summary = backfill_resolutions(LiveMarketClient("https://market.example"), dataset)
+        LiveMarketClient(loopback.url).get_market("html1")
+    summary = backfill_resolutions(LiveMarketClient(loopback.url), dataset)
     assert (summary.resolved, summary.pending, summary.excluded) == (2, 1, 0)
     assert [q.outcome for q in read_questions(dataset)] == [1, None, 1]
 

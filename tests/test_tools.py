@@ -1,8 +1,12 @@
 """Tool layer: date-restricted search, the sandbox, observation rendering."""
 
 import json
+import os
+import signal
+import sys
 import time
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +27,6 @@ from agentcast.tools import (
     search,
     truncate_text,
 )
-
-from conftest import FakeResponse
 
 CUTOFF = date(2024, 4, 15)
 
@@ -114,44 +116,44 @@ def test_search_reads_timestamped_dates_against_the_cutoff(tmp_path):
     assert provider.search("q", CUTOFF, 8)[0].published == date(2024, 4, 14)
 
 
-def test_unreadable_search_date_drops_only_that_result(monkeypatch):
+def test_unreadable_search_date_drops_only_that_result(loopback):
     raw = [{"title": f"r{i}", "published": p} for i, p in enumerate(["2024-04-10", "last Tuesday", None])]
-    response = FakeResponse(200, payload={"results": raw})
-    monkeypatch.setattr("requests.get", lambda *args, **kwargs: response)
-    provider = LiveSearchProvider("https://search.example", "key")
+    loopback.serve((200, {}, {"results": raw}))
+    provider = LiveSearchProvider(loopback.url, "key")
     assert [r.title for r in search(provider, "q", CUTOFF)] == ["r0", "r2"]
 
 
-def test_non_object_search_entry_drops_only_that_entry(monkeypatch):
+def test_non_object_search_entry_drops_only_that_entry(loopback):
     valid = {"title": "T", "url": "https://e.org", "snippet": "s", "published": "2024-04-10"}
-    response = FakeResponse(200, payload={"results": ["just a string", 7, valid]})
-    monkeypatch.setattr("requests.get", lambda *args, **kwargs: response)
-    provider = LiveSearchProvider("https://search.example", "key")
+    loopback.serve((200, {}, {"results": ["just a string", 7, valid]}))
+    provider = LiveSearchProvider(loopback.url, "key")
     assert search(provider, "q", CUTOFF) == [SearchResult("T", "https://e.org", "s", date(2024, 4, 10))]
 
 
-def test_live_search_honors_retry_after(monkeypatch):
-    responses = [FakeResponse(429, {"Retry-After": "0.05"}), FakeResponse(200, payload={"results": []})]
-    monkeypatch.setattr("requests.get", lambda *args, **kwargs: responses.pop(0))
+def test_live_search_honors_retry_after(loopback):
+    loopback.serve((429, {"Retry-After": "0.05"}, {}), (200, {}, {"results": []}))
     sleeps = []
-    provider = LiveSearchProvider("https://search.example", "key", sleep=sleeps.append)
+    provider = LiveSearchProvider(loopback.url, "key", sleep=sleeps.append)
     assert provider.search("q", CUTOFF, 8) == []
     assert sleeps == [0.05]
 
 
+def test_live_search_sends_the_cutoff_and_the_key(loopback):
+    loopback.serve((200, {}, {"results": []}))
+    LiveSearchProvider(loopback.url + "/v1", "key").search("rain in may", CUTOFF, 8)
+    method, target, headers, body = loopback.requests[0]
+    assert (method, target, body) == ("GET", "/v1/search?q=rain+in+may&num=8&before=2024-04-15", b"")
+    assert headers["Authorization"] == "Bearer key"
+
+
 @pytest.mark.parametrize(
-    "response",
-    [
-        FakeResponse(200, text="<html>busy</html>"),
-        FakeResponse(200, payload=[{"title": "T"}]),
-        FakeResponse(200, payload={"items": []}),
-        FakeResponse(200, payload={"results": "none"}),
-    ],
+    "body",
+    ["<html>busy</html>", [{"title": "T"}], {"items": []}, {"results": "none"}],
     ids=["not-json", "not-an-object", "no-results", "results-not-a-list"],
 )
-def test_unusable_search_body_becomes_a_search_error(monkeypatch, response):
-    monkeypatch.setattr("requests.get", lambda *args, **kwargs: response)
-    tool = make_search_tool(LiveSearchProvider("https://search.example", "key"), CUTOFF)
+def test_unusable_search_body_becomes_a_search_error(loopback, body):
+    loopback.serve((200, {}, body))
+    tool = make_search_tool(LiveSearchProvider(loopback.url, "key"), CUTOFF)
     assert tool.invoke("q").startswith("search error: malformed search payload")
 
 
@@ -222,6 +224,44 @@ def test_execute_code_timeout_enforced_with_grace():
     with pytest.raises(SandboxTimeout, match="timed out after 0.5s"):
         execute_code(sandbox, "while True: pass")
     assert time.monotonic() - start < 1.5  # timeout plus a second of grace
+
+
+def _alive(pid):
+    """True while `pid` runs; a zombie waiting to be reaped counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    try:
+        return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, IndexError):
+        return not sys.platform.startswith("linux")
+
+
+@pytest.mark.parametrize("ends", ["timeout", "exit"])
+def test_execute_code_leaves_no_grandchild_running(tmp_path, ends):
+    pid_file = tmp_path / "grandchild.pid"
+    program = (
+        "import pathlib, subprocess, time\n"
+        "child = subprocess.Popen(['sleep', '30'], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(child.pid))\n"
+        + ("time.sleep(30)\n" if ends == "timeout" else "")
+    )
+    try:
+        if ends == "timeout":
+            with pytest.raises(SandboxTimeout):
+                execute_code(Sandbox(timeout=2.0), program)
+        else:
+            assert execute_code(Sandbox(timeout=5.0), program).exit_status == 0
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
+    finally:
+        if pid_file.exists() and _alive(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
 def test_execute_code_output_capped():
