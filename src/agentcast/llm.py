@@ -24,7 +24,7 @@ from enum import Enum
 from functools import cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
-from urllib.parse import SplitResult, unquote, urlencode, urlsplit
+from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
 
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
     import socket
@@ -362,6 +362,7 @@ def http_transport(url: str, headers: dict, body: dict | None, timeout: float, p
     query = urlencode([(k, v) for k, v in (params or {}).items() if v is not None], doseq=True)
     query = "&".join(q for q in (parts.query, query) if q)
     target = (parts.path or "/") + (f"?{query}" if query else "")
+    target = quote(target, safe="/?%:@!$&'()*+,;=~")  # encode spaces and non-ASCII; keep what is encoded
     send_headers = {"User-Agent": "agentcast", "Accept": "*/*", **headers}
     proxy = route[3]
     if proxy is not None and parts.scheme == "http":
@@ -385,7 +386,7 @@ def http_transport(url: str, headers: dict, body: dict | None, timeout: float, p
         conn.request("GET" if data is None else "POST", target, body=data, headers=send_headers)
         resp = conn.getresponse()
         raw = resp.read()
-    except (OSError, http.client.HTTPException) as exc:
+    except (OSError, http.client.HTTPException, ValueError) as exc:  # ValueError: an illegal header
         conn.close()
         raise TransportError(f"request to {url} failed: {exc}") from exc
     if resp.will_close:

@@ -288,14 +288,15 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
             env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
             start_new_session=True,
         ) as proc:
+            # On the way out, Popen closes the pipes and reaps the killed
+            # program without reading on: a process that left the group may
+            # still hold a pipe open, so reading to EOF could wait forever.
             try:
                 stdout, stderr = proc.communicate(timeout=sandbox.timeout)
             except subprocess.TimeoutExpired:
-                _kill_group(proc.pid)
-                proc.communicate()  # reap it; the pipes close once the group is gone
                 raise SandboxTimeout(sandbox.timeout) from None
             finally:
-                _kill_group(proc.pid)  # whatever the program left running in the background
+                _kill_group(proc.pid)  # the program if it overran, and whatever it left running
         wall = time.monotonic() - start
         cap = sandbox.output_cap
         return ExecResult(

@@ -470,6 +470,10 @@ def test_transport_posts_json_and_drops_none_params(loopback):
         http_transport(loopback.url, {}, {"p": float("nan")}, 5.0)
     with pytest.raises(TransportError, match="http"):
         http_transport("ftp://example.org/x", {}, None, 5.0)
+    with pytest.raises(TransportError, match="failed"):  # an illegal header value
+        http_transport(loopback.url + "/chat", {"Authorization": "Bearer k\r\n"}, {"a": 1}, 5.0)
+    http_transport(loopback.url + "/market/é x%41", {}, None, 5.0, {"q": "a b"})
+    assert loopback.requests[-1][:2] == ("GET", "/market/%C3%A9%20x%41?q=a+b")
 
 
 def test_rate_limiter_allows_burst_then_waits():

@@ -264,6 +264,26 @@ def test_execute_code_leaves_no_grandchild_running(tmp_path, ends):
             os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
+def test_execute_code_timeout_holds_against_a_process_that_left_the_group(tmp_path):
+    # the grandchild starts its own session, so killing the program's group
+    # misses it, and it keeps the inherited stdout pipe open
+    pid_file = tmp_path / "escaped.pid"
+    program = (
+        "import pathlib, subprocess, time\n"
+        "child = subprocess.Popen(['sleep', '30'], start_new_session=True)\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(child.pid))\n"
+        "time.sleep(30)\n"
+    )
+    try:
+        start = time.monotonic()
+        with pytest.raises(SandboxTimeout):
+            execute_code(Sandbox(timeout=1.0), program)
+        assert time.monotonic() - start < 2.5  # timeout plus grace
+    finally:
+        if pid_file.exists() and _alive(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
 def test_execute_code_output_capped():
     outcome = execute_code(Sandbox(output_cap=100), "print('y' * 10_000)")
     assert len(outcome.stdout) == 100
