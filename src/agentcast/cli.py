@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import threading
@@ -85,6 +86,7 @@ from .models import (
     read_questions,
     read_records,
     utc_now,
+    write_jsonl,
     write_records,
 )
 from .tools import FixtureSearchProvider, LiveSearchProvider, Sandbox, SearchProvider
@@ -180,6 +182,8 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"ensemble size must be at least 1, got {cfg.ensemble_size}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
+    if not 0 <= cfg.temperature < math.inf:
+        raise ConfigError(f"temperature must be finite and non-negative, got {cfg.temperature}")
     return cfg
 
 
@@ -447,9 +451,7 @@ def cmd_curate(ns: argparse.Namespace) -> int:
     at = parse_timestamp(ns.at, "at") if ns.at else utc_now()
     questions = snapshot(kept, at, ns.out, categories=categories)
     audit_path = Path(ns.out).with_suffix(".audit.jsonl")
-    with open(audit_path, "w", encoding="utf-8") as fh:
-        for entry in audit:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    write_jsonl(audit_path, audit)
     print(f"fetched {len(fetched)} binary markets, kept {len(questions)}, dropped {len(fetched) - len(questions)}")
     print(render_category_table(category_frequencies(questions)), end="")
     print(f"dataset -> {ns.out}\naudit -> {audit_path}")
@@ -551,30 +553,22 @@ def cmd_score(ns: argparse.Namespace) -> int:
         out_dir = Path(ns.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(score_table + "\n" + calibration_table, encoding="utf-8")
-        with open(out_dir / "scores.jsonl", "w", encoding="utf-8") as fh:
-            for line in score_lines:
-                fh.write(json.dumps(line, ensure_ascii=False) + "\n")
-        with open(out_dir / "calibration.jsonl", "w", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(
-                    json.dumps(
-                        {
-                            "method": report.method_label,
-                            "k": report.k,
-                            "index": report.index,
-                            "bins": [
-                                {
-                                    "count": b.count,
-                                    "mean_forecast": b.mean_forecast,
-                                    "observed_freq": b.observed_freq,
-                                }
-                                for b in report.bins
-                            ],
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        write_jsonl(out_dir / "scores.jsonl", score_lines)
+        write_jsonl(
+            out_dir / "calibration.jsonl",
+            (
+                {
+                    "method": report.method_label,
+                    "k": report.k,
+                    "index": report.index,
+                    "bins": [
+                        {"count": b.count, "mean_forecast": b.mean_forecast, "observed_freq": b.observed_freq}
+                        for b in report.bins
+                    ],
+                }
+                for report in reports
+            ),
+        )
         print(f"report -> {out_dir / 'report.txt'}")
     return EXIT_OK
 

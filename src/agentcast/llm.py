@@ -14,6 +14,7 @@ import contextvars
 import hashlib
 import json
 import logging
+import math
 import select
 import threading
 import time
@@ -112,7 +113,6 @@ class ChatRequest:
     model_id: str
     messages: tuple[Message, ...]
     temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int | None = None
     stop_sequences: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -122,8 +122,8 @@ class ChatRequest:
             raise ValueError("a chat request needs at least one message")
         if self.messages[0].role not in ("system", "user"):
             raise ValueError("the first message must come from system or user")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and non-negative, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ class Backend(Protocol):
 def fingerprint(request: ChatRequest) -> str:
     """Stable digest of the semantic request content.
 
-    Covers model, messages, temperature and stop sequences; max_tokens is
-    deliberately excluded (it caps output without changing what was asked) and
-    is kept only as cassette metadata.
+    Covers model, messages, temperature and stop sequences.
     """
     payload = {
         "model_id": request.model_id,
@@ -214,13 +212,6 @@ class RetryPolicy:
         return max(0.0, min(raw, self.total_delay_ceiling - already_slept))
 
 
-@dataclass(frozen=True)
-class Attempt:
-    status: int | None
-    error: str | None
-    slept: float
-
-
 def parse_retry_after(headers: dict) -> float | None:
     """Seconds from a Retry-After header (any key case); None when absent or
     not a number."""
@@ -238,7 +229,6 @@ def parse_retry_after(headers: dict) -> float | None:
 
 
 Response = tuple[int, dict, Any]  # (status, headers, decoded JSON body or body text)
-Transport = Callable[[str, dict, dict, float], Response]
 
 # The origin's (scheme, host, port), then the proxy's (host, port,
 # Proxy-Authorization value), or None when the request goes direct.
@@ -401,21 +391,26 @@ def http_transport(url: str, headers: dict, body: dict | None, timeout: float, p
 
 
 def send_with_retry(
-    send: Callable[[], Response],
+    url: str,
+    headers: dict,
+    body: dict | None = None,
+    params: dict | None = None,
+    *,
+    timeout: float,
     retry: RetryPolicy,
     sleep: Callable[[float], None],
     rate_limiter: RateLimiter | None = None,
-    attempts: list[Attempt] | None = None,
-) -> Response:
-    """The retry policy of every live client: chat, search and market.
+) -> Any:
+    """The request and status policy of every live client: chat, search and
+    market. Returns the payload of a 200.
 
-    Calls `send` up to `retry.max_attempts` times, taking a rate-limiter token
-    first when a limiter is given. A TransportError, a 429 and a 5xx are
-    retried after `retry.delay` (a 429's Retry-After when it has one); any
-    other status, and whatever the last attempt gives, goes to the caller.
-    Each attempt is appended to `attempts` when a list is given.
+    Sends through `http_transport` up to `retry.max_attempts` times, taking a
+    rate-limiter token first when a limiter is given. A TransportError, a 429
+    and a 5xx are retried after `retry.delay` (a 429's Retry-After when it has
+    one). A 401/403 raises AuthError at once and a 429 that outlasts the
+    retries RateLimited; a network failure or a 5xx on the last attempt, and
+    any other status, raise TransportError.
     """
-    log = [] if attempts is None else attempts
     slept = 0.0
     for attempt in range(retry.max_attempts):
         final = attempt + 1 == retry.max_attempts
@@ -423,59 +418,48 @@ def send_with_retry(
             rate_limiter.acquire()
         hint: float | None = None
         try:
-            response = send()
-        except TransportError as exc:
-            log.append(Attempt(status=None, error=str(exc), slept=0.0))
+            status, resp_headers, payload = http_transport(url, headers, body, timeout, params)
+        except TransportError:
             if final:
                 raise
         else:
-            status, headers, _ = response
-            error = "rate limited" if status == 429 else "server error" if status >= 500 else None
-            log.append(Attempt(status=status, error=error, slept=0.0))
-            if error is None or final:
-                return response
+            if status == 200:
+                return payload
+            if status in (401, 403):
+                raise AuthError(f"authentication rejected ({status})")
             if status == 429:
-                hint = parse_retry_after(headers)
+                hint = parse_retry_after(resp_headers)
+                if final:
+                    raise RateLimited(f"rate limited (429) after {attempt + 1} attempts", retry_after=hint)
+            elif status < 500:
+                raise TransportError(f"unexpected status {status}: {str(payload)[:200]}")
+            elif final:
+                raise TransportError(f"server error ({status}) after {attempt + 1} attempts")
         delay = retry.delay(attempt, slept, hint)
         if delay > 0:
             sleep(delay)
             slept += delay
-            log[-1] = Attempt(log[-1].status, log[-1].error, delay)
     raise ValueError(f"RetryPolicy.max_attempts must be at least 1, got {retry.max_attempts}")
 
 
 class HTTPBackend:
-    """Live chat-completions adapter (OpenAI-style wire format).
-
-    Requests go through `send_with_retry`. A 401/403 raises AuthError, a 429
-    that outlasts the retries RateLimited, and anything else unusable
-    TransportError. The attempt log of the calling thread's last call is kept
-    on `last_attempts` for diagnostics.
-    """
+    """Live chat-completions adapter (OpenAI-style wire format). Requests,
+    retries and statuses go through `send_with_retry`; a 200 whose payload
+    holds no completion raises TransportError."""
 
     def __init__(
         self,
         base_url: str,
         api_key: str,
         *,
-        transport: Transport | None = None,
         retry: RetryPolicy = RetryPolicy(),
         rate_limiter: RateLimiter | None = None,
         sleep: Callable[[float], None] = time.sleep,
         timeout: float = 120.0,
     ):
         self._url = base_url.rstrip("/") + "/chat/completions"
-        self._api_key = api_key
-        self._transport = transport or http_transport
-        self._retry = retry
-        self._rate_limiter = rate_limiter
-        self._sleep = sleep
-        self._timeout = timeout
-        self._local = threading.local()
-
-    @property
-    def last_attempts(self) -> list[Attempt]:
-        return getattr(self._local, "attempts", [])
+        self._headers = {"Authorization": f"Bearer {api_key}"}
+        self._send = partial(send_with_retry, timeout=timeout, retry=retry, sleep=sleep, rate_limiter=rate_limiter)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         body: dict[str, Any] = {
@@ -483,24 +467,9 @@ class HTTPBackend:
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
         }
-        if request.max_tokens is not None:
-            body["max_tokens"] = request.max_tokens
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
-        headers = {"Authorization": f"Bearer {self._api_key}"}
-
-        self._local.attempts = attempts = []
-        send = partial(self._transport, self._url, headers, body, self._timeout)
-        status, resp_headers, payload = send_with_retry(send, self._retry, self._sleep, self._rate_limiter, attempts)
-        if status == 200:
-            return _parse_chat_payload(payload)
-        if status in (401, 403):
-            raise AuthError(f"authentication rejected ({status})")
-        if status == 429:
-            raise RateLimited("rate limited by provider", retry_after=parse_retry_after(resp_headers))
-        if status >= 500:
-            raise TransportError(f"server error ({status})")
-        raise TransportError(f"unexpected status {status}: {str(payload)[:200]}")
+        return _parse_chat_payload(self._send(self._url, self._headers, body))
 
 
 def _parse_chat_payload(payload: Any) -> ChatResponse:
@@ -552,7 +521,6 @@ def _request_summary(request: ChatRequest) -> dict:
         "model_id": request.model_id,
         "n_messages": len(request.messages),
         "last_message": request.messages[-1].content[:200],
-        "max_tokens": request.max_tokens,
     }
 
 

@@ -31,8 +31,6 @@ from .llm import (
     ChatRequest,
     Message,
     RetryPolicy,
-    TransportError,
-    http_transport,
     in_lane,
     send_with_retry,
 )
@@ -104,9 +102,9 @@ class MarketClient(Protocol):
 
 
 class LiveMarketClient:
-    """Thin REST adapter that retries through `llm.send_with_retry`. Every
-    failure raises MarketError, including a body that is not JSON (the
-    transport hands it over as text, which fails the payload type checks)."""
+    """Thin REST adapter over `llm.send_with_retry`. Every failure raises
+    MarketError, including a body that is not JSON (the transport hands it
+    over as text, which fails the payload type checks)."""
 
     def __init__(
         self,
@@ -117,21 +115,13 @@ class LiveMarketClient:
         timeout: float = 30.0,
     ):
         self._base_url = base_url.rstrip("/")
-        self._retry = retry
-        self._sleep = sleep
-        self._timeout = timeout
+        self._send = partial(send_with_retry, timeout=timeout, retry=retry, sleep=sleep)
 
     def _get(self, path: str, params: dict | None = None):
-        send = partial(http_transport, self._base_url + path, {}, None, self._timeout, params)
         try:
-            status, _, payload = send_with_retry(send, self._retry, self._sleep)
-        except TransportError as exc:
-            raise MarketError(f"market API failed after {self._retry.max_attempts} attempts: {exc}") from exc
-        if status == 429 or status >= 500:
-            raise MarketError(f"market API failed after {self._retry.max_attempts} attempts: status {status}")
-        if status != 200:
-            raise MarketError(f"market API rejected {path}: status {status}")
-        return payload
+            return self._send(self._base_url + path, {}, params=params)
+        except BackendError as exc:
+            raise MarketError(f"market API {path} failed: {exc}") from exc
 
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]:
         params = {"limit": str(limit)}

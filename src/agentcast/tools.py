@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol
 
-from .llm import RateLimiter, RetryPolicy, TransportError, http_transport, send_with_retry
+from .llm import BackendError, RateLimiter, RetryPolicy, send_with_retry
 from .models import ValidationError, parse_timestamp, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -125,9 +125,9 @@ def _parse_results(raws: Iterable[Any]) -> list[SearchResult]:
 
 class LiveSearchProvider:
     """HTTP search adapter. Sends the cutoff as a query parameter on every
-    request and retries through `llm.send_with_retry`; every failure,
-    including a body with no `results` list, raises ProviderError. Never
-    called in replay runs."""
+    request through `llm.send_with_retry`; every failure, including a body
+    with no `results` list, raises ProviderError. Never called in replay
+    runs."""
 
     def __init__(
         self,
@@ -139,28 +139,16 @@ class LiveSearchProvider:
         sleep: Callable[[float], None] = time.sleep,
         timeout: float = 30.0,
     ):
-        self._base_url = base_url.rstrip("/")
-        self._api_key = api_key
-        self._retry = retry
-        self._rate_limiter = rate_limiter
-        self._sleep = sleep
-        self._timeout = timeout
+        self._url = base_url.rstrip("/") + "/search"
+        self._headers = {"Authorization": f"Bearer {api_key}"}
+        self._send = partial(send_with_retry, timeout=timeout, retry=retry, sleep=sleep, rate_limiter=rate_limiter)
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
-        url = self._base_url + "/search"
-        headers = {"Authorization": f"Bearer {self._api_key}"}
         params = {"q": query, "num": str(limit), "before": before_date.isoformat()}
-        send = partial(http_transport, url, headers, None, self._timeout, params)
         try:
-            status, _, payload = send_with_retry(send, self._retry, self._sleep, self._rate_limiter)
-        except TransportError as exc:
-            raise ProviderError(f"search failed after {self._retry.max_attempts} attempts: {exc}") from exc
-        if status in (401, 403):
-            raise ProviderError(f"search authentication rejected ({status})")
-        if status == 429 or status >= 500:
-            raise ProviderError(f"search failed after {self._retry.max_attempts} attempts: status {status}")
-        if status != 200:
-            raise ProviderError(f"search rejected: status {status}")
+            payload = self._send(self._url, self._headers, params=params)
+        except BackendError as exc:
+            raise ProviderError(f"search failed: {exc}") from exc
         if not isinstance(payload, dict) or not isinstance(payload.get("results"), list):
             raise ProviderError(f"malformed search payload: {str(payload)[:200]}")
         return _parse_results(payload["results"])

@@ -387,6 +387,30 @@ def test_forecast_future_cutoff_is_fatal(tmp_path):
     assert rc == EXIT_FATAL
 
 
+def test_forecast_nan_temperature_is_fatal_before_any_request(tmp_path, loopback, monkeypatch, capsys):
+    monkeypatch.setenv("LLM_API_KEY", "key")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"temperature": float("nan"), "llm_base_url": loopback.url}))
+    rc = cli.main(
+        [
+            "forecast",
+            "--dataset",
+            str(E2E / "questions.jsonl"),
+            "--out",
+            str(tmp_path / "o"),
+            "--search-fixture",
+            str(E2E / "search.jsonl"),
+            "--cutoff",
+            "2024-04-15",
+            "--config",
+            str(config),
+        ]
+    )
+    assert rc == EXIT_FATAL
+    assert "temperature must be finite" in capsys.readouterr().err
+    assert loopback.requests == []
+
+
 def test_missing_dataset_is_fatal(tmp_path):
     rc = cli.main(
         ["forecast", "--dataset", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o"), "--cutoff", "2024-04-15"]

@@ -39,12 +39,11 @@ from agentcast.tools import LiveSearchProvider, ProviderError
 from conftest import DROP
 
 
-def make_request(content="hello", temperature=0.5, max_tokens=None, stop=()):
+def make_request(content="hello", temperature=0.5, stop=()):
     return ChatRequest(
         model_id="default",
         messages=(Message("system", "be brief"), Message("user", content)),
         temperature=temperature,
-        max_tokens=max_tokens,
         stop_sequences=tuple(stop),
     )
 
@@ -54,8 +53,9 @@ def test_request_validation():
         ChatRequest(model_id="m", messages=())
     with pytest.raises(ValueError, match="first message"):
         ChatRequest(model_id="m", messages=(Message("assistant", "hi"),))
-    with pytest.raises(ValueError, match="temperature"):
-        make_request(temperature=-1)
+    for temperature in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            make_request(temperature=temperature)
     with pytest.raises(ValueError, match="role"):
         Message("tool", "x")
     assert make_request().temperature == 0.5  # the default
@@ -68,11 +68,6 @@ def test_fingerprint_is_stable_and_semantic():
     assert a != fingerprint(make_request("hello", temperature=0.7))
     assert a != fingerprint(make_request("hello", stop=("Observation:",)))
     assert len(a) == 64 and int(a, 16) >= 0
-
-
-def test_fingerprint_ignores_max_tokens():
-    assert fingerprint(make_request(max_tokens=100)) == fingerprint(make_request(max_tokens=999))
-    assert fingerprint(make_request(max_tokens=100)) == fingerprint(make_request())
 
 
 def test_scripted_backend_plays_in_order_and_logs_requests():
@@ -138,14 +133,16 @@ def test_replay_misses_unknown_request(tmp_path):
         replay.complete(make_request("never recorded"))
 
 
-def test_cassette_metadata_keeps_max_tokens(tmp_path):
+def test_cassette_line_that_still_carries_max_tokens_replays(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
     recording = RecordingBackend(ScriptedBackend(["x"]), cassette)
-    recording.complete(make_request(max_tokens=256))
+    recording.complete(make_request())
     recording.close()
-    entry = json.loads(cassette.read_text().splitlines()[0])
-    assert entry["request"]["max_tokens"] == 256
-    assert entry["request"]["model_id"] == "default"
+    entry = json.loads(cassette.read_text())
+    assert set(entry["request"]) == {"model_id", "n_messages", "last_message"}
+    entry["request"]["max_tokens"] = 256  # summaries written by older versions carry it
+    cassette.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+    assert ReplayBackend(load_cassette(cassette)).complete(make_request()).content == "x"
 
 
 def test_corrupt_cassette_names_line(tmp_path):
@@ -175,167 +172,50 @@ def test_usage_meter_accumulates():
     assert (meter.calls, meter.prompt_tokens, meter.completion_tokens) == (2, 30, 5)
 
 
-# --- the HTTP backend, with a fake transport -------------------------------
-
-
-class FakeTransport:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def __call__(self, url, headers, body, timeout):
-        self.requests.append((url, headers, body))
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def ok_payload(content="fine"):
-    return (
-        200,
-        {},
-        {
-            "choices": [{"message": {"content": content}, "finish_reason": "stop"}],
-            "usage": {"prompt_tokens": 12, "completion_tokens": 3},
-        },
-    )
-
-
-def make_backend(transport, **kwargs):
-    sleeps = []
-    backend = HTTPBackend(
-        "https://llm.example/v1",
-        "key",
-        transport=transport,
-        sleep=sleeps.append,
-        **kwargs,
-    )
-    return backend, sleeps
-
-
-def test_http_backend_success_and_wire_format():
-    transport = FakeTransport([ok_payload("hi there")])
-    backend, _ = make_backend(transport)
-    resp = backend.complete(make_request("ping", max_tokens=64, stop=("Observation:",)))
-    assert resp == ChatResponse("hi there", 12, 3, "stop")
-    url, headers, body = transport.requests[0]
-    assert url.endswith("/chat/completions")
-    assert headers["Authorization"] == "Bearer key"
-    assert body["model"] == "default"
-    assert body["max_tokens"] == 64
-    assert body["stop"] == ["Observation:"]
-    assert body["messages"][0] == {"role": "system", "content": "be brief"}
-
-
-def test_http_backend_retries_429_then_succeeds():
-    transport = FakeTransport([(429, {}, "slow down"), (429, {}, "slow down"), ok_payload()])
-    backend, sleeps = make_backend(transport)
-    assert backend.complete(make_request()).content == "fine"
-    assert len(backend.last_attempts) == 3
-    assert [a.status for a in backend.last_attempts] == [429, 429, 200]
-    assert sleeps == [1.0, 2.0]  # exponential backoff, base 1s
-
-
-def test_http_backend_honors_retry_after():
-    transport = FakeTransport([(429, {"Retry-After": "7"}, ""), ok_payload()])
-    backend, sleeps = make_backend(transport)
-    backend.complete(make_request())
-    assert sleeps == [7.0]
-
-
-def test_http_backend_attempt_cap_and_backoff_ceiling():
-    transport = FakeTransport([(429, {}, "")] * 9)
-    backend, sleeps = make_backend(
-        transport,
-        retry=RetryPolicy(max_attempts=4, base_delay=10.0, max_delay=100.0, total_delay_ceiling=35.0),
-    )
-    with pytest.raises(RateLimited):
-        backend.complete(make_request())
-    assert len(transport.requests) == 4  # never exceeds the cap
-    assert sum(sleeps) <= 35.0  # cumulative backoff respects the ceiling
-
-
-def test_http_backend_attempt_log_is_per_thread():
-    def transport(url, headers, body, timeout):
-        if body["messages"][-1]["content"] == "throttled" and not throttled:
-            throttled.append(True)
-            return 429, {"Retry-After": "0"}, ""
-        return ok_payload()
-
-    throttled = []
-    backend, _ = make_backend(transport)
-    both_done = threading.Barrier(2, timeout=5)
-    seen = {}
-
-    def call(content):
-        backend.complete(make_request(content))
-        both_done.wait()  # the other thread's call has finished too
-        seen[content] = [a.status for a in backend.last_attempts]
-
-    threads = [threading.Thread(target=call, args=(c,)) for c in ("throttled", "plain")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=5)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == {"throttled": [429, 200], "plain": [200]}
-
-
-def test_http_backend_auth_error_is_immediate():
-    transport = FakeTransport([(401, {}, "no")])
-    backend, sleeps = make_backend(transport)
-    with pytest.raises(AuthError):
-        backend.complete(make_request())
-    assert len(transport.requests) == 1
-    assert sleeps == []
-
-
-def test_http_backend_retries_5xx_and_transport_errors():
-    transport = FakeTransport([(503, {}, ""), TransportError("conn reset"), ok_payload()])
-    backend, _ = make_backend(transport)
-    assert backend.complete(make_request()).content == "fine"
-    statuses = [a.status for a in backend.last_attempts]
-    assert statuses == [503, None, 200]
-
-
-def test_http_backend_rejects_unexpected_4xx_without_retry():
-    transport = FakeTransport([(400, {}, {"error": "bad request"})])
-    backend, _ = make_backend(transport)
-    with pytest.raises(TransportError, match="400"):
-        backend.complete(make_request())
-    assert len(transport.requests) == 1
-
-
-def test_http_backend_malformed_payload():
-    transport = FakeTransport([(200, {}, {"surprise": True})])
-    backend, _ = make_backend(transport)
-    with pytest.raises(TransportError, match="malformed"):
-        backend.complete(make_request())
-
-
 # --- one status table for every live client ---------------------------------
 
-# client: (call given a base URL and a sleep, 200 body, error raised on each failing row)
+CHAT_OK = {
+    "choices": [{"message": {"content": "fine"}, "finish_reason": "stop"}],
+    "usage": {"prompt_tokens": 12, "completion_tokens": 3},
+}
+
+# client: (call given a base URL and the client's keyword arguments, 200 body,
+# (error, message pattern) raised on each failing row)
 LIVE_CLIENTS = {
     "chat": (
-        lambda url, sleep: HTTPBackend(url, "key", sleep=sleep).complete(make_request()),
-        ok_payload()[2],
-        {"401": AuthError, "404": TransportError, "exhausted": RateLimited},
+        lambda url, **kw: HTTPBackend(url, "key", **kw).complete(make_request()),
+        CHAT_OK,
+        {
+            "401": (AuthError, "401"),
+            "404": (TransportError, "404"),
+            "exhausted": (RateLimited, "429"),
+            "unusable": (TransportError, "malformed completion payload"),
+        },
     ),
     "search": (
-        lambda url, sleep: LiveSearchProvider(url, "key", sleep=sleep).search("q", date(2024, 4, 1), 8),
+        lambda url, **kw: LiveSearchProvider(url, "key", **kw).search("q", date(2024, 4, 1), 8),
         {"results": [{"title": "T", "url": "u", "snippet": "s"}]},
-        dict.fromkeys(("401", "404", "exhausted"), ProviderError),
+        {
+            "401": (ProviderError, "401"),
+            "404": (ProviderError, "404"),
+            "exhausted": (ProviderError, "429"),
+            "unusable": (ProviderError, "malformed search payload"),
+        },
     ),
     "market": (
-        lambda url, sleep: LiveMarketClient(url, sleep=sleep).get_market("m1"),
+        lambda url, **kw: LiveMarketClient(url, **kw).get_market("m1"),
         {"id": "m1"},
-        dict.fromkeys(("401", "404", "exhausted"), MarketError),
+        {
+            "401": (MarketError, "401"),
+            "404": (MarketError, "404"),
+            "exhausted": (MarketError, "429"),
+            "unusable": (MarketError, "expected a market object"),
+        },
     ),
 }
 
 THROTTLED = (429, {"Retry-After": "30"}, {})
+UNUSABLE = (200, {}, "<html>busy</html>")
 
 
 @pytest.mark.parametrize(
@@ -346,6 +226,10 @@ THROTTLED = (429, {"Retry-After": "30"}, {})
         pytest.param([404], [], "404", id="404-fails-at-once"),
         pytest.param([503, 200], [1.0], None, id="503-then-200"),
         pytest.param([DROP, 200], [1.0], None, id="connection-error-then-200"),
+        pytest.param([429, 429, 200], [1.0, 2.0], None, id="429-429-200"),
+        pytest.param([(429, {"Retry-After": "7"}, {}), 200], [7.0], None, id="429-retry-after-then-200"),
+        pytest.param([503, DROP, 200], [1.0, 2.0], None, id="503-drop-200"),
+        pytest.param([UNUSABLE], [], "unusable", id="unusable-200-body"),
         # 30 + 30 s reaches the 60 s ceiling; the last two retries do not sleep
         pytest.param([THROTTLED] * 5, [30.0, 30.0], "exhausted", id="429s-stop-at-max-attempts"),
     ],
@@ -356,12 +240,39 @@ def test_live_clients_share_one_status_table(loopback, client, served, sleeps, f
     loopback.serve(*[(o, {}, ok_body if o == 200 else {}) if isinstance(o, int) else o for o in served])
     slept = []
     if fails_with is None:
-        assert call(loopback.url, slept.append)
+        assert call(loopback.url, sleep=slept.append)
     else:
-        with pytest.raises(errors[fails_with], match=None if fails_with == "exhausted" else fails_with):
-            call(loopback.url, slept.append)
+        error, pattern = errors[fails_with]
+        with pytest.raises(error, match=pattern):
+            call(loopback.url, sleep=slept.append)
     assert len(loopback.requests) == len(served)
     assert slept == sleeps and sum(slept) <= RetryPolicy().total_delay_ceiling
+
+
+@pytest.mark.parametrize("client", sorted(LIVE_CLIENTS))
+def test_live_clients_keep_a_custom_attempt_cap(loopback, client):
+    call, _, errors = LIVE_CLIENTS[client]
+    loopback.serve((429, {}, {}))
+    slept = []
+    policy = RetryPolicy(max_attempts=4, base_delay=10.0, max_delay=100.0, total_delay_ceiling=35.0)
+    with pytest.raises(errors["exhausted"][0]):
+        call(loopback.url, sleep=slept.append, retry=policy)
+    assert len(loopback.requests) == 4  # never exceeds the cap
+    assert slept == [10.0, 20.0, 5.0]  # the third wait is cut to the 35 s ceiling
+
+
+def test_http_backend_success_and_wire_format(loopback):
+    loopback.serve((200, {}, CHAT_OK))
+    backend = HTTPBackend(loopback.url + "/v1/", "key")
+    assert backend.complete(make_request("ping", stop=("Observation:",))) == ChatResponse("fine", 12, 3, "stop")
+    method, target, headers, body = loopback.requests[0]
+    assert (method, target, headers["Authorization"]) == ("POST", "/v1/chat/completions", "Bearer key")
+    assert json.loads(body) == {
+        "model": "default",
+        "messages": [{"role": "system", "content": "be brief"}, {"role": "user", "content": "ping"}],
+        "temperature": 0.5,
+        "stop": ["Observation:"],
+    }
 
 
 # --- the keep-alive transport, against a loopback server ----------------------
