@@ -601,22 +601,27 @@ class MarketArrivalBackend:
     """Live stand-in whose replies depend on how many requests arrived
     before. Later markets' requests arrive first, the reverse of the order
     a one-at-a-time replay sends them in. Some judge replies are unparsable,
-    so their market sends a second judge request."""
+    so their market sends a second judge request. Whatever the order, the
+    judge keeps the first four markets (one of each fate) and drops the
+    last, so every recording holds kept, dropped, resolved, cancelled and
+    open markets."""
 
     def __init__(self, markets: list[dict]):
         self.position = {m["id"]: i for i, m in enumerate(markets)}
+        self.fixed_verdicts = {**dict.fromkeys(range(4), "Yes."), len(markets) - 1: "No."}
         self.lock = threading.Lock()
         self.arrivals = 0
 
     def complete(self, request):
         market_id, _ = current_lane()
-        time.sleep(0.005 * (len(self.position) - self.position[market_id]))
+        position = self.position[market_id]
+        time.sleep(0.005 * (len(self.position) - position))
         with self.lock:
             n = self.arrivals
             self.arrivals += 1
         if "Categories:" in request.messages[0].content:
             return ChatResponse(Category.labels()[n % len(Category.labels())])
-        return ChatResponse(["Maybe.", "No.", "Yes.", "Yes."][n % 4])
+        return ChatResponse(self.fixed_verdicts.get(position, ["Maybe.", "No.", "Yes.", "Yes."][n % 4]))
 
 
 class SlowFixtureClient(FixtureMarketClient):

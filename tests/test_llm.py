@@ -261,6 +261,24 @@ def test_live_clients_keep_a_custom_attempt_cap(loopback, client):
     assert slept == [10.0, 20.0, 5.0]  # the third wait is cut to the 35 s ceiling
 
 
+def test_http_backend_auth_error_is_immediate(loopback):
+    loopback.serve((401, {}, {}))
+    slept = []
+    with pytest.raises(AuthError):
+        HTTPBackend(loopback.url, "key", sleep=slept.append).complete(make_request())
+    assert len(loopback.requests) == 1
+    assert slept == []
+
+
+def test_http_backend_rejects_unexpected_4xx_without_retry(loopback):
+    loopback.serve((400, {}, {"error": "bad request"}))
+    slept = []
+    with pytest.raises(TransportError, match="400"):
+        HTTPBackend(loopback.url, "key", sleep=slept.append).complete(make_request())
+    assert len(loopback.requests) == 1
+    assert slept == []
+
+
 def test_http_backend_success_and_wire_format(loopback):
     loopback.serve((200, {}, CHAT_OK))
     backend = HTTPBackend(loopback.url + "/v1/", "key")
