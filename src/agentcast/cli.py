@@ -14,9 +14,8 @@ import logging
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from importlib import resources
@@ -43,6 +42,7 @@ from .llm import (
     HTTPBackend,
     UsageMeter,
     close_connections,
+    fan_out,
     in_lane,
     leakage_probe,
 )
@@ -148,6 +148,10 @@ class RunConfig:
         return parsed
 
 
+# the JSON values each RunConfig annotation accepts; true and false fit none
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+
+
 def load_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -157,14 +161,15 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    types = {f.name: f.type for f in fields(RunConfig)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    try:
-        return RunConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from None
+    for key, value in raw.items():
+        accepted = tuple(_JSON_TYPES[name] for name in types[key].split(" | "))
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config {path}: {key} must be {types[key]}, got {json.dumps(value)}")
+    return RunConfig(**raw)
 
 
 _FLAG_OVERRIDES = ("cutoff", "aggregator", "bins", "seed", "workers")
@@ -255,9 +260,14 @@ def run_forecast(
     and a manifest.
 
     Every (question, member) pair is one task; `workers` is how many run at
-    once, in dataset and member order. Each member runs in its own lane, so
-    record/replay stays deterministic at any `workers`. A question's record
-    and transcript index are built when its last member finishes.
+    once, and results come back in dataset and member order. Each member
+    runs in its own lane, so record/replay stays deterministic at any
+    `workers`. A question's record and transcript index are built once its
+    last member is back.
+
+    A member that raises a backend error ends the run: queued members do
+    not start and the error propagates. Any other failure marks only its
+    question as an error, and that question's queued members do not start.
 
     Questions that already have a record in the output file are skipped, so an
     interrupted run resumes where it stopped. The records file is rewritten in
@@ -271,72 +281,53 @@ def run_forecast(
     transcripts_dir = out_dir / "transcripts"
     started = time.monotonic()
 
-    existing: dict[str, ForecastRecord] = {}
+    results: dict[str, ForecastRecord] = {}
     if records_path.exists():
-        existing = {r.question_id: r for r in read_records(records_path)}
-        existing = {qid: r for qid, r in existing.items() if qid in {q.id for q in dataset}}
-    statuses: dict[str, str] = {
-        qid: ("declined" if record.declined else "forecasted") for qid, record in existing.items()
-    }
+        ids = {q.id for q in dataset}
+        results = {r.question_id: r for r in read_records(records_path) if r.question_id in ids}
     errors: dict[str, str] = {}
-    pending = [q for q in dataset if q.id not in existing]
-    results: dict[str, ForecastRecord] = dict(existing)
+    pending = [q for q in dataset if q.id not in results]
 
-    missed = threading.Event()
-
-    def run_one(question: Question, m: int) -> tuple[MemberForecast, list[dict]] | None:
-        if missed.is_set():
-            return None  # the run is aborting on a cassette miss
+    def run_one(job: tuple[Question, int]) -> tuple[MemberForecast, list[dict]] | None:
+        question, m = job
+        if question.id in errors:
+            return None  # a sibling member failed; the question is an error already
         try:
             with in_lane(question.id, m):
                 outcome, tree = run_member(question)
-        except CassetteMiss:
-            missed.set()
-            raise
-        ref, entries = save_transcript_tree(tree, transcripts_dir, question.id, m)
+            ref, entries = save_transcript_tree(tree, transcripts_dir, question.id, m)
+        except BackendError:
+            raise  # a rejected key or a cassette fault ends the run
+        except Exception as exc:
+            logger.error("question %s failed: %s", question.id, exc)
+            errors.setdefault(question.id, str(exc))
+            return None
         return MemberForecast(member_index=m, forecast=outcome, transcript_ref=ref), entries
 
     def finish(question: Question, outcomes: list[tuple[MemberForecast, list[dict]]]) -> None:
         write_tree_index(transcripts_dir, question.id, [e for _, entries in outcomes for e in entries])
         members = tuple(member for member, _ in outcomes)
-        if any(isinstance(m.forecast, Declined) for m in members):
-            results[question.id] = ForecastRecord(question.id, members, aggregator_mode, None)
-            statuses[question.id] = "declined"
-            return
-        values = [m.forecast for m in members if isinstance(m.forecast, Forecast)]
-        agg = aggregate(values, aggregator_mode, seed=f"{seed}:{question.id}")
+        agg = None
+        if not any(isinstance(m.forecast, Declined) for m in members):
+            values = [m.forecast for m in members if isinstance(m.forecast, Forecast)]
+            agg = aggregate(values, aggregator_mode, seed=f"{seed}:{question.id}")
         results[question.id] = ForecastRecord(question.id, members, aggregator_mode, agg)
-        statuses[question.id] = "forecasted"
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        tasks = {pool.submit(run_one, q, m): (q, m) for q in pending for m in range(ensemble_size)}
-        done: dict[str, list] = {q.id: [None] * ensemble_size for q in pending}
-        for future in as_completed(tasks):
-            question, m = tasks[future]
-            if statuses.get(question.id) == "error":
-                continue
-            try:
-                done[question.id][m] = future.result()
-                if all(done[question.id]):
-                    finish(question, done[question.id])
-            except CassetteMiss:
-                raise
-            except Exception as exc:
-                logger.error("question %s failed: %s", question.id, exc)
-                statuses[question.id] = "error"
-                errors[question.id] = str(exc)
-                for sibling, (q, _) in tasks.items():
-                    if q is question:
-                        sibling.cancel()
-    finally:
-        # a cassette miss (or an interrupt) must not start the queued members
-        pool.shutdown(cancel_futures=True)
+    jobs = [(q, m) for q in pending for m in range(ensemble_size)]
+    with closing(fan_out(run_one, jobs, workers)) as outcomes:
+        for question in pending:
+            members = [next(outcomes) for _ in range(ensemble_size)]
+            if question.id not in errors:
+                finish(question, members)
 
+    statuses = {
+        q.id: "error" if q.id not in results else "declined" if results[q.id].declined else "forecasted"
+        for q in dataset
+    }
     write_records(records_path, [results[q.id] for q in dataset if q.id in results])
     manifest = {
         "config": config_echo or {},
-        "questions": {q.id: statuses.get(q.id, "error") for q in dataset},
+        "questions": statuses,
         "errors": errors,
         "token_usage": {
             "calls": usage.calls if usage else 0,

@@ -77,10 +77,13 @@ def as_tool(agent: LowLevelAgent) -> ToolSpec:
 
     The action input becomes the worker's task; the observation is the
     worker's final answer text (truncated to the agent's observation budget),
-    never a probability the planner could just copy. Worker failures come
-    back as bracketed error observations so the planner can route around them.
-    The worker runs on the backend of the `forecast_one` call that invoked it,
-    and its transcript joins that call's tree.
+    never a probability the planner could just copy. A worker that declines,
+    for example because a chat call failed after its retries, comes back as
+    a bracketed error observation so the planner can route around it. Any
+    other backend error in the worker (a rejected key, a cassette miss or a
+    failed cassette write) propagates and ends the run. The worker runs on
+    the backend of the `forecast_one` call that invoked it, and its
+    transcript joins that call's tree.
     """
 
     def invoke(task: str) -> str:

@@ -4,7 +4,8 @@ One protocol (`complete(ChatRequest) -> ChatResponse`) with four
 implementations: a live HTTP adapter with retry and rate limiting, a scripted
 backend for tests, and a recording/replay pair built on JSONL cassettes keyed
 by the calling lane and a stable request fingerprint. Replay is the offline
-mode the whole test suite and the deterministic CLI runs sit on.
+mode the whole test suite and the deterministic CLI runs sit on. `fan_out`
+runs the lanes of forecast, curate and resolve concurrently.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import select
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
 
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
@@ -36,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.5
 
+T = TypeVar("T")
+R = TypeVar("R")
+
 
 class BackendError(Exception):
     """Base class for chat backend failures."""
@@ -45,7 +50,13 @@ class AuthError(BackendError):
     """Credentials rejected. Never retried."""
 
 
-class RateLimited(BackendError):
+class CallFailed(BackendError):
+    """One call failed after its retries. The caller declines the member or
+    drops the market, and the run goes on; every other BackendError (a
+    rejected key, a cassette fault) ends the run."""
+
+
+class RateLimited(CallFailed):
     """Provider throttled us and retries were exhausted."""
 
     def __init__(self, message: str, retry_after: float | None = None):
@@ -53,7 +64,7 @@ class RateLimited(BackendError):
         self.retry_after = retry_after
 
 
-class TransportError(BackendError):
+class TransportError(CallFailed):
     """Network failure or an HTTP status we do not handle."""
 
 
@@ -96,6 +107,33 @@ def in_lane(question_id: str, member_index: int) -> Iterator[None]:
         yield
     finally:
         _lane.reset(token)
+
+
+def fan_out(fn: Callable[[T], R], items: Sequence[T], workers: int) -> Iterator[R]:
+    """Call `fn` on each item, `workers` calls at a time, and yield the
+    results in item order.
+
+    Once a call raises, the calls not yet started do nothing, and the error
+    propagates when the calls in flight have finished. No thread outlives
+    the iteration: closing the iterator early stops it the same way.
+    """
+    failed = threading.Event()
+
+    def call(item: T) -> R | None:
+        if failed.is_set():
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(call, items)
+    finally:
+        failed.set()
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

@@ -13,24 +13,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .llm import (
-    AuthError,
     Backend,
     BackendError,
-    CassetteMiss,
+    CallFailed,
     ChatRequest,
     Message,
     RetryPolicy,
+    fan_out,
     in_lane,
     send_with_retry,
 )
@@ -67,7 +65,6 @@ class MarketRecord:
     probability: float
     is_resolved: bool
     resolution: str | None
-    raw: dict
 
     def __post_init__(self):
         if self.is_resolved and self.resolution is None:
@@ -91,7 +88,6 @@ class MarketRecord:
             probability=float(raw["probability"]),
             is_resolved=bool(raw.get("isResolved", False)),
             resolution=raw.get("resolution"),
-            raw=raw,
         )
 
 
@@ -246,9 +242,9 @@ def llm_filter(backend: Backend, question_text: str, *, model_id: str = "default
     """Ask the judge whether a market belongs in the dataset.
 
     Keep iff the reply normalizes to "Yes". An unparsable reply is retried
-    once, then dropped with a warning. Backend failures drop the market
-    (auth failures and cassette misses propagate; they mean the whole run is
-    misconfigured).
+    once, then dropped with a warning. A call that fails after its retries
+    (CallFailed) drops the market; every other backend error (a rejected
+    key, a cassette fault) propagates, since the whole run is misconfigured.
     """
     request = ChatRequest(
         model_id=model_id,
@@ -258,9 +254,7 @@ def llm_filter(backend: Backend, question_text: str, *, model_id: str = "default
     for _ in range(2):
         try:
             reply = backend.complete(request).content
-        except (AuthError, CassetteMiss):
-            raise
-        except BackendError as exc:
+        except CallFailed as exc:
             logger.warning("judge backend error for %r: %s", question_text[:60], exc)
             return FilterVerdict("drop", f"[backend error: {exc}]")
         replies.append(reply)
@@ -285,8 +279,8 @@ def classify_category(backend: Backend, question_text: str, *, model_id: str = "
     """Classify a question into one of the fixed topic buckets.
 
     Replies that are not an exact label (after whitespace/case normalization)
-    come back as Unknown, as do backend failures other than auth failures and
-    cassette misses.
+    come back as Unknown, as do calls that fail after their retries
+    (CallFailed); every other backend error propagates.
     """
     request = ChatRequest(
         model_id=model_id,
@@ -299,30 +293,13 @@ def classify_category(backend: Backend, question_text: str, *, model_id: str = "
     )
     try:
         reply = backend.complete(request).content
-    except (AuthError, CassetteMiss):
-        raise
-    except BackendError as exc:
+    except CallFailed as exc:
         logger.warning("classifier backend error for %r: %s", question_text[:60], exc)
         return Category.UNKNOWN
     category = Category.from_label(reply.strip())
     if category is Category.UNKNOWN:
         logger.warning("unrecognized category reply %r for %r", reply.strip()[:40], question_text[:60])
     return category
-
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
-    """Call `fn` on every item, `workers` calls at a time, and return the
-    results in item order. When a call raises, the calls not yet started are
-    cancelled and the error propagates once the running ones finish."""
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def curate_markets(
@@ -337,26 +314,19 @@ def curate_markets(
     category is None for a dropped market.
 
     Each market's requests run in lane (market_id, 0), so a recorded curate
-    replays the same at any `workers`. An auth failure or a cassette miss
-    stops the run: markets not started yet send no request, and the error
-    propagates once the markets in flight finish.
+    replays the same at any `workers`. A backend error that is not a
+    CallFailed stops the run: markets not started yet send no request, and
+    the error propagates once the markets in flight finish.
     """
-    failed = threading.Event()
 
-    def curate_one(record: MarketRecord) -> tuple[FilterVerdict, Category | None] | None:
-        if failed.is_set():
-            return None  # another market failed; the run is aborting
-        try:
-            with in_lane(record.market_id, 0):
-                verdict = llm_filter(backend, record.question_text, model_id=model_id)
-                if not verdict.keep:
-                    return verdict, None
-                return verdict, classify_category(backend, record.question_text, model_id=model_id)
-        except (AuthError, CassetteMiss):
-            failed.set()
-            raise
+    def curate_one(record: MarketRecord) -> tuple[FilterVerdict, Category | None]:
+        with in_lane(record.market_id, 0):
+            verdict = llm_filter(backend, record.question_text, model_id=model_id)
+            if not verdict.keep:
+                return verdict, None
+            return verdict, classify_category(backend, record.question_text, model_id=model_id)
 
-    return _map_in_order(curate_one, records, workers)
+    return list(fan_out(curate_one, records, workers))
 
 
 def category_frequencies(questions: Iterable[Question]) -> list[tuple[Category, int]]:
@@ -435,7 +405,7 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path, *, work
             return None
 
     open_questions = [q for q in questions if q.outcome is None and not q.excluded]
-    fetched = iter(_map_in_order(fetch, open_questions, workers))
+    fetched = iter(list(fan_out(fetch, open_questions, workers)))
     updated: list[Question] = []
     resolved = pending = excluded = 0
     for question in questions:

@@ -20,7 +20,7 @@ from typing import Union
 from .llm import (
     Backend,
     BackendError,
-    CassetteMiss,
+    CallFailed,
     ChatRequest,
     DEFAULT_TEMPERATURE,
     Message,
@@ -301,22 +301,16 @@ class RunOutcome:
     transcript: Transcript
 
 
-def _prepare_messages(
-    config: ReactConfig, task: str, steps: list[AgentStep]
-) -> tuple[tuple[Message, ...] | None, bool]:
-    """Assemble messages under the budget policy.
-
-    Returns (messages, exceeded). messages is None only in fail mode when the
-    budget is blown; in compact mode the history is compacted instead.
-    """
+def _prepare_messages(config: ReactConfig, task: str, steps: list[AgentStep]) -> tuple[Message, ...] | None:
+    """Assemble messages under the budget policy: None in fail mode when the
+    budget is blown; in compact mode the history is compacted instead."""
     messages = assemble_messages(config, task, steps)
     limit = config.context_token_limit
     if limit is None or context_estimate(messages) <= limit:
-        return messages, False
+        return messages
     if config.on_budget_exceeded == "fail":
-        return None, True
-    compacted = compact_steps(config, task, steps)
-    return assemble_messages(config, task, compacted), True
+        return None
+    return assemble_messages(config, task, compact_steps(config, task, steps))
 
 
 def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
@@ -324,9 +318,9 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
 
     Ends with a Forecast or Declined plus the full transcript. The model gets
     max_iterations emissions; if it still has not answered, one finalization
-    request is made with tools forbidden. Backend failures (other than a
-    cassette miss, which is a broken-fixture bug and propagates) decline the
-    run rather than killing the batch.
+    request is made with tools forbidden. A chat call that fails after its
+    retries (CallFailed) declines the run rather than killing the batch;
+    every other backend error, here or inside a tool, propagates.
     """
     steps: list[AgentStep] = []
     tool_names = config.tools.names()
@@ -343,14 +337,12 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
         )
         try:
             return backend.complete(request).content, None
-        except CassetteMiss:
-            raise
-        except BackendError as exc:
+        except CallFailed as exc:
             logger.warning("agent %s: backend failure: %s", config.agent_id, exc)
             return None, finish(Declined(f"backend: {exc}"), FinalState("truncated"))
 
     for _ in range(config.max_iterations):
-        messages, exceeded = _prepare_messages(config, task, steps)
+        messages = _prepare_messages(config, task, steps)
         if messages is None:
             return finish(Declined("budget"), FinalState("truncated"))
         content, failed = complete(messages)
@@ -364,6 +356,8 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             assert tool is not None
             try:
                 observation = tool.invoke(parsed.action_input)
+            except BackendError:
+                raise  # a worker's rejected key or cassette fault ends the run
             except Exception as exc:  # tool bugs become observations, not crashes
                 logger.warning("agent %s: tool %s raised: %s", config.agent_id, parsed.action, exc)
                 observation = f"tool error: {exc}"
@@ -379,7 +373,7 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             )
 
     # iteration cap reached: force one tool-free finalization
-    messages, _ = _prepare_messages(config, task, steps)
+    messages = _prepare_messages(config, task, steps)
     if messages is None:
         return finish(Declined("budget"), FinalState("truncated"))
     messages = messages + (Message("user", FINALIZE_INSTRUCTION),)

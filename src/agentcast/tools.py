@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import os
-import shlex
 import signal
 import subprocess
 import sys
@@ -223,27 +222,21 @@ class ExecResult:
     wall_time: float
 
 
+# characters of stdout (the head) and of stderr (the tail) a program may
+# return, so one chatty program cannot flood an agent's context
+SANDBOX_OUTPUT_CAP = 8000
+
+
 @dataclass(frozen=True)
 class Sandbox:
-    """Subprocess sandbox for model-written Python.
+    """Subprocess sandbox for model-written Python, run by this interpreter
+    with a wall-clock cap of `timeout` seconds."""
 
-    command_template is rendered with a {file} placeholder pointing at the
-    program inside a throwaway working directory; empty means "this
-    interpreter". Output is capped so one chatty program cannot flood an
-    agent's context.
-    """
-
-    command_template: str = ""
     timeout: float = 10.0
-    output_cap: int = 8000
 
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        template = self.command_template or f"{sys.executable} {{file}}"
-        if "{file}" not in template:
-            raise ValueError("command_template must contain a {file} placeholder")
-        object.__setattr__(self, "command_template", template)
 
 
 _SANDBOX_ENV = ("PATH", "LANG")
@@ -262,13 +255,9 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
     with tempfile.TemporaryDirectory(prefix="agentcast-sandbox-") as workdir:
         program_path = Path(workdir) / "program.py"
         program_path.write_text(program, encoding="utf-8")
-        argv = [
-            part.replace("{file}", str(program_path))
-            for part in shlex.split(sandbox.command_template)
-        ]
         start = time.monotonic()
         with subprocess.Popen(
-            argv,
+            [sys.executable, str(program_path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -286,10 +275,9 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
             finally:
                 _kill_group(proc.pid)  # the program if it overran, and whatever it left running
         wall = time.monotonic() - start
-        cap = sandbox.output_cap
         return ExecResult(
-            stdout=stdout[:cap],
-            stderr=stderr[-cap:],
+            stdout=stdout[:SANDBOX_OUTPUT_CAP],
+            stderr=stderr[-SANDBOX_OUTPUT_CAP:],
             exit_status=proc.returncode,
             wall_time=wall,
         )

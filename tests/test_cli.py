@@ -1,7 +1,9 @@
 """CLI wiring: config precedence, the forecast/curate/resolve/score/probe
 commands run end to end over fixtures, resume semantics, and exit codes."""
 
+import errno
 import gc
+import io
 import json
 import subprocess
 import sys
@@ -76,6 +78,26 @@ def test_load_config_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("workers", "2"), ("temperature", "hot"), ("ensemble_size", True), ("cutoff", 20240415)],
+)
+def test_config_value_of_the_wrong_type_exits_1_naming_the_key(tmp_path, capsys, key, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        load_config(path)
+    assert cli.main(["probe", "--config", str(path)]) == EXIT_FATAL
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_load_config_takes_ints_for_float_fields(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"temperature": 1, "sandbox_timeout": 5, "context_token_limit": None}))
+    cfg = load_config(path)
+    assert (cfg.temperature, cfg.sandbox_timeout, cfg.context_token_limit) == (1, 5, None)
 
 
 def test_flags_override_config_file(tmp_path):
@@ -311,6 +333,60 @@ def test_cassette_miss_starts_no_queued_member(tmp_path):
     with pytest.raises(CassetteMiss):
         run_forecast(dataset, run_member, tmp_path / "run", ensemble_size=3, aggregator_mode="median", seed=0)
     assert started == ["qa"]
+
+
+class RejectsTheKey:
+    """Rejects every chat request, once `parties` of them are waiting at the
+    same time, so every member in flight has sent its first request."""
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        self.barrier.wait()
+        raise AuthError("authentication rejected (401)")
+
+
+def test_forecast_with_a_rejected_key_exits_1_and_a_rerun_forecasts_everything(tmp_path, monkeypatch, capsys):
+    backend = RejectsTheKey(3)
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    out = tmp_path / "run"
+    assert replay_forecast(out, "--workers", "1") == EXIT_FATAL
+    assert len(backend.requests) == 3  # the first question's members; no queued member started
+    assert "authentication rejected (401)" in capsys.readouterr().err
+    assert not (out / "forecasts.jsonl").exists()
+
+    monkeypatch.undo()  # a working backend: the e2e cassette
+    assert replay_forecast(out, "--workers", "1") == EXIT_OK
+    assert replay_forecast(tmp_path / "fresh") == EXIT_OK
+    assert run_outputs(out) == run_outputs(tmp_path / "fresh")
+
+
+class FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_forecast_recording_whose_write_fails_exits_1(tmp_path, monkeypatch, capsys):
+    class FullDiskRecorder(RecordingBackend):
+        def __init__(self, inner, path):
+            super().__init__(inner, path)
+            self._fh.close()
+            self._fh = FullDisk()
+
+    live = ScriptedBackend(["Thought: enough.\nFinal Answer: 0.4"] * 15)
+    monkeypatch.setenv("LLM_API_KEY", "key")
+    monkeypatch.setenv("LLM_BASE_URL", "http://llm.invalid/v1")
+    monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: live)
+    monkeypatch.setattr(cli, "RecordingBackend", FullDiskRecorder)
+    out = tmp_path / "run"
+    cassette = tmp_path / "cassette.jsonl"
+    assert replay_forecast(out, "--record", "--workers", "1", cassette=cassette) == EXIT_FATAL
+    assert "cannot write cassette" in capsys.readouterr().err
+    assert len(live.requests) <= 3  # only the members already in flight
+    assert not (out / "forecasts.jsonl").exists()
 
 
 def counting_runner(counter):

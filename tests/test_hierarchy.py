@@ -18,7 +18,7 @@ from agentcast.hierarchy import (
     write_tree_index,
 )
 from agentcast.cli import RunConfig
-from agentcast.llm import ChatResponse, ScriptedBackend, TransportError
+from agentcast.llm import CassetteMiss, ChatRequest, ChatResponse, Message, ScriptedBackend, TransportError
 from agentcast.models import Declined, Forecast, read_jsonl
 from agentcast.react import ReactConfig
 from agentcast.tools import Sandbox, ToolRegistry, ToolSpec
@@ -128,6 +128,15 @@ def test_as_tool_reports_worker_failures_as_bracketed_text():
     ))
     _, tree = forecast_one(planner_over(worker), no_answer, make_question())
     assert tree.planner.steps[0].observation.startswith("[subagent error: truncated:")
+
+
+def test_worker_cassette_miss_ends_the_member():
+    agent, _ = research_agent()
+    miss = CassetteMiss("f" * 64, ChatRequest("default", (Message("user", "x"),)))
+    backend = ScriptedBackend(["Action: web_research\nAction Input: t", miss, "Final Answer: 0.6"])
+    with pytest.raises(CassetteMiss):
+        forecast_one(planner_over(agent), backend, make_question())
+    assert len(backend.requests) == 2  # the planner never answered around a tool error
 
 
 def test_render_task_prompt_with_and_without_optionals():

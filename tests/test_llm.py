@@ -27,6 +27,7 @@ from agentcast.llm import (
     ScriptedBackend,
     TransportError,
     UsageMeter,
+    fan_out,
     fingerprint,
     http_transport,
     in_lane,
@@ -170,6 +171,54 @@ def test_usage_meter_accumulates():
     meter.complete(make_request("one"))
     meter.complete(make_request("two"))
     assert (meter.calls, meter.prompt_tokens, meter.completion_tokens) == (2, 30, 5)
+
+
+# --- the shared fan-out ------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_fan_out_yields_results_in_item_order(workers):
+    def square(i):
+        time.sleep(0.01 * (5 - i) if i < 5 else 0)  # early items finish last
+        return i * i
+
+    before = threading.active_count()
+    assert list(fan_out(square, range(12), workers)) == [i * i for i in range(12)]
+    assert threading.active_count() == before
+
+
+def test_fan_out_starts_no_item_after_a_call_raises():
+    started = []
+
+    def call(i):
+        started.append(i)
+        if i == 2:
+            raise AuthError("authentication rejected (401)")
+        time.sleep(0.2)  # the other items in flight outlast the failure
+        return i
+
+    before = threading.active_count()
+    with pytest.raises(AuthError, match="401"):
+        list(fan_out(call, range(20), 4))
+    # only the four items taken before the failure ever started
+    assert 2 in started and set(started) <= {0, 1, 2, 3}
+    assert threading.active_count() == before
+
+
+def test_fan_out_closed_early_stops_and_leaves_no_thread():
+    started = []
+
+    def call(i):
+        started.append(i)
+        time.sleep(0.02)
+        return i
+
+    before = threading.active_count()
+    results = fan_out(call, range(50), 2)
+    assert next(results) == 0
+    results.close()
+    assert threading.active_count() == before
+    assert len(started) < 50
 
 
 # --- one status table for every live client ---------------------------------

@@ -281,9 +281,9 @@ def test_run_react_declines_on_backend_failure():
     assert isinstance(outcome.result, Declined)
     assert outcome.result.reason.startswith("backend:")
     assert outcome.transcript.final.kind == "truncated"
-    # auth failures too: the run declines, the batch survives
-    outcome = run_react(config(registry), ScriptedBackend([AuthError("bad key")]), "task")
-    assert outcome.result.reason.startswith("backend:")
+    # a rejected key is not one failed call: it ends the run
+    with pytest.raises(AuthError):
+        run_react(config(registry), ScriptedBackend([AuthError("bad key")]), "task")
 
 
 def test_run_react_propagates_cassette_miss():
