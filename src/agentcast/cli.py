@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -31,6 +31,7 @@ from .hierarchy import (
     write_tree_index,
 )
 from .llm import (
+    DEFAULT_TEMPERATURE,
     AuthError,
     Backend,
     BackendError,
@@ -74,6 +75,7 @@ from .metrics import (
     render_score_table,
 )
 from .models import (
+    AGGREGATORS,
     Declined,
     Forecast,
     ForecastRecord,
@@ -89,7 +91,14 @@ from .models import (
     write_jsonl,
     write_records,
 )
-from .tools import FixtureSearchProvider, LiveSearchProvider, Sandbox, SearchProvider
+from .tools import (
+    DEFAULT_OBSERVATION_BUDGET,
+    DEFAULT_RESULTS_PER_SEARCH,
+    FixtureSearchProvider,
+    LiveSearchProvider,
+    Sandbox,
+    SearchProvider,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -108,11 +117,10 @@ EXIT_EMPTY = 2
 
 @dataclass
 class RunConfig:
-    """Run-wide knobs, loadable from a JSON config file; flags win over file
-    values, file values win over these defaults."""
+    """Run-wide knobs: defaults < JSON config file < flags, checked once on the merged values."""
 
     model_id: str = "default"
-    temperature: float = 0.5
+    temperature: float = DEFAULT_TEMPERATURE
     ensemble_size: int = 3
     aggregator: str = "median"
     bins: int = 10
@@ -120,8 +128,8 @@ class RunConfig:
     workers: int = 1
     max_iterations: int = 10
     worker_iterations: int = 10
-    observation_budget: int = 4000
-    results_per_search: int = 8
+    observation_budget: int = DEFAULT_OBSERVATION_BUDGET
+    results_per_search: int = DEFAULT_RESULTS_PER_SEARCH
     context_token_limit: int | None = None
     sandbox_timeout: float = 10.0
     rate_limit_rpm: float = 60.0
@@ -129,6 +137,18 @@ class RunConfig:
     search_base_url: str | None = None
     market_base_url: str = DEFAULT_MARKET_BASE_URL
     cutoff: str | None = None
+
+    def __post_init__(self):
+        if self.ensemble_size < 1:
+            raise ConfigError(f"ensemble size must be at least 1, got {self.ensemble_size}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and non-negative, got {self.temperature}")
+        if self.aggregator not in AGGREGATORS:
+            raise ConfigError(f"unknown aggregator {self.aggregator!r} (expected one of {', '.join(AGGREGATORS)})")
+        if self.cutoff and (cutoff := self.cutoff_date()) > date.today():
+            raise ConfigError(f"cutoff {cutoff} lies in the future")
 
     @property
     def in_flight(self) -> int:
@@ -140,24 +160,21 @@ class RunConfig:
         if not self.cutoff:
             raise ConfigError("no cutoff date configured (use --cutoff or the config file)")
         try:
-            parsed = date.fromisoformat(self.cutoff)
+            return date.fromisoformat(self.cutoff)
         except ValueError:
             raise ConfigError(f"malformed cutoff date {self.cutoff!r} (expected YYYY-MM-DD)") from None
-        if parsed > date.today():
-            raise ConfigError(f"cutoff {parsed} lies in the future")
-        return parsed
 
 
 # the JSON values each RunConfig annotation accepts; true and false fit none
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an int past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -169,27 +186,21 @@ def load_config(path: str | Path) -> RunConfig:
         accepted = tuple(_JSON_TYPES[name] for name in types[key].split(" | "))
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(f"config {path}: {key} must be {types[key]}, got {json.dumps(value)}")
-    return RunConfig(**raw)
-
-
-_FLAG_OVERRIDES = ("cutoff", "aggregator", "bins", "seed", "workers")
+        if types[key] == "float":
+            try:
+                raw[key] = float(value)  # so `1` and `1.0` make the same requests
+            except OverflowError:
+                raise ConfigError(f"config {path}: {key} is too large for a float") from None
+    return raw
 
 
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = load_config(ns.config) if getattr(ns, "config", None) else RunConfig()
-    if getattr(ns, "ensemble", None) is not None:
-        cfg = replace(cfg, ensemble_size=ns.ensemble)
-    for name in _FLAG_OVERRIDES:
-        value = getattr(ns, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    if cfg.ensemble_size < 1:
-        raise ConfigError(f"ensemble size must be at least 1, got {cfg.ensemble_size}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
-    if not 0 <= cfg.temperature < math.inf:
-        raise ConfigError(f"temperature must be finite and non-negative, got {cfg.temperature}")
-    return cfg
+    """Lay every RunConfig field a flag set (not None) over the file's values, then check them once."""
+    values = load_config(ns.config) if ns.config else {}
+    for f in fields(RunConfig):
+        if getattr(ns, f.name, None) is not None:
+            values[f.name] = getattr(ns, f.name)
+    return RunConfig(**values)
 
 
 def _require_env(name: str) -> str:
@@ -202,10 +213,8 @@ def _require_env(name: str) -> str:
 def build_backend(ns: argparse.Namespace, cfg: RunConfig) -> UsageMeter:
     """Replay when a cassette is given (unless recording), else live HTTP,
     optionally wrapped to record."""
-    cassette = getattr(ns, "cassette", None)
-    record = getattr(ns, "record", False)
-    if cassette and not record:
-        return UsageMeter(ReplayBackend.from_file(cassette))
+    if ns.cassette and not ns.record:
+        return UsageMeter(ReplayBackend.from_file(ns.cassette))
     api_key = _require_env("LLM_API_KEY")
     base_url = cfg.llm_base_url or os.environ.get("LLM_BASE_URL", "")
     if not base_url:
@@ -213,17 +222,16 @@ def build_backend(ns: argparse.Namespace, cfg: RunConfig) -> UsageMeter:
     backend: Backend = HTTPBackend(
         base_url, api_key, rate_limiter=RateLimiter(cfg.rate_limit_rpm)
     )
-    if record:
-        if not cassette:
+    if ns.record:
+        if not ns.cassette:
             raise ConfigError("--record needs --cassette PATH to write to")
-        backend = RecordingBackend(backend, cassette)
+        backend = RecordingBackend(backend, ns.cassette)
     return UsageMeter(backend)
 
 
 def build_search_provider(ns: argparse.Namespace, cfg: RunConfig) -> SearchProvider:
-    fixture = getattr(ns, "search_fixture", None)
-    if fixture:
-        return FixtureSearchProvider.from_file(fixture)
+    if ns.search_fixture:
+        return FixtureSearchProvider.from_file(ns.search_fixture)
     api_key = _require_env("SEARCH_API_KEY")
     if not cfg.search_base_url:
         raise ConfigError("no search base URL (set search_base_url in the config)")
@@ -233,9 +241,8 @@ def build_search_provider(ns: argparse.Namespace, cfg: RunConfig) -> SearchProvi
 
 
 def build_market_client(ns: argparse.Namespace, cfg: RunConfig) -> MarketClient:
-    fixture = getattr(ns, "market_fixture", None)
-    if fixture:
-        return FixtureMarketClient.from_file(fixture)
+    if ns.market_fixture:
+        return FixtureMarketClient.from_file(ns.market_fixture)
     return LiveMarketClient(cfg.market_base_url)
 
 
@@ -365,8 +372,7 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
     if not dataset:
         print("dataset is empty; nothing to forecast", file=sys.stderr)
         return EXIT_EMPTY
-    backend = build_backend(ns, cfg)
-    try:
+    with closing(build_backend(ns, cfg)) as backend:
         provider = build_search_provider(ns, cfg)
         run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent)
 
@@ -390,8 +396,6 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
             config_echo=config_echo,
             usage=backend,
         )
-    finally:
-        backend.close()
     counts = {status: sum(1 for s in statuses.values() if s == status) for status in set(statuses.values())}
     print(
         f"forecast complete: {counts.get('forecasted', 0)} forecasted, "
@@ -419,11 +423,8 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         snapshot([], utc_now(), ns.out)
         print(f"no binary markets close in [{from_date}, {to_date}]; wrote empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    backend = build_backend(ns, cfg)
-    try:
+    with closing(build_backend(ns, cfg)) as backend:
         curated = curate_markets(backend, fetched, model_id=cfg.model_id, workers=cfg.in_flight)
-    finally:
-        backend.close()
     kept = []
     audit = []
     categories = {}
@@ -474,7 +475,6 @@ def cmd_score(ns: argparse.Namespace) -> int:
 
     method_maps: dict[str, dict[str, Forecast | Declined]] = {}
     method_records: dict[str, list[ForecastRecord]] = {}
-    order: list[str] = []
 
     crowd_available = any(q.crowd_prob is not None for q in dataset if q.id in outcomes)
     if crowd_available:
@@ -483,10 +483,11 @@ def cmd_score(ns: argparse.Namespace) -> int:
             for q in dataset
             if q.id in outcomes
         }
-        order.append("crowd")
 
     for path in ns.forecasts:
         label = Path(path).stem
+        if label in method_maps:
+            raise ConfigError(f"method label {label!r} is taken twice; give each --forecasts file its own stem")
         records = read_records(path)
         fmap: dict[str, Forecast | Declined] = {}
         for record in records:
@@ -500,7 +501,6 @@ def cmd_score(ns: argparse.Namespace) -> int:
                 fmap[qid] = Declined("missing")
         method_maps[label] = fmap
         method_records[label] = records
-        order.append(label)
 
     scored, dropped = apply_drop_rule(method_maps, outcomes)
     sample = next(iter(scored.values()))
@@ -512,7 +512,7 @@ def cmd_score(ns: argparse.Namespace) -> int:
     rows = []
     reports: list[CalibrationReport] = []
     score_lines = []
-    for label in order:
+    for label in method_maps:
         sset = scored[label]
         std = None
         if label in method_records:
@@ -578,9 +578,8 @@ def cmd_probe(ns: argparse.Namespace) -> int:
     if not probes:
         print("no probes to run", file=sys.stderr)
         return EXIT_EMPTY
-    backend = build_backend(ns, cfg)
     counts: dict[str, int] = {}
-    try:
+    with closing(build_backend(ns, cfg)) as backend:
         for probe in probes:
             question = probe["question"]
             patterns = probe.get("answer_patterns", [])
@@ -589,8 +588,6 @@ def cmd_probe(ns: argparse.Namespace) -> int:
             )
             counts[result.value] = counts.get(result.value, 0) + 1
             print(f"{result.value}\t{question}")
-    finally:
-        backend.close()
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"probe summary: {summary}")
     return EXIT_OK
@@ -599,21 +596,24 @@ def cmd_probe(ns: argparse.Namespace) -> int:
 # --- argument parsing ---------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--cassette", help="cassette file: replay from it, or record into it with --record")
-    parser.add_argument("--record", action="store_true", help="record live responses into --cassette")
-    parser.add_argument("--cutoff", help="forecast cutoff date (YYYY-MM-DD)")
-    parser.add_argument("--ensemble", type=int, help="ensemble members per question")
-    parser.add_argument("--aggregator", choices=("mean", "median", "sampled"), help="ensemble aggregation")
-    parser.add_argument("--bins", type=int, help="calibration bin count")
-    parser.add_argument("--seed", type=int, help="seed for sampled aggregation")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="forecast: questions in flight, each running its ensemble members concurrently; "
-        "curate and resolve: N x ensemble markets in flight; score and probe ignore it",
-    )
+# the flags several commands share; a config flag's dest is its RunConfig field
+_SHARED_FLAGS = {
+    "--config": {"help": "JSON config file"},
+    "--cassette": {"help": "cassette file: replay from it, or record into it with --record"},
+    "--record": {"action": "store_true", "help": "record live responses into --cassette"},
+    "--cutoff": {"help": "forecast cutoff date (YYYY-MM-DD)"},
+    "--ensemble": {"dest": "ensemble_size", "type": int, "help": "ensemble members per question"},
+    "--aggregator": {"choices": AGGREGATORS, "help": "ensemble aggregation"},
+    "--bins": {"type": int, "help": "calibration bin count"},
+    "--seed": {"type": int, "help": "seed for sampled aggregation"},
+    "--workers": {"type": int, "help": "questions (forecast) or N x ensemble markets (curate, resolve) in flight"},
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add --config and the given shared flags; argparse rejects the flags a command does not read."""
+    for flag in ("--config", *flags):
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,13 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="dataset JSONL to write")
     p.add_argument("--at", help="snapshot timestamp (defaults to now, UTC)")
     p.add_argument("--market-fixture", help="serve markets from a fixture file instead of the live API")
-    _add_common(p)
+    _add_shared(p, "--cassette", "--record", "--ensemble", "--workers")
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("resolve", help="backfill outcomes for a dataset")
     p.add_argument("--dataset", required=True, help="dataset JSONL to update in place")
     p.add_argument("--market-fixture", help="serve markets from a fixture file")
-    _add_common(p)
+    _add_shared(p, "--ensemble", "--workers")
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("forecast", help="run the agent ensemble over a dataset")
@@ -643,19 +643,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory (records, transcripts, manifest)")
     p.add_argument("--search-fixture", help="serve search results from a fixture file")
     p.add_argument("--single-agent", action="store_true", help="flat agent with raw tools (ablation)")
-    _add_common(p)
+    _add_shared(p, "--cassette", "--record", "--cutoff", "--ensemble", "--aggregator", "--seed", "--workers")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("score", help="score forecast records against resolved outcomes")
     p.add_argument("--dataset", required=True, help="resolved dataset JSONL")
     p.add_argument("--forecasts", nargs="+", required=True, help="forecast record files (label = file stem)")
     p.add_argument("--out", help="directory for report.txt and score files")
-    _add_common(p)
+    _add_shared(p, "--bins")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("probe", help="check a model for knowledge past the cutoff")
     p.add_argument("--probes", help="probe questions JSONL (default: packaged probes)")
-    _add_common(p)
+    _add_shared(p, "--cassette", "--record")
     p.set_defaults(func=cmd_probe)
 
     return parser

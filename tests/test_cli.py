@@ -5,11 +5,13 @@ import errno
 import gc
 import io
 import json
+import math
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from agentcast.llm import (
     ScriptedBackend,
     UsageMeter,
     current_lane,
+    fingerprint,
     in_lane,
     leakage_probe,
 )
@@ -58,7 +61,7 @@ E2E = FIXTURES / "e2e"
 def test_load_config_file_values_beat_defaults(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"ensemble_size": 5, "cutoff": "2024-04-15", "workers": 2}))
-    cfg = load_config(path)
+    cfg = RunConfig(**load_config(path))
     assert cfg.ensemble_size == 5
     assert cfg.cutoff == "2024-04-15"
     assert cfg.workers == 2
@@ -78,6 +81,9 @@ def test_load_config_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+    path.write_text('{"seed": 1' + "0" * 5000 + "}")  # past the int digit limit of `json.loads`
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -95,9 +101,19 @@ def test_config_value_of_the_wrong_type_exits_1_naming_the_key(tmp_path, capsys,
 
 def test_load_config_takes_ints_for_float_fields(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"temperature": 1, "sandbox_timeout": 5, "context_token_limit": None}))
-    cfg = load_config(path)
-    assert (cfg.temperature, cfg.sandbox_timeout, cfg.context_token_limit) == (1, 5, None)
+    values = {"temperature": 1, "sandbox_timeout": 5, "rate_limit_rpm": 30, "context_token_limit": None}
+    path.write_text(json.dumps(values))
+    cfg = RunConfig(**load_config(path))
+    assert (cfg.temperature, cfg.sandbox_timeout, cfg.rate_limit_rpm, cfg.context_token_limit) == (1, 5, 30, None)
+    assert type(cfg.temperature) is type(cfg.sandbox_timeout) is type(cfg.rate_limit_rpm) is float
+    # so `1` and `1.0` in the config make requests with one fingerprint
+    messages = [Message("user", "hi")]
+    assert fingerprint(ChatRequest("m", messages, temperature=cfg.temperature)) == fingerprint(
+        ChatRequest("m", messages, temperature=1.0)
+    )
+    path.write_text('{"sandbox_timeout": 1' + "0" * 400 + "}")
+    with pytest.raises(ConfigError, match="sandbox_timeout is too large for a float"):
+        load_config(path)
 
 
 def test_flags_override_config_file(tmp_path):
@@ -116,6 +132,85 @@ def test_resolve_config_rejects_nonpositive_sizes():
     ns = cli.build_parser().parse_args(["forecast", "--dataset", "d", "--out", "o", "--ensemble", "0"])
     with pytest.raises(ConfigError, match="ensemble size"):
         resolve_config(ns)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"ensemble_size": 0}, "ensemble size"),
+        ({"workers": 0}, "workers"),
+        ({"temperature": -0.1}, "temperature"),
+        ({"temperature": math.inf}, "temperature"),
+        ({"temperature": math.nan}, "temperature"),
+        ({"aggregator": "mode"}, "unknown aggregator 'mode'"),
+        ({"cutoff": "2024-13-01"}, "malformed cutoff"),
+        ({"cutoff": "2999-01-01"}, "future"),
+    ],
+)
+def test_run_config_checks_each_value_when_built(values, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**values)
+
+
+def test_a_flag_overrides_a_bad_file_value(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"aggregator": "mode", "ensemble_size": 0, "workers": 0, "cutoff": "2999-01-01"}))
+    with pytest.raises(ConfigError):
+        RunConfig(**load_config(path))
+    flags = ["--aggregator", "mean", "--ensemble", "2", "--workers", "3", "--cutoff", "2024-04-15"]
+    ns = cli.build_parser().parse_args(["forecast", "--dataset", "d", "--out", "o", "--config", str(path), *flags])
+    cfg = resolve_config(ns)
+    assert (cfg.aggregator, cfg.ensemble_size, cfg.workers, cfg.cutoff) == ("mean", 2, 3, "2024-04-15")
+
+
+# the arguments each command requires, and a value for each shared flag
+REQUIRED_ARGS = {
+    "curate": ["--from", "2024-05-01", "--to", "2024-05-31", "--out", "d.jsonl"],
+    "resolve": ["--dataset", "d.jsonl"],
+    "forecast": ["--dataset", "d.jsonl", "--out", "o"],
+    "score": ["--dataset", "d.jsonl", "--forecasts", "f.jsonl"],
+    "probe": [],
+}
+SHARED_FLAGS = {
+    "--config": ["run.json"],
+    "--cassette": ["c.jsonl"],
+    "--record": [],
+    "--cutoff": ["2024-04-15"],
+    "--ensemble": ["2"],
+    "--aggregator": ["mean"],
+    "--bins": ["5"],
+    "--seed": ["4"],
+    "--workers": ["9"],
+}
+TAKES = {
+    "curate": {"--config", "--cassette", "--record", "--ensemble", "--workers"},
+    "resolve": {"--config", "--ensemble", "--workers"},
+    "forecast": {"--config", "--cassette", "--record", "--cutoff", "--ensemble", "--aggregator", "--seed", "--workers"},
+    "score": {"--config", "--bins"},
+    "probe": {"--config", "--cassette", "--record"},
+}
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_each_command_takes_only_the_shared_flags_it_reads(command, capsys):
+    parser = cli.build_parser()
+    bare = vars(parser.parse_args([command, *REQUIRED_ARGS[command]]))
+    run_config_fields = {f.name for f in fields(RunConfig)}
+    for flag, value in SHARED_FLAGS.items():
+        argv = [command, *REQUIRED_ARGS[command], flag, *value]
+        if flag not in TAKES[command]:
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(argv)
+            assert exited.value.code == 2, flag
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            continue
+        ns = parser.parse_args(argv)
+        [dest] = [name for name, v in vars(ns).items() if v != bare[name]]
+        if flag in ("--config", "--cassette", "--record"):
+            continue
+        # a config flag's dest is the RunConfig field it overrides
+        assert dest in run_config_fields, flag
+        assert str(getattr(resolve_config(ns), dest)) == value[0]
 
 
 def test_cutoff_date_validation():
@@ -171,6 +266,29 @@ def test_forecast_replay_end_to_end(tmp_path):
     for record in records.values():
         for member in record.members:
             assert (out / "transcripts" / member.transcript_ref).exists()
+
+
+class UncallableBackend:
+    """A chat backend no request may reach."""
+
+    def __init__(self):
+        self.requests = []
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        self.requests.append(request)
+        raise AssertionError("a chat request was made")
+
+
+def test_forecast_with_an_unknown_aggregator_exits_1_before_any_request(tmp_path, monkeypatch, capsys):
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"aggregator": "mode"}))
+    out = tmp_path / "run"
+    assert replay_forecast(out, "--config", str(config)) == EXIT_FATAL
+    assert "unknown aggregator 'mode'" in capsys.readouterr().err
+    assert backend.requests == []
+    assert not (out / "transcripts").exists()
 
 
 def test_forecast_replay_is_deterministic(tmp_path):
@@ -864,6 +982,21 @@ def test_score_end_to_end(tmp_path, capsys):
     calibration = [json.loads(line) for line in (out / "calibration.jsonl").read_text().splitlines()]
     assert {c["method"] for c in calibration} == {"crowd", "agent"}
     assert all(c["k"] == 2 and len(c["bins"]) == 2 for c in calibration)
+
+
+@pytest.mark.parametrize("names", [("a/run.jsonl", "b/run.jsonl"), ("crowd.jsonl",)])
+def test_score_exits_1_when_two_methods_share_a_label(tmp_path, capsys, names):
+    # a label is the file stem, and the dataset's crowd prices are scored as `crowd`
+    paths = [tmp_path / name for name in names]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("")
+    out = tmp_path / "scores"
+    argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", *map(str, paths), "--out", str(out)]
+    assert cli.main(argv) == EXIT_FATAL
+    label = Path(names[0]).stem
+    assert f"method label {label!r} is taken twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_nothing_resolved_exits_2(tmp_path):
