@@ -47,6 +47,6 @@ from .metrics import (
 )
 from .react import ReactConfig, extract_probability, parse_emission, run_react
 from .hierarchy import default_planner, forecast_one, single_agent_config
-from .tools import Sandbox, SearchResult, ToolRegistry, ToolSpec, execute_code
+from .tools import SearchResult, ToolSpec, execute_code
 
 __version__ = "0.1.0"

@@ -96,7 +96,6 @@ from .tools import (
     DEFAULT_RESULTS_PER_SEARCH,
     FixtureSearchProvider,
     LiveSearchProvider,
-    Sandbox,
     SearchProvider,
 )
 
@@ -145,6 +144,14 @@ class RunConfig:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         if not 0 <= self.temperature < math.inf:
             raise ConfigError(f"temperature must be finite and non-negative, got {self.temperature}")
+        for key in ("max_iterations", "worker_iterations", "bins", "results_per_search", "observation_budget"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.context_token_limit is not None and self.context_token_limit < 1:
+            raise ConfigError(f"context_token_limit must be at least 1 or null, got {self.context_token_limit}")
+        for key in ("sandbox_timeout", "rate_limit_rpm"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)}")
         if self.aggregator not in AGGREGATORS:
             raise ConfigError(f"unknown aggregator {self.aggregator!r} (expected one of {', '.join(AGGREGATORS)})")
         if self.cutoff and (cutoff := self.cutoff_date()) > date.today():
@@ -276,11 +283,13 @@ def run_forecast(
     not start and the error propagates. Any other failure marks only its
     question as an error, and that question's queued members do not start.
 
-    Questions that already have a record in the output file are skipped, so an
-    interrupted run resumes where it stopped. The records file is rewritten in
-    dataset order, which keeps reruns byte-identical regardless of worker
-    scheduling. Returns question id -> terminal status (forecasted, declined
-    or error).
+    Questions that already have a record in the output file are skipped. The
+    records file and the manifest are written only once every question is
+    back, so a run that is interrupted or ends on a fatal error adds no
+    records, and its rerun starts every question that had none. The records
+    file is rewritten in dataset order, which keeps reruns byte-identical
+    regardless of worker scheduling. Returns question id -> terminal status
+    (forecasted, declined or error).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +370,7 @@ def make_member_runner(
     command wires it; the fixture generator uses this too, so recorded
     cassettes replay against identical request fingerprints."""
     build = single_agent_config if single_agent else default_planner
-    config = build(provider, Sandbox(timeout=cfg.sandbox_timeout), cfg.cutoff_date(), cfg)
+    config = build(provider, cfg)
     return lambda question: forecast_one(config, backend, question)
 
 

@@ -15,24 +15,14 @@ from __future__ import annotations
 import contextvars
 import logging
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from . import prompts
 from .llm import Backend
 from .models import Declined, Forecast, Question, Transcript, write_jsonl
 from .react import ReactConfig, render_transcript_text, run_react
-from .tools import (
-    DEFAULT_OBSERVATION_BUDGET,
-    Sandbox,
-    SearchProvider,
-    ToolRegistry,
-    ToolSpec,
-    make_code_tool,
-    make_search_tool,
-    truncate_text,
-)
+from .tools import SearchProvider, ToolSpec, make_code_tool, make_search_tool, truncate_text
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -42,62 +32,48 @@ logger = logging.getLogger(__name__)
 NO_FINAL_ANSWER = "[subagent gave no final answer]"
 
 
-@dataclass(frozen=True)
-class LowLevelAgent:
-    """A worker agent exposed to the planner as a tool.
-
-    observation_budget caps how much of the worker's final answer the planner
-    gets to see.
-    """
-
-    name: str
-    description: str
-    config: ReactConfig
-    observation_budget: int = DEFAULT_OBSERVATION_BUDGET
-
-    def __post_init__(self):
-        for tool in self.config.tools:
-            if tool.kind != "raw":
-                raise ValueError(
-                    f"worker agent {self.name!r} holds non-raw tool {tool.name!r}; "
-                    "the hierarchy is exactly two levels deep"
-                )
-
-
 # The backend of the running `forecast_one` call and the worker runs it has
-# collected, as (agent name, task, transcript). Set and reset by each call, so
+# collected, as (task, transcript). Set and reset by each call, so
 # concurrent members share neither; threads do not inherit it.
-_member_run: contextvars.ContextVar[tuple[Backend, list[tuple[str, str, Transcript]]]] = (
+_member_run: contextvars.ContextVar[tuple[Backend, list[tuple[str, Transcript]]]] = (
     contextvars.ContextVar("agentcast_member_run")
 )
 
 
-def as_tool(agent: LowLevelAgent) -> ToolSpec:
-    """Wrap a worker agent as a planner-invocable tool.
+def as_tool(config: ReactConfig, description: str, observation_budget: int) -> ToolSpec:
+    """Wrap a worker agent as a planner-invocable tool named after its
+    `agent_id`.
 
-    The action input becomes the worker's task; the observation is the
-    worker's final answer text (truncated to the agent's observation budget),
-    never a probability the planner could just copy. A worker that declines,
-    for example because a chat call failed after its retries, comes back as
-    a bracketed error observation so the planner can route around it. Any
-    other backend error in the worker (a rejected key, a cassette miss or a
-    failed cassette write) propagates and ends the run. The worker runs on
-    the backend of the `forecast_one` call that invoked it, and its
-    transcript joins that call's tree.
+    The worker may hold only raw tools: the hierarchy is exactly two levels
+    deep. The action input becomes the worker's task; the observation is the
+    worker's final answer text (truncated to `observation_budget`), never a
+    probability the planner could just copy. A worker that declines, for
+    example because a chat call failed after its retries, comes back as a
+    bracketed error observation so the planner can route around it. Any other
+    backend error in the worker (a rejected key, a cassette miss or a failed
+    cassette write) propagates and ends the run. The worker runs on the
+    backend of the `forecast_one` call that invoked it, and its transcript
+    joins that call's tree.
     """
+    for tool in config.tools:
+        if tool.kind != "raw":
+            raise ValueError(
+                f"worker agent {config.agent_id!r} holds non-raw tool {tool.name!r}; "
+                "the hierarchy is exactly two levels deep"
+            )
 
     def invoke(task: str) -> str:
         backend, children = _member_run.get()
-        outcome = run_react(agent.config, backend, task)
-        children.append((agent.name, task, outcome.transcript))
+        outcome = run_react(config, backend, task)
+        children.append((task, outcome.transcript))
         final = outcome.transcript.final
         if final.kind in ("final", "truncated_finalized") and final.answer_text.strip():
-            return truncate_text(final.answer_text, agent.observation_budget)
+            return truncate_text(final.answer_text, observation_budget)
         if isinstance(outcome.result, Declined) and outcome.result.reason:
             return f"[subagent error: {outcome.result.reason}]"
         return NO_FINAL_ANSWER
 
-    return ToolSpec(name=agent.name, description=agent.description, invoke=invoke, kind="agent")
+    return ToolSpec(name=config.agent_id, description=description, invoke=invoke, kind="agent")
 
 
 # --- transcript trees ---------------------------------------------------------
@@ -105,7 +81,6 @@ def as_tool(agent: LowLevelAgent) -> ToolSpec:
 
 @dataclass(frozen=True)
 class ChildTranscript:
-    agent_name: str
     task: str
     parent_step: int
     transcript: Transcript
@@ -133,14 +108,14 @@ def render_task_prompt(question: Question) -> str:
     )
 
 
-def _attach_parent_steps(planner: Transcript, pending: list[tuple[str, str, Transcript]]) -> tuple[ChildTranscript, ...]:
+def _attach_parent_steps(planner: Transcript, pending: list[tuple[str, Transcript]]) -> tuple[ChildTranscript, ...]:
     """Children are produced in invocation order, which is exactly the order
     of the planner's tool-calling steps; malformed steps call nothing."""
     action_steps = [i for i, step in enumerate(planner.steps) if step.action]
     children = []
-    for i, (name, task, transcript) in enumerate(pending):
+    for i, (task, transcript) in enumerate(pending):
         parent_step = action_steps[i] if i < len(action_steps) else -1
-        children.append(ChildTranscript(name, task, parent_step, transcript))
+        children.append(ChildTranscript(task, parent_step, transcript))
     return tuple(children)
 
 
@@ -157,7 +132,7 @@ def forecast_one(
     tools, so no request can leave without it.
     """
     task = render_task_prompt(question)
-    pending: list[tuple[str, str, Transcript]] = []
+    pending: list[tuple[str, Transcript]] = []
     token = _member_run.set((backend, pending))
     try:
         outcome = run_react(config, backend, task)
@@ -186,18 +161,20 @@ _WORKERS = (
 )
 
 
-def _raw_tools(provider: SearchProvider, sandbox: Sandbox, cutoff: date, cfg: RunConfig) -> tuple[ToolSpec, ToolSpec]:
+def _raw_tools(provider: SearchProvider, cfg: RunConfig) -> tuple[ToolSpec, ToolSpec]:
     """The search tool bound to the cutoff, then the code tool."""
     return (
-        make_search_tool(provider, cutoff, k=cfg.results_per_search, observation_budget=cfg.observation_budget),
-        make_code_tool(sandbox, observation_budget=cfg.observation_budget),
+        make_search_tool(
+            provider, cfg.cutoff_date(), k=cfg.results_per_search, observation_budget=cfg.observation_budget
+        ),
+        make_code_tool(cfg.sandbox_timeout, observation_budget=cfg.observation_budget),
     )
 
 
 def _agent_config(
     agent_id: str,
     system_prompt: str,
-    tools: Iterable[ToolSpec],
+    tools: tuple[ToolSpec, ...],
     cfg: RunConfig,
     max_iterations: int,
     on_budget_exceeded: str = "compact",
@@ -205,7 +182,7 @@ def _agent_config(
     """One agent's config; model, temperature and context budget come from `cfg`."""
     return ReactConfig(
         system_prompt=system_prompt,
-        tools=ToolRegistry(tools),
+        tools=tools,
         agent_id=agent_id,
         model_id=cfg.model_id,
         temperature=cfg.temperature,
@@ -215,28 +192,23 @@ def _agent_config(
     )
 
 
-def default_planner(provider: SearchProvider, sandbox: Sandbox, cutoff: date, cfg: RunConfig) -> ReactConfig:
+def default_planner(provider: SearchProvider, cfg: RunConfig) -> ReactConfig:
     """The standard planner: its tools are two workers, web research holding
     search and computation holding the sandbox. The planner runs for
     `cfg.max_iterations`, each worker for `cfg.worker_iterations`; every agent
     compacts its history when it exceeds the context budget."""
-    workers = [
-        LowLevelAgent(
-            name=name,
-            description=description,
-            config=_agent_config(name, prompt, [tool], cfg, cfg.worker_iterations),
-            observation_budget=cfg.observation_budget,
-        )
-        for (name, prompt, description), tool in zip(_WORKERS, _raw_tools(provider, sandbox, cutoff, cfg))
-    ]
-    return _agent_config("planner", prompts.PLANNER_PROMPT, map(as_tool, workers), cfg, cfg.max_iterations)
+    workers = tuple(
+        as_tool(_agent_config(name, prompt, (tool,), cfg, cfg.worker_iterations), description, cfg.observation_budget)
+        for (name, prompt, description), tool in zip(_WORKERS, _raw_tools(provider, cfg))
+    )
+    return _agent_config("planner", prompts.PLANNER_PROMPT, workers, cfg, cfg.max_iterations)
 
 
-def single_agent_config(provider: SearchProvider, sandbox: Sandbox, cutoff: date, cfg: RunConfig) -> ReactConfig:
+def single_agent_config(provider: SearchProvider, cfg: RunConfig) -> ReactConfig:
     """One agent holding both raw tools, for `cfg.max_iterations`. Its context
     guard fails hard instead of compacting, which is the ablation
     configuration."""
-    tools = _raw_tools(provider, sandbox, cutoff, cfg)
+    tools = _raw_tools(provider, cfg)
     return _agent_config("single", prompts.SINGLE_AGENT_PROMPT, tools, cfg, cfg.max_iterations, "fail")
 
 
@@ -269,7 +241,7 @@ def save_transcript_tree(
         }
     ]
     for j, child in enumerate(tree.children):
-        child_name = f"{member_index}.{j}.{child.agent_name}.transcript"
+        child_name = f"{member_index}.{j}.{child.transcript.agent_id}.transcript"
         (qdir / child_name).write_text(
             render_transcript_text(child.transcript, child.task), encoding="utf-8"
         )

@@ -154,18 +154,15 @@ def calibration_index(scored: ScoredSet, k: int = 10) -> CalibrationReport:
 # --- ensemble aggregation -----------------------------------------------
 
 
-def aggregate(members: list[Forecast] | list[float], mode: str, seed: str | int | None = None) -> Forecast:
+def aggregate(members: list[Forecast], mode: str, seed: str | int | None = None) -> Forecast:
     """Combine ensemble member probabilities into one forecast.
 
     mode "mean" averages, "median" takes the middle value, "sampled" picks one
     member uniformly using the given seed (required, so runs replay exactly).
     """
-    values = [m.value if isinstance(m, Forecast) else float(m) for m in members]
+    values = [m.value for m in members]
     if not values:
         raise EmptyMembers("cannot aggregate an empty ensemble")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise MetricError(f"member forecast out of range: {v!r}")
     if mode == "mean":
         v = sum(values) / len(values)
         # float rounding can push the mean a hair past the member envelope

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 
 class ValidationError(ValueError):
@@ -434,14 +434,22 @@ def write_questions(path: str | Path, questions: Iterable[Question]) -> None:
     write_jsonl(path, (q.to_dict() for q in questions))
 
 
-def read_questions(path: str | Path) -> list[Question]:
-    questions = []
+_T = TypeVar("_T")
+
+
+def _read_validated(path: str | Path, validate: Callable[[dict], _T]) -> list[_T]:
+    """Validate every line of a JSONL file; an error names the file and line."""
+    items = []
     for lineno, raw in read_jsonl(path):
         try:
-            questions.append(validate_question(raw))
+            items.append(validate(raw))
         except ValidationError as exc:
             raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc}") from None
-    return questions
+    return items
+
+
+def read_questions(path: str | Path) -> list[Question]:
+    return _read_validated(path, validate_question)
 
 
 def write_records(path: str | Path, records: Iterable[ForecastRecord]) -> None:
@@ -449,10 +457,4 @@ def write_records(path: str | Path, records: Iterable[ForecastRecord]) -> None:
 
 
 def read_records(path: str | Path) -> list[ForecastRecord]:
-    records = []
-    for lineno, raw in read_jsonl(path):
-        try:
-            records.append(validate_record(raw))
-        except ValidationError as exc:
-            raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc}") from None
-    return records
+    return _read_validated(path, validate_record)

@@ -26,7 +26,7 @@ from .llm import (
     Message,
 )
 from .models import AgentStep, Declined, FinalState, Forecast, Transcript
-from .tools import ToolRegistry
+from .tools import ToolSpec
 
 logger = logging.getLogger(__name__)
 
@@ -187,7 +187,7 @@ class ReactConfig:
     """Everything one agent run needs besides the backend and the task."""
 
     system_prompt: str
-    tools: ToolRegistry
+    tools: tuple[ToolSpec, ...]
     agent_id: str = "agent"
     model_id: str = "default"
     temperature: float = DEFAULT_TEMPERATURE
@@ -198,14 +198,17 @@ class ReactConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if len(self.tools) == 0:
+        if not self.tools:
             raise ValueError("an agent needs at least one tool")
+        names = [tool.name for tool in self.tools]
+        if len(set(names)) < len(names):
+            raise ValueError(f"duplicate tool name among {names}")
         if self.on_budget_exceeded not in BUDGET_POLICIES:
             raise ValueError(f"unknown budget policy {self.on_budget_exceeded!r}")
 
 
-def render_tool_instructions(tools: ToolRegistry) -> str:
-    names = ", ".join(tools.names())
+def render_tool_instructions(tools: tuple[ToolSpec, ...]) -> str:
+    names = ", ".join(tool.name for tool in tools)
     lines = [f"{tool.name}: {tool.description}" for tool in tools]
     return (
         "You can use these tools:\n\n"
@@ -323,7 +326,8 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
     every other backend error, here or inside a tool, propagates.
     """
     steps: list[AgentStep] = []
-    tool_names = config.tools.names()
+    tools = {tool.name: tool for tool in config.tools}
+    tool_names = tuple(tools)
 
     def finish(result: Forecast | Declined, final: FinalState) -> RunOutcome:
         return RunOutcome(result, Transcript(config.agent_id, tuple(steps), final))
@@ -352,8 +356,7 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
         if isinstance(parsed, FinalEmission):
             return finish(extract_probability(parsed.answer_text), FinalState("final", parsed.answer_text))
         if isinstance(parsed, ActionEmission):
-            tool = config.tools.get(parsed.action)
-            assert tool is not None
+            tool = tools[parsed.action]  # parse_emission passes only these names
             try:
                 observation = tool.invoke(parsed.action_input)
             except BackendError:

@@ -51,32 +51,6 @@ class ToolSpec:
             raise ValueError(f"unknown tool kind {self.kind!r}")
 
 
-class ToolRegistry:
-    """Ordered, name-unique collection of tools."""
-
-    def __init__(self, tools: Iterable[ToolSpec] = ()):
-        self._tools: dict[str, ToolSpec] = {}
-        for tool in tools:
-            self.register(tool)
-
-    def register(self, tool: ToolSpec) -> None:
-        if tool.name in self._tools:
-            raise ValueError(f"duplicate tool name {tool.name!r}")
-        self._tools[tool.name] = tool
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._tools)
-
-    def get(self, name: str) -> ToolSpec | None:
-        return self._tools.get(name)
-
-    def __iter__(self):
-        return iter(self._tools.values())
-
-    def __len__(self) -> int:
-        return len(self._tools)
-
-
 # --- web search -----------------------------------------------------------
 
 
@@ -227,23 +201,12 @@ class ExecResult:
 SANDBOX_OUTPUT_CAP = 8000
 
 
-@dataclass(frozen=True)
-class Sandbox:
-    """Subprocess sandbox for model-written Python, run by this interpreter
-    with a wall-clock cap of `timeout` seconds."""
-
-    timeout: float = 10.0
-
-    def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-
-
 _SANDBOX_ENV = ("PATH", "LANG")
 
 
-def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
-    """Run a program under the sandbox and capture its output.
+def execute_code(program: str, timeout: float) -> ExecResult:
+    """Run model-written Python with this interpreter, under a wall-clock cap
+    of `timeout` seconds, and capture its output.
 
     The program gets a fresh temp directory as cwd, deleted afterwards, and
     an environment holding only PATH and LANG, so it cannot read the API
@@ -269,9 +232,9 @@ def execute_code(sandbox: Sandbox, program: str) -> ExecResult:
             # program without reading on: a process that left the group may
             # still hold a pipe open, so reading to EOF could wait forever.
             try:
-                stdout, stderr = proc.communicate(timeout=sandbox.timeout)
+                stdout, stderr = proc.communicate(timeout=timeout)
             except subprocess.TimeoutExpired:
-                raise SandboxTimeout(sandbox.timeout) from None
+                raise SandboxTimeout(timeout) from None
             finally:
                 _kill_group(proc.pid)  # the program if it overran, and whatever it left running
         wall = time.monotonic() - start
@@ -299,17 +262,6 @@ def truncate_text(text: str, budget: int) -> str:
         return text
     keep = max(0, budget - len(TRUNCATION_MARKER))
     return text[:keep] + TRUNCATION_MARKER
-
-
-def render_observation(payload: Any, observation_budget: int = DEFAULT_OBSERVATION_BUDGET) -> str:
-    """Turn a tool result into the observation text an agent sees."""
-    if isinstance(payload, ExecResult):
-        text = _render_exec(payload)
-    elif isinstance(payload, str):
-        text = payload
-    else:
-        text = _render_search_results(list(payload))
-    return truncate_text(text, observation_budget)
 
 
 def _render_search_results(results: list[SearchResult]) -> str:
@@ -361,7 +313,7 @@ def make_search_tool(
             results = search(provider, query, cutoff, k)
         except ProviderError as exc:
             return f"search error: {exc}"
-        return render_observation(results, observation_budget)
+        return truncate_text(_render_search_results(results), observation_budget)
 
     return ToolSpec(
         name="web_search",
@@ -374,22 +326,19 @@ def make_search_tool(
     )
 
 
-def make_code_tool(
-    sandbox: Sandbox,
-    *,
-    observation_budget: int = DEFAULT_OBSERVATION_BUDGET,
-) -> ToolSpec:
-    """Code-execution tool. The action input is a Python program."""
+def make_code_tool(timeout: float, *, observation_budget: int = DEFAULT_OBSERVATION_BUDGET) -> ToolSpec:
+    """Code-execution tool whose programs run for at most `timeout` seconds.
+    The action input is a Python program."""
 
     def invoke(action_input: str) -> str:
         program = _strip_code_fences(action_input)
         if not program.strip():
             return "execution error: empty program"
         try:
-            result = execute_code(sandbox, program)
+            result = execute_code(program, timeout)
         except SandboxTimeout as exc:
             return str(exc)
-        return render_observation(result, observation_budget)
+        return truncate_text(_render_exec(result), observation_budget)
 
     return ToolSpec(
         name="python",

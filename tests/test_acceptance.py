@@ -47,7 +47,7 @@ from agentcast.react import (
     extract_probability,
     parse_emission,
 )
-from agentcast.tools import SearchResult, Sandbox, make_search_tool
+from agentcast.tools import SearchResult, make_search_tool
 
 import pytest
 
@@ -340,10 +340,9 @@ def test_criterion_8_context_budget_ablation(tmp_path):
         fetched="2024-04-15T00:00:00+00:00",
     )
     task = render_task_prompt(question)
-    sandbox = Sandbox()
 
     # pick a per-agent budget that admits one raw search observation but not two
-    flat = single_agent_config(_ablation_fixture(), sandbox, cutoff, RunConfig())
+    flat = single_agent_config(_ablation_fixture(), RunConfig(cutoff=cutoff.isoformat()))
     base = context_estimate(assemble_messages(flat, task, []))
     limit = base + 1500  # one ~1000-token observation fits, two cannot
 
@@ -361,7 +360,7 @@ def test_criterion_8_context_budget_ablation(tmp_path):
 
     # same budget per agent, but each delegation runs in a fresh context and
     # the planner only ever sees the workers' short summaries
-    planner = default_planner(_ablation_fixture(), sandbox, cutoff, RunConfig(context_token_limit=limit))
+    planner = default_planner(_ablation_fixture(), RunConfig(cutoff=cutoff.isoformat(), context_token_limit=limit))
     hier_backend = ScriptedBackend(
         [
             "Thought: split the research\nAction: web_research\nAction Input: first angle",

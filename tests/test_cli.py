@@ -152,6 +152,33 @@ def test_run_config_checks_each_value_when_built(values, message):
         RunConfig(**values)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iterations", 0),
+        ("worker_iterations", 0),
+        ("bins", 0),
+        ("results_per_search", 0),
+        ("observation_budget", -5),
+        ("context_token_limit", 0),
+        ("sandbox_timeout", 0),
+        ("sandbox_timeout", math.nan),
+        ("rate_limit_rpm", 0),
+        ("rate_limit_rpm", math.nan),
+        ("rate_limit_rpm", math.inf),
+    ],
+)
+def test_an_out_of_range_config_value_exits_1_before_any_request(tmp_path, loopback, monkeypatch, capsys, key, value):
+    monkeypatch.setenv("LLM_API_KEY", "key")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value, "llm_base_url": loopback.url}))
+    assert cli.main(["probe", "--config", str(path)]) == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+    assert "Traceback" not in err
+    assert loopback.requests == []
+
+
 def test_a_flag_overrides_a_bad_file_value(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"aggregator": "mode", "ensemble_size": 0, "workers": 0, "cutoff": "2999-01-01"}))

@@ -7,7 +7,6 @@ from datetime import date
 import pytest
 
 from agentcast.hierarchy import (
-    LowLevelAgent,
     NO_FINAL_ANSWER,
     as_tool,
     default_planner,
@@ -21,7 +20,7 @@ from agentcast.cli import RunConfig
 from agentcast.llm import CassetteMiss, ChatRequest, ChatResponse, Message, ScriptedBackend, TransportError
 from agentcast.models import Declined, Forecast, read_jsonl
 from agentcast.react import ReactConfig
-from agentcast.tools import Sandbox, ToolRegistry, ToolSpec
+from agentcast.tools import ToolSpec
 
 from conftest import make_question
 
@@ -40,36 +39,30 @@ class StaticProvider:
         return [SearchResult("Result", "https://e.org", self.snippet)]
 
 
-def research_agent(observation_budget=4000, snippet="nothing of note"):
+def research_agent(observation_budget=4000, snippet="nothing of note", max_iterations=10):
+    """A web_research worker wrapped as a planner tool, and its search provider."""
     provider = StaticProvider(snippet)
     from agentcast.tools import make_search_tool
 
     config = ReactConfig(
         system_prompt="You research.",
-        tools=ToolRegistry([make_search_tool(provider, CUTOFF)]),
+        tools=(make_search_tool(provider, CUTOFF),),
         agent_id="web_research",
+        max_iterations=max_iterations,
     )
-    return (
-        LowLevelAgent(
-            name="web_research",
-            description="Research things.",
-            config=config,
-            observation_budget=observation_budget,
-        ),
-        provider,
-    )
+    return as_tool(config, "Research things.", observation_budget), provider
 
 
 def test_worker_agents_cannot_hold_other_agents():
     agent_tool = ToolSpec("inner_agent", "d", lambda s: s, kind="agent")
-    config = ReactConfig(system_prompt="p", tools=ToolRegistry([agent_tool]))
+    config = ReactConfig(system_prompt="p", tools=(agent_tool,), agent_id="w")
     with pytest.raises(ValueError, match="two levels"):
-        LowLevelAgent(name="w", description="d", config=config)
+        as_tool(config, "d", 4000)
 
 
-def planner_over(*agents):
-    """A planner whose tools are the given workers."""
-    return ReactConfig(system_prompt="You plan.", tools=ToolRegistry(map(as_tool, agents)), agent_id="planner")
+def planner_over(*workers):
+    """A planner whose tools are the given worker tools."""
+    return ReactConfig(system_prompt="You plan.", tools=workers, agent_id="planner")
 
 
 def test_planner_config_validation():
@@ -91,13 +84,13 @@ def test_as_tool_returns_final_answer_text():
             "Final Answer: 0.5",
         ]
     )
-    assert as_tool(agent).kind == "agent"
+    assert (agent.name, agent.kind) == ("web_research", "agent")
     _, tree = forecast_one(planner_over(agent), backend, make_question())
     observation = tree.planner.steps[0].observation
     assert observation == "Prices ranged 2900-3300 in April."
     assert provider.calls[0][0] == "eth price history"
     (child,) = tree.children
-    assert (child.agent_name, child.task) == ("web_research", "find eth price history")
+    assert (child.transcript.agent_id, child.task) == ("web_research", "find eth price history")
     assert child.transcript.final.kind == "final"
 
 
@@ -119,13 +112,10 @@ def test_as_tool_reports_worker_failures_as_bracketed_text():
     assert tree.planner.steps[0].observation.startswith("[subagent error: backend:")
 
     # a worker that burns its iterations and produces nothing usable
-    agent2, _ = research_agent()
+    worker, _ = research_agent(max_iterations=1)
     no_answer = ScriptedBackend(
         ["Action: web_research\nAction Input: t", "Action: web_search\nAction Input: a", "no thoughts", "Final Answer: 0.5"]
     )
-    worker = LowLevelAgent("web_research", "d", ReactConfig(
-        system_prompt="p", tools=agent2.config.tools, max_iterations=1
-    ))
     _, tree = forecast_one(planner_over(worker), no_answer, make_question())
     assert tree.planner.steps[0].observation.startswith("[subagent error: truncated:")
 
@@ -165,7 +155,7 @@ def test_render_task_prompt_with_and_without_optionals():
 
 def two_worker_planner(snippet="nothing of note"):
     provider = StaticProvider(snippet)
-    return default_planner(provider, Sandbox(timeout=5), CUTOFF, RunConfig()), provider
+    return default_planner(provider, RunConfig(cutoff=CUTOFF.isoformat())), provider
 
 
 def test_forecast_one_builds_transcript_tree():
@@ -190,11 +180,31 @@ def test_forecast_one_builds_transcript_tree():
     assert len(tree.planner.steps) == 1
     assert tree.planner.steps[0].observation == "ETH hovered near 3100 in mid-April."
     (child,) = tree.children
-    assert child.agent_name == "web_research"
+    assert child.transcript.agent_id == "web_research"
     assert child.task == "eth price history"  # the planner's Action Input verbatim
     assert child.parent_step == 0
     assert len(child.transcript.steps) == 2
     assert provider.calls == [("eth price", CUTOFF, 8), ("eth price april", CUTOFF, 8)]
+
+
+def test_default_planner_takes_cutoff_and_sandbox_timeout_from_the_run_config():
+    provider = StaticProvider()
+    cfg = RunConfig(cutoff="2023-11-30", sandbox_timeout=0.5)
+    backend = ScriptedBackend(
+        [
+            "Action: web_research\nAction Input: look it up",
+            "Action: web_search\nAction Input: rainfall",
+            "Final Answer: wet",
+            "Action: computation\nAction Input: spin",
+            "Action: python\nAction Input: while True: pass",
+            "Final Answer: no result",
+            "Final Answer: 0.5",
+        ]
+    )
+    _, tree = forecast_one(default_planner(provider, cfg), backend, make_question())
+    assert provider.calls == [("rainfall", cfg.cutoff_date(), cfg.results_per_search)]
+    assert [child.transcript.agent_id for child in tree.children] == ["web_research", "computation"]
+    assert tree.children[1].transcript.steps[0].observation == "execution timed out after 0.5s"
 
 
 def test_forecast_one_planner_never_sees_raw_tools():
@@ -214,7 +224,7 @@ def test_forecast_one_planner_never_sees_raw_tools():
 
 def test_forecast_one_single_has_flat_tree():
     provider = StaticProvider()
-    config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF, RunConfig())
+    config = single_agent_config(provider, RunConfig(cutoff=CUTOFF.isoformat()))
     backend = ScriptedBackend(
         ["Action: web_search\nAction Input: q", "Final Answer: 0.25"]
     )
@@ -226,7 +236,7 @@ def test_forecast_one_single_has_flat_tree():
 
 
 def test_single_agent_is_told_to_use_its_own_tools():
-    config = single_agent_config(StaticProvider(), Sandbox(timeout=5), CUTOFF, RunConfig())
+    config = single_agent_config(StaticProvider(), RunConfig(cutoff=CUTOFF.isoformat()))
     backend = ScriptedBackend(["Final Answer: 0.4"])
     forecast_one(config, backend, make_question())
     system = backend.requests[0].messages[0]
@@ -238,9 +248,9 @@ def test_single_agent_is_told_to_use_its_own_tools():
 
 def test_single_agent_default_guard_fails_hard():
     provider = StaticProvider()
-    config = single_agent_config(provider, Sandbox(timeout=5), CUTOFF, RunConfig())
+    config = single_agent_config(provider, RunConfig(cutoff=CUTOFF.isoformat()))
     assert config.on_budget_exceeded == "fail"
-    names = config.tools.names()
+    names = [tool.name for tool in config.tools]
     assert "web_search" in names and "python" in names
 
 

@@ -25,7 +25,7 @@ from agentcast.react import (
     render_transcript_text,
     run_react,
 )
-from agentcast.tools import ToolRegistry, ToolSpec
+from agentcast.tools import ToolSpec
 
 TOOLS = ("Google Search Snippets", "web_search", "python")
 
@@ -186,7 +186,7 @@ def test_extract_probability_first_token_wins():
 # --- loop plumbing --------------------------------------------------------------
 
 
-def echo_registry(observations=None):
+def echo_tools(observations=None):
     log = []
 
     def invoke(text):
@@ -195,25 +195,36 @@ def echo_registry(observations=None):
             return observations.pop(0)
         return f"observed:{text}"
 
-    registry = ToolRegistry([ToolSpec("web_search", "search the web", invoke)])
-    return registry, log
+    tools = (ToolSpec("web_search", "search the web", invoke),)
+    return tools, log
 
 
-def config(registry, **kwargs):
-    defaults = dict(system_prompt="You forecast.", tools=registry, agent_id="t")
+def config(tools, **kwargs):
+    defaults = dict(system_prompt="You forecast.", tools=tools, agent_id="t")
     defaults.update(kwargs)
     return ReactConfig(**defaults)
 
 
+def test_react_config_rejects_duplicate_tool_names_and_keeps_tool_order():
+    def tool(name):
+        return ToolSpec(name, "d", lambda s: s)
+
+    backend = ScriptedBackend(["Final Answer: 0.5"])
+    run_react(config((tool("b"), tool("a"))), backend, "task")
+    assert "<one of: b, a>" in backend.requests[0].messages[0].content
+    with pytest.raises(ValueError, match="duplicate tool name"):
+        config((tool("a"), tool("b"), tool("a")))
+
+
 def test_run_react_action_then_final():
-    registry, log = echo_registry()
+    tools, log = echo_tools()
     backend = ScriptedBackend(
         [
             "Thought: look it up\nAction: web_search\nAction Input: eth price",
             "Thought: enough\nFinal Answer: 0.35",
         ]
     )
-    outcome = run_react(config(registry), backend, "Will ETH close above 3700?")
+    outcome = run_react(config(tools), backend, "Will ETH close above 3700?")
     assert outcome.result == Forecast(0.35)
     assert log == ["eth price"]
     transcript = outcome.transcript
@@ -229,9 +240,9 @@ def test_run_react_action_then_final():
 
 
 def test_run_react_corrects_malformed_emission():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend(["Let me think about this.", "Final Answer: 0.6"])
-    outcome = run_react(config(registry), backend, "task")
+    outcome = run_react(config(tools), backend, "task")
     assert outcome.result == Forecast(0.6)
     step = outcome.transcript.steps[0]
     assert step.action == ""
@@ -242,7 +253,7 @@ def test_run_react_corrects_malformed_emission():
 
 
 def test_run_react_forced_finalization_after_cap():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend(
         [
             "Action: web_search\nAction Input: a",
@@ -250,7 +261,7 @@ def test_run_react_forced_finalization_after_cap():
             "Final Answer: 0.7",
         ]
     )
-    outcome = run_react(config(registry, max_iterations=2), backend, "task")
+    outcome = run_react(config(tools, max_iterations=2), backend, "task")
     assert outcome.result == Forecast(0.7)
     assert outcome.transcript.final.kind == "truncated_finalized"
     final_request = backend.requests[-1]
@@ -259,38 +270,38 @@ def test_run_react_forced_finalization_after_cap():
 
 
 def test_run_react_finalization_accepts_bare_number():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend(["Action: web_search\nAction Input: a", "0.8, most likely"])
-    outcome = run_react(config(registry, max_iterations=1), backend, "task")
+    outcome = run_react(config(tools, max_iterations=1), backend, "task")
     assert outcome.result == Forecast(0.8)
     assert outcome.transcript.final.kind == "truncated_finalized"
 
 
 def test_run_react_declines_when_finalization_fails():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend(["Action: web_search\nAction Input: a", "I really cannot say."])
-    outcome = run_react(config(registry, max_iterations=1), backend, "task")
+    outcome = run_react(config(tools, max_iterations=1), backend, "task")
     assert outcome.result == Declined("truncated: no numeric token in final answer")
     assert outcome.transcript.final.kind == "truncated"
 
 
 def test_run_react_declines_on_backend_failure():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend([TransportError("socket closed")])
-    outcome = run_react(config(registry), backend, "task")
+    outcome = run_react(config(tools), backend, "task")
     assert isinstance(outcome.result, Declined)
     assert outcome.result.reason.startswith("backend:")
     assert outcome.transcript.final.kind == "truncated"
     # a rejected key is not one failed call: it ends the run
     with pytest.raises(AuthError):
-        run_react(config(registry), ScriptedBackend([AuthError("bad key")]), "task")
+        run_react(config(tools), ScriptedBackend([AuthError("bad key")]), "task")
 
 
 def test_run_react_propagates_cassette_miss():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend([CassetteMiss("feed" * 16, None or make_dummy_request())])
     with pytest.raises(CassetteMiss):
-        run_react(config(registry), backend, "task")
+        run_react(config(tools), backend, "task")
 
 
 def make_dummy_request():
@@ -303,21 +314,21 @@ def test_run_react_tool_exception_becomes_observation():
     def invoke(text):
         raise RuntimeError("tool blew up")
 
-    registry = ToolRegistry([ToolSpec("web_search", "d", invoke)])
+    tools = (ToolSpec("web_search", "d", invoke),)
     backend = ScriptedBackend(
         ["Action: web_search\nAction Input: q", "Final Answer: 0.5"]
     )
-    outcome = run_react(config(registry), backend, "task")
+    outcome = run_react(config(tools), backend, "task")
     assert outcome.result == Forecast(0.5)
     assert outcome.transcript.steps[0].observation == "tool error: tool blew up"
 
 
 def test_unknown_tool_gets_corrective_observation_not_a_call():
-    registry, log = echo_registry()
+    tools, log = echo_tools()
     backend = ScriptedBackend(
         ["Action: calculator\nAction Input: 2+2", "Final Answer: 0.4"]
     )
-    outcome = run_react(config(registry), backend, "task")
+    outcome = run_react(config(tools), backend, "task")
     assert log == []
     assert "UnknownTool" in outcome.transcript.steps[0].observation
 
@@ -340,8 +351,8 @@ def make_steps(n, obs_chars=400):
 
 
 def test_compact_drops_oldest_and_keeps_recent_two():
-    registry, _ = echo_registry()
-    cfg = config(registry, context_token_limit=400)
+    tools, _ = echo_tools()
+    cfg = config(tools, context_token_limit=400)
     steps = make_steps(6)
     compacted = compact_steps(cfg, "task", steps)
     assert compacted[0].thought == OMITTED_MARKER
@@ -368,20 +379,20 @@ def quadratic_compact(cfg, task, steps):
 
 @pytest.mark.parametrize("n", [10, 50, 200])
 def test_compact_matches_quadratic_reference(n):
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     rng = random.Random(n)
     steps = [
         AgentStep(f"thought {i}", "web_search", f"query {i}", "o" * rng.randrange(0, 900)) for i in range(n)
     ]
-    full = context_estimate(assemble_messages(config(registry), "task", steps))
+    full = context_estimate(assemble_messages(config(tools), "task", steps))
     for limit in (0, 100, full // 3, full // 2, full - 1, full):
-        cfg = config(registry, context_token_limit=limit)
+        cfg = config(tools, context_token_limit=limit)
         assert compact_steps(cfg, "task", steps) == quadratic_compact(cfg, "task", steps), limit
 
 
 def test_budget_fail_mode_declines_with_budget_reason():
-    registry, _ = echo_registry([("x" * 4000)])
-    cfg = config(registry, context_token_limit=300, on_budget_exceeded="fail")
+    tools, _ = echo_tools([("x" * 4000)])
+    cfg = config(tools, context_token_limit=300, on_budget_exceeded="fail")
     backend = ScriptedBackend(["Action: web_search\nAction Input: q", "unused"])
     outcome = run_react(cfg, backend, "task")
     assert outcome.result == Declined("budget")
@@ -390,8 +401,8 @@ def test_budget_fail_mode_declines_with_budget_reason():
 
 
 def test_budget_compact_mode_keeps_running():
-    registry, _ = echo_registry(["x" * 4000, "y" * 4000, "done"])
-    cfg = config(registry, context_token_limit=1500, on_budget_exceeded="compact")
+    tools, _ = echo_tools(["x" * 4000, "y" * 4000, "done"])
+    cfg = config(tools, context_token_limit=1500, on_budget_exceeded="compact")
     backend = ScriptedBackend(
         [
             "Action: web_search\nAction Input: a",
@@ -411,8 +422,8 @@ def test_budget_compact_mode_keeps_running():
 
 
 def test_assemble_messages_shape():
-    registry, _ = echo_registry()
-    cfg = config(registry)
+    tools, _ = echo_tools()
+    cfg = config(tools)
     messages = assemble_messages(cfg, "the task", make_steps(2, obs_chars=10))
     assert [m.role for m in messages] == ["system", "user", "assistant", "user", "assistant", "user"]
     assert "You forecast." in messages[0].content
@@ -422,11 +433,11 @@ def test_assemble_messages_shape():
 
 
 def test_render_transcript_text_is_deterministic():
-    registry, _ = echo_registry()
+    tools, _ = echo_tools()
     backend = ScriptedBackend(
         ["Action: web_search\nAction Input: q", "Final Answer: 0.35"]
     )
-    outcome = run_react(config(registry), backend, "task text")
+    outcome = run_react(config(tools), backend, "task text")
     text = render_transcript_text(outcome.transcript, "task text")
     assert "=== agent t ===" in text
     assert "=== emission 1 ===" in text

@@ -11,20 +11,16 @@ from pathlib import Path
 import pytest
 
 from agentcast.tools import (
-    ExecResult,
     FixtureSearchProvider,
     LiveSearchProvider,
     ProviderError,
     SANDBOX_OUTPUT_CAP,
-    Sandbox,
     SandboxTimeout,
     SearchResult,
-    ToolRegistry,
     ToolSpec,
     execute_code,
     make_code_tool,
     make_search_tool,
-    render_observation,
     search,
     truncate_text,
 )
@@ -159,14 +155,14 @@ def test_unusable_search_body_becomes_a_search_error(loopback, body):
 
 
 def test_render_search_observation():
-    text = render_observation([result("A", "first"), result("B", "second")])
-    assert text == "A — first\nB — second"
-    assert render_observation([]) == "no results"
+    tool = make_search_tool(CaptureProvider([result("A", "first"), result("B", "second")]), CUTOFF)
+    assert tool.invoke("q") == "A — first\nB — second"
+    assert make_search_tool(CaptureProvider(), CUTOFF).invoke("q") == "no results"
 
 
 def test_observation_budget_truncates_with_marker():
     huge = [result("T", "x" * 10_000)]
-    text = render_observation(huge, observation_budget=120)
+    text = make_search_tool(CaptureProvider(huge), CUTOFF, observation_budget=120).invoke("q")
     assert len(text) == 120
     assert text.endswith("[truncated]")
     assert truncate_text("short", 100) == "short"
@@ -196,15 +192,14 @@ def test_search_tool_surfaces_provider_failure_as_observation():
 
 
 def test_execute_code_captures_stdout_and_wall_time():
-    sandbox = Sandbox()
-    outcome = execute_code(sandbox, "print(6 * 7)")
+    outcome = execute_code("print(6 * 7)", 10.0)
     assert outcome.stdout.strip() == "42"
     assert outcome.exit_status == 0
     assert outcome.wall_time >= 0.0
 
 
 def test_execute_code_nonzero_exit_keeps_error_tail():
-    outcome = execute_code(Sandbox(), "raise RuntimeError('math is hard')")
+    outcome = execute_code("raise RuntimeError('math is hard')", 10.0)
     assert outcome.exit_status != 0
     assert "math is hard" in outcome.stderr
 
@@ -213,17 +208,16 @@ def test_execute_code_cannot_read_api_keys(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "llm-secret-4711")
     monkeypatch.setenv("SEARCH_API_KEY", "search-secret-0815")
     program = "import os\nprint(os.environ.get('LLM_API_KEY'), os.environ.get('SEARCH_API_KEY'))\nprint(dict(os.environ))"
-    outcome = execute_code(Sandbox(), program)
+    outcome = execute_code(program, 10.0)
     assert outcome.exit_status == 0
     assert "llm-secret-4711" not in outcome.stdout + outcome.stderr
     assert "search-secret-0815" not in outcome.stdout + outcome.stderr
 
 
 def test_execute_code_timeout_enforced_with_grace():
-    sandbox = Sandbox(timeout=0.5)
     start = time.monotonic()
     with pytest.raises(SandboxTimeout, match="timed out after 0.5s"):
-        execute_code(sandbox, "while True: pass")
+        execute_code("while True: pass", 0.5)
     assert time.monotonic() - start < 1.5  # timeout plus a second of grace
 
 
@@ -252,9 +246,9 @@ def test_execute_code_leaves_no_grandchild_running(tmp_path, ends):
     try:
         if ends == "timeout":
             with pytest.raises(SandboxTimeout):
-                execute_code(Sandbox(timeout=2.0), program)
+                execute_code(program, 2.0)
         else:
-            assert execute_code(Sandbox(timeout=5.0), program).exit_status == 0
+            assert execute_code(program, 5.0).exit_status == 0
         pid = int(pid_file.read_text())
         deadline = time.monotonic() + 5
         while _alive(pid) and time.monotonic() < deadline:
@@ -278,7 +272,7 @@ def test_execute_code_timeout_holds_against_a_process_that_left_the_group(tmp_pa
     try:
         start = time.monotonic()
         with pytest.raises(SandboxTimeout):
-            execute_code(Sandbox(timeout=1.0), program)
+            execute_code(program, 1.0)
         assert time.monotonic() - start < 2.5  # timeout plus grace
     finally:
         if pid_file.exists() and _alive(int(pid_file.read_text())):
@@ -286,47 +280,34 @@ def test_execute_code_timeout_holds_against_a_process_that_left_the_group(tmp_pa
 
 
 def test_execute_code_output_capped():
-    outcome = execute_code(Sandbox(), f"print('y' * {SANDBOX_OUTPUT_CAP + 2000})")
+    outcome = execute_code(f"print('y' * {SANDBOX_OUTPUT_CAP + 2000})", 10.0)
     assert outcome.stdout == "y" * SANDBOX_OUTPUT_CAP
 
 
-def test_sandbox_template_validation():
-    with pytest.raises(ValueError, match="timeout"):
-        Sandbox(timeout=0)
-
-
 def test_code_tool_invocation_strips_fences_and_reports_errors():
-    tool = make_code_tool(Sandbox())
+    tool = make_code_tool(10.0)
     assert tool.invoke("```python\nprint('ok')\n```").strip() == "ok"
     assert tool.invoke("print(1/0)").startswith("exit status 1")
     assert "ZeroDivisionError" in tool.invoke("print(1/0)")
     assert tool.invoke("  ") == "execution error: empty program"
-    timeout_tool = make_code_tool(Sandbox(timeout=0.5))
+    timeout_tool = make_code_tool(0.5)
     assert timeout_tool.invoke("while True: pass") == "execution timed out after 0.5s"
 
 
 def test_render_exec_observation():
-    assert render_observation(ExecResult("out\n", "", 0, 0.1)) == "out\n"
-    assert render_observation(ExecResult("", "", 0, 0.1)) == "(no output)"
-    failed = render_observation(ExecResult("partial", "Traceback...", 2, 0.1))
-    assert "partial" in failed and "exit status 2" in failed and "Traceback" in failed
+    tool = make_code_tool(10.0)
+    assert tool.invoke("print('out')") == "out\n"
+    assert tool.invoke("x = 1") == "(no output)"
+    failed = tool.invoke("print('partial')\nraise SystemExit('Traceback...')")
+    assert "partial" in failed and "exit status 1" in failed and "Traceback" in failed
+    assert len(make_code_tool(10.0, observation_budget=50).invoke("print('z' * 500)")) == 50
 
 
-# --- registry ------------------------------------------------------------------
+# --- tool spec -------------------------------------------------------------------
 
 
 def noop_tool(name, kind="raw"):
     return ToolSpec(name=name, description="d", invoke=lambda s: s, kind=kind)
-
-
-def test_registry_rejects_duplicates_and_preserves_order():
-    registry = ToolRegistry([noop_tool("a"), noop_tool("b")])
-    assert registry.names() == ("a", "b")
-    assert registry.get("a").name == "a"
-    assert registry.get("missing") is None
-    with pytest.raises(ValueError, match="duplicate"):
-        registry.register(noop_tool("a"))
-    assert len(registry) == 2
 
 
 def test_tool_spec_validation():
