@@ -70,7 +70,7 @@ from .metrics import (
     brier,
     accuracy,
     calibration_index,
-    ensemble_std,
+    mean_member_std,
     render_calibration_table,
     render_score_table,
 )
@@ -81,11 +81,13 @@ from .models import (
     ForecastRecord,
     MemberForecast,
     Question,
+    RecordRow,
     ValidationError,
     format_timestamp,
     parse_timestamp,
     read_jsonl,
     read_questions,
+    read_record_rows,
     read_records,
     utc_now,
     write_jsonl,
@@ -483,7 +485,7 @@ def cmd_score(ns: argparse.Namespace) -> int:
         return EXIT_EMPTY
 
     method_maps: dict[str, dict[str, Forecast | Declined]] = {}
-    method_records: dict[str, list[ForecastRecord]] = {}
+    method_records: dict[str, list[RecordRow]] = {}
 
     crowd_available = any(q.crowd_prob is not None for q in dataset if q.id in outcomes)
     if crowd_available:
@@ -497,12 +499,12 @@ def cmd_score(ns: argparse.Namespace) -> int:
         label = Path(path).stem
         if label in method_maps:
             raise ConfigError(f"method label {label!r} is taken twice; give each --forecasts file its own stem")
-        records = read_records(path)
+        records = read_record_rows(path)
         fmap: dict[str, Forecast | Declined] = {}
         for record in records:
             if record.question_id not in outcomes:
                 continue
-            fmap[record.question_id] = Declined("declined") if record.declined else record.aggregate
+            fmap[record.question_id] = Declined("declined") if record.declined else Forecast(record.aggregate)
         missing = set(outcomes) - set(fmap)
         if missing:
             print(f"{label}: no record for {len(missing)} resolved questions; treating as declined", file=sys.stderr)
@@ -525,8 +527,8 @@ def cmd_score(ns: argparse.Namespace) -> int:
         sset = scored[label]
         std = None
         if label in method_records:
-            surviving_records = [r for r in method_records[label] if r.question_id in survivors]
-            std = ensemble_std(surviving_records)
+            completed = (r.values for r in method_records[label] if r.question_id in survivors and not r.declined)
+            std = mean_member_std(completed)
         row = ScoreRow(method_label=label, brier=brier(sset), accuracy=accuracy(sset), std=std)
         rows.append(row)
         score_lines.append(

@@ -208,8 +208,8 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be positive")
+        if not math.isfinite(requests_per_minute) or requests_per_minute <= 0:
+            raise ValueError(f"requests_per_minute must be finite and positive, got {requests_per_minute!r}")
         self._capacity = float(requests_per_minute)
         self._rate = requests_per_minute / 60.0
         self._tokens = self._capacity

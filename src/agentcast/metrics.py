@@ -12,7 +12,7 @@ import random
 import re
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .models import Declined, Forecast, ForecastRecord
 
@@ -179,23 +179,29 @@ def aggregate(members: list[Forecast], mode: str, seed: str | int | None = None)
 
 def ensemble_std(records: list[ForecastRecord]) -> float:
     """Mean over questions of the population standard deviation of the
-    members' probabilities. Declined records are skipped.
+    members' probabilities. Declined records are skipped."""
+    return mean_member_std([[m.forecast.value for m in r.members] for r in records if not r.declined])
 
-    All records are reduced in one pass over a flat value array. Each record's
+
+def mean_member_std(member_values: Iterable[list[float]]) -> float:
+    """Mean over ensembles of the population standard deviation of each
+    ensemble's member probabilities. Every list must be non-empty.
+
+    All ensembles are reduced in one pass over a flat value array. Each
     segment opens with a 0.0, so `reduceat` adds its members onto a zero start
-    in the same order as `np.std` on that record alone, and the result matches
-    the per-record computation bit for bit.
+    in the same order as `np.std` on that ensemble alone, and the result
+    matches the per-ensemble computation bit for bit.
     """
     flat: list[float] = []
     starts: list[int] = []
     counts: list[int] = []
-    for record in records:
-        if record.declined:
-            continue
+    for ensemble in member_values:
+        if not ensemble:
+            raise EmptyMembers("cannot measure the spread of an empty ensemble")
         starts.append(len(flat))
         flat.append(0.0)
-        flat.extend(m.forecast.value for m in record.members)
-        counts.append(len(record.members))
+        flat.extend(ensemble)
+        counts.append(len(ensemble))
     if not counts:
         raise EmptySet("no completed ensembles to measure spread over")
     import numpy as np

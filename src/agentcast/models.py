@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
 class ValidationError(ValueError):
@@ -115,14 +115,22 @@ class Forecast:
     value: float
 
     def __post_init__(self):
-        v = self.value
-        is_float = type(v) is float
-        if not is_float and (isinstance(v, bool) or not isinstance(v, (int, float))):
-            raise ValidationError("value", f"forecast must be a number, got {v!r}")
-        if not 0.0 <= v <= 1.0:  # also false for NaN and the infinities
-            raise ValidationError("value", f"forecast must lie in [0, 1], got {v!r}")
-        if not is_float:
-            object.__setattr__(self, "value", float(v))
+        value = _check_probability(self.value)
+        if value is not self.value:
+            object.__setattr__(self, "value", value)
+
+
+def _check_probability(v: Any) -> float:
+    """Return v as a float if it is a number in [0, 1]; raise ValidationError
+    on a bool, a non-number, NaN or anything out of range."""
+    if type(v) is float:
+        if 0.0 <= v <= 1.0:  # also false for NaN and the infinities
+            return v
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError("value", f"forecast must be a number, got {v!r}")
+    elif 0.0 <= v <= 1.0:
+        return float(v)
+    raise ValidationError("value", f"forecast must lie in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,8 @@ class Question:
             if isinstance(o, bool) or o not in (0, 1, 0.0, 1.0):
                 raise ValidationError("outcome", f"outcome must be 0 or 1, got {o!r}")
             object.__setattr__(self, "outcome", int(o))
+        if not isinstance(self.excluded, bool):
+            raise ValidationError("excluded", f"expected true or false, got {self.excluded!r}")
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {"id": self.id, "title": self.title}
@@ -232,7 +242,7 @@ def validate_question(raw: dict) -> Question:
         crowd_prob=raw.get("crowd_prob"),
         outcome=raw.get("outcome"),
         source=raw.get("source", ""),
-        excluded=bool(raw.get("excluded", False)),
+        excluded=raw.get("excluded", False),
     )
 
 
@@ -309,28 +319,11 @@ class ForecastRecord:
     declined: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.question_id, str) or not self.question_id.strip():
-            raise ValidationError("question_id", "missing question_id")
         object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ValidationError("members", "ensemble has no members")
-        if self.aggregator not in AGGREGATORS:
-            raise ValidationError("aggregator", f"unknown aggregator {self.aggregator!r}")
         values = [m.forecast.value for m in self.members if isinstance(m.forecast, Forecast)]
-        declined = len(values) < len(self.members)
+        aggregate = None if self.aggregate is None else self.aggregate.value
+        declined = _check_ensemble(self.question_id, len(self.members), self.aggregator, values, aggregate)
         object.__setattr__(self, "declined", declined)
-        if declined:
-            if self.aggregate is not None:
-                raise ValidationError("aggregate", "declined record cannot carry an aggregate")
-        else:
-            if self.aggregate is None:
-                raise ValidationError("aggregate", "missing aggregate for a completed ensemble")
-            lo, hi = min(values), max(values)
-            if not lo <= self.aggregate.value <= hi:
-                raise ValidationError(
-                    "aggregate",
-                    f"aggregate {self.aggregate.value!r} outside member range [{lo!r}, {hi!r}]",
-                )
 
     def to_dict(self) -> dict:
         members = []
@@ -356,39 +349,83 @@ class ForecastRecord:
         return d
 
 
-def validate_record(raw: dict) -> ForecastRecord:
-    """Build a ForecastRecord from a raw dict, raising ValidationError on bad fields."""
+def _check_ensemble(
+    question_id: Any, n_members: int, aggregator: Any, values: list[float], aggregate: float | None
+) -> bool:
+    """The invariants of one ensemble record; returns whether it declined.
+
+    values holds the completed members' probabilities, so the record declined
+    iff some member has none. A declined record has no aggregate, and a
+    completed one has an aggregate inside its members' range.
+    """
+    if not isinstance(question_id, str) or not question_id.strip():
+        raise ValidationError("question_id", "missing question_id")
+    if not n_members:
+        raise ValidationError("members", "ensemble has no members")
+    if aggregator not in AGGREGATORS:
+        raise ValidationError("aggregator", f"unknown aggregator {aggregator!r}")
+    declined = len(values) < n_members
+    if declined:
+        if aggregate is not None:
+            raise ValidationError("aggregate", "declined record cannot carry an aggregate")
+    else:
+        if aggregate is None:
+            raise ValidationError("aggregate", "missing aggregate for a completed ensemble")
+        lo, hi = min(values), max(values)
+        if not lo <= aggregate <= hi:
+            raise ValidationError("aggregate", f"aggregate {aggregate!r} outside member range [{lo!r}, {hi!r}]")
+    return declined
+
+
+class RecordRow(NamedTuple):
+    """What scoring reads from one checked forecast record."""
+
+    question_id: str
+    declined: bool
+    aggregate: float | None
+    values: list[float]  # the completed members' probabilities, in file order
+
+
+def check_record(raw: dict) -> RecordRow:
+    """Run every check validate_record runs, in the same order and with the
+    same messages, and return only the fields scoring uses."""
     if not isinstance(raw, dict):
         raise ValidationError("record", f"expected an object, got {type(raw).__name__}")
     if "question_id" not in raw:
         raise ValidationError("question_id", "missing question_id")
-    members_raw = raw.get("members")
-    if not isinstance(members_raw, list):
+    members = raw.get("members")
+    if not isinstance(members, list):
         raise ValidationError("members", "missing members list")
-    members = []
-    for entry in members_raw:
+    values = []
+    for entry in members:
         if not isinstance(entry, dict) or "member_index" not in entry:
             raise ValidationError("members", f"malformed member entry {entry!r}")
         if entry.get("declined"):
-            fc: Forecast | Declined = Declined(entry.get("reason", ""))
-        elif "forecast" in entry:
-            fc = Forecast(entry["forecast"])
-        else:
+            continue
+        if "forecast" not in entry:
             raise ValidationError("members", f"member entry has neither forecast nor declined: {entry!r}")
-        members.append(
-            MemberForecast(
-                member_index=entry["member_index"],
-                forecast=fc,
-                transcript_ref=entry.get("transcript_ref", ""),
-            )
-        )
+        values.append(_check_probability(entry["forecast"]))
     aggregate = raw.get("aggregate")
-    return ForecastRecord(
-        question_id=raw["question_id"],
-        members=tuple(members),
-        aggregator=raw.get("aggregator", "median"),
-        aggregate=Forecast(aggregate) if aggregate is not None else None,
+    if aggregate is not None:
+        aggregate = _check_probability(aggregate)
+    question_id = raw["question_id"]
+    declined = _check_ensemble(question_id, len(members), raw.get("aggregator", "median"), values, aggregate)
+    return RecordRow(question_id, declined, aggregate, values)
+
+
+def validate_record(raw: dict) -> ForecastRecord:
+    """Build a ForecastRecord from a raw dict, raising ValidationError on bad fields."""
+    row = check_record(raw)
+    members = tuple(
+        MemberForecast(
+            member_index=entry["member_index"],
+            forecast=Declined(entry.get("reason", "")) if entry.get("declined") else Forecast(entry["forecast"]),
+            transcript_ref=entry.get("transcript_ref", ""),
+        )
+        for entry in raw["members"]
     )
+    aggregate = None if row.aggregate is None else Forecast(row.aggregate)
+    return ForecastRecord(row.question_id, members, raw.get("aggregator", "median"), aggregate)
 
 
 # --- JSONL IO -----------------------------------------------------------
@@ -458,3 +495,8 @@ def write_records(path: str | Path, records: Iterable[ForecastRecord]) -> None:
 
 def read_records(path: str | Path) -> list[ForecastRecord]:
     return _read_validated(path, validate_record)
+
+
+def read_record_rows(path: str | Path) -> list[RecordRow]:
+    """Check a forecast file as read_records does, without building records."""
+    return _read_validated(path, check_record)

@@ -46,7 +46,20 @@ from agentcast.llm import (
 )
 from agentcast.market import FixtureMarketClient, classify_category, llm_filter
 from agentcast.metrics import parse_table
-from agentcast.models import Category, Declined, read_jsonl, read_questions, read_records, write_questions
+from agentcast.models import (
+    Category,
+    Declined,
+    Forecast,
+    ForecastRecord,
+    MemberForecast,
+    RecordRow,
+    ValidationError,
+    read_jsonl,
+    read_questions,
+    read_record_rows,
+    read_records,
+    write_questions,
+)
 from agentcast.react import context_estimate
 from agentcast.tools import FixtureSearchProvider
 
@@ -1033,6 +1046,127 @@ def test_score_nothing_resolved_exits_2(tmp_path):
     forecasts.write_text("")
     rc = cli.main(["score", "--dataset", str(dataset), "--forecasts", str(forecasts)])
     assert rc == EXIT_EMPTY
+
+
+_ABSENT = object()
+
+
+def _record(**fields):
+    """One completed single-member record on q_eth, with fields replaced or, given _ABSENT, removed."""
+    record = {"question_id": "q_eth", "aggregator": "median", "members": [{"member_index": 0, "forecast": 0.2}],
+              "aggregate": 0.2}
+    record.update(fields)
+    return {key: value for key, value in record.items() if value is not _ABSENT}
+
+
+def _members(*forecasts):
+    return [{"member_index": i, "forecast": f} for i, f in enumerate(forecasts)]
+
+
+# Malformed forecast lines and the messages `score` printed for them while the
+# reader still built a ForecastRecord per line. Where a line has two faults the
+# message names the one checked first.
+MALFORMED_RECORDS = [
+    ("list", [1, 2], "record: expected an object, got list"),
+    ("string", "q_eth", "record: expected an object, got str"),
+    ("no_question_id", _record(question_id=_ABSENT), "question_id: missing question_id"),
+    ("empty_question_id", _record(question_id=""), "question_id: missing question_id"),
+    ("blank_question_id", _record(question_id="  "), "question_id: missing question_id"),
+    ("numeric_question_id", _record(question_id=7), "question_id: missing question_id"),
+    ("members_not_a_list", _record(members={"0": 0.2}), "members: missing members list"),
+    ("no_members", _record(members=_ABSENT), "members: missing members list"),
+    ("empty_members", _record(members=[], aggregate=_ABSENT), "members: ensemble has no members"),
+    ("member_not_an_object", _record(members=[0.2]), "members: malformed member entry 0.2"),
+    ("member_without_index", _record(members=[{"forecast": 0.2}]),
+     "members: malformed member entry {'forecast': 0.2}"),
+    ("member_without_forecast_or_declined", _record(members=[*_members(0.2), {"member_index": 1, "transcript_ref": "x"}]),
+     "members: member entry has neither forecast nor declined: {'member_index': 1, 'transcript_ref': 'x'}"),
+    ("forecast_true", _record(members=_members(True)), "value: forecast must be a number, got True"),
+    ("forecast_2", _record(members=_members(2)), "value: forecast must lie in [0, 1], got 2"),
+    ("forecast_string", _record(members=_members("0.2")), "value: forecast must be a number, got '0.2'"),
+    ("forecast_nan", _record(members=_members(float("nan"))), "value: forecast must lie in [0, 1], got nan"),
+    ("forecast_null", _record(members=_members(None)), "value: forecast must be a number, got None"),
+    ("unknown_aggregator", _record(aggregator="mode"), "aggregator: unknown aggregator 'mode'"),
+    ("declined_with_aggregate",
+     _record(members=[{"member_index": 0, "declined": True, "reason": "r"}, {"member_index": 1, "forecast": 0.4}],
+             aggregate=0.4),
+     "aggregate: declined record cannot carry an aggregate"),
+    ("completed_without_aggregate", _record(members=_members(0.2, 0.4), aggregate=_ABSENT),
+     "aggregate: missing aggregate for a completed ensemble"),
+    ("aggregate_outside_member_range", _record(members=_members(0.2, 0.4), aggregate=0.5),
+     "aggregate: aggregate 0.5 outside member range [0.2, 0.4]"),
+    ("aggregate_true", _record(aggregate=True), "value: forecast must be a number, got True"),
+    ("aggregate_negative", _record(aggregate=-0.1), "value: forecast must lie in [0, 1], got -0.1"),
+    ("bad_aggregate_and_empty_question_id", _record(question_id="", aggregate=1.5),
+     "value: forecast must lie in [0, 1], got 1.5"),
+    ("unknown_aggregator_and_no_members", _record(aggregator="mode", members=[], aggregate=_ABSENT),
+     "members: ensemble has no members"),
+    ("bad_forecast_and_unknown_aggregator", _record(aggregator="mode", members=_members(-1)),
+     "value: forecast must lie in [0, 1], got -1"),
+    ("bad_forecast_before_a_member_without_index", _record(members=[*_members(3), {"forecast": 0.2}]),
+     "value: forecast must lie in [0, 1], got 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, message", [row[1:] for row in MALFORMED_RECORDS], ids=[row[0] for row in MALFORMED_RECORDS]
+)
+def test_score_reports_a_malformed_forecast_line_as_before(tmp_path, capsys, line, message):
+    path = tmp_path / "agent.jsonl"
+    good = _record(members=_members(0.2, 0.4), aggregate=0.3)
+    path.write_text(json.dumps(good) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    field, detail = message.split(": ", 1)
+    expected = f"{field}: {path}:2: {field}: {detail}"
+    capsys.readouterr()
+    assert cli.main(["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(path)]) == EXIT_FATAL
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
+    for reader in (read_records, read_record_rows):
+        with pytest.raises(ValidationError) as raised:
+            reader(path)
+        assert str(raised.value) == expected and raised.value.field_name == field
+
+
+def test_record_readers_take_an_integer_probability_as_a_float(tmp_path):
+    path = tmp_path / "agent.jsonl"
+    path.write_text(json.dumps(_record(members=_members(1, 1.0), aggregate=1)) + "\n", encoding="utf-8")
+    (record,) = read_records(path)
+    assert [type(m.forecast.value) for m in record.members] == [float, float]
+    assert type(record.aggregate.value) is float and record.aggregate == Forecast(1.0)
+    (row,) = read_record_rows(path)
+    assert row == RecordRow("q_eth", False, 1.0, [1.0, 1.0])
+    assert type(row.aggregate) is float and [type(v) for v in row.values] == [float, float]
+
+
+def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    assert replay_forecast(run_dir) == EXIT_OK
+    built = {cls: 0 for cls in (Forecast, MemberForecast, ForecastRecord)}
+    for cls in built:
+
+        def counting(self, _cls=cls, _original=cls.__post_init__):
+            built[_cls] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(run_dir / "forecasts.jsonl"),
+            "--bins", "2"]
+    assert cli.main(argv) == EXIT_OK
+    assert built[MemberForecast] == built[ForecastRecord] == 0
+    # one Forecast per crowd price and per completed aggregate, none per member
+    assert 0 < built[Forecast] <= 2 * len(read_questions(E2E / "questions.jsonl"))
+
+
+def test_score_exits_1_on_an_excluded_flag_that_is_not_a_boolean(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    lines = (E2E / "questions.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "excluded": "false"})
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    forecasts = tmp_path / "agent.jsonl"
+    forecasts.write_text("")
+    capsys.readouterr()
+    assert cli.main(["score", "--dataset", str(dataset), "--forecasts", str(forecasts)]) == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert f"error: excluded: {dataset}:3: excluded: expected true or false, got 'false'" in err.splitlines()
 
 
 # --- probe -----------------------------------------------------------------------

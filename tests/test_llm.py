@@ -471,8 +471,10 @@ def test_rate_limiter_allows_burst_then_waits():
 
 
 def test_rate_limiter_rejects_nonpositive_budget():
-    with pytest.raises(ValueError):
-        RateLimiter(0)
+    # a NaN or infinite budget used to be accepted; a NaN one then waited NaN seconds forever
+    for rpm in (0, -1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RateLimiter(rpm)
 
 
 # --- leakage probe ----------------------------------------------------------

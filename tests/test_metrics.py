@@ -20,6 +20,7 @@ from agentcast.metrics import (
     brier,
     calibration_index,
     ensemble_std,
+    mean_member_std,
     parse_table,
     render_calibration_table,
     render_score_table,
@@ -185,7 +186,7 @@ def test_ensemble_std_matches_oracle():
         # declined records in between must not shift the other records' segments
         records[10:10] = [make_declined_record("d1", [0.1] * 9), make_declined_record("d2", [0.7])]
         assert abs(ensemble_std(records) - oracle_ensemble_std(lists)) < 1e-12
-        assert ensemble_std(records) == loop_ensemble_std(records)
+        assert ensemble_std(records) == loop_ensemble_std(records) == mean_member_std(lists)
 
 
 def test_ensemble_std_skips_declined_records():
@@ -197,6 +198,8 @@ def test_ensemble_std_skips_declined_records():
         ensemble_std([make_declined_record("q1", [0.5] * 9), make_declined_record("q2", [0.5])])
     with pytest.raises(EmptySet):
         ensemble_std([])
+    with pytest.raises(EmptyMembers):
+        mean_member_std([[0.2, 0.4], []])
 
 
 # --- drop rule -----------------------------------------------------------

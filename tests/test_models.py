@@ -14,6 +14,7 @@ from agentcast.models import (
     ForecastRecord,
     MemberForecast,
     Question,
+    RecordRow,
     Transcript,
     ValidationError,
     format_timestamp,
@@ -21,6 +22,7 @@ from agentcast.models import (
     parse_timestamp,
     read_jsonl,
     read_questions,
+    read_record_rows,
     read_records,
     validate_question,
     validate_record,
@@ -201,6 +203,7 @@ def test_record_round_trip(tmp_path):
     assert loaded == records
     assert loaded[1].declined
     assert loaded[1].members[0].forecast == Declined("budget")
+    assert read_record_rows(path) == [RecordRow("q1", False, 0.375, [0.35, 0.4]), RecordRow("q2", True, None, [0.7])]
     write_records(path, loaded)
     assert path.read_bytes() == first
 
@@ -253,6 +256,18 @@ def test_write_jsonl_keeps_the_old_file_when_a_write_fails(tmp_path):
         write_questions(path, broken())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["questions.jsonl"]
+
+
+def test_validate_question_takes_excluded_only_as_a_json_boolean():
+    raw = make_question().to_dict()
+    assert validate_question(raw).excluded is False
+    for flag in (True, False):
+        assert validate_question({**raw, "excluded": flag}).excluded is flag
+    # "false" used to read as truthy, so score silently dropped the question
+    for bad in ("false", "true", 0, 1, None, []):
+        with pytest.raises(ValidationError, match=r"^excluded: expected true or false") as raised:
+            validate_question({**raw, "excluded": bad})
+        assert raised.value.field_name == "excluded"
 
 
 def test_validate_record_rejects_malformed_members():
