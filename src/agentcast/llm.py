@@ -244,10 +244,12 @@ class RetryPolicy:
     max_delay: float = 30.0
     total_delay_ceiling: float = 60.0
 
-    def delay(self, attempt: int, already_slept: float, hint: float | None = None) -> float:
+    def delay(self, attempt: int, left: float, hint: float | None = None) -> float:
+        """The wait after attempt `attempt` (counted from 0): the hint, or the
+        doubling backoff, at most max_delay and at most the `left` seconds of
+        the total ceiling."""
         raw = self.base_delay * (2**attempt) if hint is None else hint
-        raw = min(raw, self.max_delay)
-        return max(0.0, min(raw, self.total_delay_ceiling - already_slept))
+        return max(0.0, min(raw, self.max_delay, left))
 
 
 def parse_retry_after(headers: dict) -> float | None:
@@ -445,13 +447,14 @@ def send_with_retry(
     Sends through `http_transport` up to `retry.max_attempts` times, taking a
     rate-limiter token first when a limiter is given. A TransportError, a 429
     and a 5xx are retried after `retry.delay` (a 429's Retry-After when it has
-    one). A 401/403 raises AuthError at once and a 429 that outlasts the
-    retries RateLimited; a network failure or a 5xx on the last attempt, and
-    any other status, raise TransportError.
+    one, even 0) until `retry.total_delay_ceiling` seconds of waiting are
+    spent; the attempt after that is the last. A 401/403 raises AuthError at
+    once and a 429 that outlasts the retries RateLimited; a network failure
+    or a 5xx on the last attempt, and any other status, raise TransportError.
     """
-    slept = 0.0
+    left = retry.total_delay_ceiling
     for attempt in range(retry.max_attempts):
-        final = attempt + 1 == retry.max_attempts
+        final = attempt + 1 == retry.max_attempts or left <= 0
         if rate_limiter is not None:
             rate_limiter.acquire()
         hint: float | None = None
@@ -473,10 +476,10 @@ def send_with_retry(
                 raise TransportError(f"unexpected status {status}: {str(payload)[:200]}")
             elif final:
                 raise TransportError(f"server error ({status}) after {attempt + 1} attempts")
-        delay = retry.delay(attempt, slept, hint)
+        delay = retry.delay(attempt, left, hint)
         if delay > 0:
             sleep(delay)
-            slept += delay
+            left -= delay
     raise ValueError(f"RetryPolicy.max_attempts must be at least 1, got {retry.max_attempts}")
 
 

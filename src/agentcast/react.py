@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Union
 
 from .llm import (
@@ -246,40 +247,61 @@ def _step_messages(step: AgentStep) -> tuple[Message, Message]:
     )
 
 
-def assemble_messages(config: ReactConfig, task: str, steps: list[AgentStep]) -> tuple[Message, ...]:
-    """Build the request messages: system prompt with tool instructions, the
-    task, then one assistant/user pair per completed step."""
-    messages = list(_head_messages(config, task))
-    for step in steps:
-        messages.extend(_step_messages(step))
-    return tuple(messages)
-
-
 def context_estimate(messages: tuple[Message, ...]) -> int:
     return sum(estimate_tokens(m.content) for m in messages)
 
 
-_MARKER_STEP = AgentStep(thought=OMITTED_MARKER, action="", action_input="", observation=OMITTED_MARKER)
+# stands in for every dropped step of a compacted history
+_MARKER_PAIR = _step_messages(AgentStep(OMITTED_MARKER, "", "", OMITTED_MARKER))
+_MARKER_COST = context_estimate(_MARKER_PAIR)
 
 
-def compact_steps(config: ReactConfig, task: str, steps: list[AgentStep]) -> list[AgentStep]:
-    """Drop oldest steps until the assembled context fits the budget.
+class History:
+    """One run's context, each part rendered and priced once: the head
+    (system prompt with tool instructions, then the task) when the history
+    is made, and each step's assistant/user pair when the step is appended.
+    `total` is the estimate of the head plus every step."""
+
+    def __init__(self, config: ReactConfig, task: str):
+        self.head = _head_messages(config, task)
+        self.total = context_estimate(self.head)
+        self.steps: list[AgentStep] = []
+        self.pairs: list[tuple[Message, Message]] = []
+        self.costs: list[int] = []
+
+    def append(self, step: AgentStep) -> None:
+        pair = _step_messages(step)
+        cost = context_estimate(pair)
+        self.steps.append(step)
+        self.pairs.append(pair)
+        self.costs.append(cost)
+        self.total += cost
+
+
+def assemble_messages(history: History, dropped: int = 0) -> tuple[Message, ...]:
+    """Build the request messages from the history's rendered parts: the
+    head, then one assistant/user pair per step, with the `dropped` oldest
+    steps replaced by one marker pair."""
+    marker = _MARKER_PAIR if dropped else ()
+    return tuple(chain(history.head, marker, *history.pairs[dropped:]))
+
+
+def compact_steps(history: History, limit: int) -> int:
+    """How many of the oldest steps to drop so the context fits `limit`.
 
     Dropped steps are replaced by one marker step so the model knows history
-    is missing; the two most recent steps are always kept verbatim. The
-    context estimate is a per-message sum, so each step's share is computed
-    once and subtracted as the step drops.
+    is missing; the two most recent steps are always kept verbatim. Every
+    step was priced when it was appended, so this walks the cached costs from
+    the oldest step, subtracting each from the running total as it drops,
+    and renders nothing.
     """
-    limit = config.context_token_limit
-    assert limit is not None
-    costs = [context_estimate(_step_messages(step)) for step in steps]
-    total = context_estimate(_head_messages(config, task)) + sum(costs)
-    marker = context_estimate(_step_messages(_MARKER_STEP))
+    costs = history.costs
+    total = history.total
     dropped = 0
-    while len(steps) - dropped > 2 and total + (marker if dropped else 0) > limit:
+    while len(costs) - dropped > 2 and total + (_MARKER_COST if dropped else 0) > limit:
         total -= costs[dropped]
         dropped += 1
-    return [_MARKER_STEP] + steps[dropped:] if dropped else list(steps)
+    return dropped
 
 
 # --- the loop -----------------------------------------------------------------
@@ -304,16 +326,17 @@ class RunOutcome:
     transcript: Transcript
 
 
-def _prepare_messages(config: ReactConfig, task: str, steps: list[AgentStep]) -> tuple[Message, ...] | None:
-    """Assemble messages under the budget policy: None in fail mode when the
-    budget is blown; in compact mode the history is compacted instead."""
-    messages = assemble_messages(config, task, steps)
+def _prepare_messages(config: ReactConfig, history: History) -> tuple[Message, ...] | None:
+    """Assemble the next request under the budget policy. The history's
+    running total is the context estimate, so the check prices nothing. Over
+    the limit, fail mode returns None and compact mode drops the oldest steps
+    that `compact_steps` picks from the cached costs."""
     limit = config.context_token_limit
-    if limit is None or context_estimate(messages) <= limit:
-        return messages
+    if limit is None or history.total <= limit:
+        return assemble_messages(history)
     if config.on_budget_exceeded == "fail":
         return None
-    return assemble_messages(config, task, compact_steps(config, task, steps))
+    return assemble_messages(history, compact_steps(history, limit))
 
 
 def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
@@ -325,12 +348,12 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
     retries (CallFailed) declines the run rather than killing the batch;
     every other backend error, here or inside a tool, propagates.
     """
-    steps: list[AgentStep] = []
+    history = History(config, task)
     tools = {tool.name: tool for tool in config.tools}
     tool_names = tuple(tools)
 
     def finish(result: Forecast | Declined, final: FinalState) -> RunOutcome:
-        return RunOutcome(result, Transcript(config.agent_id, tuple(steps), final))
+        return RunOutcome(result, Transcript(config.agent_id, tuple(history.steps), final))
 
     def complete(messages: tuple[Message, ...]) -> tuple[str | None, RunOutcome | None]:
         request = ChatRequest(
@@ -346,7 +369,7 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             return None, finish(Declined(f"backend: {exc}"), FinalState("truncated"))
 
     for _ in range(config.max_iterations):
-        messages = _prepare_messages(config, task, steps)
+        messages = _prepare_messages(config, history)
         if messages is None:
             return finish(Declined("budget"), FinalState("truncated"))
         content, failed = complete(messages)
@@ -364,9 +387,9 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             except Exception as exc:  # tool bugs become observations, not crashes
                 logger.warning("agent %s: tool %s raised: %s", config.agent_id, parsed.action, exc)
                 observation = f"tool error: {exc}"
-            steps.append(AgentStep(parsed.thought, parsed.action, parsed.action_input, observation))
+            history.append(AgentStep(parsed.thought, parsed.action, parsed.action_input, observation))
         else:
-            steps.append(
+            history.append(
                 AgentStep(
                     thought=content,
                     action="",
@@ -376,7 +399,7 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             )
 
     # iteration cap reached: force one tool-free finalization
-    messages = _prepare_messages(config, task, steps)
+    messages = _prepare_messages(config, history)
     if messages is None:
         return finish(Declined("budget"), FinalState("truncated"))
     messages = messages + (Message("user", FINALIZE_INSTRUCTION),)

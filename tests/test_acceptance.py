@@ -41,6 +41,7 @@ from agentcast.models import Declined, Forecast, ForecastRecord, MemberForecast,
 from agentcast.react import (
     ActionEmission,
     FinalEmission,
+    History,
     MalformedEmission,
     assemble_messages,
     context_estimate,
@@ -343,7 +344,7 @@ def test_criterion_8_context_budget_ablation(tmp_path):
 
     # pick a per-agent budget that admits one raw search observation but not two
     flat = single_agent_config(_ablation_fixture(), RunConfig(cutoff=cutoff.isoformat()))
-    base = context_estimate(assemble_messages(flat, task, []))
+    base = context_estimate(assemble_messages(History(flat, task)))
     limit = base + 1500  # one ~1000-token observation fits, two cannot
 
     flat = replace(flat, context_token_limit=limit)

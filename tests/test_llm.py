@@ -279,8 +279,9 @@ UNUSABLE = (200, {}, "<html>busy</html>")
         pytest.param([(429, {"Retry-After": "7"}, {}), 200], [7.0], None, id="429-retry-after-then-200"),
         pytest.param([503, DROP, 200], [1.0, 2.0], None, id="503-drop-200"),
         pytest.param([UNUSABLE], [], "unusable", id="unusable-200-body"),
-        # 30 + 30 s reaches the 60 s ceiling; the last two retries do not sleep
-        pytest.param([THROTTLED] * 5, [30.0, 30.0], "exhausted", id="429s-stop-at-max-attempts"),
+        pytest.param([(429, {"Retry-After": "0"}, {}), 200], [], None, id="429-retry-after-0-then-200"),
+        # 30 + 30 s spends the 60 s ceiling, so the third attempt is the last
+        pytest.param([THROTTLED] * 3, [30.0, 30.0], "exhausted", id="429s-stop-at-max-attempts"),
     ],
 )
 @pytest.mark.parametrize("client", sorted(LIVE_CLIENTS))

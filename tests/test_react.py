@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from agentcast.llm import AuthError, CassetteMiss, ScriptedBackend, TransportError
+from agentcast import react
+from agentcast.llm import AuthError, CassetteMiss, Message, ScriptedBackend, TransportError
 from agentcast.models import AgentStep, Declined, Forecast
 from agentcast.react import (
     ActionEmission,
     FinalEmission,
     FINALIZE_INSTRUCTION,
+    History,
     MalformedEmission,
     MalformedReason,
     OMITTED_MARKER,
@@ -350,31 +352,46 @@ def make_steps(n, obs_chars=400):
     return [AgentStep(f"thought {i}", "web_search", f"query {i}", "o" * obs_chars) for i in range(n)]
 
 
+MARKER = AgentStep(OMITTED_MARKER, "", "", OMITTED_MARKER)
+
+
+def history_of(cfg, task, steps=()):
+    history = History(cfg, task)
+    for step in steps:
+        history.append(step)
+    return history
+
+
+def compacted_view(cfg, task, steps):
+    """The steps a compacted request shows: the marker, then the kept ones."""
+    dropped = compact_steps(history_of(cfg, task, steps), cfg.context_token_limit)
+    return [MARKER] + steps[dropped:] if dropped else list(steps)
+
+
 def test_compact_drops_oldest_and_keeps_recent_two():
     tools, _ = echo_tools()
     cfg = config(tools, context_token_limit=400)
     steps = make_steps(6)
-    compacted = compact_steps(cfg, "task", steps)
-    assert compacted[0].thought == OMITTED_MARKER
-    kept = compacted[1:]
-    assert len(kept) >= 2
-    assert kept[-2:] == steps[-2:]  # most recent steps verbatim
-    messages = assemble_messages(cfg, "task", compacted)
-    assert OMITTED_MARKER in messages[2].content
+    history = history_of(cfg, "task", steps)
+    dropped = compact_steps(history, 400)
+    assert 0 < dropped <= len(steps) - 2
+    messages = assemble_messages(history, dropped)
+    assert messages[2:4] == (Message("assistant", OMITTED_MARKER), Message("user", f"Observation: {OMITTED_MARKER}"))
+    # the most recent steps verbatim, with nothing of the dropped ones
+    assert messages[4:] == assemble_messages(history_of(cfg, "task", steps[dropped:]))[2:]
 
 
 def quadratic_compact(cfg, task, steps):
     """Reference: reassemble and re-estimate the whole context after every
     dropped step, as compaction first did."""
-    marker = AgentStep(OMITTED_MARKER, "", "", OMITTED_MARKER)
     kept, dropped = list(steps), 0
     while len(kept) > 2:
-        view = [marker] + kept if dropped else kept
-        if context_estimate(assemble_messages(cfg, task, view)) <= cfg.context_token_limit:
+        view = [MARKER] + kept if dropped else kept
+        if context_estimate(assemble_messages(history_of(cfg, task, view))) <= cfg.context_token_limit:
             break
         kept.pop(0)
         dropped += 1
-    return [marker] + kept if dropped else kept
+    return [MARKER] + kept if dropped else kept
 
 
 @pytest.mark.parametrize("n", [10, 50, 200])
@@ -384,10 +401,106 @@ def test_compact_matches_quadratic_reference(n):
     steps = [
         AgentStep(f"thought {i}", "web_search", f"query {i}", "o" * rng.randrange(0, 900)) for i in range(n)
     ]
-    full = context_estimate(assemble_messages(config(tools), "task", steps))
+    full = context_estimate(assemble_messages(history_of(config(tools), "task", steps)))
     for limit in (0, 100, full // 3, full // 2, full - 1, full):
         cfg = config(tools, context_token_limit=limit)
-        assert compact_steps(cfg, "task", steps) == quadratic_compact(cfg, "task", steps), limit
+        assert compacted_view(cfg, "task", steps) == quadratic_compact(cfg, "task", steps), limit
+
+
+def long_run_script(n, rng):
+    """n emissions for a run of n steps: mostly searches, some malformed
+    emissions and unknown tools, with observations of varied size."""
+    emissions, observations = [], []
+    for i in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            emissions.append(f"thinking out loud {i}")
+        elif roll < 0.15:
+            emissions.append(f"Action: calculator\nAction Input: {i}+1")
+        else:
+            emissions.append(f"Thought: step {i}\nAction: web_search\nAction Input: query {i}")
+            observations.append("r" * rng.choice([0, 3, 40, 400, 1200, 3000]))
+    return emissions, observations
+
+
+def compacted(request):
+    return request.messages[2:3] == (Message("assistant", OMITTED_MARKER),)
+
+
+def expected_request(cfg, task, steps):
+    """A request rebuilt from the full step list with the quadratic
+    reference: None when fail mode blows the budget."""
+    limit = cfg.context_token_limit
+    view = list(steps)
+    if limit is not None and context_estimate(assemble_messages(history_of(cfg, task, view))) > limit:
+        if cfg.on_budget_exceeded == "fail":
+            return None
+        view = quadratic_compact(cfg, task, view)
+    return assemble_messages(history_of(cfg, task, view))
+
+
+@pytest.mark.parametrize("policy", ["compact", "fail"])
+@pytest.mark.parametrize("limit", [None, 0, 350, 1200, 4000, 20000])
+def test_every_request_matches_one_rebuilt_from_the_full_step_list(policy, limit):
+    n = 60
+    rng = random.Random(f"{policy}-{limit}")
+    emissions, observations = long_run_script(n, rng)
+    tools, _ = echo_tools(observations)
+    cfg = config(tools, max_iterations=n, context_token_limit=limit, on_budget_exceeded=policy)
+    backend = ScriptedBackend(emissions + ["Final Answer: 0.4"])
+    outcome = run_react(cfg, backend, "a long task")
+    steps = list(outcome.transcript.steps)
+    for i, request in enumerate(backend.requests[:n]):
+        assert request.messages == expected_request(cfg, "a long task", steps[:i]), i
+    if outcome.result == Declined("budget"):
+        # the request the budget blocked was never sent
+        assert expected_request(cfg, "a long task", steps) is None
+        assert len(backend.requests) == len(steps)
+    else:
+        # the run reached the forced final request
+        assert outcome.transcript.final.kind == "truncated_finalized"
+        assert len(backend.requests) == n + 1 and len(steps) == n
+        assert backend.requests[-1].messages[-1] == Message("user", FINALIZE_INSTRUCTION)
+        assert backend.requests[-1].messages[:-1] == expected_request(cfg, "a long task", steps)
+    if policy == "compact" and limit in (350, 1200, 4000):
+        assert any(map(compacted, backend.requests))
+
+
+@pytest.mark.parametrize("policy", ["compact", "fail"])
+def test_a_request_exactly_at_the_limit_is_sent_whole(policy):
+    def run(limit):
+        tools, _ = echo_tools(["x" * 400, "y" * 400])
+        cfg = config(tools, max_iterations=3, context_token_limit=limit, on_budget_exceeded=policy)
+        emissions = ["Action: web_search\nAction Input: a", "Action: web_search\nAction Input: b"]
+        backend = ScriptedBackend(emissions + ["Final Answer: 0.3"])
+        return run_react(cfg, backend, "task"), backend.requests
+
+    _, unlimited = run(None)
+    outcome, requests = run(context_estimate(unlimited[2].messages))
+    assert outcome.result == Forecast(0.3)
+    assert requests == unlimited
+
+
+def test_a_compacting_run_renders_each_step_once(monkeypatch):
+    n = 60
+    renders = []
+    render = react._render_step_as_assistant
+
+    def counted(step):
+        renders.append(step)
+        return render(step)
+
+    monkeypatch.setattr(react, "_render_step_as_assistant", counted)
+    emissions, observations = long_run_script(n, random.Random(7))
+    tools, _ = echo_tools(observations)
+    cfg = config(tools, max_iterations=n, context_token_limit=1500)
+    backend = ScriptedBackend(emissions + ["Final Answer: 0.4"])
+    outcome = run_react(cfg, backend, "task")
+    render_transcript_text(outcome.transcript, "task")
+    assert len(outcome.transcript.steps) == n
+    assert sum(map(compacted, backend.requests)) > n // 2
+    # once for the requests and once for the transcript text
+    assert len(renders) <= n + len(outcome.transcript.steps)
 
 
 def test_budget_fail_mode_declines_with_budget_reason():
@@ -424,7 +537,7 @@ def test_budget_compact_mode_keeps_running():
 def test_assemble_messages_shape():
     tools, _ = echo_tools()
     cfg = config(tools)
-    messages = assemble_messages(cfg, "the task", make_steps(2, obs_chars=10))
+    messages = assemble_messages(history_of(cfg, "the task", make_steps(2, obs_chars=10)))
     assert [m.role for m in messages] == ["system", "user", "assistant", "user", "assistant", "user"]
     assert "You forecast." in messages[0].content
     assert "web_search: search the web" in messages[0].content
