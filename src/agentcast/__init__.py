@@ -36,7 +36,6 @@ from .llm import (
     leakage_probe,
 )
 from .metrics import (
-    ScoredPair,
     ScoredSet,
     accuracy,
     aggregate,

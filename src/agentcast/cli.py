@@ -86,6 +86,7 @@ from .models import (
     format_timestamp,
     parse_timestamp,
     read_jsonl,
+    read_question_rows,
     read_questions,
     read_record_rows,
     read_records,
@@ -474,7 +475,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
 
 def cmd_score(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    dataset = read_questions(ns.dataset)
+    dataset = read_question_rows(ns.dataset)
     outcomes = {q.id: q.outcome for q in dataset if q.outcome is not None and not q.excluded}
     unresolved = sum(1 for q in dataset if q.outcome is None and not q.excluded)
     excluded = sum(1 for q in dataset if q.excluded)
@@ -518,7 +519,7 @@ def cmd_score(ns: argparse.Namespace) -> int:
     if len(sample) == 0:
         print(f"all {len(dropped)} questions were dropped; nothing to score", file=sys.stderr)
         return EXIT_EMPTY
-    survivors = {p.question_id for p in sample.pairs}
+    survivors = set(sample.question_ids)
 
     rows = []
     reports: list[CalibrationReport] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -41,46 +42,45 @@ class UniverseMismatch(MetricError):
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    """One (forecast, outcome) pair ready for scoring."""
-
-    question_id: str
-    forecast: float
-    outcome: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.forecast <= 1.0:
-            raise MetricError(f"forecast out of range for {self.question_id}: {self.forecast!r}")
-        if self.outcome not in (0, 1):
-            raise MetricError(f"outcome must be 0 or 1 for {self.question_id}: {self.outcome!r}")
-
-
-@dataclass(frozen=True)
 class ScoredSet:
-    """All scorable pairs for one method. Question ids must be unique."""
+    """All scorable questions of one method, as aligned columns: the question
+    with id question_ids[i] got forecast forecasts[i] and resolved to
+    outcomes[i]. Question ids must be unique."""
 
     method_label: str
-    pairs: tuple[ScoredPair, ...]
+    question_ids: tuple[str, ...]
+    forecasts: tuple[float, ...]
+    outcomes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        ids = [p.question_id for p in self.pairs]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        for name in ("question_ids", "forecasts", "outcomes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.question_ids)
+        if len(self.forecasts) != n or len(self.outcomes) != n:
+            raise MetricError(
+                f"ragged scored set for {self.method_label!r}: {n} question ids, "
+                f"{len(self.forecasts)} forecasts, {len(self.outcomes)} outcomes"
+            )
+        for qid, forecast, outcome in zip(self.question_ids, self.forecasts, self.outcomes):
+            if not 0.0 <= forecast <= 1.0:  # also false for NaN
+                raise MetricError(f"forecast out of range for {qid}: {forecast!r}")
+            if outcome not in (0, 1):
+                raise MetricError(f"outcome must be 0 or 1 for {qid}: {outcome!r}")
+        counts = Counter(self.question_ids)
+        if len(counts) != n:
+            dupes = sorted(qid for qid, count in counts.items() if count > 1)
             raise MetricError(f"duplicate question ids in scored set: {dupes}")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.question_ids)
 
 
 def _arrays(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    if not scored.pairs:
+    if not scored.question_ids:
         raise EmptySet(f"no scorable pairs for method {scored.method_label!r}")
     import numpy as np
 
-    f = np.array([p.forecast for p in scored.pairs], dtype=float)
-    o = np.array([p.outcome for p in scored.pairs], dtype=float)
-    return f, o
+    return np.array(scored.forecasts, dtype=float), np.array(scored.outcomes, dtype=float)
 
 
 def brier(scored: ScoredSet) -> float:
@@ -128,16 +128,17 @@ def calibration_index(scored: ScoredSet, k: int = 10) -> CalibrationReport:
     """
     if k < 1:
         raise MetricError(f"bin count must be positive, got {k}")
-    n = len(scored.pairs)
+    n = len(scored)
     if n == 0:
         raise EmptySet(f"no scorable pairs for method {scored.method_label!r}")
     if n < k:
         raise TooFewForecasts(f"{n} forecasts cannot fill {k} bins")
     import numpy as np
 
-    ordered = sorted(scored.pairs, key=lambda p: (p.forecast, p.question_id))
-    f = np.array([p.forecast for p in ordered], dtype=float)
-    o = np.array([p.outcome for p in ordered], dtype=float)
+    # ids are unique, so the outcome never decides the order
+    ordered = sorted(zip(scored.forecasts, scored.question_ids, scored.outcomes))
+    f = np.array([forecast for forecast, _, _ in ordered], dtype=float)
+    o = np.array([outcome for _, _, outcome in ordered], dtype=float)
     starts = np.array([(j * n) // k for j in range(k)])
     ends = np.array([((j + 1) * n) // k for j in range(k)])
     counts = ends - starts
@@ -243,14 +244,15 @@ def apply_drop_rule(
         for qid, forecast in fmap.items()
         if isinstance(forecast, Declined)
     }
-    survivors = sorted(reference - dropped)
+    survivors = tuple(sorted(reference - dropped))
     for qid in survivors:
         if qid not in outcomes:
             raise MetricError(f"no resolved outcome for question {qid!r}")
-    scored = {}
-    for label, fmap in method_forecasts.items():
-        pairs = tuple(ScoredPair(qid, fmap[qid].value, outcomes[qid]) for qid in survivors)
-        scored[label] = ScoredSet(method_label=label, pairs=pairs)
+    outcome_column = tuple(outcomes[qid] for qid in survivors)
+    scored = {
+        label: ScoredSet(label, survivors, tuple(fmap[qid].value for qid in survivors), outcome_column)
+        for label, fmap in method_forecasts.items()
+    }
     return scored, dropped
 
 

@@ -165,37 +165,13 @@ class Question:
     excluded: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id.strip():
-            raise ValidationError("id", "missing or empty question id")
-        if not isinstance(self.title, str) or not self.title.strip():
-            raise ValidationError("title", "missing or empty title")
-        for name in ("close_time", "fetched_at"):
-            value = getattr(self, name)
-            if not isinstance(value, datetime):
-                raise ValidationError(name, f"expected a datetime, got {value!r}")
-            object.__setattr__(self, name, normalize_timestamp(value))
-        if self.fetched_at > self.close_time:
-            raise ValidationError(
-                "fetched_at",
-                f"fetched_at {format_timestamp(self.fetched_at)} is after "
-                f"close_time {format_timestamp(self.close_time)}",
-            )
+        checked = _check_question(
+            self.id, self.title, self.close_time, self.fetched_at, self.crowd_prob, self.outcome, self.excluded
+        )
+        for name, value in zip(("close_time", "fetched_at", "crowd_prob", "outcome"), checked):
+            object.__setattr__(self, name, value)
         if not isinstance(self.category, Category):
             raise ValidationError("category", f"expected a Category, got {self.category!r}")
-        if self.crowd_prob is not None:
-            p = self.crowd_prob
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise ValidationError("crowd_prob", f"expected a number, got {p!r}")
-            if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-                raise ValidationError("crowd_prob", f"out of range [0, 1]: {p!r}")
-            object.__setattr__(self, "crowd_prob", float(p))
-        if self.outcome is not None:
-            o = self.outcome
-            if isinstance(o, bool) or o not in (0, 1, 0.0, 1.0):
-                raise ValidationError("outcome", f"outcome must be 0 or 1, got {o!r}")
-            object.__setattr__(self, "outcome", int(o))
-        if not isinstance(self.excluded, bool):
-            raise ValidationError("excluded", f"expected true or false, got {self.excluded!r}")
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {"id": self.id, "title": self.title}
@@ -217,8 +193,44 @@ class Question:
         return d
 
 
-def validate_question(raw: dict) -> Question:
-    """Build a Question from a raw dict, raising ValidationError on bad fields."""
+def _check_question(
+    qid: Any, title: Any, close_time: Any, fetched_at: Any, crowd_prob: Any, outcome: Any, excluded: Any
+) -> tuple[datetime, datetime, float | None, int | None]:
+    """Every rule of a question after timestamp parsing, in order. Returns the
+    times normalized, crowd_prob as a float and outcome as an int."""
+    if not isinstance(qid, str) or not qid.strip():
+        raise ValidationError("id", "missing or empty question id")
+    if not isinstance(title, str) or not title.strip():
+        raise ValidationError("title", "missing or empty title")
+    if not isinstance(close_time, datetime):
+        raise ValidationError("close_time", f"expected a datetime, got {close_time!r}")
+    if not isinstance(fetched_at, datetime):
+        raise ValidationError("fetched_at", f"expected a datetime, got {fetched_at!r}")
+    close_time = normalize_timestamp(close_time)
+    fetched_at = normalize_timestamp(fetched_at)
+    if fetched_at > close_time:
+        raise ValidationError(
+            "fetched_at",
+            f"fetched_at {format_timestamp(fetched_at)} is after close_time {format_timestamp(close_time)}",
+        )
+    if crowd_prob is not None:
+        if isinstance(crowd_prob, bool) or not isinstance(crowd_prob, (int, float)):
+            raise ValidationError("crowd_prob", f"expected a number, got {crowd_prob!r}")
+        if not math.isfinite(crowd_prob) or not 0.0 <= crowd_prob <= 1.0:
+            raise ValidationError("crowd_prob", f"out of range [0, 1]: {crowd_prob!r}")
+        crowd_prob = float(crowd_prob)
+    if outcome is not None:
+        if isinstance(outcome, bool) or outcome not in (0, 1, 0.0, 1.0):
+            raise ValidationError("outcome", f"outcome must be 0 or 1, got {outcome!r}")
+        outcome = int(outcome)
+    if not isinstance(excluded, bool):
+        raise ValidationError("excluded", f"expected true or false, got {excluded!r}")
+    return close_time, fetched_at, crowd_prob, outcome
+
+
+def _parse_question_times(raw: Any) -> tuple[datetime, datetime]:
+    """Check that a dataset line is an object with id, title and close_time
+    keys, and parse its close_time and fetched_at (close_time when absent)."""
     if not isinstance(raw, dict):
         raise ValidationError("record", f"expected an object, got {type(raw).__name__}")
     if "id" not in raw:
@@ -230,6 +242,12 @@ def validate_question(raw: dict) -> Question:
     close_time = parse_timestamp(raw["close_time"], "close_time")
     fetched_raw = raw.get("fetched_at")
     fetched_at = close_time if fetched_raw is None else parse_timestamp(fetched_raw, "fetched_at")
+    return close_time, fetched_at
+
+
+def validate_question(raw: dict) -> Question:
+    """Build a Question from a raw dict, raising ValidationError on bad fields."""
+    close_time, fetched_at = _parse_question_times(raw)
     category = raw.get("category")
     return Question(
         id=raw["id"],
@@ -244,6 +262,26 @@ def validate_question(raw: dict) -> Question:
         source=raw.get("source", ""),
         excluded=raw.get("excluded", False),
     )
+
+
+class QuestionRow(NamedTuple):
+    """What scoring reads from one checked dataset line."""
+
+    id: str
+    crowd_prob: float | None
+    outcome: int | None
+    excluded: bool
+
+
+def check_question(raw: dict) -> QuestionRow:
+    """Run every check validate_question runs, in the same order and with the
+    same messages, and return only the fields scoring uses."""
+    close_time, fetched_at = _parse_question_times(raw)
+    excluded = raw.get("excluded", False)
+    _, _, crowd_prob, outcome = _check_question(
+        raw["id"], raw["title"], close_time, fetched_at, raw.get("crowd_prob"), raw.get("outcome"), excluded
+    )
+    return QuestionRow(raw["id"], crowd_prob, outcome, excluded)
 
 
 # --- transcripts --------------------------------------------------------
@@ -451,9 +489,14 @@ def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
         raise
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, parsed_object) pairs; blank lines are skipped.
 
+    Each line gives what json.loads gives for it, but a line that is just one
+    value, as write_jsonl writes them, skips json.loads' whitespace passes.
     Malformed JSON raises ValidationError naming the file and line.
     """
     path = Path(path)
@@ -462,9 +505,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError("line", f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                value, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = 0
+            if line[end:].strip(" \t\n\r"):  # not one bare value, so json.loads decides
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError("line", f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            yield lineno, value
 
 
 def write_questions(path: str | Path, questions: Iterable[Question]) -> None:
@@ -474,19 +523,35 @@ def write_questions(path: str | Path, questions: Iterable[Question]) -> None:
 _T = TypeVar("_T")
 
 
-def _read_validated(path: str | Path, validate: Callable[[dict], _T]) -> list[_T]:
-    """Validate every line of a JSONL file; an error names the file and line."""
+def _read_validated(path: str | Path, validate: Callable[[dict], _T], unique: str | None = None) -> list[_T]:
+    """Validate every line of a JSONL file; an error names the file and line.
+
+    With `unique`, a line may not repeat an earlier item's value of that attribute.
+    """
     items = []
+    first_line: dict[Any, int] = {}
     for lineno, raw in read_jsonl(path):
         try:
-            items.append(validate(raw))
+            item = validate(raw)
+            if unique is not None:
+                key = getattr(item, unique)
+                if key in first_line:
+                    raise ValidationError(unique, f"repeated {unique} {key!r}, first on line {first_line[key]}")
+                first_line[key] = lineno
         except ValidationError as exc:
             raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc}") from None
+        items.append(item)
     return items
 
 
 def read_questions(path: str | Path) -> list[Question]:
     return _read_validated(path, validate_question)
+
+
+def read_question_rows(path: str | Path) -> list[QuestionRow]:
+    """Check a dataset as read_questions does, without building questions,
+    and reject a question id that an earlier line already used."""
+    return _read_validated(path, check_question, unique="id")
 
 
 def write_records(path: str | Path, records: Iterable[ForecastRecord]) -> None:
@@ -498,5 +563,6 @@ def read_records(path: str | Path) -> list[ForecastRecord]:
 
 
 def read_record_rows(path: str | Path) -> list[RecordRow]:
-    """Check a forecast file as read_records does, without building records."""
-    return _read_validated(path, check_record)
+    """Check a forecast file as read_records does, without building records,
+    and reject a question_id that an earlier line already used."""
+    return _read_validated(path, check_record, unique="question_id")

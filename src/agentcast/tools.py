@@ -210,17 +210,19 @@ def execute_code(program: str, timeout: float) -> ExecResult:
 
     The program gets a fresh temp directory as cwd, deleted afterwards, and
     an environment holding only PATH and LANG, so it cannot read the API
-    keys of the process that runs it. It runs in its own process group,
-    which is killed when the call ends, so no process it started outlives
-    the call. Raises SandboxTimeout when the wall clock cap is hit; nonzero
-    exits come back as a normal ExecResult.
+    keys of the process that runs it. The interpreter runs in isolated mode
+    (`-I`), so it ignores PYTHON* variables and the user site-packages, and
+    the program's directory is not on sys.path. It runs in its own process
+    group, which is killed when the call ends, so no process it started
+    outlives the call. Raises SandboxTimeout when the wall clock cap is hit;
+    nonzero exits come back as a normal ExecResult.
     """
     with tempfile.TemporaryDirectory(prefix="agentcast-sandbox-") as workdir:
         program_path = Path(workdir) / "program.py"
         program_path.write_text(program, encoding="utf-8")
         start = time.monotonic()
         with subprocess.Popen(
-            [sys.executable, str(program_path)],
+            [sys.executable, "-I", str(program_path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

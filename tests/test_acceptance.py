@@ -24,7 +24,6 @@ from agentcast.hierarchy import (
 )
 from agentcast.llm import ScriptedBackend
 from agentcast.metrics import (
-    ScoredPair,
     ScoredSet,
     ScoreRow,
     UniverseMismatch,
@@ -67,7 +66,7 @@ TOLERANCE = 1e-12
 
 
 def scored(pairs, label="method"):
-    return ScoredSet(label, tuple(ScoredPair(q, f, o) for q, f, o in pairs))
+    return ScoredSet(label, [q for q, _, _ in pairs], [f for _, f, _ in pairs], [o for _, _, o in pairs])
 
 
 # --- criterion 1: the numpy scoring agrees with brute-force loops ----------------
@@ -255,11 +254,11 @@ def test_criterion_6_decline_drop_rule_set_algebra():
     survivors_oracle, dropped_oracle = oracle_drop_rule(declined_by_method, universe)
     assert dropped == dropped_oracle
     for label, sset in scored_sets.items():
-        assert {p.question_id for p in sset.pairs} == survivors_oracle
+        assert set(sset.question_ids) == survivors_oracle
         # surviving forecasts are untouched by the drop
-        for pair in sset.pairs:
-            assert pair.forecast == method_maps[label][pair.question_id].value
-            assert pair.outcome == outcomes[pair.question_id]
+        for question_id, forecast, outcome in zip(sset.question_ids, sset.forecasts, sset.outcomes):
+            assert forecast == method_maps[label][question_id].value
+            assert outcome == outcomes[question_id]
 
     # methods answering different question sets cannot be compared at all
     lopsided = {

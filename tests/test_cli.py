@@ -52,12 +52,16 @@ from agentcast.models import (
     Forecast,
     ForecastRecord,
     MemberForecast,
+    Question,
     RecordRow,
     ValidationError,
+    check_question,
     read_jsonl,
+    read_question_rows,
     read_questions,
     read_record_rows,
     read_records,
+    validate_question,
     write_questions,
 )
 from agentcast.react import context_estimate
@@ -1140,7 +1144,7 @@ def test_record_readers_take_an_integer_probability_as_a_float(tmp_path):
 def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
     assert replay_forecast(run_dir) == EXIT_OK
-    built = {cls: 0 for cls in (Forecast, MemberForecast, ForecastRecord)}
+    built = {cls: 0 for cls in (Forecast, MemberForecast, ForecastRecord, Question)}
     for cls in built:
 
         def counting(self, _cls=cls, _original=cls.__post_init__):
@@ -1151,9 +1155,115 @@ def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
     argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(run_dir / "forecasts.jsonl"),
             "--bins", "2"]
     assert cli.main(argv) == EXIT_OK
-    assert built[MemberForecast] == built[ForecastRecord] == 0
+    assert built[MemberForecast] == built[ForecastRecord] == built[Question] == 0
     # one Forecast per crowd price and per completed aggregate, none per member
     assert 0 < built[Forecast] <= 2 * len(read_questions(E2E / "questions.jsonl"))
+
+
+def _question(**fields):
+    """One resolved question q1, with fields replaced or, given _ABSENT, removed."""
+    question = {"id": "q1", "title": "Will the widget ship?", "close_time": "2024-04-30T00:00:00Z",
+                "fetched_at": "2024-04-15T00:00:00Z", "crowd_prob": 0.3, "outcome": 1}
+    question.update(fields)
+    return {key: value for key, value in question.items() if value is not _ABSENT}
+
+
+# Malformed dataset lines and the messages validate_question gives for them.
+# Where a line has two faults the message names the one checked first.
+MALFORMED_QUESTIONS = [
+    ("list", [1, 2], "record: expected an object, got list"),
+    ("string", "q1", "record: expected an object, got str"),
+    ("no_id", _question(id=_ABSENT), "id: missing question id"),
+    ("empty_id", _question(id=""), "id: missing or empty question id"),
+    ("blank_id", _question(id="  "), "id: missing or empty question id"),
+    ("numeric_id", _question(id=7), "id: missing or empty question id"),
+    ("no_title", _question(title=_ABSENT), "title: missing title"),
+    ("blank_title", _question(title=" "), "title: missing or empty title"),
+    ("null_title", _question(title=None), "title: missing or empty title"),
+    ("no_close_time", _question(close_time=_ABSENT), "close_time: missing close_time"),
+    ("null_close_time", _question(close_time=None), "close_time: malformed timestamp None"),
+    ("bad_close_time", _question(close_time="not a date"), "close_time: malformed timestamp 'not a date'"),
+    ("boolean_close_time", _question(close_time=True), "close_time: malformed timestamp True"),
+    ("nan_close_time", _question(close_time=float("nan")), "close_time: malformed timestamp nan"),
+    ("list_close_time", _question(close_time=[2024]), "close_time: malformed timestamp [2024]"),
+    ("bad_fetched_at", _question(fetched_at="yesterday"), "fetched_at: malformed timestamp 'yesterday'"),
+    ("fetched_after_close", _question(fetched_at="2024-05-01T00:00:00Z"),
+     "fetched_at: fetched_at 2024-05-01T00:00:00Z is after close_time 2024-04-30T00:00:00Z"),
+    ("crowd_prob_string", _question(crowd_prob="0.3"), "crowd_prob: expected a number, got '0.3'"),
+    ("crowd_prob_true", _question(crowd_prob=True), "crowd_prob: expected a number, got True"),
+    ("crowd_prob_1.5", _question(crowd_prob=1.5), "crowd_prob: out of range [0, 1]: 1.5"),
+    ("crowd_prob_negative", _question(crowd_prob=-1), "crowd_prob: out of range [0, 1]: -1"),
+    ("crowd_prob_nan", _question(crowd_prob=float("nan")), "crowd_prob: out of range [0, 1]: nan"),
+    ("outcome_2", _question(outcome=2), "outcome: outcome must be 0 or 1, got 2"),
+    ("outcome_half", _question(outcome=0.5), "outcome: outcome must be 0 or 1, got 0.5"),
+    ("outcome_true", _question(outcome=True), "outcome: outcome must be 0 or 1, got True"),
+    ("outcome_string", _question(outcome="1"), "outcome: outcome must be 0 or 1, got '1'"),
+    ("excluded_string", _question(excluded="false"), "excluded: expected true or false, got 'false'"),
+    ("excluded_zero", _question(excluded=0), "excluded: expected true or false, got 0"),
+    ("excluded_null", _question(excluded=None), "excluded: expected true or false, got None"),
+    ("no_title_and_bad_close_time", _question(title=_ABSENT, close_time="soon"), "title: missing title"),
+    ("empty_id_and_bad_close_time", _question(id="", close_time="soon"),
+     "close_time: malformed timestamp 'soon'"),
+    ("blank_title_and_fetched_after_close", _question(title="", fetched_at="2024-05-01T00:00:00Z"),
+     "title: missing or empty title"),
+    ("fetched_after_close_and_bad_crowd_prob", _question(fetched_at="2024-05-01T00:00:00Z", crowd_prob=2),
+     "fetched_at: fetched_at 2024-05-01T00:00:00Z is after close_time 2024-04-30T00:00:00Z"),
+    ("bad_crowd_prob_and_bad_outcome", _question(crowd_prob=2, outcome=2), "crowd_prob: out of range [0, 1]: 2"),
+    ("bad_outcome_and_bad_excluded", _question(outcome=2, excluded="no"), "outcome: outcome must be 0 or 1, got 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, message", [row[1:] for row in MALFORMED_QUESTIONS], ids=[row[0] for row in MALFORMED_QUESTIONS]
+)
+def test_score_reports_a_malformed_dataset_line_as_validate_question_does(tmp_path, capsys, line, message):
+    field, detail = message.split(": ", 1)
+    for check in (validate_question, check_question):
+        with pytest.raises(ValidationError) as raised:
+            check(line)
+        assert str(raised.value) == message and raised.value.field_name == field
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(_question(id="q0")) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    forecasts = tmp_path / "agent.jsonl"
+    forecasts.write_text("")
+    expected = f"{field}: {dataset}:2: {field}: {detail}"
+    capsys.readouterr()
+    assert cli.main(["score", "--dataset", str(dataset), "--forecasts", str(forecasts)]) == EXIT_FATAL
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
+    for reader in (read_questions, read_question_rows):
+        with pytest.raises(ValidationError) as raised:
+            reader(dataset)
+        assert str(raised.value) == expected and raised.value.field_name == field
+
+
+def test_score_exits_1_on_a_repeated_question_id_in_the_dataset(tmp_path, capsys):
+    # before, the last of the two lines won silently
+    dataset = tmp_path / "dataset.jsonl"
+    lines = [_question(id="q0", outcome=1), _question(id="q1"), _question(id="q0", outcome=0)]
+    dataset.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    forecasts = tmp_path / "agent.jsonl"
+    forecasts.write_text(json.dumps(_record(question_id="q0")) + "\n" + json.dumps(_record(question_id="q1")) + "\n")
+    out = tmp_path / "scores"
+    capsys.readouterr()
+    argv = ["score", "--dataset", str(dataset), "--forecasts", str(forecasts), "--out", str(out), "--bins", "1"]
+    assert cli.main(argv) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:3: id: repeated id 'q0', first on line 1"
+    assert not out.exists()
+
+
+def test_score_exits_1_on_a_repeated_question_id_in_a_forecast_file(tmp_path, capsys):
+    # before, Brier used the last record and Std averaged over both
+    forecasts = tmp_path / "agent.jsonl"
+    records = [_record(question_id="q_eth"), _record(question_id="q_btc"),
+               _record(question_id="q_eth", members=_members(0.6, 0.9), aggregate=0.75)]
+    forecasts.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    out = tmp_path / "scores"
+    capsys.readouterr()
+    argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(forecasts), "--out", str(out)]
+    assert cli.main(argv) == EXIT_FATAL
+    expected = f"error: question_id: {forecasts}:3: question_id: repeated question_id 'q_eth', first on line 1"
+    assert capsys.readouterr().err.splitlines()[-1] == expected
+    assert not out.exists()
 
 
 def test_score_exits_1_on_an_excluded_flag_that_is_not_a_boolean(tmp_path, capsys):

@@ -9,7 +9,6 @@ from agentcast.metrics import (
     EmptyMembers,
     EmptySet,
     MetricError,
-    ScoredPair,
     ScoredSet,
     ScoreRow,
     TooFewForecasts,
@@ -55,7 +54,7 @@ HAND_CALIBRATION = (0.18 + 3 * (0.7 - 2 / 3) ** 2) / 5
 
 
 def scored_set(pairs, label="test"):
-    return ScoredSet(label, tuple(ScoredPair(q, f, o) for q, f, o in pairs))
+    return ScoredSet(label, [q for q, _, _ in pairs], [f for _, f, _ in pairs], [o for _, _, o in pairs])
 
 
 def test_oracles_match_hand_computed_values():
@@ -112,7 +111,7 @@ def test_metrics_agree_with_oracles_on_random_sets():
 
 def test_empty_set_and_too_few_forecasts_raise():
     with pytest.raises(EmptySet):
-        brier(ScoredSet("empty", ()))
+        brier(ScoredSet("empty", (), (), ()))
     with pytest.raises(TooFewForecasts):
         calibration_index(scored_set(HAND_PAIRS), k=6)
     with pytest.raises(MetricError, match="bin count"):
@@ -202,6 +201,25 @@ def test_ensemble_std_skips_declined_records():
         mean_member_std([[0.2, 0.4], []])
 
 
+@pytest.mark.parametrize(
+    "ids, forecasts, outcomes, message",
+    [
+        (("a", "b"), (0.2,), (0, 1), "ragged scored set for 'test': 2 question ids, 1 forecasts, 2 outcomes"),
+        (("a",), (0.2,), (0, 1), "ragged scored set for 'test': 1 question ids, 1 forecasts, 2 outcomes"),
+        (("a", "b", "c"), (0.2, float("nan"), 2.0), (0, 1, 1), "forecast out of range for b: nan"),
+        (("a", "b"), (0.2, -0.1), (0, 1), "forecast out of range for b: -0.1"),
+        (("a", "b"), (0.2, 1.5), (0, 1), "forecast out of range for b: 1.5"),
+        (("a", "b", "c"), (0.2, 0.3, 0.4), (0, 2, -1), "outcome must be 0 or 1 for b: 2"),
+        (("a", "b"), (0.2, 0.3), (0, 0.5), "outcome must be 0 or 1 for b: 0.5"),
+        (("a", "b", "a", "c", "b"), (0.1,) * 5, (0,) * 5, "duplicate question ids in scored set: ['a', 'b']"),
+    ],
+)
+def test_scored_set_rejects_a_malformed_column(ids, forecasts, outcomes, message):
+    with pytest.raises(MetricError) as raised:
+        ScoredSet("test", ids, forecasts, outcomes)
+    assert str(raised.value) == message
+
+
 # --- drop rule -----------------------------------------------------------
 
 
@@ -213,8 +231,8 @@ def test_drop_rule_drops_across_all_methods():
     outcomes = {"q1": 0, "q2": 1, "q3": 1}
     scored, dropped = apply_drop_rule(methods, outcomes)
     assert dropped == {"q2"}
-    assert [p.question_id for p in scored["m1"].pairs] == ["q1", "q3"]
-    assert [p.question_id for p in scored["m2"].pairs] == ["q1", "q3"]
+    assert list(scored["m1"].question_ids) == ["q1", "q3"]
+    assert list(scored["m2"].question_ids) == ["q1", "q3"]
 
 
 def test_drop_rule_matches_set_algebra_oracle():
@@ -233,7 +251,7 @@ def test_drop_rule_matches_set_algebra_oracle():
     survivors_expected, dropped_expected = oracle_drop_rule(declined_by_method, universe)
     assert dropped == dropped_expected
     for sset in scored.values():
-        assert {p.question_id for p in sset.pairs} == survivors_expected
+        assert set(sset.question_ids) == survivors_expected
 
 
 def test_drop_rule_rejects_mismatched_universes():

@@ -1,6 +1,8 @@
 """Domain type validation and JSONL round-trips."""
 
 import dataclasses
+import json
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -16,11 +18,14 @@ from agentcast.models import (
     Question,
     RecordRow,
     Transcript,
+    QuestionRow,
     ValidationError,
+    check_question,
     format_timestamp,
     normalize_timestamp,
     parse_timestamp,
     read_jsonl,
+    read_question_rows,
     read_questions,
     read_record_rows,
     read_records,
@@ -157,6 +162,43 @@ def test_read_jsonl_names_file_and_line_on_corruption(tmp_path):
         list(read_jsonl(path))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"a": 1}\n',
+        '{"a": 1}',
+        '  {"a": [1, {"b": null}]}\n',
+        '{"a": 1}  \t \n',
+        '[1, 2.5, "x"]\n',
+        '7\n',
+        'NaN\n',
+        '-Infinity\n',
+        '{"a": 1} {"b": 2}\n',
+        '{"a": 1}\x0b\n',
+        '{"a": 1,}\n',
+        '\ufeff{"a": 1}\n',
+        '{"a": "\x01"}\n',
+        'tru\n',
+    ],
+)
+def test_read_jsonl_gives_what_json_loads_gives_for_each_line(tmp_path, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(line, encoding="utf-8")
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ValidationError) as raised:
+            list(read_jsonl(path))
+        assert str(raised.value) == f"line: {path}:1: invalid JSON ({exc.msg})"
+        return
+    ((lineno, value),) = list(read_jsonl(path))
+    assert lineno == 1
+    if isinstance(expected, float) and math.isnan(expected):
+        assert math.isnan(value)
+    else:
+        assert value == expected and type(value) is type(expected)
+
+
 def test_record_invariants():
     members = (MemberForecast(0, Forecast(0.3)), MemberForecast(1, Forecast(0.5)))
     record = ForecastRecord("q1", members, "median", Forecast(0.4))
@@ -268,6 +310,28 @@ def test_validate_question_takes_excluded_only_as_a_json_boolean():
         with pytest.raises(ValidationError, match=r"^excluded: expected true or false") as raised:
             validate_question({**raw, "excluded": bad})
         assert raised.value.field_name == "excluded"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"crowd_prob": 1, "outcome": 1.0},
+        {"crowd_prob": None, "outcome": None, "excluded": True},
+        {"fetched_at": None, "close_time": 1714435200, "category": "sports", "background": 7},
+        {"close_time": "2024-04-30T00:00:00.750+02:00", "fetched_at": 1713139200000, "outcome": 0.0},
+    ],
+)
+def test_check_question_returns_what_validate_question_builds(tmp_path, fields):
+    raw = {**make_question(crowd_prob=0.25, outcome=0).to_dict(), **fields}
+    question = validate_question(raw)
+    row = check_question(raw)
+    assert row == QuestionRow(question.id, question.crowd_prob, question.outcome, question.excluded)
+    assert type(row.crowd_prob) is type(question.crowd_prob)
+    assert type(row.outcome) is type(question.outcome)
+    path = tmp_path / "questions.jsonl"
+    write_questions(path, [question])
+    assert read_question_rows(path) == [row]
 
 
 def test_validate_record_rejects_malformed_members():

@@ -214,6 +214,12 @@ def test_execute_code_cannot_read_api_keys(monkeypatch):
     assert "search-secret-0815" not in outcome.stdout + outcome.stderr
 
 
+def test_execute_code_runs_the_interpreter_in_isolated_mode():
+    outcome = execute_code("import os, sys\nprint(sys.flags.isolated, os.getcwd() in sys.path)", 10.0)
+    assert outcome.exit_status == 0
+    assert outcome.stdout.split() == ["1", "False"]
+
+
 def test_execute_code_timeout_enforced_with_grace():
     start = time.monotonic()
     with pytest.raises(SandboxTimeout, match="timed out after 0.5s"):
