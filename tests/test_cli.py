@@ -349,6 +349,16 @@ def run_outputs(out_dir: Path) -> dict[str, bytes]:
     return {str(f.relative_to(out_dir)): f.read_bytes() for f in files if f.is_file()}
 
 
+@pytest.mark.parametrize("workers", ["1", "8"])
+def test_forecast_replay_writes_the_committed_records(tmp_path, workers):
+    # the committed file was written by an earlier version of the record code,
+    # so a change to how records are written shows up here
+    out = tmp_path / "run"
+    assert replay_forecast(out, "--workers", workers) == EXIT_OK
+    golden = FIXTURES / "e2e_forecast" / "forecasts.jsonl"
+    assert (out / "forecasts.jsonl").read_bytes() == golden.read_bytes()
+
+
 def test_forecast_replay_matches_across_workers(tmp_path):
     # replay matches entries per lane, so members and questions in flight
     # together still get their own recorded replies
