@@ -12,8 +12,6 @@ from .models import (
     Declined,
     FinalState,
     Forecast,
-    ForecastRecord,
-    MemberForecast,
     Question,
     Transcript,
     ValidationError,

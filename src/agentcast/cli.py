@@ -70,7 +70,7 @@ from .metrics import (
     brier,
     accuracy,
     calibration_index,
-    mean_member_std,
+    ensemble_std,
     render_calibration_table,
     render_score_table,
 )
@@ -78,8 +78,6 @@ from .models import (
     AGGREGATORS,
     Declined,
     Forecast,
-    ForecastRecord,
-    MemberForecast,
     Question,
     RecordRow,
     ValidationError,
@@ -88,8 +86,9 @@ from .models import (
     read_jsonl,
     read_question_rows,
     read_questions,
-    read_record_rows,
+    read_record_lines,
     read_records,
+    record_line,
     utc_now,
     write_jsonl,
     write_records,
@@ -286,13 +285,14 @@ def run_forecast(
     not start and the error propagates. Any other failure marks only its
     question as an error, and that question's queued members do not start.
 
-    Questions that already have a record in the output file are skipped. The
-    records file and the manifest are written only once every question is
-    back, so a run that is interrupted or ends on a fatal error adds no
-    records, and its rerun starts every question that had none. The records
-    file is rewritten in dataset order, which keeps reruns byte-identical
-    regardless of worker scheduling. Returns question id -> terminal status
-    (forecasted, declined or error).
+    Questions that already have a record in the output file are skipped.
+    New and kept records alike go through `record_line`, so they are checked
+    as `score` checks them and written in one form. The records file and the
+    manifest are written only once every question is back, so a run that is
+    interrupted or ends on a fatal error adds no records, and its rerun starts
+    every question that had none. The records file is rewritten in dataset
+    order, which keeps reruns byte-identical regardless of worker scheduling.
+    Returns question id -> terminal status (forecasted, declined or error).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,14 +300,14 @@ def run_forecast(
     transcripts_dir = out_dir / "transcripts"
     started = time.monotonic()
 
-    results: dict[str, ForecastRecord] = {}
+    results: dict[str, dict] = {}
     if records_path.exists():
         ids = {q.id for q in dataset}
-        results = {r.question_id: r for r in read_records(records_path) if r.question_id in ids}
+        results = {r["question_id"]: r for r in read_record_lines(records_path) if r["question_id"] in ids}
     errors: dict[str, str] = {}
     pending = [q for q in dataset if q.id not in results]
 
-    def run_one(job: tuple[Question, int]) -> tuple[MemberForecast, list[dict]] | None:
+    def run_one(job: tuple[Question, int]) -> tuple[Forecast | Declined, str, list[dict]] | None:
         question, m = job
         if question.id in errors:
             return None  # a sibling member failed; the question is an error already
@@ -321,16 +321,20 @@ def run_forecast(
             logger.error("question %s failed: %s", question.id, exc)
             errors.setdefault(question.id, str(exc))
             return None
-        return MemberForecast(member_index=m, forecast=outcome, transcript_ref=ref), entries
+        return outcome, ref, entries
 
-    def finish(question: Question, outcomes: list[tuple[MemberForecast, list[dict]]]) -> None:
-        write_tree_index(transcripts_dir, question.id, [e for _, entries in outcomes for e in entries])
-        members = tuple(member for member, _ in outcomes)
-        agg = None
-        if not any(isinstance(m.forecast, Declined) for m in members):
-            values = [m.forecast for m in members if isinstance(m.forecast, Forecast)]
-            agg = aggregate(values, aggregator_mode, seed=f"{seed}:{question.id}")
-        results[question.id] = ForecastRecord(question.id, members, aggregator_mode, agg)
+    def finish(question: Question, outcomes: list[tuple[Forecast | Declined, str, list[dict]]]) -> None:
+        write_tree_index(transcripts_dir, question.id, [e for *_, entries in outcomes for e in entries])
+        members = [
+            {"member_index": m, "transcript_ref": ref}
+            | ({"forecast": o.value} if isinstance(o, Forecast) else {"declined": True, "reason": o.reason})
+            for m, (o, ref, _) in enumerate(outcomes)
+        ]
+        record = {"question_id": question.id, "aggregator": aggregator_mode, "members": members}
+        forecasts = [o for o, _, _ in outcomes if isinstance(o, Forecast)]
+        if len(forecasts) == len(outcomes):
+            record["aggregate"] = aggregate(forecasts, aggregator_mode, seed=f"{seed}:{question.id}").value
+        results[question.id] = record_line(record)
 
     jobs = [(q, m) for q in pending for m in range(ensemble_size)]
     with closing(fan_out(run_one, jobs, workers)) as outcomes:
@@ -340,7 +344,7 @@ def run_forecast(
                 finish(question, members)
 
     statuses = {
-        q.id: "error" if q.id not in results else "declined" if results[q.id].declined else "forecasted"
+        q.id: "error" if q.id not in results else "declined" if results[q.id]["declined"] else "forecasted"
         for q in dataset
     }
     write_records(records_path, [results[q.id] for q in dataset if q.id in results])
@@ -500,7 +504,7 @@ def cmd_score(ns: argparse.Namespace) -> int:
         label = Path(path).stem
         if label in method_maps:
             raise ConfigError(f"method label {label!r} is taken twice; give each --forecasts file its own stem")
-        records = read_record_rows(path)
+        records = read_records(path)
         fmap: dict[str, Forecast | Declined] = {}
         for record in records:
             if record.question_id not in outcomes:
@@ -529,7 +533,7 @@ def cmd_score(ns: argparse.Namespace) -> int:
         std = None
         if label in method_records:
             completed = (r.values for r in method_records[label] if r.question_id in survivors and not r.declined)
-            std = mean_member_std(completed)
+            std = ensemble_std(completed)
         row = ScoreRow(method_label=label, brier=brier(sset), accuracy=accuracy(sset), std=std)
         rows.append(row)
         score_lines.append(
@@ -581,12 +585,8 @@ def cmd_score(ns: argparse.Namespace) -> int:
 
 def cmd_probe(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    if ns.probes:
-        probes_path = Path(ns.probes)
-        probes = [raw for _, raw in read_jsonl(probes_path)]
-    else:
-        ref = resources.files("agentcast").joinpath("data/probes.jsonl")
-        probes = [json.loads(line) for line in ref.read_text(encoding="utf-8").splitlines() if line.strip()]
+    with resources.as_file(resources.files("agentcast").joinpath("data/probes.jsonl")) as packaged:
+        probes = [raw for _, raw in read_jsonl(ns.probes or packaged)]
     if not probes:
         print("no probes to run", file=sys.stderr)
         return EXIT_EMPTY

@@ -32,6 +32,7 @@ from .llm import (
     in_lane,
     send_with_retry,
 )
+from .metrics import render_columns
 from .models import (
     Category,
     Question,
@@ -336,11 +337,7 @@ def category_frequencies(questions: Iterable[Question]) -> list[tuple[Category, 
 
 
 def render_category_table(frequencies: list[tuple[Category, int]]) -> str:
-    width = max([len("Category")] + [len(c.value) for c, _ in frequencies])
-    lines = [f"{'Category'.ljust(width)}  Count"]
-    for category, count in frequencies:
-        lines.append(f"{category.value.ljust(width)}  {count}")
-    return "\n".join(lines) + "\n"
+    return render_columns(("Category", "Count"), [(c.value, str(count)) for c, count in frequencies])
 
 
 # --- snapshot and resolution ----------------------------------------------------

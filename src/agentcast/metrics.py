@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .models import Declined, Forecast, ForecastRecord
+from .models import Declined, Forecast
 
 if TYPE_CHECKING:  # imported where used, so only `score` pays for numpy
     import numpy as np
@@ -178,13 +178,7 @@ def aggregate(members: list[Forecast], mode: str, seed: str | int | None = None)
     raise MetricError(f"unknown aggregator {mode!r}")
 
 
-def ensemble_std(records: list[ForecastRecord]) -> float:
-    """Mean over questions of the population standard deviation of the
-    members' probabilities. Declined records are skipped."""
-    return mean_member_std([[m.forecast.value for m in r.members] for r in records if not r.declined])
-
-
-def mean_member_std(member_values: Iterable[list[float]]) -> float:
+def ensemble_std(member_values: Iterable[list[float]]) -> float:
     """Mean over ensembles of the population standard deviation of each
     ensemble's member probabilities. Every list must be non-empty.
 
@@ -281,17 +275,17 @@ def render_score_table(rows: list[ScoreRow]) -> str:
         )
         for row in rows
     ]
-    return _render_columns(header, body)
+    return render_columns(header, body)
 
 
 def render_calibration_table(reports: list[CalibrationReport]) -> str:
     """Text table of calibration indices, 3 decimals."""
     header = ("Method", "Calibration Index")
     body = [(r.method_label, f"{r.index:.3f}") for r in reports]
-    return _render_columns(header, body)
+    return render_columns(header, body)
 
 
-def _render_columns(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
+def render_columns(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
     widths = [len(h) for h in header]
     for row in body:
         for i, cell in enumerate(row):

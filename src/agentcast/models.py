@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -329,92 +329,6 @@ class Transcript:
 AGGREGATORS = ("mean", "median", "sampled")
 
 
-@dataclass(frozen=True)
-class MemberForecast:
-    """One ensemble member's output plus a pointer to its saved transcript."""
-
-    member_index: int
-    forecast: Forecast | Declined
-    transcript_ref: str = ""
-
-    def __post_init__(self):
-        if not isinstance(self.forecast, (Forecast, Declined)):
-            raise ValidationError("forecast", f"expected Forecast or Declined, got {self.forecast!r}")
-
-
-@dataclass(frozen=True)
-class ForecastRecord:
-    """Aggregated output of one ensemble run over one question.
-
-    declined is true iff any member declined; in that case there is no
-    aggregate and the question is excluded from scoring everywhere.
-    """
-
-    question_id: str
-    members: tuple[MemberForecast, ...]
-    aggregator: str
-    aggregate: Forecast | None = None
-    declined: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        values = [m.forecast.value for m in self.members if isinstance(m.forecast, Forecast)]
-        aggregate = None if self.aggregate is None else self.aggregate.value
-        declined = _check_ensemble(self.question_id, len(self.members), self.aggregator, values, aggregate)
-        object.__setattr__(self, "declined", declined)
-
-    def to_dict(self) -> dict:
-        members = []
-        for m in self.members:
-            entry: dict[str, Any] = {"member_index": m.member_index}
-            if isinstance(m.forecast, Forecast):
-                entry["forecast"] = m.forecast.value
-            else:
-                entry["declined"] = True
-                if m.forecast.reason:
-                    entry["reason"] = m.forecast.reason
-            if m.transcript_ref:
-                entry["transcript_ref"] = m.transcript_ref
-            members.append(entry)
-        d: dict[str, Any] = {
-            "question_id": self.question_id,
-            "aggregator": self.aggregator,
-            "members": members,
-            "declined": self.declined,
-        }
-        if self.aggregate is not None:
-            d["aggregate"] = self.aggregate.value
-        return d
-
-
-def _check_ensemble(
-    question_id: Any, n_members: int, aggregator: Any, values: list[float], aggregate: float | None
-) -> bool:
-    """The invariants of one ensemble record; returns whether it declined.
-
-    values holds the completed members' probabilities, so the record declined
-    iff some member has none. A declined record has no aggregate, and a
-    completed one has an aggregate inside its members' range.
-    """
-    if not isinstance(question_id, str) or not question_id.strip():
-        raise ValidationError("question_id", "missing question_id")
-    if not n_members:
-        raise ValidationError("members", "ensemble has no members")
-    if aggregator not in AGGREGATORS:
-        raise ValidationError("aggregator", f"unknown aggregator {aggregator!r}")
-    declined = len(values) < n_members
-    if declined:
-        if aggregate is not None:
-            raise ValidationError("aggregate", "declined record cannot carry an aggregate")
-    else:
-        if aggregate is None:
-            raise ValidationError("aggregate", "missing aggregate for a completed ensemble")
-        lo, hi = min(values), max(values)
-        if not lo <= aggregate <= hi:
-            raise ValidationError("aggregate", f"aggregate {aggregate!r} outside member range [{lo!r}, {hi!r}]")
-    return declined
-
-
 class RecordRow(NamedTuple):
     """What scoring reads from one checked forecast record."""
 
@@ -425,8 +339,12 @@ class RecordRow(NamedTuple):
 
 
 def check_record(raw: dict) -> RecordRow:
-    """Run every check validate_record runs, in the same order and with the
-    same messages, and return only the fields scoring uses."""
+    """Check one forecast record line and return the fields scoring uses.
+
+    The record declined iff some member has no probability. A declined record
+    has no aggregate, and a completed one has an aggregate inside its members'
+    range. Where a line has two faults the error names the one checked first.
+    """
     if not isinstance(raw, dict):
         raise ValidationError("record", f"expected an object, got {type(raw).__name__}")
     if "question_id" not in raw:
@@ -447,23 +365,53 @@ def check_record(raw: dict) -> RecordRow:
     if aggregate is not None:
         aggregate = _check_probability(aggregate)
     question_id = raw["question_id"]
-    declined = _check_ensemble(question_id, len(members), raw.get("aggregator", "median"), values, aggregate)
+    if not isinstance(question_id, str) or not question_id.strip():
+        raise ValidationError("question_id", "missing question_id")
+    if not members:
+        raise ValidationError("members", "ensemble has no members")
+    aggregator = raw.get("aggregator", "median")
+    if aggregator not in AGGREGATORS:
+        raise ValidationError("aggregator", f"unknown aggregator {aggregator!r}")
+    declined = len(values) < len(members)
+    if declined:
+        if aggregate is not None:
+            raise ValidationError("aggregate", "declined record cannot carry an aggregate")
+    else:
+        if aggregate is None:
+            raise ValidationError("aggregate", "missing aggregate for a completed ensemble")
+        lo, hi = min(values), max(values)
+        if not lo <= aggregate <= hi:
+            raise ValidationError("aggregate", f"aggregate {aggregate!r} outside member range [{lo!r}, {hi!r}]")
     return RecordRow(question_id, declined, aggregate, values)
 
 
-def validate_record(raw: dict) -> ForecastRecord:
-    """Build a ForecastRecord from a raw dict, raising ValidationError on bad fields."""
+def record_line(raw: dict) -> dict:
+    """Check one forecast record and return it as `forecast` writes it:
+    `declined` worked out from the members, probabilities as floats, an empty
+    reason or transcript_ref left out, and unknown keys dropped."""
     row = check_record(raw)
-    members = tuple(
-        MemberForecast(
-            member_index=entry["member_index"],
-            forecast=Declined(entry.get("reason", "")) if entry.get("declined") else Forecast(entry["forecast"]),
-            transcript_ref=entry.get("transcript_ref", ""),
-        )
-        for entry in raw["members"]
-    )
-    aggregate = None if row.aggregate is None else Forecast(row.aggregate)
-    return ForecastRecord(row.question_id, members, raw.get("aggregator", "median"), aggregate)
+    values = iter(row.values)
+    members = []
+    for entry in raw["members"]:
+        member: dict[str, Any] = {"member_index": entry["member_index"]}
+        if entry.get("declined"):
+            member["declined"] = True
+            if entry.get("reason"):
+                member["reason"] = entry["reason"]
+        else:
+            member["forecast"] = next(values)
+        if entry.get("transcript_ref"):
+            member["transcript_ref"] = entry["transcript_ref"]
+        members.append(member)
+    line = {
+        "question_id": row.question_id,
+        "aggregator": raw.get("aggregator", "median"),
+        "members": members,
+        "declined": row.declined,
+    }
+    if row.aggregate is not None:
+        line["aggregate"] = row.aggregate
+    return line
 
 
 # --- JSONL IO -----------------------------------------------------------
@@ -523,21 +471,20 @@ def write_questions(path: str | Path, questions: Iterable[Question]) -> None:
 _T = TypeVar("_T")
 
 
-def _read_validated(path: str | Path, validate: Callable[[dict], _T], unique: str | None = None) -> list[_T]:
+def _read_validated(path: str | Path, validate: Callable[[dict], _T], unique: str) -> list[_T]:
     """Validate every line of a JSONL file; an error names the file and line.
 
-    With `unique`, a line may not repeat an earlier item's value of that attribute.
+    A line may not repeat an earlier line's value of the key `unique`.
     """
     items = []
     first_line: dict[Any, int] = {}
     for lineno, raw in read_jsonl(path):
         try:
             item = validate(raw)
-            if unique is not None:
-                key = getattr(item, unique)
-                if key in first_line:
-                    raise ValidationError(unique, f"repeated {unique} {key!r}, first on line {first_line[key]}")
-                first_line[key] = lineno
+            key = raw[unique]
+            if key in first_line:
+                raise ValidationError(unique, f"repeated {unique} {key!r}, first on line {first_line[key]}")
+            first_line[key] = lineno
         except ValidationError as exc:
             raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc}") from None
         items.append(item)
@@ -545,24 +492,23 @@ def _read_validated(path: str | Path, validate: Callable[[dict], _T], unique: st
 
 
 def read_questions(path: str | Path) -> list[Question]:
-    return _read_validated(path, validate_question)
+    return _read_validated(path, validate_question, "id")
 
 
 def read_question_rows(path: str | Path) -> list[QuestionRow]:
-    """Check a dataset as read_questions does, without building questions,
-    and reject a question id that an earlier line already used."""
-    return _read_validated(path, check_question, unique="id")
+    """Check a dataset as read_questions does, without building questions."""
+    return _read_validated(path, check_question, "id")
 
 
-def write_records(path: str | Path, records: Iterable[ForecastRecord]) -> None:
-    write_jsonl(path, (r.to_dict() for r in records))
+def write_records(path: str | Path, lines: Iterable[dict]) -> None:
+    write_jsonl(path, lines)
 
 
-def read_records(path: str | Path) -> list[ForecastRecord]:
-    return _read_validated(path, validate_record)
+def read_records(path: str | Path) -> list[RecordRow]:
+    """Check a forecast file, keeping only the fields scoring uses."""
+    return _read_validated(path, check_record, "question_id")
 
 
-def read_record_rows(path: str | Path) -> list[RecordRow]:
-    """Check a forecast file as read_records does, without building records,
-    and reject a question_id that an earlier line already used."""
-    return _read_validated(path, check_record, unique="question_id")
+def read_record_lines(path: str | Path) -> list[dict]:
+    """Check a forecast file and return its records as `forecast` writes them."""
+    return _read_validated(path, record_line, "question_id")

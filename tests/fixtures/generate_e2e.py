@@ -225,11 +225,11 @@ def main() -> int:
         "q_un": "declined",
         "q_btc": "forecasted",
     }, statuses
-    assert records["q_eth"].aggregate.value == 0.35
-    assert records["q_fed"].aggregate.value == 0.1
-    assert records["q_launch"].aggregate.value == 0.8
+    assert records["q_eth"].aggregate == 0.35
+    assert records["q_fed"].aggregate == 0.1
+    assert records["q_launch"].aggregate == 0.8
     assert records["q_un"].declined
-    assert records["q_btc"].aggregate.value == 0.4
+    assert records["q_btc"].aggregate == 0.4
     print(f"wrote {len(dataset)} questions, search fixture, and cassette under {E2E}")
     return 0
 

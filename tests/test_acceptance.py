@@ -36,7 +36,7 @@ from agentcast.metrics import (
     render_calibration_table,
     render_score_table,
 )
-from agentcast.models import Declined, Forecast, ForecastRecord, MemberForecast, read_records
+from agentcast.models import Declined, Forecast, check_record, read_record_lines
 from agentcast.react import (
     ActionEmission,
     FinalEmission,
@@ -89,16 +89,18 @@ def test_criterion_1_scoring_matches_brute_force_oracles():
         member_lists = [
             [rng.random() for _ in range(rng.randint(2, 7))] for _ in range(min(n, 40))
         ]
-        records = [
-            ForecastRecord(
-                question_id=f"q{i:04d}",
-                members=tuple(MemberForecast(j, Forecast(v)) for j, v in enumerate(values)),
-                aggregator="median",
-                aggregate=Forecast(sorted(values)[len(values) // 2]),
+        rows = [
+            check_record(
+                {
+                    "question_id": f"q{i:04d}",
+                    "members": [{"member_index": j, "forecast": v} for j, v in enumerate(values)],
+                    "aggregator": "median",
+                    "aggregate": sorted(values)[len(values) // 2],
+                }
             )
             for i, values in enumerate(member_lists)
         ]
-        assert abs(ensemble_std(records) - oracle_ensemble_std(member_lists)) <= TOLERANCE
+        assert abs(ensemble_std(r.values for r in rows) - oracle_ensemble_std(member_lists)) <= TOLERANCE
     assert time.monotonic() - started < 10.0
 
 
@@ -208,11 +210,11 @@ def test_criterion_5_deterministic_end_to_end_replay(tmp_path, monkeypatch):
     first = (tmp_path / "a" / "forecasts.jsonl").read_bytes()
     assert first == (tmp_path / "b" / "forecasts.jsonl").read_bytes()
 
-    records = {r.question_id: r for r in read_records(tmp_path / "a" / "forecasts.jsonl")}
+    records = {r["question_id"]: r for r in read_record_lines(tmp_path / "a" / "forecasts.jsonl")}
     assert len(records) == 5
-    assert all(len(r.members) == 3 for r in records.values())
-    assert records["q_eth"].aggregate == Forecast(0.35)
-    assert records["q_un"].declined
+    assert all(len(r["members"]) == 3 for r in records.values())
+    assert records["q_eth"]["aggregate"] == 0.35
+    assert records["q_un"]["declined"]
 
     # the transcript tree must match the planner's delegations: every child
     # task is literally an Action Input line in its parent's transcript

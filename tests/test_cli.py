@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from agentcast import cli
+from agentcast import cli, models
 from agentcast.cli import (
     EXIT_EMPTY,
     EXIT_FATAL,
@@ -48,10 +48,7 @@ from agentcast.market import FixtureMarketClient, classify_category, llm_filter
 from agentcast.metrics import parse_table
 from agentcast.models import (
     Category,
-    Declined,
     Forecast,
-    ForecastRecord,
-    MemberForecast,
     Question,
     RecordRow,
     ValidationError,
@@ -59,8 +56,9 @@ from agentcast.models import (
     read_jsonl,
     read_question_rows,
     read_questions,
-    read_record_rows,
+    read_record_lines,
     read_records,
+    record_line,
     validate_question,
     write_questions,
 )
@@ -294,12 +292,12 @@ def test_forecast_replay_end_to_end(tmp_path):
     out = tmp_path / "run"
     assert replay_forecast(out) == EXIT_OK
 
-    records = {r.question_id: r for r in read_records(out / "forecasts.jsonl")}
+    records = {r["question_id"]: r for r in read_record_lines(out / "forecasts.jsonl")}
     assert len(records) == 5
-    assert records["q_eth"].aggregate.value == 0.35
-    assert records["q_un"].declined and records["q_un"].aggregate is None
-    assert records["q_btc"].aggregate.value == 0.4
-    assert all(len(r.members) == 3 for r in records.values())
+    assert records["q_eth"]["aggregate"] == 0.35
+    assert records["q_un"]["declined"] and "aggregate" not in records["q_un"]
+    assert records["q_btc"]["aggregate"] == 0.4
+    assert all(len(r["members"]) == 3 for r in records.values())
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["questions"]["q_un"] == "declined"
@@ -308,8 +306,8 @@ def test_forecast_replay_end_to_end(tmp_path):
 
     # every member forecast points at a planner transcript on disk
     for record in records.values():
-        for member in record.members:
-            assert (out / "transcripts" / member.transcript_ref).exists()
+        for member in record["members"]:
+            assert (out / "transcripts" / member["transcript_ref"]).exists()
 
 
 class UncallableBackend:
@@ -385,8 +383,8 @@ def test_forecast_runs_a_questions_members_concurrently(tmp_path, monkeypatch):
     write_questions(dataset, [make_question()])
     out = tmp_path / "run"
     assert replay_forecast(out, "--workers", "1", dataset=dataset) == EXIT_OK
-    (record,) = read_records(out / "forecasts.jsonl")
-    assert record.aggregate.value == 0.4 and len(record.members) == 3
+    (record,) = read_record_lines(out / "forecasts.jsonl")
+    assert record["aggregate"] == 0.4 and len(record["members"]) == 3
 
 
 class ArrivalOrderBackend:
@@ -471,7 +469,7 @@ def test_forecast_single_agent_end_to_end(tmp_path, monkeypatch):
     backend = forecast(out, E2E / "questions.jsonl", search_then_answer * len(dataset))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["single_agent"] is True
-    assert [r.aggregate.value for r in read_records(out / "forecasts.jsonl")] == [0.3] * len(dataset)
+    assert [r.aggregate for r in read_records(out / "forecasts.jsonl")] == [0.3] * len(dataset)
     for question in dataset:
         qdir = out / "transcripts" / question.id
         index = [raw for _, raw in read_jsonl(qdir / "index.jsonl")]
@@ -488,8 +486,8 @@ def test_forecast_single_agent_end_to_end(tmp_path, monkeypatch):
     write_questions(one, dataset[:1])
     out = tmp_path / "budget"
     backend = forecast(out, one, search_then_answer, "--config", str(config))
-    (record,) = read_records(out / "forecasts.jsonl")
-    assert record.declined and record.members[0].forecast == Declined("budget")
+    (record,) = read_record_lines(out / "forecasts.jsonl")
+    assert record["declined"] and record["members"][0]["reason"] == "budget"
     assert len(backend.requests) == 1  # no compacted second request was sent
     assert json.loads((out / "manifest.json").read_text())["questions"] == {dataset[0].id: "declined"}
 
@@ -586,11 +584,11 @@ def test_run_forecast_resumes_only_missing_questions(tmp_path):
     original = (out / "forecasts.jsonl").read_bytes()
 
     # drop two records and plant a stale one that is not in the dataset
-    kept = [r for r in read_records(out / "forecasts.jsonl") if r.question_id not in ("q_fed", "q_btc")]
+    kept = [r for r in read_record_lines(out / "forecasts.jsonl") if r["question_id"] not in ("q_fed", "q_btc")]
     with open(out / "forecasts.jsonl", "w", encoding="utf-8") as fh:
         for r in kept:
-            fh.write(json.dumps(r.to_dict(), ensure_ascii=False) + "\n")
-        ghost = dict(kept[0].to_dict(), question_id="ghost")
+            fh.write(json.dumps(r, ensure_ascii=False) + "\n")
+        ghost = dict(kept[0], question_id="ghost")
         fh.write(json.dumps(ghost, ensure_ascii=False) + "\n")
 
     second_calls = {}
@@ -600,6 +598,43 @@ def test_run_forecast_resumes_only_missing_questions(tmp_path):
     assert second_calls == {"q_fed": 3, "q_btc": 3}  # others resumed from disk
     assert statuses["q_eth"] == "forecasted" and statuses["q_un"] == "declined"
     assert (out / "forecasts.jsonl").read_bytes() == original  # dataset order, ghost gone
+
+
+def dataset_repeating_its_first_id(tmp_path) -> Path:
+    """The e2e dataset with its first line (q_eth) repeated at the end."""
+    lines = (E2E / "questions.jsonl").read_text(encoding="utf-8").splitlines()
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+    return dataset
+
+
+def test_forecast_exits_1_on_a_repeated_question_id_before_any_request(tmp_path, monkeypatch, capsys):
+    # before, a replay died on an unrelated cassette miss and a live run
+    # forecast the question twice
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    dataset = dataset_repeating_its_first_id(tmp_path)
+    out = tmp_path / "run"
+    assert replay_forecast(out, dataset=dataset) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: id: repeated id 'q_eth', first on line 1"
+    assert backend.requests == []
+    assert not (out / "transcripts").exists()
+
+
+def test_forecast_resume_exits_1_on_a_repeated_question_id(tmp_path, monkeypatch, capsys):
+    # before, the last of the two records was kept silently
+    out = tmp_path / "run"
+    out.mkdir()
+    lines = (FIXTURES / "e2e_forecast" / "forecasts.jsonl").read_text(encoding="utf-8").splitlines()
+    records = out / "forecasts.jsonl"
+    records.write_text("\n".join([lines[0], lines[0]]) + "\n", encoding="utf-8")
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    assert replay_forecast(out) == EXIT_FATAL
+    expected = f"error: question_id: {records}:2: question_id: repeated question_id 'q_eth', first on line 1"
+    assert capsys.readouterr().err.splitlines()[-1] == expected
+    assert backend.requests == []
+    assert not (out / "transcripts").exists()
 
 
 def test_forecast_empty_dataset_exits_2(tmp_path):
@@ -986,6 +1021,16 @@ def test_resolve_backfills_outcomes(tmp_path, capsys):
     assert by_id["mkt_na"].outcome is None and by_id["mkt_na"].excluded
 
 
+def test_resolve_exits_1_on_a_repeated_question_id_and_leaves_the_dataset(tmp_path, capsys):
+    dataset = dataset_repeating_its_first_id(tmp_path)
+    before = dataset.read_bytes()
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": [{"id": "q_eth", "isResolved": True, "resolution": "YES"}]}))
+    assert cli.main(["resolve", "--dataset", str(dataset), "--market-fixture", str(market_fixture)]) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: id: repeated id 'q_eth', first on line 1"
+    assert dataset.read_bytes() == before
+
+
 # --- score -----------------------------------------------------------------------
 
 
@@ -1134,19 +1179,22 @@ def test_score_reports_a_malformed_forecast_line_as_before(tmp_path, capsys, lin
     capsys.readouterr()
     assert cli.main(["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(path)]) == EXIT_FATAL
     assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
-    for reader in (read_records, read_record_rows):
+    for reader in (read_records, read_record_lines):
         with pytest.raises(ValidationError) as raised:
             reader(path)
         assert str(raised.value) == expected and raised.value.field_name == field
+    with pytest.raises(ValidationError) as raised:
+        record_line(line)
+    assert str(raised.value) == message and raised.value.field_name == field
 
 
 def test_record_readers_take_an_integer_probability_as_a_float(tmp_path):
     path = tmp_path / "agent.jsonl"
     path.write_text(json.dumps(_record(members=_members(1, 1.0), aggregate=1)) + "\n", encoding="utf-8")
-    (record,) = read_records(path)
-    assert [type(m.forecast.value) for m in record.members] == [float, float]
-    assert type(record.aggregate.value) is float and record.aggregate == Forecast(1.0)
-    (row,) = read_record_rows(path)
+    (record,) = read_record_lines(path)
+    assert [type(m["forecast"]) for m in record["members"]] == [float, float]
+    assert type(record["aggregate"]) is float and record["aggregate"] == 1.0
+    (row,) = read_records(path)
     assert row == RecordRow("q_eth", False, 1.0, [1.0, 1.0])
     assert type(row.aggregate) is float and [type(v) for v in row.values] == [float, float]
 
@@ -1154,7 +1202,10 @@ def test_record_readers_take_an_integer_probability_as_a_float(tmp_path):
 def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
     assert replay_forecast(run_dir) == EXIT_OK
-    built = {cls: 0 for cls in (Forecast, MemberForecast, ForecastRecord, Question)}
+    lines_built = []
+    for owner in (cli, models):
+        monkeypatch.setattr(owner, "record_line", lambda raw: lines_built.append(raw))
+    built = {cls: 0 for cls in (Forecast, Question)}
     for cls in built:
 
         def counting(self, _cls=cls, _original=cls.__post_init__):
@@ -1165,7 +1216,7 @@ def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
     argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(run_dir / "forecasts.jsonl"),
             "--bins", "2"]
     assert cli.main(argv) == EXIT_OK
-    assert built[MemberForecast] == built[ForecastRecord] == built[Question] == 0
+    assert built[Question] == 0 and lines_built == []  # score keeps rows, not record lines
     # one Forecast per crowd price and per completed aggregate, none per member
     assert 0 < built[Forecast] <= 2 * len(read_questions(E2E / "questions.jsonl"))
 

@@ -19,12 +19,11 @@ from agentcast.metrics import (
     brier,
     calibration_index,
     ensemble_std,
-    mean_member_std,
     parse_table,
     render_calibration_table,
     render_score_table,
 )
-from agentcast.models import Declined, Forecast, ForecastRecord, MemberForecast
+from agentcast.models import Declined, Forecast, check_record, read_records, record_line, write_records
 
 from oracles import (
     oracle_accuracy,
@@ -156,23 +155,25 @@ def test_aggregate_errors():
 
 
 def make_record(qid, values, aggregator="median"):
-    members = tuple(MemberForecast(i, Forecast(v)) for i, v in enumerate(values))
-    agg = aggregate([m.forecast for m in members], aggregator, seed=f"0:{qid}")
-    return ForecastRecord(qid, members, aggregator, agg)
+    agg = aggregate([Forecast(v) for v in values], aggregator, seed=f"0:{qid}")
+    members = [{"member_index": i, "forecast": v} for i, v in enumerate(values)]
+    return {"question_id": qid, "aggregator": aggregator, "members": members, "aggregate": agg.value}
 
 
 def make_declined_record(qid, values, declined_at=0):
-    members = []
-    for i, v in enumerate(values):
-        fc = Declined("test") if i == declined_at else Forecast(v)
-        members.append(MemberForecast(i, fc))
-    return ForecastRecord(qid, tuple(members), "median", None)
+    members = [{"member_index": i, "forecast": v} for i, v in enumerate(values)]
+    members[declined_at] = {"member_index": declined_at, "declined": True, "reason": "test"}
+    return {"question_id": qid, "aggregator": "median", "members": members}
 
 
-def loop_ensemble_std(records):
+def completed_values(rows):
+    """The member lists `score` measures: completed records only."""
+    return [row.values for row in rows if not row.declined]
+
+
+def loop_ensemble_std(member_lists):
     """The per-record computation the one-pass reduction replaced."""
-    stds = [float(np.std(np.array([m.forecast.value for m in r.members]))) for r in records if not r.declined]
-    return float(np.mean(stds))
+    return float(np.mean([float(np.std(np.array(values))) for values in member_lists]))
 
 
 def test_ensemble_std_matches_oracle():
@@ -184,21 +185,27 @@ def test_ensemble_std_matches_oracle():
         records = [make_record(f"q{i}", values) for i, values in enumerate(lists)]
         # declined records in between must not shift the other records' segments
         records[10:10] = [make_declined_record("d1", [0.1] * 9), make_declined_record("d2", [0.7])]
-        assert abs(ensemble_std(records) - oracle_ensemble_std(lists)) < 1e-12
-        assert ensemble_std(records) == loop_ensemble_std(records) == mean_member_std(lists)
+        member_lists = completed_values(check_record(r) for r in records)
+        assert member_lists == lists
+        assert abs(ensemble_std(member_lists) - oracle_ensemble_std(lists)) < 1e-12
+        assert ensemble_std(member_lists) == loop_ensemble_std(lists) == ensemble_std(iter(lists))
 
 
-def test_ensemble_std_skips_declined_records():
-    records = [make_record("q1", [0.2, 0.4, 0.6]), make_declined_record("q2", [0.9, 0.9, 0.9])]
-    assert ensemble_std(records) == pytest.approx(oracle_ensemble_std([[0.2, 0.4, 0.6]]))
+def test_ensemble_std_skips_declined_records(tmp_path):
+    # a declined row keeps its completed members' values, so they reach the
+    # spread only if the caller forgets to skip the row
+    path = tmp_path / "agent.jsonl"
+    lines = [make_record("q1", [0.2, 0.4, 0.6]), make_declined_record("q2", [0.9, 0.1, 0.9])]
+    write_records(path, [record_line(line) for line in lines])
+    rows = read_records(path)
+    assert rows[1].values == [0.1, 0.9]
+    assert ensemble_std(completed_values(rows)) == pytest.approx(oracle_ensemble_std([[0.2, 0.4, 0.6]]))
     with pytest.raises(EmptySet):
-        ensemble_std([make_declined_record("q1", [0.5, 0.5])])
-    with pytest.raises(EmptySet):
-        ensemble_std([make_declined_record("q1", [0.5] * 9), make_declined_record("q2", [0.5])])
+        ensemble_std(completed_values([check_record(make_declined_record("q1", [0.5, 0.5]))]))
     with pytest.raises(EmptySet):
         ensemble_std([])
     with pytest.raises(EmptyMembers):
-        mean_member_std([[0.2, 0.4], []])
+        ensemble_std([[0.2, 0.4], []])
 
 
 @pytest.mark.parametrize(

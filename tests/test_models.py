@@ -1,6 +1,5 @@
 """Domain type validation and JSONL round-trips."""
 
-import dataclasses
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -13,24 +12,23 @@ from agentcast.models import (
     Declined,
     FinalState,
     Forecast,
-    ForecastRecord,
-    MemberForecast,
     Question,
     RecordRow,
     Transcript,
     QuestionRow,
     ValidationError,
     check_question,
+    check_record,
     format_timestamp,
     normalize_timestamp,
     parse_timestamp,
     read_jsonl,
     read_question_rows,
     read_questions,
-    read_record_rows,
+    read_record_lines,
     read_records,
+    record_line,
     validate_question,
-    validate_record,
     write_questions,
     write_records,
 )
@@ -199,90 +197,87 @@ def test_read_jsonl_gives_what_json_loads_gives_for_each_line(tmp_path, line):
         assert value == expected and type(value) is type(expected)
 
 
+def record(members, aggregate=None, **fields):
+    line = {"question_id": "q1", "aggregator": "median", "members": members, **fields}
+    return line if aggregate is None else {**line, "aggregate": aggregate}
+
+
 def test_record_invariants():
-    members = (MemberForecast(0, Forecast(0.3)), MemberForecast(1, Forecast(0.5)))
-    record = ForecastRecord("q1", members, "median", Forecast(0.4))
-    assert not record.declined
+    members = [{"member_index": 0, "forecast": 0.3}, {"member_index": 1, "forecast": 0.5}]
+    assert check_record(record(members, 0.4)) == RecordRow("q1", False, 0.4, [0.3, 0.5])
 
     with pytest.raises(ValidationError, match="aggregate"):
-        ForecastRecord("q1", members, "median", None)  # missing aggregate
+        check_record(record(members))  # missing aggregate
     with pytest.raises(ValidationError, match="aggregate"):
-        ForecastRecord("q1", members, "median", Forecast(0.9))  # outside envelope
+        check_record(record(members, 0.9))  # outside envelope
     with pytest.raises(ValidationError, match="aggregator"):
-        ForecastRecord("q1", members, "average", Forecast(0.4))
+        check_record(record(members, 0.4, aggregator="average"))
     with pytest.raises(ValidationError, match="members"):
-        ForecastRecord("q1", (), "median", Forecast(0.4))
+        check_record(record([], 0.4))
 
-    declined_members = (MemberForecast(0, Declined("budget")), MemberForecast(1, Forecast(0.5)))
-    declined = ForecastRecord("q1", declined_members, "median", None)
-    assert declined.declined
+    declined_members = [{"member_index": 0, "declined": True, "reason": "budget"}, {"member_index": 1, "forecast": 0.5}]
+    assert check_record(record(declined_members)) == RecordRow("q1", True, None, [0.5])
     with pytest.raises(ValidationError, match="aggregate"):
-        ForecastRecord("q1", declined_members, "median", Forecast(0.5))
+        check_record(record(declined_members, 0.5))
 
 
 def test_record_round_trip(tmp_path):
-    records = [
-        ForecastRecord(
-            "q1",
-            (
-                MemberForecast(0, Forecast(0.35), "q1/0.planner.transcript"),
-                MemberForecast(1, Forecast(0.4), "q1/1.planner.transcript"),
-            ),
-            "median",
-            Forecast(0.375),
-        ),
-        ForecastRecord(
-            "q2",
-            (MemberForecast(0, Declined("budget")), MemberForecast(1, Forecast(0.7))),
-            "median",
-            None,
-        ),
+    lines = [
+        {
+            "question_id": "q1",
+            "aggregator": "median",
+            "members": [
+                {"member_index": 0, "forecast": 0.35, "transcript_ref": "q1/0.planner.transcript"},
+                {"member_index": 1, "forecast": 0.4, "transcript_ref": "q1/1.planner.transcript"},
+            ],
+            "declined": False,
+            "aggregate": 0.375,
+        },
+        {
+            "question_id": "q2",
+            "aggregator": "median",
+            "members": [{"member_index": 0, "declined": True, "reason": "budget"}, {"member_index": 1, "forecast": 0.7}],
+            "declined": True,
+        },
     ]
+    assert [record_line(line) for line in lines] == lines
     path = tmp_path / "records.jsonl"
-    write_records(path, records)
+    write_records(path, lines)
     first = path.read_bytes()
-    loaded = read_records(path)
-    assert loaded == records
-    assert loaded[1].declined
-    assert loaded[1].members[0].forecast == Declined("budget")
-    assert read_record_rows(path) == [RecordRow("q1", False, 0.375, [0.35, 0.4]), RecordRow("q2", True, None, [0.7])]
+    loaded = read_record_lines(path)
+    assert loaded == lines
+    assert read_records(path) == [RecordRow("q1", False, 0.375, [0.35, 0.4]), RecordRow("q2", True, None, [0.7])]
     write_records(path, loaded)
     assert path.read_bytes() == first
 
 
-def test_cached_declined_flag_leaves_equality_repr_and_dict_unchanged():
-    completed = (MemberForecast(0, Forecast(0.3)), MemberForecast(1, Forecast(0.5), "q1/1.planner.transcript"))
-    record = ForecastRecord("q1", completed, "median", Forecast(0.4))
-    assert record == ForecastRecord("q1", list(completed), "median", Forecast(0.4))
-    assert hash(record) == hash(ForecastRecord("q1", completed, "median", Forecast(0.4)))
-    assert repr(record) == (
-        "ForecastRecord(question_id='q1', members=(MemberForecast(member_index=0, "
-        "forecast=Forecast(value=0.3), transcript_ref=''), MemberForecast(member_index=1, "
-        "forecast=Forecast(value=0.5), transcript_ref='q1/1.planner.transcript')), "
-        "aggregator='median', aggregate=Forecast(value=0.4))"
+def test_record_line_works_out_declined_and_drops_empty_fields():
+    # the written form: declined from the members, floats, no empty reason or
+    # transcript_ref, no unknown keys, and keys in one order
+    completed = record(
+        [{"forecast": 1, "member_index": 0, "transcript_ref": ""}, {"member_index": 1, "forecast": 0.5, "note": "x"}],
+        0.75,
+        declined=True,
     )
-    assert record.to_dict() == {
+    line = record_line(completed)
+    assert line == {
         "question_id": "q1",
         "aggregator": "median",
-        "members": [
-            {"member_index": 0, "forecast": 0.3},
-            {"member_index": 1, "forecast": 0.5, "transcript_ref": "q1/1.planner.transcript"},
-        ],
+        "members": [{"member_index": 0, "forecast": 1.0}, {"member_index": 1, "forecast": 0.5}],
         "declined": False,
-        "aggregate": 0.4,
+        "aggregate": 0.75,
     }
-    assert not record.declined
+    assert list(line) == ["question_id", "aggregator", "members", "declined", "aggregate"]
+    assert type(line["members"][0]["forecast"]) is float
 
-    declined = dataclasses.replace(record, members=(MemberForecast(0, Declined("budget")),), aggregate=None)
-    assert declined.declined  # recomputed, not copied from the completed record
-    assert "declined" not in repr(declined)
-    assert declined.to_dict() == {
+    declined = record([{"member_index": 0, "declined": True, "reason": "", "transcript_ref": "q1/0.planner.transcript"}])
+    del declined["aggregator"]  # an absent aggregator reads as the median
+    assert record_line(declined) == {
         "question_id": "q1",
         "aggregator": "median",
-        "members": [{"member_index": 0, "declined": True, "reason": "budget"}],
+        "members": [{"member_index": 0, "declined": True, "transcript_ref": "q1/0.planner.transcript"}],
         "declined": True,
     }
-    assert declined != record
 
 
 def test_write_jsonl_keeps_the_old_file_when_a_write_fails(tmp_path):
@@ -334,11 +329,12 @@ def test_check_question_returns_what_validate_question_builds(tmp_path, fields):
     assert read_question_rows(path) == [row]
 
 
-def test_validate_record_rejects_malformed_members():
-    with pytest.raises(ValidationError, match="members"):
-        validate_record({"question_id": "q", "members": [{"member_index": 0}], "aggregator": "median"})
-    with pytest.raises(ValidationError, match="question_id"):
-        validate_record({"members": []})
+def test_check_record_rejects_malformed_members():
+    for check in (check_record, record_line):
+        with pytest.raises(ValidationError, match="members"):
+            check({"question_id": "q", "members": [{"member_index": 0}], "aggregator": "median"})
+        with pytest.raises(ValidationError, match="question_id"):
+            check({"members": []})
 
 
 def test_transcript_types():
