@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 fatal configuration or API error, 2 empty result
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -478,6 +479,20 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
 
 
 def cmd_score(ns: argparse.Namespace) -> int:
+    # Reading leaves tens of thousands of long-lived rows for the cyclic
+    # collector to walk again and again, while scoring frees what it makes by
+    # reference count; so the collector is off while scoring, then restored
+    # as the caller had it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run_score(ns)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def run_score(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     dataset = read_question_rows(ns.dataset)
     outcomes = {q.id: q.outcome for q in dataset if q.outcome is not None and not q.excluded}

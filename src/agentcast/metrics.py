@@ -8,17 +8,17 @@ comparable.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from functools import reduce
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .models import Declined, Forecast
-
-if TYPE_CHECKING:  # imported where used, so only `score` pays for numpy
-    import numpy as np
 
 
 class MetricError(ValueError):
@@ -75,20 +75,42 @@ class ScoredSet:
         return len(self.question_ids)
 
 
-def _arrays(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
+def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
+    """Sum values[lo:hi] in numpy's pairwise order, so the scores match the
+    numpy formulas they replaced bit for bit: under 8 values add in order from
+    0.0; up to 128 go into 8 interleaved accumulators combined as a tree, then
+    the remainder in order; longer runs split in two at half the length
+    rounded down to a multiple of 8. `np.add.reduce` over a slice is this sum.
+    """
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for i in range(lo, hi):
+            total += values[i]
+        return total
+    if n <= 128:
+        tail = hi - n % 8
+        r = [reduce(add, values[lo + j : tail : 8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(tail, hi):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _require_pairs(scored: ScoredSet) -> int:
     if not scored.question_ids:
         raise EmptySet(f"no scorable pairs for method {scored.method_label!r}")
-    import numpy as np
-
-    return np.array(scored.forecasts, dtype=float), np.array(scored.outcomes, dtype=float)
+    return len(scored)
 
 
 def brier(scored: ScoredSet) -> float:
     """Mean squared error between forecasts and binary outcomes. Lower is better."""
-    import numpy as np
-
-    f, o = _arrays(scored)
-    return float(np.mean((f - o) ** 2))
+    n = _require_pairs(scored)
+    squares = [d * d for d in map(sub, scored.forecasts, scored.outcomes)]
+    return _pairwise_sum(squares, 0, n) / n
 
 
 def accuracy(scored: ScoredSet) -> float:
@@ -96,11 +118,8 @@ def accuracy(scored: ScoredSet) -> float:
 
     A forecast of exactly 0.5 counts as predicting NO.
     """
-    import numpy as np
-
-    f, o = _arrays(scored)
-    predicted = (f > 0.5).astype(float)
-    return float(np.mean(predicted == o))
+    n = _require_pairs(scored)
+    return sum((f > 0.5) == (o == 1) for f, o in zip(scored.forecasts, scored.outcomes)) / n
 
 
 @dataclass(frozen=True)
@@ -128,28 +147,25 @@ def calibration_index(scored: ScoredSet, k: int = 10) -> CalibrationReport:
     """
     if k < 1:
         raise MetricError(f"bin count must be positive, got {k}")
-    n = len(scored)
-    if n == 0:
-        raise EmptySet(f"no scorable pairs for method {scored.method_label!r}")
+    n = _require_pairs(scored)
     if n < k:
         raise TooFewForecasts(f"{n} forecasts cannot fill {k} bins")
-    import numpy as np
-
     # ids are unique, so the outcome never decides the order
     ordered = sorted(zip(scored.forecasts, scored.question_ids, scored.outcomes))
-    f = np.array([forecast for forecast, _, _ in ordered], dtype=float)
-    o = np.array([outcome for _, _, outcome in ordered], dtype=float)
-    starts = np.array([(j * n) // k for j in range(k)])
-    ends = np.array([((j + 1) * n) // k for j in range(k)])
-    counts = ends - starts
-    mean_f = np.add.reduceat(f, starts) / counts
-    mean_o = np.add.reduceat(o, starts) / counts
-    index = float(np.sum(counts * (mean_f - mean_o) ** 2) / n)
-    bins = tuple(
-        CalibrationBin(count=int(c), mean_forecast=float(mf), observed_freq=float(mo))
-        for c, mf, mo in zip(counts, mean_f, mean_o)
-    )
-    return CalibrationReport(method_label=scored.method_label, k=k, bins=bins, index=index)
+    f = [forecast for forecast, _, _ in ordered]
+    o = [outcome for _, _, outcome in ordered]
+    bins = []
+    terms = []
+    for j in range(k):
+        # each bin sums onto its first value, in `np.add.reduceat` order
+        start, end = (j * n) // k, ((j + 1) * n) // k
+        count = end - start
+        mean_f = (f[start] + _pairwise_sum(f, start + 1, end)) / count
+        mean_o = (o[start] + _pairwise_sum(o, start + 1, end)) / count
+        bins.append(CalibrationBin(count=count, mean_forecast=mean_f, observed_freq=mean_o))
+        terms.append(count * ((mean_f - mean_o) * (mean_f - mean_o)))
+    index = _pairwise_sum(terms, 0, k) / n
+    return CalibrationReport(method_label=scored.method_label, k=k, bins=tuple(bins), index=index)
 
 
 # --- ensemble aggregation -----------------------------------------------
@@ -182,32 +198,31 @@ def ensemble_std(member_values: Iterable[list[float]]) -> float:
     """Mean over ensembles of the population standard deviation of each
     ensemble's member probabilities. Every list must be non-empty.
 
-    All ensembles are reduced in one pass over a flat value array. Each
-    segment opens with a 0.0, so `reduceat` adds its members onto a zero start
-    in the same order as `np.std` on that ensemble alone, and the result
-    matches the per-ensemble computation bit for bit.
+    Sums run in `_pairwise_sum` order, as `np.std` and `np.mean` add. Ensembles
+    under 8 members, the usual case, are summed inline: that order is plain
+    left to right, and a helper call per ensemble would cost more than the sum.
     """
-    flat: list[float] = []
-    starts: list[int] = []
-    counts: list[int] = []
+    stds = []
     for ensemble in member_values:
-        if not ensemble:
+        count = len(ensemble)
+        if not count:
             raise EmptyMembers("cannot measure the spread of an empty ensemble")
-        starts.append(len(flat))
-        flat.append(0.0)
-        flat.extend(ensemble)
-        counts.append(len(ensemble))
-    if not counts:
+        if count < 8:
+            total = 0.0
+            for value in ensemble:
+                total += value
+            mean = total / count
+            total = 0.0
+            for value in ensemble:
+                deviation = value - mean
+                total += deviation * deviation
+        else:
+            mean = _pairwise_sum(ensemble, 0, count) / count
+            total = _pairwise_sum([(value - mean) * (value - mean) for value in ensemble], 0, count)
+        stds.append(math.sqrt(total / count))
+    if not stds:
         raise EmptySet("no completed ensembles to measure spread over")
-    import numpy as np
-
-    values = np.array(flat, dtype=float)
-    n = np.array(counts)
-    means = np.add.reduceat(values, starts) / n
-    deviations = values - np.repeat(means, n + 1)
-    squares = deviations * deviations
-    squares[starts] = 0.0
-    return float(np.mean(np.sqrt(np.add.reduceat(squares, starts) / n)))
+    return _pairwise_sum(stds, 0, len(stds)) / len(stds)
 
 
 # --- cross-method drop rule ---------------------------------------------

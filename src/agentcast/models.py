@@ -343,7 +343,9 @@ def check_record(raw: dict) -> RecordRow:
 
     The record declined iff some member has no probability. A declined record
     has no aggregate, and a completed one has an aggregate inside its members'
-    range. Where a line has two faults the error names the one checked first.
+    range. Members are numbered by position, so member_index i names the
+    member whose planner transcript is `<i>.planner.transcript`. Where a line
+    has two faults the error names the one checked first.
     """
     if not isinstance(raw, dict):
         raise ValidationError("record", f"expected an object, got {type(raw).__name__}")
@@ -353,9 +355,12 @@ def check_record(raw: dict) -> RecordRow:
     if not isinstance(members, list):
         raise ValidationError("members", "missing members list")
     values = []
-    for entry in members:
+    for position, entry in enumerate(members):
         if not isinstance(entry, dict) or "member_index" not in entry:
             raise ValidationError("members", f"malformed member entry {entry!r}")
+        index = entry["member_index"]
+        if type(index) is not int or index != position:  # a bool is not an index
+            raise ValidationError("members", f"member at position {position} has member_index {index!r}")
         if entry.get("declined"):
             continue
         if "forecast" not in entry:

@@ -69,7 +69,7 @@ def scored(pairs, label="method"):
     return ScoredSet(label, [q for q, _, _ in pairs], [f for _, f, _ in pairs], [o for _, _, o in pairs])
 
 
-# --- criterion 1: the numpy scoring agrees with brute-force loops ----------------
+# --- criterion 1: the scoring agrees with brute-force loops ----------------------
 
 
 def test_criterion_1_scoring_matches_brute_force_oracles():

@@ -1123,8 +1123,9 @@ def _members(*forecasts):
 
 
 # Malformed forecast lines and the messages `score` printed for them while the
-# reader still built a ForecastRecord per line. Where a line has two faults the
-# message names the one checked first.
+# reader still built a ForecastRecord per line, plus the member numbering rule
+# added since. Where a line has two faults the message names the one checked
+# first.
 MALFORMED_RECORDS = [
     ("list", [1, 2], "record: expected an object, got list"),
     ("string", "q_eth", "record: expected an object, got str"),
@@ -1138,6 +1139,15 @@ MALFORMED_RECORDS = [
     ("member_not_an_object", _record(members=[0.2]), "members: malformed member entry 0.2"),
     ("member_without_index", _record(members=[{"forecast": 0.2}]),
      "members: malformed member entry {'forecast': 0.2}"),
+    ("member_index_null", _record(members=[{"member_index": None, "forecast": 0.2}]),
+     "members: member at position 0 has member_index None"),
+    ("member_index_true", _record(members=[*_members(0.2), {"member_index": True, "forecast": 0.2}], aggregate=0.2),
+     "members: member at position 1 has member_index True"),
+    ("member_index_repeated", _record(members=[*_members(0.2), {"member_index": 0, "forecast": 0.2}]),
+     "members: member at position 1 has member_index 0"),
+    ("member_index_out_of_order",
+     _record(members=[{"member_index": 1, "forecast": 0.2}, {"member_index": 0, "forecast": 0.4}], aggregate=0.3),
+     "members: member at position 0 has member_index 1"),
     ("member_without_forecast_or_declined", _record(members=[*_members(0.2), {"member_index": 1, "transcript_ref": "x"}]),
      "members: member entry has neither forecast nor declined: {'member_index': 1, 'transcript_ref': 'x'}"),
     ("forecast_true", _record(members=_members(True)), "value: forecast must be a number, got True"),
@@ -1419,13 +1429,55 @@ def test_record_closes_the_cassette(tmp_path, monkeypatch, command):
 # --- imports -------------------------------------------------------------------
 
 
-def test_importing_the_cli_loads_neither_numpy_nor_requests():
-    # only `score` needs numpy, and the live clients use the standard library
-    code = "import sys, agentcast.cli; print([m for m in ('numpy', 'requests') if m in sys.modules])"
+def test_importing_the_cli_loads_neither_numpy_nor_requests(tmp_path):
+    # scoring and the live clients both run on the standard library
+    code = (
+        "import sys, agentcast.cli\n"
+        "loaded = lambda: [m for m in ('numpy', 'requests') if m in sys.modules]\n"
+        "imported = loaded()\n"
+        "code = agentcast.cli.main(sys.argv[1:])\n"
+        "print(imported, loaded(), code, file=sys.stderr)\n"
+    )
+    argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts",
+            str(FIXTURES / "e2e_forecast" / "forecasts.jsonl"), "--out", str(tmp_path / "scores")]
     src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "[]"
+    assert done.stderr.splitlines()[-1] == f"[] [] {EXIT_OK}"
+
+
+@pytest.mark.parametrize("caller_had_it_on", [True, False])
+def test_score_restores_the_collector_on_every_exit(tmp_path, monkeypatch, caller_had_it_on):
+    good = _record(members=_members(0.2, 0.4), aggregate=0.3)
+    malformed = tmp_path / "malformed.jsonl"
+    malformed.write_text(json.dumps(good) + "\n" + json.dumps(_record(aggregate=-0.1)) + "\n", encoding="utf-8")
+    unresolved = tmp_path / "unresolved.jsonl"
+    write_questions(unresolved, [make_question(qid="open1")])
+    questions = str(E2E / "questions.jsonl")
+    # exit code, and the collector's state each time the drop rule ran
+    runs = [
+        (["--dataset", questions, "--forecasts", str(FIXTURES / "e2e_forecast" / "forecasts.jsonl")], EXIT_OK, [False]),
+        (["--dataset", questions, "--forecasts", str(malformed)], EXIT_FATAL, []),
+        (["--dataset", str(unresolved), "--forecasts", str(malformed)], EXIT_EMPTY, []),
+    ]
+    seen = []
+    apply_drop_rule = cli.apply_drop_rule
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return apply_drop_rule(*args)
+
+    monkeypatch.setattr(cli, "apply_drop_rule", watched)
+    was_enabled = gc.isenabled()
+    try:
+        for args, code, while_scoring in runs:
+            seen.clear()
+            gc.enable() if caller_had_it_on else gc.disable()
+            assert cli.main(["score", *args]) == code
+            assert seen == while_scoring
+            assert gc.isenabled() is caller_had_it_on
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_score_report_matches_the_reference_byte_for_byte(tmp_path):

@@ -1,4 +1,5 @@
-"""Scoring math against hand-computed values and the brute-force oracles."""
+"""Scoring math against hand-computed values, the brute-force oracles and,
+bit for bit, the numpy formulas it replaced."""
 
 import random
 
@@ -13,6 +14,7 @@ from agentcast.metrics import (
     ScoreRow,
     TooFewForecasts,
     UniverseMismatch,
+    _pairwise_sum,
     accuracy,
     aggregate,
     apply_drop_rule,
@@ -26,6 +28,10 @@ from agentcast.metrics import (
 from agentcast.models import Declined, Forecast, check_record, read_records, record_line, write_records
 
 from oracles import (
+    numpy_accuracy,
+    numpy_brier,
+    numpy_calibration,
+    numpy_ensemble_std,
     oracle_accuracy,
     oracle_brier,
     oracle_calibration,
@@ -108,6 +114,52 @@ def test_metrics_agree_with_oracles_on_random_sets():
         assert abs(calibration_index(s, k=k).index - oracle_calibration(pairs, k)) < 1e-12
 
 
+def random_values(rng, n):
+    """n probabilities: mostly uniform, some on a few shared values (ties, the
+    0.5 edge, both zeros), so sum order and tie-breaks both show."""
+    pool = (0.0, -0.0, 0.5, 1.0, 0.1, 1e-9)
+    return [rng.choice(pool) if rng.random() < 0.2 else rng.random() for _ in range(n)]
+
+
+def test_pairwise_sum_matches_numpy_reduce():
+    rng = random.Random(17)
+    for n in [*range(1, 301), 4999]:
+        # wide magnitudes and both signs, so any change of order changes bits
+        values = [rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6) for _ in range(n)]
+        assert _pairwise_sum(values, 0, n) == float(np.add.reduce(np.array(values)))
+        lo, hi = sorted(rng.sample(range(n + 1), 2)) if n > 1 else (0, 1)
+        assert _pairwise_sum(values, lo, hi) == float(np.add.reduce(np.array(values[lo:hi])))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 10])
+def test_metrics_match_the_numpy_formulas_bit_for_bit(k):
+    rng = random.Random(f"bits:{k}")
+    for n in [*range(k, 301), 4999]:
+        ids = [f"q{i:04d}" for i in range(n)]
+        forecasts = random_values(rng, n)
+        outcomes = [rng.randint(0, 1) for _ in range(n)]
+        s = ScoredSet("test", ids, forecasts, outcomes)
+        assert brier(s) == numpy_brier(forecasts, outcomes)
+        assert accuracy(s) == numpy_accuracy(forecasts, outcomes)
+        bins, index = numpy_calibration(list(zip(ids, forecasts, outcomes)), k)
+        report = calibration_index(s, k=k)
+        assert [(b.count, b.mean_forecast, b.observed_freq) for b in report.bins] == bins
+        assert report.index == index
+
+
+def test_ensemble_std_matches_numpy_bit_for_bit():
+    # 1 to 20 members crosses the 8-value pairwise boundary; 4999 ensembles
+    # cross the 128-value block of the outer mean
+    rng = random.Random(23)
+    for size in range(1, 21):
+        lists = [random_values(rng, size) for _ in range(rng.randint(1, 300))]
+        assert ensemble_std(lists) == numpy_ensemble_std(lists)
+        # one ensemble alone, where a last-bit slip cannot round away in the mean
+        assert [ensemble_std([values]) for values in lists] == [numpy_ensemble_std([values]) for values in lists]
+    lists = [random_values(rng, rng.randint(1, 20)) for _ in range(4999)]
+    assert ensemble_std(lists) == numpy_ensemble_std(lists)
+
+
 def test_empty_set_and_too_few_forecasts_raise():
     with pytest.raises(EmptySet):
         brier(ScoredSet("empty", (), (), ()))
@@ -171,11 +223,6 @@ def completed_values(rows):
     return [row.values for row in rows if not row.declined]
 
 
-def loop_ensemble_std(member_lists):
-    """The per-record computation the one-pass reduction replaced."""
-    return float(np.mean([float(np.std(np.array(values))) for values in member_lists]))
-
-
 def test_ensemble_std_matches_oracle():
     # ragged ensembles: every run mixes 1-member and 10-or-more-member records
     for sizes in [(2, 6), (1, 1), (1, 12), (9, 9), (3, 200)]:
@@ -188,7 +235,7 @@ def test_ensemble_std_matches_oracle():
         member_lists = completed_values(check_record(r) for r in records)
         assert member_lists == lists
         assert abs(ensemble_std(member_lists) - oracle_ensemble_std(lists)) < 1e-12
-        assert ensemble_std(member_lists) == loop_ensemble_std(lists) == ensemble_std(iter(lists))
+        assert ensemble_std(member_lists) == numpy_ensemble_std(lists) == ensemble_std(iter(lists))
 
 
 def test_ensemble_std_skips_declined_records(tmp_path):
