@@ -99,7 +99,9 @@ from .tools import (
     DEFAULT_RESULTS_PER_SEARCH,
     FixtureSearchProvider,
     LiveSearchProvider,
+    SearchMemo,
     SearchProvider,
+    close_sandbox,
 )
 
 logger = logging.getLogger(__name__)
@@ -376,10 +378,23 @@ def make_member_runner(
 ) -> MemberRunner:
     """Build the per-member forecasting callable exactly as the forecast
     command wires it; the fixture generator uses this too, so recorded
-    cassettes replay against identical request fingerprints."""
+    cassettes replay against identical request fingerprints.
+
+    Searches go through one `SearchMemo` per runner, so members of one
+    question that search identically make one provider request and get
+    identical results. The memo drops a question's entries once
+    `cfg.ensemble_size` of its members have finished."""
+    memo = SearchMemo(provider, cfg.ensemble_size)
     build = single_agent_config if single_agent else default_planner
-    config = build(provider, cfg)
-    return lambda question: forecast_one(config, backend, question)
+    config = build(memo, cfg)
+
+    def run_member(question: Question) -> tuple[Forecast | Declined, TranscriptTree]:
+        try:
+            return forecast_one(config, backend, question)
+        finally:
+            memo.member_done(question.id)
+
+    return run_member
 
 
 def cmd_forecast(ns: argparse.Namespace) -> int:
@@ -711,6 +726,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     finally:
         close_connections()
+        close_sandbox()
 
 
 if __name__ == "__main__":

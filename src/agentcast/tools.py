@@ -8,12 +8,14 @@ publication date are filtered out again locally.
 
 from __future__ import annotations
 
+import atexit
 import logging
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from datetime import date
@@ -21,7 +23,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol
 
-from .llm import BackendError, RateLimiter, RetryPolicy, send_with_retry
+from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
 from .models import ValidationError, parse_timestamp, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -155,6 +157,79 @@ class FixtureSearchProvider:
         return results[:limit]
 
 
+class _Flight:
+    """One provider call. Its lock is held until the answer lands, so
+    identical searches made meanwhile wait on it."""
+
+    __slots__ = ("landed", "results", "error")
+
+    def __init__(self):
+        self.landed = threading.Lock()
+        self.landed.acquire()
+        self.results: list[SearchResult] = []
+        self.error: BaseException | None = None
+
+
+class SearchMemo:
+    """A search provider that asks its inner provider once per question.
+
+    Inside a lane, a call is keyed on (the lane's question id, query,
+    before_date, limit). The first call of a key asks the provider, and
+    identical calls made while it runs wait for its answer. A failure goes
+    to the calls that waited on it but is not kept, so the next call asks
+    again. A question's entries are dropped once `member_done` has counted
+    `members` finished members of it, so the memo holds only the questions
+    in flight; a question whose queued members never start, because a
+    sibling failed, keeps its entries until the memo goes. Calls outside any
+    lane go straight to the provider.
+    """
+
+    def __init__(self, provider: SearchProvider, members: int):
+        self._provider = provider
+        self._members = members
+        self._lock = threading.Lock()
+        self._flights: dict[str, dict[tuple[str, date, int], _Flight]] = {}
+        self._done: dict[str, int] = {}
+
+    def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
+        lane = current_lane()
+        if lane is None:
+            return self._provider.search(query, before_date, limit)
+        key = (query, before_date, limit)
+        with self._lock:
+            flights = self._flights.setdefault(lane[0], {})
+            flight = flights.get(key)
+            leads = flight is None
+            if leads:
+                flight = flights[key] = _Flight()
+        if not leads:
+            with flight.landed:
+                pass
+            if flight.error is not None:
+                raise flight.error
+            return list(flight.results)
+        try:
+            flight.results = self._provider.search(query, before_date, limit)
+        except BaseException as exc:
+            flight.error = exc
+            with self._lock:
+                if flights.get(key) is flight:
+                    del flights[key]
+            raise
+        finally:
+            flight.landed.release()
+        return list(flight.results)
+
+    def member_done(self, question_id: str) -> None:
+        """Count one finished member of the question; the last drops its entries."""
+        with self._lock:
+            done = self._done.pop(question_id, 0) + 1
+            if done < self._members:
+                self._done[question_id] = done
+            else:
+                self._flights.pop(question_id, None)
+
+
 def search(
     provider: SearchProvider,
     query: str,
@@ -203,49 +278,155 @@ SANDBOX_OUTPUT_CAP = 8000
 
 _SANDBOX_ENV = ("PATH", "LANG")
 
+# Run by each sandbox interpreter before its program exists: read the program
+# from stdin up to EOF, then run it as `python -I program.py` would run in
+# this directory, as `__main__`, with argv[0] and __file__ "program.py". The
+# parent ends the program with a NUL byte, which valid source cannot hold, so
+# EOF without one means the parent is gone: nothing runs and the empty
+# directory is removed. An uncaught exception is printed without this
+# script's frame and exits 1; SystemExit keeps its code.
+_BOOTSTRAP = """\
+import sys
+def run():
+    source = sys.stdin.buffer.read()
+    if not source.endswith(b"\\0"):
+        import os
+        try:
+            os.rmdir(os.getcwd())
+        except OSError:
+            pass
+        return 0
+    source = source[:-1]
+    with open("program.py", "wb") as fh:
+        fh.write(source)
+    main = type(sys)("__main__")
+    main.__file__ = "program.py"
+    sys.modules["__main__"] = main
+    sys.argv[0] = "program.py"
+    try:
+        exec(compile(source, "program.py", "exec"), vars(main))
+    except SystemExit:
+        raise
+    except BaseException as exc:
+        exc.__traceback__ = exc.__traceback__.tb_next
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return 1
+    return 0
+sys.exit(run())
+"""
+
+
+class _Interpreter:
+    """A sandbox interpreter, started before its program: it runs the
+    bootstrap in its own session and its own fresh temp dir, with only PATH
+    and LANG in its environment, and waits for the program on stdin."""
+
+    def __init__(self):
+        self.workdir = tempfile.TemporaryDirectory(prefix="agentcast-sandbox-")
+        stdin, self.program_pipe = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-I", "-c", _BOOTSTRAP],
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=self.workdir.name,
+                env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
+                start_new_session=True,
+            )
+        except BaseException:
+            os.close(self.program_pipe)
+            self.workdir.cleanup()
+            raise
+        finally:
+            os.close(stdin)
+
+    def hand_over(self, source: bytes) -> None:
+        """Send the program's source and close stdin, so the program reads EOF."""
+        try:
+            with open(self.program_pipe, "wb") as pipe:
+                pipe.write(source + b"\0")
+        except BrokenPipeError:
+            pass  # the interpreter is gone; its exit status says so
+
+    def close(self) -> None:
+        """Kill and reap an interpreter that never got a program, and delete its dir."""
+        _kill_group(self.proc.pid)
+        os.close(self.program_pipe)
+        with self.workdir, self.proc:
+            pass
+
+
+_spare: _Interpreter | None = None
+_spare_lock = threading.Lock()
+
+
+def _take_interpreter() -> _Interpreter:
+    """The spare interpreter, or a cold one if there is none (or it died);
+    either way a new spare is started for the next call."""
+    global _spare
+    with _spare_lock:
+        taken, _spare = _spare, _Interpreter()
+    if taken is None:
+        # Exit hooks run last-registered first, and the first temp dir
+        # registered the one that removes leftover temp dirs: registering
+        # after it kills the spare at exit before its dir goes.
+        atexit.unregister(close_sandbox)
+        atexit.register(close_sandbox)
+        return _Interpreter()
+    if taken.proc.poll() is None:
+        return taken
+    taken.close()
+    return _Interpreter()
+
+
+def close_sandbox() -> None:
+    """Kill and reap the spare interpreter, if one was started, and delete its temp dir."""
+    global _spare
+    with _spare_lock:
+        spare, _spare = _spare, None
+    if spare is not None:
+        spare.close()
+
 
 def execute_code(program: str, timeout: float) -> ExecResult:
     """Run model-written Python with this interpreter, under a wall-clock cap
-    of `timeout` seconds, and capture its output.
+    of `timeout` seconds from hand-over, and capture its output.
 
-    The program gets a fresh temp directory as cwd, deleted afterwards, and
-    an environment holding only PATH and LANG, so it cannot read the API
-    keys of the process that runs it. The interpreter runs in isolated mode
-    (`-I`), so it ignores PYTHON* variables and the user site-packages, and
-    the program's directory is not on sys.path. It runs in its own process
-    group, which is killed when the call ends, so no process it started
-    outlives the call. Raises SandboxTimeout when the wall clock cap is hit;
-    nonzero exits come back as a normal ExecResult.
+    The program runs as `program.py` in a fresh temp directory, deleted
+    afterwards, with an empty stdin and an environment holding only PATH and
+    LANG, so it cannot read the API keys of the process that runs it. The
+    interpreter runs in isolated mode (`-I`), so it ignores PYTHON*
+    variables and the user site-packages, and the program's directory is
+    not on sys.path. The interpreter is started ahead of time: each call
+    takes the spare one and starts the next, so start-up is off the
+    caller's path. It runs in its own process group, which is killed when
+    the call ends, so no process the program started outlives the call.
+    Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
+    back as a normal ExecResult.
     """
-    with tempfile.TemporaryDirectory(prefix="agentcast-sandbox-") as workdir:
-        program_path = Path(workdir) / "program.py"
-        program_path.write_text(program, encoding="utf-8")
+    source = program.encode("utf-8")
+    interpreter = _take_interpreter()
+    with interpreter.workdir, interpreter.proc as proc:
         start = time.monotonic()
-        with subprocess.Popen(
-            [sys.executable, "-I", str(program_path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            cwd=workdir,
-            env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
-            start_new_session=True,
-        ) as proc:
-            # On the way out, Popen closes the pipes and reaps the killed
-            # program without reading on: a process that left the group may
-            # still hold a pipe open, so reading to EOF could wait forever.
-            try:
-                stdout, stderr = proc.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                raise SandboxTimeout(timeout) from None
-            finally:
-                _kill_group(proc.pid)  # the program if it overran, and whatever it left running
-        wall = time.monotonic() - start
-        return ExecResult(
-            stdout=stdout[:SANDBOX_OUTPUT_CAP],
-            stderr=stderr[-SANDBOX_OUTPUT_CAP:],
-            exit_status=proc.returncode,
-            wall_time=wall,
-        )
+        # On the way out, Popen closes the pipes and reaps the killed
+        # program without reading on: a process that left the group may
+        # still hold a pipe open, so reading to EOF could wait forever.
+        try:
+            interpreter.hand_over(source)
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise SandboxTimeout(timeout) from None
+        finally:
+            _kill_group(proc.pid)  # the program if it overran, and whatever it left running
+    wall = time.monotonic() - start
+    return ExecResult(
+        stdout=stdout[:SANDBOX_OUTPUT_CAP],
+        stderr=stderr[-SANDBOX_OUTPUT_CAP:],
+        exit_status=proc.returncode,
+        wall_time=wall,
+    )
 
 
 def _kill_group(pgid: int) -> None:

@@ -6,8 +6,10 @@ import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -63,7 +65,7 @@ from agentcast.models import (
     write_questions,
 )
 from agentcast.react import context_estimate
-from agentcast.tools import FixtureSearchProvider
+from agentcast.tools import FixtureSearchProvider, close_sandbox
 
 from conftest import FIXTURES, make_question
 
@@ -490,6 +492,70 @@ def test_forecast_single_agent_end_to_end(tmp_path, monkeypatch):
     assert record["declined"] and record["members"][0]["reason"] == "budget"
     assert len(backend.requests) == 1  # no compacted second request was sent
     assert json.loads((out / "manifest.json").read_text())["questions"] == {dataset[0].id: "declined"}
+
+
+# a member whose computation worker runs `program` once
+def computation_script(program: str) -> list[str]:
+    return [
+        "Action: computation\nAction Input: run it",
+        f"Action: python\nAction Input: {program}",
+        "Final Answer: it ran",
+        "Final Answer: 0.5",
+    ]
+
+
+def test_a_recorded_run_whose_program_raised_replays(tmp_path):
+    # the traceback named the random temp dir, so the next request's
+    # fingerprint changed on every run and the replay missed
+    cfg = RunConfig(cutoff="2024-04-15", ensemble_size=1)
+    provider = FixtureSearchProvider.from_file(E2E / "search.jsonl")
+    dataset = [make_question()]
+    cassette = tmp_path / "cassette.jsonl"
+
+    def forecast(backend, out):
+        runner = make_member_runner(cfg, backend, provider)
+        return run_forecast(dataset, runner, out, ensemble_size=1, aggregator_mode="median", seed=0)
+
+    recorder = RecordingBackend(ScriptedBackend(computation_script("raise RuntimeError('boom')")), cassette)
+    try:
+        assert forecast(recorder, tmp_path / "recorded") == {dataset[0].id: "forecasted"}
+    finally:
+        recorder.close()
+    assert forecast(ReplayBackend.from_file(cassette), tmp_path / "replayed") == {dataset[0].id: "forecasted"}
+    recorded = run_outputs(tmp_path / "recorded")
+    assert run_outputs(tmp_path / "replayed") == recorded
+    worker = next(text for name, text in recorded.items() if "computation" in name)
+    assert b'File "program.py", line 1' in worker and b"RuntimeError: boom" in worker
+
+
+def live_children() -> set[int]:
+    """The pids of this process's children that have not exited."""
+    me = str(os.getpid())
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == me and state != "Z":
+            children.add(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists children through /proc")
+def test_forecast_leaves_no_process_or_sandbox_dir_behind(tmp_path, monkeypatch):
+    close_sandbox()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    before = live_children()
+    backend = ScriptedBackend(computation_script("print(6 * 7)"))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    dataset = tmp_path / "one.jsonl"
+    write_questions(dataset, [make_question()])
+    out = tmp_path / "run"
+    assert replay_forecast(out, "--ensemble", "1", dataset=dataset) == EXIT_OK
+    assert "=== observation 1 ===\n42\n" in (out / "transcripts" / "q1" / "0.0.computation.transcript").read_text()
+    assert live_children() <= before
+    assert list(tmp_path.glob("agentcast-sandbox-*")) == []
 
 
 def test_cassette_miss_starts_no_queued_member(tmp_path):

@@ -3,21 +3,28 @@
 import json
 import os
 import signal
+import subprocess
 import sys
+import threading
 import time
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import agentcast
+from agentcast import tools
+from agentcast.llm import in_lane
 from agentcast.tools import (
     FixtureSearchProvider,
     LiveSearchProvider,
     ProviderError,
     SANDBOX_OUTPUT_CAP,
     SandboxTimeout,
+    SearchMemo,
     SearchResult,
     ToolSpec,
+    close_sandbox,
     execute_code,
     make_code_tool,
     make_search_tool,
@@ -188,6 +195,141 @@ def test_search_tool_surfaces_provider_failure_as_observation():
     assert tool.invoke("q") == "search error: quota exhausted"
 
 
+# --- search memo ---------------------------------------------------------------
+
+
+class SlowProvider(CaptureProvider):
+    """A CaptureProvider that takes a while to answer, under a lock."""
+
+    def __init__(self, results=(), delay=0.0):
+        super().__init__(results)
+        self.delay = delay
+        self.lock = threading.Lock()
+
+    def search(self, query, before_date, limit):
+        time.sleep(self.delay)
+        with self.lock:
+            return super().search(query, before_date, limit)
+
+
+def test_memo_asks_once_for_three_concurrent_identical_searches():
+    provider = SlowProvider([result("A")], delay=0.2)
+    memo = SearchMemo(provider, members=3)
+    barrier = threading.Barrier(3, timeout=5)
+    served = [None] * 3
+
+    def member(m):
+        with in_lane("q1", m):
+            barrier.wait()
+            served[m] = search(memo, "same query", CUTOFF)
+
+    threads = [threading.Thread(target=member, args=(m,)) for m in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert provider.calls == [("same query", CUTOFF, 8)]
+    assert served == [[result("A")]] * 3
+
+
+def test_memo_asks_once_per_question_and_key_under_thread_stress():
+    questions, members, queries = 4, 3, 20
+    provider = SlowProvider([result()])
+    memo = SearchMemo(provider, members=members)
+    barrier = threading.Barrier(questions * members, timeout=10)
+
+    def member(qid, m):
+        barrier.wait()
+        order = list(range(queries))
+        order = order[m:] + order[:m]  # siblings ask in different orders
+        with in_lane(qid, m):
+            for i in order:
+                assert search(memo, f"query {i}", CUTOFF) == [result()]
+        memo.member_done(qid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=member, args=(f"q{q}", m)) for q in range(questions) for m in range(members)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(provider.calls) == questions * queries
+    assert memo._flights == {} and memo._done == {}
+
+
+def test_memo_keeps_no_failure():
+    class FlakyProvider(CaptureProvider):
+        def search(self, query, before_date, limit):
+            if not self.calls:
+                self.calls.append((query, before_date, limit))
+                raise ProviderError("quota exhausted")
+            return super().search(query, before_date, limit)
+
+    provider = FlakyProvider([result("A")])
+    memo = SearchMemo(provider, members=3)
+    with in_lane("q1", 0):
+        with pytest.raises(ProviderError):
+            memo.search("q", CUTOFF, 8)
+    with in_lane("q1", 1):
+        assert memo.search("q", CUTOFF, 8) == [result("A")]
+    assert len(provider.calls) == 2
+
+
+def test_memo_asks_again_for_another_question():
+    provider = CaptureProvider([result()])
+    memo = SearchMemo(provider, members=3)
+    for qid in ("q1", "q2"):
+        with in_lane(qid, 0):
+            memo.search("same query", CUTOFF, 8)
+    assert len(provider.calls) == 2
+
+
+def test_memo_keys_on_cutoff_and_limit_too():
+    provider = CaptureProvider([result()])
+    memo = SearchMemo(provider, members=3)
+    with in_lane("q1", 0):
+        for before, limit in ((CUTOFF, 8), (date(2024, 4, 1), 8), (CUTOFF, 3), (CUTOFF, 8)):
+            memo.search("q", before, limit)
+    assert provider.calls == [("q", CUTOFF, 8), ("q", date(2024, 4, 1), 8), ("q", CUTOFF, 3)]
+
+
+def test_memo_drops_a_question_once_its_last_member_is_done():
+    provider = CaptureProvider([result()])
+    memo = SearchMemo(provider, members=2)
+    with in_lane("q1", 0):
+        memo.search("q", CUTOFF, 8)
+    memo.member_done("q1")
+    with in_lane("q1", 1):
+        memo.search("q", CUTOFF, 8)  # one member is still running: served from the memo
+    assert len(provider.calls) == 1
+    memo.member_done("q1")
+    with in_lane("q1", 0):
+        memo.search("q", CUTOFF, 8)
+    assert len(provider.calls) == 2
+
+
+def test_memo_passes_searches_outside_a_lane_straight_through():
+    provider = CaptureProvider([result()])
+    memo = SearchMemo(provider, members=1)
+    memo.search("q", CUTOFF, 8)
+    memo.search("q", CUTOFF, 8)
+    assert len(provider.calls) == 2
+
+
+def test_memo_still_filters_post_cutoff_results_on_every_call():
+    provider = CaptureProvider([result("before", published=date(2024, 4, 1)), result("after", published=date(2024, 5, 1))])
+    memo = SearchMemo(provider, members=3)
+    for m in range(3):
+        with in_lane("q1", m):
+            assert [r.title for r in search(memo, "q", CUTOFF)] == ["before"]
+    assert len(provider.calls) == 1
+
+
 # --- sandbox -----------------------------------------------------------------
 
 
@@ -288,6 +430,97 @@ def test_execute_code_timeout_holds_against_a_process_that_left_the_group(tmp_pa
 def test_execute_code_output_capped():
     outcome = execute_code(f"print('y' * {SANDBOX_OUTPUT_CAP + 2000})", 10.0)
     assert outcome.stdout == "y" * SANDBOX_OUTPUT_CAP
+
+
+def test_execute_code_runs_the_program_as_program_py_in_its_own_directory():
+    program = "import os, sys\nprint(__name__, __file__, sys.argv, os.listdir('.'))"
+    outcome = execute_code(program, 10.0)
+    assert outcome.stdout == "__main__ program.py ['program.py'] ['program.py']\n"
+
+
+def test_a_raising_program_shows_its_source_lines_and_no_bootstrap_frame():
+    outcome = execute_code("x = 1\nraise RuntimeError('boom')", 10.0)
+    assert outcome.exit_status == 1
+    assert outcome.stderr.splitlines() == [
+        "Traceback (most recent call last):",
+        '  File "program.py", line 2, in <module>',
+        "    raise RuntimeError('boom')",
+        "RuntimeError: boom",
+    ]
+
+
+def test_a_syntax_error_is_reported_against_program_py():
+    outcome = execute_code("print(", 10.0)
+    assert outcome.exit_status == 1
+    assert outcome.stderr.startswith('  File "program.py", line 1\n')
+    assert "SyntaxError" in outcome.stderr
+
+
+@pytest.mark.parametrize(
+    "program, status, stderr",
+    [
+        ("import sys\nsys.exit(3)", 3, ""),
+        ("raise SystemExit('bye')", 1, "bye\n"),
+        ("import sys\nsys.exit()", 0, ""),
+    ],
+    ids=["int", "message", "none"],
+)
+def test_execute_code_keeps_system_exit_codes(program, status, stderr):
+    outcome = execute_code(program, 10.0)
+    assert (outcome.exit_status, outcome.stderr) == (status, stderr)
+
+
+def test_two_runs_of_one_raising_program_give_identical_observations():
+    # a traceback naming the random temp dir changed every observation, so a
+    # recorded run whose program raised could not replay
+    tool = make_code_tool(10.0)
+    first = tool.invoke("def f():\n    return 1 / 0\nf()")
+    assert 'File "program.py", line 3' in first and "ZeroDivisionError" in first
+    assert tool.invoke("def f():\n    return 1 / 0\nf()") == first
+
+
+def test_a_program_reads_an_empty_stdin():
+    outcome = execute_code("import sys\nprint(repr(sys.stdin.read()))", 10.0)
+    assert (outcome.exit_status, outcome.stdout) == (0, "''\n")
+
+
+def test_input_in_a_program_fails_at_once_with_eof():
+    observation = make_code_tool(10.0).invoke("input('number? ')")
+    assert observation.startswith("number? \nexit status 1\n")
+    assert "EOFError" in observation
+
+
+def test_close_sandbox_kills_the_spare_and_deletes_its_dir():
+    execute_code("pass", 10.0)
+    spare = tools._spare
+    assert spare is not None and _alive(spare.proc.pid)
+    close_sandbox()
+    assert tools._spare is None
+    assert not _alive(spare.proc.pid)
+    assert not Path(spare.workdir.name).exists()
+
+
+def test_a_spare_exits_without_running_anything_when_its_parent_dies(tmp_path):
+    parent_program = (
+        "import os\n"
+        "from agentcast import tools\n"
+        "tools.execute_code('pass', 10.0)\n"
+        "print(tools._spare.proc.pid, tools._spare.workdir.name, flush=True)\n"
+        "os._exit(0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(agentcast.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", parent_program], capture_output=True, text=True, env=env, timeout=30)
+    pid_text, workdir = done.stdout.split()
+    pid = int(pid_text)
+    try:
+        deadline = time.monotonic() + 2
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
+        assert not Path(workdir).exists()  # the spare removed its empty dir
+    finally:
+        if _alive(pid):
+            os.killpg(pid, signal.SIGKILL)
 
 
 def test_code_tool_invocation_strips_fences_and_reports_errors():
