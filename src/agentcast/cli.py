@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from .hierarchy import (
     TranscriptTree,
@@ -84,8 +84,7 @@ from .models import (
     ValidationError,
     format_timestamp,
     parse_timestamp,
-    read_jsonl,
-    read_question_rows,
+    read_checked,
     read_questions,
     read_record_lines,
     read_records,
@@ -449,6 +448,7 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         raise ConfigError(f"malformed window date: {exc}") from None
     if from_date > to_date:
         raise ConfigError(f"empty window: {from_date} is after {to_date}")
+    at = parse_timestamp(ns.at, "at") if ns.at else None
     client = build_market_client(ns, cfg)
     fetched = fetch_window(client, from_date, to_date)
     if not fetched:
@@ -472,8 +472,7 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         if verdict.keep:
             kept.append(record)
             categories[record.market_id] = category
-    at = parse_timestamp(ns.at, "at") if ns.at else utc_now()
-    questions = snapshot(kept, at, ns.out, categories=categories)
+    questions = snapshot(kept, at or utc_now(), ns.out, categories=categories)
     audit_path = Path(ns.out).with_suffix(".audit.jsonl")
     write_jsonl(audit_path, audit)
     print(f"fetched {len(fetched)} binary markets, kept {len(questions)}, dropped {len(fetched) - len(questions)}")
@@ -509,7 +508,7 @@ def cmd_score(ns: argparse.Namespace) -> int:
 
 def run_score(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
-    dataset = read_question_rows(ns.dataset)
+    dataset = read_questions(ns.dataset)
     outcomes = {q.id: q.outcome for q in dataset if q.outcome is not None and not q.excluded}
     unresolved = sum(1 for q in dataset if q.outcome is None and not q.excluded)
     excluded = sum(1 for q in dataset if q.excluded)
@@ -613,18 +612,31 @@ def run_score(ns: argparse.Namespace) -> int:
 # --- probe -----------------------------------------------------------------------
 
 
+def check_probe(raw: Any) -> tuple[str, list[str]]:
+    """One probe line: an object with a non-empty question and, optionally,
+    answer_patterns as a list of non-empty strings (an empty pattern would
+    match every reply)."""
+    if not isinstance(raw, dict):
+        raise ValidationError("probe", f"expected an object, got {type(raw).__name__}")
+    question = raw.get("question")
+    if not isinstance(question, str) or not question.strip():
+        raise ValidationError("question", f"expected a non-empty string, got {question!r}")
+    patterns = raw.get("answer_patterns", [])
+    if not isinstance(patterns, list) or not all(isinstance(p, str) and p for p in patterns):
+        raise ValidationError("answer_patterns", f"expected a list of non-empty strings, got {patterns!r}")
+    return question, patterns
+
+
 def cmd_probe(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     with resources.as_file(resources.files("agentcast").joinpath("data/probes.jsonl")) as packaged:
-        probes = [raw for _, raw in read_jsonl(ns.probes or packaged)]
+        probes = read_checked(ns.probes or packaged, check_probe)
     if not probes:
         print("no probes to run", file=sys.stderr)
         return EXIT_EMPTY
     counts: dict[str, int] = {}
     with closing(build_backend(ns, cfg)) as backend:
-        for probe in probes:
-            question = probe["question"]
-            patterns = probe.get("answer_patterns", [])
+        for question, patterns in probes:
             result, _reply = leakage_probe(
                 backend, question, patterns, model_id=cfg.model_id, temperature=cfg.temperature
             )

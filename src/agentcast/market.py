@@ -10,7 +10,6 @@ so nothing here needs a network in tests.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import time
@@ -37,6 +36,7 @@ from .models import (
     Category,
     Question,
     ValidationError,
+    check_question,
     parse_timestamp,
     read_questions,
     write_questions,
@@ -349,28 +349,29 @@ def snapshot(
     out_path: str | Path,
     *,
     categories: dict[str, Category] | None = None,
-    source: str = "market",
 ) -> list[Question]:
     """Freeze fetched markets into dataset Questions as of one instant.
 
     The crowd probability is the market price in the record; fetched_at is
     `at` for every question, so the snapshot is honest about when the crowd
-    was read.
+    was read. Each line goes through `check_question`, so a market that
+    closed before `at` raises ValidationError and nothing is written.
     """
     categories = categories or {}
-    questions = []
-    for record in records:
-        questions.append(
-            Question(
-                id=record.market_id,
-                title=record.question_text,
-                close_time=record.close_time,
-                fetched_at=at,
-                category=categories.get(record.market_id, Category.UNKNOWN),
-                crowd_prob=record.probability,
-                source=source,
-            )
+    questions = [
+        check_question(
+            {
+                "id": record.market_id,
+                "title": record.question_text,
+                "close_time": record.close_time,
+                "category": categories.get(record.market_id, Category.UNKNOWN).value,
+                "crowd_prob": record.probability,
+                "source": "market",
+                "fetched_at": at,
+            }
         )
+        for record in records
+    ]
     write_questions(out_path, questions)
     return questions
 
@@ -391,6 +392,8 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path, *, work
     fails: one bad market never loses the outcomes found for the others.
     Open markets are fetched `workers` at a time; outcomes are applied in
     dataset order, so the rewritten file does not depend on `workers`.
+    An update sets outcome 0 or 1, or excluded, on a checked question that
+    had neither, which keeps it a line `check_question` accepts.
     """
     questions = read_questions(dataset_path)
 
@@ -419,13 +422,13 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path, *, work
         resolution = str(raw.get("resolution", "")).upper()
         if resolution == "YES":
             resolved += 1
-            updated.append(dataclasses.replace(question, outcome=1))
+            updated.append(question._replace(outcome=1))
         elif resolution == "NO":
             resolved += 1
-            updated.append(dataclasses.replace(question, outcome=0))
+            updated.append(question._replace(outcome=0))
         else:
             excluded += 1
             logger.warning("market %s resolved %r; excluding from scoring", question.id, resolution)
-            updated.append(dataclasses.replace(question, excluded=True))
+            updated.append(question._replace(excluded=True))
     write_questions(dataset_path, updated)
     return BackfillSummary(resolved=resolved, pending=pending, excluded=excluded)

@@ -49,10 +49,14 @@ class Category(Enum):
     def from_label(cls, label: str) -> "Category":
         """Map a label to a Category; anything unrecognized becomes UNKNOWN.
         Matching ignores case and runs of whitespace, and reads "and" as "&"."""
+        exact = _CATEGORY_BY_VALUE.get(label)  # the label as curate writes it
+        if exact is not None:
+            return exact
         normalized = " ".join(str(label).split()).lower().replace(" and ", " & ")
         return _CATEGORY_BY_LABEL.get(normalized, cls.UNKNOWN)
 
 
+_CATEGORY_BY_VALUE = {c.value: c for c in Category}
 _CATEGORY_BY_LABEL = {c.value.lower(): c for c in Category}
 
 
@@ -143,35 +147,26 @@ class Declined:
 # --- questions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     """One binary question, as curated from a prediction market.
 
-    crowd_prob is the market price at fetch time; outcome is filled in by the
-    resolve step (1 = YES, 0 = NO) and stays absent until then. excluded marks
-    markets that resolved to something other than YES/NO.
+    Made by `check_question`, from a dataset line or a line `curate` is
+    about to write. crowd_prob is the market price at fetch time; outcome is
+    filled in by the resolve step (1 = YES, 0 = NO) and stays absent until
+    then. excluded marks markets that resolved to something other than YES/NO.
     """
 
     id: str
     title: str
     close_time: datetime
     fetched_at: datetime
-    background: str | None = None
-    resolution_criteria: str | None = None
-    category: Category = Category.UNKNOWN
-    crowd_prob: float | None = None
-    outcome: int | None = None
-    source: str = ""
-    excluded: bool = False
-
-    def __post_init__(self):
-        checked = _check_question(
-            self.id, self.title, self.close_time, self.fetched_at, self.crowd_prob, self.outcome, self.excluded
-        )
-        for name, value in zip(("close_time", "fetched_at", "crowd_prob", "outcome"), checked):
-            object.__setattr__(self, name, value)
-        if not isinstance(self.category, Category):
-            raise ValidationError("category", f"expected a Category, got {self.category!r}")
+    background: str | None
+    resolution_criteria: str | None
+    category: Category
+    crowd_prob: float | None
+    outcome: int | None
+    source: str
+    excluded: bool
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {"id": self.id, "title": self.title}
@@ -193,44 +188,15 @@ class Question:
         return d
 
 
-def _check_question(
-    qid: Any, title: Any, close_time: Any, fetched_at: Any, crowd_prob: Any, outcome: Any, excluded: Any
-) -> tuple[datetime, datetime, float | None, int | None]:
-    """Every rule of a question after timestamp parsing, in order. Returns the
-    times normalized, crowd_prob as a float and outcome as an int."""
-    if not isinstance(qid, str) or not qid.strip():
-        raise ValidationError("id", "missing or empty question id")
-    if not isinstance(title, str) or not title.strip():
-        raise ValidationError("title", "missing or empty title")
-    if not isinstance(close_time, datetime):
-        raise ValidationError("close_time", f"expected a datetime, got {close_time!r}")
-    if not isinstance(fetched_at, datetime):
-        raise ValidationError("fetched_at", f"expected a datetime, got {fetched_at!r}")
-    close_time = normalize_timestamp(close_time)
-    fetched_at = normalize_timestamp(fetched_at)
-    if fetched_at > close_time:
-        raise ValidationError(
-            "fetched_at",
-            f"fetched_at {format_timestamp(fetched_at)} is after close_time {format_timestamp(close_time)}",
-        )
-    if crowd_prob is not None:
-        if isinstance(crowd_prob, bool) or not isinstance(crowd_prob, (int, float)):
-            raise ValidationError("crowd_prob", f"expected a number, got {crowd_prob!r}")
-        if not math.isfinite(crowd_prob) or not 0.0 <= crowd_prob <= 1.0:
-            raise ValidationError("crowd_prob", f"out of range [0, 1]: {crowd_prob!r}")
-        crowd_prob = float(crowd_prob)
-    if outcome is not None:
-        if isinstance(outcome, bool) or outcome not in (0, 1, 0.0, 1.0):
-            raise ValidationError("outcome", f"outcome must be 0 or 1, got {outcome!r}")
-        outcome = int(outcome)
-    if not isinstance(excluded, bool):
-        raise ValidationError("excluded", f"expected true or false, got {excluded!r}")
-    return close_time, fetched_at, crowd_prob, outcome
+def check_question(raw: Any) -> Question:
+    """Check one dataset line and return it as a Question.
 
-
-def _parse_question_times(raw: Any) -> tuple[datetime, datetime]:
-    """Check that a dataset line is an object with id, title and close_time
-    keys, and parse its close_time and fetched_at (close_time when absent)."""
+    A line is an object with id, title and close_time; fetched_at defaults
+    to close_time. Every other field is optional and, except excluded, reads
+    as absent when null. Timestamps may be ISO strings, epoch numbers or
+    datetimes. Where a line has two faults the error names the one checked
+    first.
+    """
     if not isinstance(raw, dict):
         raise ValidationError("record", f"expected an object, got {type(raw).__name__}")
     if "id" not in raw:
@@ -242,46 +208,48 @@ def _parse_question_times(raw: Any) -> tuple[datetime, datetime]:
     close_time = parse_timestamp(raw["close_time"], "close_time")
     fetched_raw = raw.get("fetched_at")
     fetched_at = close_time if fetched_raw is None else parse_timestamp(fetched_raw, "fetched_at")
-    return close_time, fetched_at
-
-
-def validate_question(raw: dict) -> Question:
-    """Build a Question from a raw dict, raising ValidationError on bad fields."""
-    close_time, fetched_at = _parse_question_times(raw)
-    category = raw.get("category")
-    return Question(
-        id=raw["id"],
-        title=raw["title"],
-        close_time=close_time,
-        fetched_at=fetched_at,
-        background=raw.get("background"),
-        resolution_criteria=raw.get("resolution_criteria"),
-        category=Category.from_label(category) if category is not None else Category.UNKNOWN,
-        crowd_prob=raw.get("crowd_prob"),
-        outcome=raw.get("outcome"),
-        source=raw.get("source", ""),
-        excluded=raw.get("excluded", False),
-    )
-
-
-class QuestionRow(NamedTuple):
-    """What scoring reads from one checked dataset line."""
-
-    id: str
-    crowd_prob: float | None
-    outcome: int | None
-    excluded: bool
-
-
-def check_question(raw: dict) -> QuestionRow:
-    """Run every check validate_question runs, in the same order and with the
-    same messages, and return only the fields scoring uses."""
-    close_time, fetched_at = _parse_question_times(raw)
+    qid = raw["id"]
+    if not isinstance(qid, str) or not qid.strip():
+        raise ValidationError("id", "missing or empty question id")
+    title = raw["title"]
+    if not isinstance(title, str) or not title.strip():
+        raise ValidationError("title", "missing or empty title")
+    if fetched_at > close_time:
+        raise ValidationError(
+            "fetched_at",
+            f"fetched_at {format_timestamp(fetched_at)} is after close_time {format_timestamp(close_time)}",
+        )
+    crowd_prob = raw.get("crowd_prob")
+    if crowd_prob is not None:
+        if isinstance(crowd_prob, bool) or not isinstance(crowd_prob, (int, float)):
+            raise ValidationError("crowd_prob", f"expected a number, got {crowd_prob!r}")
+        if not math.isfinite(crowd_prob) or not 0.0 <= crowd_prob <= 1.0:
+            raise ValidationError("crowd_prob", f"out of range [0, 1]: {crowd_prob!r}")
+        crowd_prob = float(crowd_prob)
+    outcome = raw.get("outcome")
+    if outcome is not None:
+        if isinstance(outcome, bool) or outcome not in (0, 1, 0.0, 1.0):
+            raise ValidationError("outcome", f"outcome must be 0 or 1, got {outcome!r}")
+        outcome = int(outcome)
     excluded = raw.get("excluded", False)
-    _, _, crowd_prob, outcome = _check_question(
-        raw["id"], raw["title"], close_time, fetched_at, raw.get("crowd_prob"), raw.get("outcome"), excluded
+    if not isinstance(excluded, bool):
+        raise ValidationError("excluded", f"expected true or false, got {excluded!r}")
+    background = _optional_text(raw, "background")
+    resolution_criteria = _optional_text(raw, "resolution_criteria")
+    source = _optional_text(raw, "source") or ""
+    label = _optional_text(raw, "category")
+    category = Category.UNKNOWN if label is None else Category.from_label(label)
+    return Question(
+        qid, title, close_time, fetched_at, background, resolution_criteria,
+        category, crowd_prob, outcome, source, excluded,
     )
-    return QuestionRow(raw["id"], crowd_prob, outcome, excluded)
+
+
+def _optional_text(raw: dict, key: str) -> str | None:
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(key, f"expected a string, got {value!r}")
+    return value
 
 
 # --- transcripts --------------------------------------------------------
@@ -476,20 +444,21 @@ def write_questions(path: str | Path, questions: Iterable[Question]) -> None:
 _T = TypeVar("_T")
 
 
-def _read_validated(path: str | Path, validate: Callable[[dict], _T], unique: str) -> list[_T]:
-    """Validate every line of a JSONL file; an error names the file and line.
+def read_checked(path: str | Path, check: Callable[[Any], _T], unique: str | None = None) -> list[_T]:
+    """Check every line of a JSONL file; an error names the file and line.
 
-    A line may not repeat an earlier line's value of the key `unique`.
+    Given `unique`, a line may not repeat an earlier line's value of that key.
     """
     items = []
     first_line: dict[Any, int] = {}
     for lineno, raw in read_jsonl(path):
         try:
-            item = validate(raw)
-            key = raw[unique]
-            if key in first_line:
-                raise ValidationError(unique, f"repeated {unique} {key!r}, first on line {first_line[key]}")
-            first_line[key] = lineno
+            item = check(raw)
+            if unique is not None:
+                key = raw[unique]
+                if key in first_line:
+                    raise ValidationError(unique, f"repeated {unique} {key!r}, first on line {first_line[key]}")
+                first_line[key] = lineno
         except ValidationError as exc:
             raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc}") from None
         items.append(item)
@@ -497,12 +466,7 @@ def _read_validated(path: str | Path, validate: Callable[[dict], _T], unique: st
 
 
 def read_questions(path: str | Path) -> list[Question]:
-    return _read_validated(path, validate_question, "id")
-
-
-def read_question_rows(path: str | Path) -> list[QuestionRow]:
-    """Check a dataset as read_questions does, without building questions."""
-    return _read_validated(path, check_question, "id")
+    return read_checked(path, check_question, "id")
 
 
 def write_records(path: str | Path, lines: Iterable[dict]) -> None:
@@ -511,9 +475,9 @@ def write_records(path: str | Path, lines: Iterable[dict]) -> None:
 
 def read_records(path: str | Path) -> list[RecordRow]:
     """Check a forecast file, keeping only the fields scoring uses."""
-    return _read_validated(path, check_record, "question_id")
+    return read_checked(path, check_record, "question_id")
 
 
 def read_record_lines(path: str | Path) -> list[dict]:
     """Check a forecast file and return its records as `forecast` writes them."""
-    return _read_validated(path, record_line, "question_id")
+    return read_checked(path, record_line, "question_id")

@@ -1,7 +1,6 @@
 import json
 import sys
 import threading
-from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from agentcast.llm import close_connections
-from agentcast.models import Category, Question
+from agentcast.models import Question, check_question
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -176,10 +175,5 @@ def make_question(
     fetched: str = "2024-04-15T12:00:00+00:00",
     **kwargs,
 ) -> Question:
-    return Question(
-        id=qid,
-        title=title,
-        close_time=datetime.fromisoformat(close),
-        fetched_at=datetime.fromisoformat(fetched),
-        **kwargs,
-    )
+    """A checked question; `kwargs` are further dataset-line keys."""
+    return check_question({"id": qid, "title": title, "close_time": close, "fetched_at": fetched, **kwargs})

@@ -16,36 +16,31 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
-from datetime import datetime, timezone
 from pathlib import Path
 
 from agentcast.cli import RunConfig, make_member_runner, run_forecast
 from agentcast.llm import RecordingBackend, ScriptedBackend
-from agentcast.models import Category, Question, read_records, write_questions
+from agentcast.models import Category, Question, check_question, read_records, write_questions
 from agentcast.tools import FixtureSearchProvider
 
 E2E = Path(__file__).parent / "e2e"
 CUTOFF = "2024-04-15"
-
-
-def ts(text: str) -> datetime:
-    return datetime.fromisoformat(text).replace(tzinfo=timezone.utc)
-
-
-FETCHED = ts("2024-04-15T00:00:00")
+FETCHED = "2024-04-15T00:00:00Z"
 
 
 def build_dataset() -> list[Question]:
     def q(qid, title, close, category, crowd, outcome):
-        return Question(
-            id=qid,
-            title=title,
-            close_time=ts(close),
-            fetched_at=FETCHED,
-            category=category,
-            crowd_prob=crowd,
-            outcome=outcome,
-            source="fixture",
+        return check_question(
+            {
+                "id": qid,
+                "title": title,
+                "close_time": close,
+                "category": category.value,
+                "crowd_prob": crowd,
+                "outcome": outcome,
+                "source": "fixture",
+                "fetched_at": FETCHED,
+            }
         )
 
     return [

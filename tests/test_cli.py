@@ -51,17 +51,14 @@ from agentcast.metrics import parse_table
 from agentcast.models import (
     Category,
     Forecast,
-    Question,
     RecordRow,
     ValidationError,
     check_question,
     read_jsonl,
-    read_question_rows,
     read_questions,
     read_record_lines,
     read_records,
     record_line,
-    validate_question,
     write_questions,
 )
 from agentcast.react import context_estimate
@@ -687,6 +684,22 @@ def test_forecast_exits_1_on_a_repeated_question_id_before_any_request(tmp_path,
     assert not (out / "transcripts").exists()
 
 
+def test_forecast_exits_1_on_a_non_string_background_before_any_request(tmp_path, monkeypatch, capsys):
+    # before, the number reached the planner's task prompt as "Background: 7"
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    lines = (E2E / "questions.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "background": 7})
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert replay_forecast(out, dataset=dataset) == EXIT_FATAL
+    expected = f"error: background: {dataset}:2: background: expected a string, got 7"
+    assert capsys.readouterr().err.splitlines()[-1] == expected
+    assert backend.requests == []
+    assert not (out / "transcripts").exists()
+
+
 def test_forecast_resume_exits_1_on_a_repeated_question_id(tmp_path, monkeypatch, capsys):
     # before, the last of the two records was kept silently
     out = tmp_path / "run"
@@ -1043,6 +1056,21 @@ def test_curate_auth_error_exits_1_and_starts_no_queued_market(tmp_path, monkeyp
     assert not dataset.exists()
 
 
+def test_curate_with_a_malformed_at_exits_1_before_any_request(tmp_path, monkeypatch, capsys):
+    # before, --at was parsed only after every judge and classifier call
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": many_markets(3)}))
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    dataset = tmp_path / "dataset.jsonl"
+    args = curate_args(market_fixture, dataset)
+    args[args.index("--at") + 1] = "2024-04-15T25:00:00Z"
+    assert cli.main(args) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == "error: at: malformed timestamp '2024-04-15T25:00:00Z'"
+    assert backend.requests == []
+    assert not dataset.exists()
+
+
 def test_curate_replay_of_a_laneless_cassette_exits_1(tmp_path):
     # curate cassettes recorded before per-market lanes miss on replay; the
     # miss aborts the run instead of dropping every market as a judge error
@@ -1281,20 +1309,19 @@ def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
     lines_built = []
     for owner in (cli, models):
         monkeypatch.setattr(owner, "record_line", lambda raw: lines_built.append(raw))
-    built = {cls: 0 for cls in (Forecast, Question)}
-    for cls in built:
+    forecasts_built = []
 
-        def counting(self, _cls=cls, _original=cls.__post_init__):
-            built[_cls] += 1
-            _original(self)
+    def counting(self, _original=Forecast.__post_init__):
+        forecasts_built.append(self)
+        _original(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(Forecast, "__post_init__", counting)
     argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(run_dir / "forecasts.jsonl"),
             "--bins", "2"]
     assert cli.main(argv) == EXIT_OK
-    assert built[Question] == 0 and lines_built == []  # score keeps rows, not record lines
+    assert lines_built == []  # score keeps rows, not record lines
     # one Forecast per crowd price and per completed aggregate, none per member
-    assert 0 < built[Forecast] <= 2 * len(read_questions(E2E / "questions.jsonl"))
+    assert 0 < len(forecasts_built) <= 2 * len(read_questions(E2E / "questions.jsonl"))
 
 
 def _question(**fields):
@@ -1305,7 +1332,7 @@ def _question(**fields):
     return {key: value for key, value in question.items() if value is not _ABSENT}
 
 
-# Malformed dataset lines and the messages validate_question gives for them.
+# Malformed dataset lines and the messages check_question gives for them.
 # Where a line has two faults the message names the one checked first.
 MALFORMED_QUESTIONS = [
     ("list", [1, 2], "record: expected an object, got list"),
@@ -1347,6 +1374,15 @@ MALFORMED_QUESTIONS = [
      "fetched_at: fetched_at 2024-05-01T00:00:00Z is after close_time 2024-04-30T00:00:00Z"),
     ("bad_crowd_prob_and_bad_outcome", _question(crowd_prob=2, outcome=2), "crowd_prob: out of range [0, 1]: 2"),
     ("bad_outcome_and_bad_excluded", _question(outcome=2, excluded="no"), "outcome: outcome must be 0 or 1, got 2"),
+    # the text fields are checked last; before, a non-string reached the agents' task prompt
+    ("background_number", _question(background=7), "background: expected a string, got 7"),
+    ("resolution_criteria_list", _question(resolution_criteria=["x"]),
+     "resolution_criteria: expected a string, got ['x']"),
+    ("source_false", _question(source=False), "source: expected a string, got False"),
+    ("category_number", _question(category=42), "category: expected a string, got 42"),
+    ("bad_excluded_and_bad_background", _question(excluded="no", background=7),
+     "excluded: expected true or false, got 'no'"),
+    ("bad_source_and_bad_category", _question(source=1, category=[]), "source: expected a string, got 1"),
 ]
 
 
@@ -1355,10 +1391,9 @@ MALFORMED_QUESTIONS = [
 )
 def test_score_reports_a_malformed_dataset_line_as_validate_question_does(tmp_path, capsys, line, message):
     field, detail = message.split(": ", 1)
-    for check in (validate_question, check_question):
-        with pytest.raises(ValidationError) as raised:
-            check(line)
-        assert str(raised.value) == message and raised.value.field_name == field
+    with pytest.raises(ValidationError) as raised:
+        check_question(line)
+    assert str(raised.value) == message and raised.value.field_name == field
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text(json.dumps(_question(id="q0")) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     forecasts = tmp_path / "agent.jsonl"
@@ -1367,10 +1402,9 @@ def test_score_reports_a_malformed_dataset_line_as_validate_question_does(tmp_pa
     capsys.readouterr()
     assert cli.main(["score", "--dataset", str(dataset), "--forecasts", str(forecasts)]) == EXIT_FATAL
     assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
-    for reader in (read_questions, read_question_rows):
-        with pytest.raises(ValidationError) as raised:
-            reader(dataset)
-        assert str(raised.value) == expected and raised.value.field_name == field
+    with pytest.raises(ValidationError) as raised:
+        read_questions(dataset)
+    assert str(raised.value) == expected and raised.value.field_name == field
 
 
 def test_score_exits_1_on_a_repeated_question_id_in_the_dataset(tmp_path, capsys):
@@ -1452,6 +1486,34 @@ def test_probe_empty_file_exits_2(tmp_path):
     probes.write_text("")
     rc = cli.main(["probe", "--probes", str(probes), "--cassette", str(tmp_path / "unused.jsonl")])
     assert rc == EXIT_EMPTY
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "probe: expected an object, got list"),
+        ('{"answer_patterns": ["beat"]}', "question: expected a non-empty string, got None"),
+        ('{"question": " "}', "question: expected a non-empty string, got ' '"),
+        ('{"question": "Who won?", "answer_patterns": "abc"}',
+         "answer_patterns: expected a list of non-empty strings, got 'abc'"),
+        ('{"question": "Who won?", "answer_patterns": ["beat", 7]}',
+         "answer_patterns: expected a list of non-empty strings, got ['beat', 7]"),
+        ('{"question": "Who won?", "answer_patterns": [""]}',
+         "answer_patterns: expected a list of non-empty strings, got ['']"),
+    ],
+    ids=["not_an_object", "no_question", "blank_question", "patterns_string", "pattern_number", "pattern_empty"],
+)
+def test_probe_exits_1_on_a_malformed_line_before_any_request(tmp_path, monkeypatch, capsys, line, message):
+    # before, these gave a traceback, or "abc" was matched a character at a
+    # time so any reply with an "a" counted as Leaked
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    probes = tmp_path / "probes.jsonl"
+    probes.write_text('{"question": "Who won the final?", "answer_patterns": ["beat"]}\n' + line + "\n")
+    assert cli.main(["probe", "--probes", str(probes)]) == EXIT_FATAL
+    field, detail = message.split(": ", 1)
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {field}: {probes}:2: {field}: {detail}"
+    assert backend.requests == []
 
 
 # --- recording -------------------------------------------------------------------

@@ -55,4 +55,5 @@ def test_a_traced_score_records_the_record_reader_and_ensemble_spread(tmp_path):
     assert done.returncode == 0, done.stderr
     spans = json.loads(trace.read_text(encoding="utf-8").splitlines()[0])["spans"]
     names = [span[2] for span in spans]
+    assert names.count("read_questions") == 1
     assert names.count("read_records") == 1 and names.count("ensemble_std") == 1

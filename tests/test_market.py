@@ -26,7 +26,7 @@ from agentcast.market import (
     render_category_table,
     snapshot,
 )
-from agentcast.models import Category, read_questions, write_questions
+from agentcast.models import Category, ValidationError, read_questions, write_questions
 
 from conftest import make_question
 
@@ -156,9 +156,9 @@ def test_classify_category_exact_label_or_unknown():
 
 def test_category_frequency_table():
     questions = [
-        make_question(qid="a", category=Category.SPORTS),
-        make_question(qid="b", category=Category.SPORTS),
-        make_question(qid="c", category=Category.SCIENCE_TECH),
+        make_question(qid="a", category=Category.SPORTS.value),
+        make_question(qid="b", category=Category.SPORTS.value),
+        make_question(qid="c", category=Category.SCIENCE_TECH.value),
     ]
     freqs = category_frequencies(questions)
     assert freqs == [(Category.SPORTS, 2), (Category.SCIENCE_TECH, 1)]
@@ -180,7 +180,16 @@ def test_snapshot_writes_questions_with_crowd_price(tmp_path):
     assert questions[0].category is Category.SPORTS
     assert questions[1].category is Category.UNKNOWN
     assert all(q.fetched_at == at for q in questions)
-    assert all(q.outcome is None for q in questions)
+    assert all(q.outcome is None and q.source == "market" for q in questions)
+
+
+def test_snapshot_taken_after_a_market_closed_raises_and_writes_nothing(tmp_path):
+    records = [MarketRecord.from_api(market("m1")), MarketRecord.from_api(market("m2", close="2024-04-10T00:00:00Z"))]
+    out = tmp_path / "dataset.jsonl"
+    with pytest.raises(ValidationError) as raised:
+        snapshot(records, datetime(2024, 4, 15, tzinfo=timezone.utc), out)
+    assert str(raised.value) == "fetched_at: fetched_at 2024-04-15T00:00:00Z is after close_time 2024-04-10T00:00:00Z"
+    assert not out.exists()
 
 
 def test_backfill_resolutions(tmp_path):

@@ -12,10 +12,8 @@ from agentcast.models import (
     Declined,
     FinalState,
     Forecast,
-    Question,
     RecordRow,
     Transcript,
-    QuestionRow,
     ValidationError,
     check_question,
     check_record,
@@ -23,12 +21,10 @@ from agentcast.models import (
     normalize_timestamp,
     parse_timestamp,
     read_jsonl,
-    read_question_rows,
     read_questions,
     read_record_lines,
     read_records,
     record_line,
-    validate_question,
     write_questions,
     write_records,
 )
@@ -85,7 +81,7 @@ def test_question_validation_names_offending_field():
 
 
 def test_validate_question_minimal_raw_dict():
-    q = validate_question({"id": "q1", "title": "Will it?", "close_time": "2024-04-30T00:00:00Z", "outcome": 0})
+    q = check_question({"id": "q1", "title": "Will it?", "close_time": "2024-04-30T00:00:00Z", "outcome": 0})
     assert q.outcome == 0
     assert q.fetched_at == q.close_time  # defaulted
     assert q.category is Category.UNKNOWN
@@ -94,11 +90,11 @@ def test_validate_question_minimal_raw_dict():
 
 def test_validate_question_missing_and_malformed_fields():
     with pytest.raises(ValidationError, match="id"):
-        validate_question({"title": "x", "close_time": "2024-04-30T00:00:00Z"})
+        check_question({"title": "x", "close_time": "2024-04-30T00:00:00Z"})
     with pytest.raises(ValidationError, match="close_time"):
-        validate_question({"id": "q", "title": "x"})
+        check_question({"id": "q", "title": "x"})
     with pytest.raises(ValidationError, match="close_time"):
-        validate_question({"id": "q", "title": "x", "close_time": "not a date"})
+        check_question({"id": "q", "title": "x", "close_time": "not a date"})
 
 
 def test_category_from_label():
@@ -132,7 +128,7 @@ def test_normalize_timestamp_keeps_utc_whole_seconds_and_coerces_the_rest():
 
 def test_question_jsonl_round_trip_is_byte_identical(tmp_path):
     questions = [
-        make_question(qid="q1", outcome=1, crowd_prob=0.62, category=Category.SPORTS, source="market"),
+        make_question(qid="q1", outcome=1, crowd_prob=0.62, category=Category.SPORTS.value, source="market"),
         make_question(qid="q2", title="Will prices rise? é", background="Some context."),
         make_question(qid="q3", resolution_criteria="Resolves YES if...", excluded=True),
     ]
@@ -297,13 +293,13 @@ def test_write_jsonl_keeps_the_old_file_when_a_write_fails(tmp_path):
 
 def test_validate_question_takes_excluded_only_as_a_json_boolean():
     raw = make_question().to_dict()
-    assert validate_question(raw).excluded is False
+    assert check_question(raw).excluded is False
     for flag in (True, False):
-        assert validate_question({**raw, "excluded": flag}).excluded is flag
+        assert check_question({**raw, "excluded": flag}).excluded is flag
     # "false" used to read as truthy, so score silently dropped the question
     for bad in ("false", "true", 0, 1, None, []):
         with pytest.raises(ValidationError, match=r"^excluded: expected true or false") as raised:
-            validate_question({**raw, "excluded": bad})
+            check_question({**raw, "excluded": bad})
         assert raised.value.field_name == "excluded"
 
 
@@ -313,20 +309,29 @@ def test_validate_question_takes_excluded_only_as_a_json_boolean():
         {},
         {"crowd_prob": 1, "outcome": 1.0},
         {"crowd_prob": None, "outcome": None, "excluded": True},
-        {"fetched_at": None, "close_time": 1714435200, "category": "sports", "background": 7},
+        {"fetched_at": None, "close_time": 1714435200, "category": "sports"},
         {"close_time": "2024-04-30T00:00:00.750+02:00", "fetched_at": 1713139200000, "outcome": 0.0},
+        {"background": None, "resolution_criteria": None, "source": None, "category": None},
+        {"background": "", "resolution_criteria": "Resolves YES if...", "source": "", "category": "Astrology"},
     ],
 )
 def test_check_question_returns_what_validate_question_builds(tmp_path, fields):
+    # the one checker normalises every field, and its row reads back unchanged
     raw = {**make_question(crowd_prob=0.25, outcome=0).to_dict(), **fields}
-    question = validate_question(raw)
-    row = check_question(raw)
-    assert row == QuestionRow(question.id, question.crowd_prob, question.outcome, question.excluded)
-    assert type(row.crowd_prob) is type(question.crowd_prob)
-    assert type(row.outcome) is type(question.outcome)
+    question = check_question(raw)
+    close_time = parse_timestamp(raw["close_time"])
+    assert question.close_time == close_time and question.close_time.tzinfo is timezone.utc
+    assert question.fetched_at == (close_time if raw["fetched_at"] is None else parse_timestamp(raw["fetched_at"]))
+    assert (question.crowd_prob, question.outcome) == (raw["crowd_prob"], raw["outcome"])
+    assert type(question.crowd_prob) is (type(None) if raw["crowd_prob"] is None else float)
+    assert type(question.outcome) is (type(None) if raw["outcome"] is None else int)
+    assert question.excluded is raw.get("excluded", False)
+    assert question.background == raw.get("background") and question.source == (raw.get("source") or "")
+    assert question.resolution_criteria == raw.get("resolution_criteria")
+    assert question.category is (Category.from_label(raw["category"]) if raw["category"] else Category.UNKNOWN)
     path = tmp_path / "questions.jsonl"
     write_questions(path, [question])
-    assert read_question_rows(path) == [row]
+    assert read_questions(path) == [question]
 
 
 def test_check_record_rejects_malformed_members():
