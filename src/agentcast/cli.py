@@ -17,11 +17,9 @@ import os
 import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass, fields
 from datetime import date
-from importlib import resources
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .hierarchy import (
     TranscriptTree,
@@ -118,10 +116,7 @@ EXIT_EMPTY = 2
 # --- configuration -----------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    """Run-wide knobs: defaults < JSON config file < flags, checked once on the merged values."""
-
+class _RunConfigFields(NamedTuple):
     model_id: str = "default"
     temperature: float = DEFAULT_TEMPERATURE
     ensemble_size: int = 3
@@ -141,7 +136,14 @@ class RunConfig:
     market_base_url: str = DEFAULT_MARKET_BASE_URL
     cutoff: str | None = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    """Run-wide knobs: defaults < JSON config file < flags, checked once on the merged values."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ensemble_size < 1:
             raise ConfigError(f"ensemble size must be at least 1, got {self.ensemble_size}")
         if self.workers < 1:
@@ -160,6 +162,7 @@ class RunConfig:
             raise ConfigError(f"unknown aggregator {self.aggregator!r} (expected one of {', '.join(AGGREGATORS)})")
         if self.cutoff and (cutoff := self.cutoff_date()) > date.today():
             raise ConfigError(f"cutoff {cutoff} lies in the future")
+        return self
 
     @property
     def in_flight(self) -> int:
@@ -189,7 +192,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    types = {f.name: f.type for f in fields(RunConfig)}
+    # each field's annotation as written, such as "int | None"
+    types = {name: hint.__forward_arg__ for name, hint in _RunConfigFields.__annotations__.items()}
     unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
@@ -208,9 +212,9 @@ def load_config(path: str | Path) -> dict:
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Lay every RunConfig field a flag set (not None) over the file's values, then check them once."""
     values = load_config(ns.config) if ns.config else {}
-    for f in fields(RunConfig):
-        if getattr(ns, f.name, None) is not None:
-            values[f.name] = getattr(ns, f.name)
+    for name in RunConfig._fields:
+        if getattr(ns, name, None) is not None:
+            values[name] = getattr(ns, name)
     return RunConfig(**values)
 
 
@@ -628,6 +632,8 @@ def check_probe(raw: Any) -> tuple[str, list[str]]:
 
 
 def cmd_probe(ns: argparse.Namespace) -> int:
+    from importlib import resources
+
     cfg = resolve_config(ns)
     with resources.as_file(resources.files("agentcast").joinpath("data/probes.jsonl")) as packaged:
         probes = read_checked(ns.probes or packaged, check_probe)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import contextvars
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import prompts
 from .llm import Backend
@@ -79,15 +78,13 @@ def as_tool(config: ReactConfig, description: str, observation_budget: int) -> T
 # --- transcript trees ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChildTranscript:
+class ChildTranscript(NamedTuple):
     task: str
     parent_step: int
     transcript: Transcript
 
 
-@dataclass(frozen=True)
-class TranscriptTree:
+class TranscriptTree(NamedTuple):
     """The planner transcript plus every worker run it triggered, with each
     child linked to the planner step that invoked it."""
 

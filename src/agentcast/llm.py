@@ -10,23 +10,19 @@ runs the lanes of forecast, curate and resolve concurrently.
 
 from __future__ import annotations
 
-import base64
 import contextvars
-import hashlib
 import json
 import logging
 import math
 import select
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
 
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
@@ -117,6 +113,8 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T], workers: int) -> Iterator[
     propagates when the calls in flight have finished. No thread outlives
     the iteration: closing the iterator early stops it the same way.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     failed = threading.Event()
 
     def call(item: T) -> R | None:
@@ -136,36 +134,37 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T], workers: int) -> Iterator[
         pool.shutdown(cancel_futures=True)
 
 
-@dataclass(frozen=True)
-class Message:
-    role: str
-    content: str
+class Message(namedtuple("Message", "role content")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.role not in ("system", "user", "assistant"):
-            raise ValueError(f"unknown message role {self.role!r}")
+    def __new__(cls, role: str, content: str):
+        if role not in ("system", "user", "assistant"):
+            raise ValueError(f"unknown message role {role!r}")
+        return super().__new__(cls, role, content)
 
 
-@dataclass(frozen=True)
-class ChatRequest:
-    model_id: str
-    messages: tuple[Message, ...]
-    temperature: float = DEFAULT_TEMPERATURE
-    stop_sequences: tuple[str, ...] = ()
+class ChatRequest(namedtuple("ChatRequest", "model_id messages temperature stop_sequences")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
-        if not self.messages:
+    def __new__(
+        cls,
+        model_id: str,
+        messages: Iterable[Message],
+        temperature: float = DEFAULT_TEMPERATURE,
+        stop_sequences: Iterable[str] = (),
+    ):
+        messages = tuple(messages)
+        stop_sequences = tuple(stop_sequences)
+        if not messages:
             raise ValueError("a chat request needs at least one message")
-        if self.messages[0].role not in ("system", "user"):
+        if messages[0].role not in ("system", "user"):
             raise ValueError("the first message must come from system or user")
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and non-negative, got {self.temperature}")
+        if not 0 <= temperature < math.inf:
+            raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
+        return super().__new__(cls, model_id, messages, temperature, stop_sequences)
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     content: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -181,6 +180,8 @@ def fingerprint(request: ChatRequest) -> str:
 
     Covers model, messages, temperature and stop sequences.
     """
+    import hashlib
+
     payload = {
         "model_id": request.model_id,
         "messages": [[m.role, m.content] for m in request.messages],
@@ -234,8 +235,7 @@ class RateLimiter:
             waited += shortfall
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Exponential backoff for transient failures: 1s, 2s, 4s... capped per
     attempt and in total."""
 
@@ -353,6 +353,8 @@ def _route(parts: SplitResult) -> Route:
         raise ValueError(f"unsupported {parts.scheme} proxy: only http:// proxies are supported")
     auth = None
     if via.username is not None:
+        import base64
+
         credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
         auth = "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")
     return parts.scheme, parts.hostname, port, (via.hostname, via.port or 80, auth)

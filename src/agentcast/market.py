@@ -14,11 +14,10 @@ import json
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from .llm import (
     Backend,
@@ -56,10 +55,7 @@ class MarketSchemaError(MarketError):
     """A market payload was missing required fields."""
 
 
-@dataclass(frozen=True, eq=False)
-class MarketRecord:
-    """One binary market as fetched, before curation."""
-
+class _MarketRecordFields(NamedTuple):
     market_id: str
     question_text: str
     close_time: datetime
@@ -67,11 +63,21 @@ class MarketRecord:
     is_resolved: bool
     resolution: str | None
 
-    def __post_init__(self):
+
+class MarketRecord(_MarketRecordFields):
+    """One binary market as fetched, before curation. Two records are equal
+    only if they are the same object."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.is_resolved and self.resolution is None:
             raise MarketSchemaError(f"market {self.market_id}: resolved without a resolution")
         if not 0.0 <= self.probability <= 1.0:
             raise MarketSchemaError(f"market {self.market_id}: probability {self.probability!r} out of range")
+        return self
 
     @classmethod
     def from_api(cls, raw: dict) -> "MarketRecord":
@@ -213,8 +219,7 @@ def fetch_window(
 # --- LLM curation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     verdict: str  # "keep" | "drop"
     judge_reply: str
 
@@ -376,8 +381,7 @@ def snapshot(
     return questions
 
 
-@dataclass(frozen=True)
-class BackfillSummary:
+class BackfillSummary(NamedTuple):
     resolved: int
     pending: int
     excluded: int

@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 import random
 import re
-import statistics
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .models import Declined, Forecast
 
@@ -41,37 +39,36 @@ class UniverseMismatch(MetricError):
     pass
 
 
-@dataclass(frozen=True)
-class ScoredSet:
+class ScoredSet(namedtuple("ScoredSet", "method_label question_ids forecasts outcomes")):
     """All scorable questions of one method, as aligned columns: the question
     with id question_ids[i] got forecast forecasts[i] and resolved to
     outcomes[i]. Question ids must be unique."""
 
-    method_label: str
-    question_ids: tuple[str, ...]
-    forecasts: tuple[float, ...]
-    outcomes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("question_ids", "forecasts", "outcomes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        n = len(self.question_ids)
-        if len(self.forecasts) != n or len(self.outcomes) != n:
+    def __new__(
+        cls, method_label: str, question_ids: Iterable[str], forecasts: Iterable[float], outcomes: Iterable[int]
+    ):
+        question_ids, forecasts, outcomes = tuple(question_ids), tuple(forecasts), tuple(outcomes)
+        n = len(question_ids)
+        if len(forecasts) != n or len(outcomes) != n:
             raise MetricError(
-                f"ragged scored set for {self.method_label!r}: {n} question ids, "
-                f"{len(self.forecasts)} forecasts, {len(self.outcomes)} outcomes"
+                f"ragged scored set for {method_label!r}: {n} question ids, "
+                f"{len(forecasts)} forecasts, {len(outcomes)} outcomes"
             )
-        for qid, forecast, outcome in zip(self.question_ids, self.forecasts, self.outcomes):
+        for qid, forecast, outcome in zip(question_ids, forecasts, outcomes):
             if not 0.0 <= forecast <= 1.0:  # also false for NaN
                 raise MetricError(f"forecast out of range for {qid}: {forecast!r}")
             if outcome not in (0, 1):
                 raise MetricError(f"outcome must be 0 or 1 for {qid}: {outcome!r}")
-        counts = Counter(self.question_ids)
+        counts = Counter(question_ids)
         if len(counts) != n:
             dupes = sorted(qid for qid, count in counts.items() if count > 1)
             raise MetricError(f"duplicate question ids in scored set: {dupes}")
+        return super().__new__(cls, method_label, question_ids, forecasts, outcomes)
 
     def __len__(self) -> int:
+        """The number of questions; a plain tuple would count its fields."""
         return len(self.question_ids)
 
 
@@ -122,15 +119,13 @@ def accuracy(scored: ScoredSet) -> float:
     return sum((f > 0.5) == (o == 1) for f, o in zip(scored.forecasts, scored.outcomes)) / n
 
 
-@dataclass(frozen=True)
-class CalibrationBin:
+class CalibrationBin(NamedTuple):
     count: int
     mean_forecast: float
     observed_freq: float
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     method_label: str
     k: int
     bins: tuple[CalibrationBin, ...]
@@ -185,7 +180,9 @@ def aggregate(members: list[Forecast], mode: str, seed: str | int | None = None)
         # float rounding can push the mean a hair past the member envelope
         return Forecast(min(max(v, min(values)), max(values)))
     if mode == "median":
-        return Forecast(statistics.median(values))
+        ordered = sorted(values)
+        mid = len(ordered) // 2
+        return Forecast(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
     if mode == "sampled":
         if seed is None:
             raise MetricError("sampled aggregation requires a seed")
@@ -268,8 +265,7 @@ def apply_drop_rule(
 # --- report tables ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     method_label: str
     brier: float
     accuracy: float

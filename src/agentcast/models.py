@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -112,16 +112,15 @@ def utc_now() -> datetime:
 # --- forecasts ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Forecast:
+# A checked type subclasses a named tuple with a __new__ that checks, and may
+# convert, its fields. `_replace` and `_make` skip __new__: never build one so.
+class Forecast(namedtuple("Forecast", "value")):
     """A probability that the question resolves YES, in [0, 1]."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        value = _check_probability(self.value)
-        if value is not self.value:
-            object.__setattr__(self, "value", value)
+    def __new__(cls, value: float):
+        return super().__new__(cls, _check_probability(value))
 
 
 def _check_probability(v: Any) -> float:
@@ -137,8 +136,7 @@ def _check_probability(v: Any) -> float:
     raise ValidationError("value", f"forecast must lie in [0, 1], got {v!r}")
 
 
-@dataclass(frozen=True)
-class Declined:
+class Declined(NamedTuple):
     """The agent produced no usable probability. Distinct from any forecast value."""
 
     reason: str = ""
@@ -255,8 +253,7 @@ def _optional_text(raw: dict, key: str) -> str | None:
 # --- transcripts --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentStep:
+class AgentStep(NamedTuple):
     """One emission/observation pair. Malformed emissions keep the raw text in
     `thought` with an empty action; well-formed tool calls fill all four."""
 
@@ -269,27 +266,23 @@ class AgentStep:
 FINAL_KINDS = ("final", "truncated", "truncated_finalized")
 
 
-@dataclass(frozen=True)
-class FinalState:
+class FinalState(namedtuple("FinalState", "kind answer_text")):
     """How a run ended: a clean final answer, a forced finalization after the
     iteration cap, or a truncation with no answer at all."""
 
-    kind: str
-    answer_text: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FINAL_KINDS:
-            raise ValidationError("kind", f"unknown final kind {self.kind!r}")
+    def __new__(cls, kind: str, answer_text: str = ""):
+        if kind not in FINAL_KINDS:
+            raise ValidationError("kind", f"unknown final kind {kind!r}")
+        return super().__new__(cls, kind, answer_text)
 
 
-@dataclass(frozen=True)
-class Transcript:
-    agent_id: str
-    steps: tuple[AgentStep, ...]
-    final: FinalState
+class Transcript(namedtuple("Transcript", "agent_id steps final")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __new__(cls, agent_id: str, steps: Iterable[AgentStep], final: FinalState):
+        return super().__new__(cls, agent_id, tuple(steps), final)
 
 
 # --- forecast records ---------------------------------------------------

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Union
+from typing import NamedTuple, Union
 
 from .llm import (
     Backend,
@@ -52,21 +51,18 @@ class MalformedReason(Enum):
     MISSING_INPUT = "MissingInput"
 
 
-@dataclass(frozen=True)
-class ActionEmission:
+class ActionEmission(NamedTuple):
     thought: str
     action: str
     action_input: str
 
 
-@dataclass(frozen=True)
-class FinalEmission:
+class FinalEmission(NamedTuple):
     thought: str
     answer_text: str
 
 
-@dataclass(frozen=True)
-class MalformedEmission:
+class MalformedEmission(NamedTuple):
     reason: MalformedReason
     detail: str = ""
 
@@ -183,10 +179,7 @@ def extract_probability(answer_text: str) -> Forecast | Declined:
 BUDGET_POLICIES = ("compact", "fail")
 
 
-@dataclass(frozen=True)
-class ReactConfig:
-    """Everything one agent run needs besides the backend and the task."""
-
+class _ReactConfigFields(NamedTuple):
     system_prompt: str
     tools: tuple[ToolSpec, ...]
     agent_id: str = "agent"
@@ -196,7 +189,14 @@ class ReactConfig:
     context_token_limit: int | None = None
     on_budget_exceeded: str = "compact"
 
-    def __post_init__(self):
+
+class ReactConfig(_ReactConfigFields):
+    """Everything one agent run needs besides the backend and the task."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.tools:
@@ -206,6 +206,7 @@ class ReactConfig:
             raise ValueError(f"duplicate tool name among {names}")
         if self.on_budget_exceeded not in BUDGET_POLICIES:
             raise ValueError(f"unknown budget policy {self.on_budget_exceeded!r}")
+        return self
 
 
 def render_tool_instructions(tools: tuple[ToolSpec, ...]) -> str:
@@ -320,8 +321,7 @@ def corrective_observation(reason: MalformedReason, tool_names: tuple[str, ...])
     )
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     result: Forecast | Declined
     transcript: Transcript
 

@@ -11,17 +11,15 @@ from __future__ import annotations
 import atexit
 import logging
 import os
-import signal
-import subprocess
 import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
 from .models import ValidationError, parse_timestamp, read_jsonl
@@ -35,22 +33,19 @@ TRUNCATION_MARKER = "[truncated]"
 TOOL_KINDS = ("raw", "agent")
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(namedtuple("ToolSpec", "name description invoke kind")):
     """One invocable tool: a name the model writes after "Action:", a
     description for the prompt, and the callable that produces the
     observation. kind separates raw tools from subagents wrapped as tools."""
 
-    name: str
-    description: str
-    invoke: Callable[[str], str]
-    kind: str = "raw"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or "\n" in self.name:
-            raise ValueError(f"bad tool name {self.name!r}")
-        if self.kind not in TOOL_KINDS:
-            raise ValueError(f"unknown tool kind {self.kind!r}")
+    def __new__(cls, name: str, description: str, invoke: Callable[[str], str], kind: str = "raw"):
+        if not name or "\n" in name:
+            raise ValueError(f"bad tool name {name!r}")
+        if kind not in TOOL_KINDS:
+            raise ValueError(f"unknown tool kind {kind!r}")
+        return super().__new__(cls, name, description, invoke, kind)
 
 
 # --- web search -----------------------------------------------------------
@@ -60,8 +55,7 @@ class ProviderError(Exception):
     """Search provider failure after retries."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     title: str
     url: str
     snippet: str
@@ -263,8 +257,7 @@ class SandboxTimeout(Exception):
         self.seconds = seconds
 
 
-@dataclass(frozen=True)
-class ExecResult:
+class ExecResult(NamedTuple):
     stdout: str
     stderr: str
     exit_status: int
@@ -322,6 +315,8 @@ class _Interpreter:
     and LANG in its environment, and waits for the program on stdin."""
 
     def __init__(self):
+        import subprocess
+
         self.workdir = tempfile.TemporaryDirectory(prefix="agentcast-sandbox-")
         stdin, self.program_pipe = os.pipe()
         try:
@@ -406,6 +401,8 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
     back as a normal ExecResult.
     """
+    import subprocess
+
     source = program.encode("utf-8")
     interpreter = _take_interpreter()
     with interpreter.workdir, interpreter.proc as proc:
@@ -430,6 +427,8 @@ def execute_code(program: str, timeout: float) -> ExecResult:
 
 
 def _kill_group(pgid: int) -> None:
+    import signal
+
     try:
         os.killpg(pgid, signal.SIGKILL)
     except ProcessLookupError:

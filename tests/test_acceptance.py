@@ -10,7 +10,6 @@ import json
 import random
 import socket
 import time
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -348,7 +347,7 @@ def test_criterion_8_context_budget_ablation(tmp_path):
     base = context_estimate(assemble_messages(History(flat, task)))
     limit = base + 1500  # one ~1000-token observation fits, two cannot
 
-    flat = replace(flat, context_token_limit=limit)
+    flat = flat._replace(context_token_limit=limit)
     assert flat.on_budget_exceeded == "fail"
     flat_backend = ScriptedBackend(
         [
@@ -404,7 +403,7 @@ def test_criterion_9_report_table_format():
     assert parsed["agents"]["Std"] == "0.030"
 
     report = calibration_index(scored([(f"q{i}", 0.99, 0) for i in range(10)]), k=2)
-    cal_table = render_calibration_table([replace(report, method_label="agents")])
+    cal_table = render_calibration_table([report._replace(method_label="agents")])
     cal_lines = cal_table.splitlines()
     assert [c for c in cal_lines[0].split("  ") if c.strip()] == ["Method", "Calibration Index"]
     cal_parsed = parse_table(cal_table)

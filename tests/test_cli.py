@@ -13,7 +13,6 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -236,7 +235,7 @@ TAKES = {
 def test_each_command_takes_only_the_shared_flags_it_reads(command, capsys):
     parser = cli.build_parser()
     bare = vars(parser.parse_args([command, *REQUIRED_ARGS[command]]))
-    run_config_fields = {f.name for f in fields(RunConfig)}
+    run_config_fields = set(RunConfig._fields)
     for flag, value in SHARED_FLAGS.items():
         argv = [command, *REQUIRED_ARGS[command], flag, *value]
         if flag not in TAKES[command]:
@@ -1311,11 +1310,11 @@ def test_score_builds_no_member_or_record_objects(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, "record_line", lambda raw: lines_built.append(raw))
     forecasts_built = []
 
-    def counting(self, _original=Forecast.__post_init__):
-        forecasts_built.append(self)
-        _original(self)
+    def counting(cls, value, _original=Forecast.__new__):
+        forecasts_built.append(value)
+        return _original(cls, value)
 
-    monkeypatch.setattr(Forecast, "__post_init__", counting)
+    monkeypatch.setattr(Forecast, "__new__", counting)
     argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(run_dir / "forecasts.jsonl"),
             "--bins", "2"]
     assert cli.main(argv) == EXIT_OK
@@ -1572,6 +1571,33 @@ def test_importing_the_cli_loads_neither_numpy_nor_requests(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(src)})
     assert done.stderr.splitlines()[-1] == f"[] [] {EXIT_OK}"
+
+
+# stdlib modules that importing the cli and scoring never use
+SCORE_UNUSED = ("dataclasses", "inspect", "hashlib", "subprocess", "statistics", "concurrent.futures")
+
+
+@pytest.mark.parametrize("command, unused", [("score", SCORE_UNUSED), ("forecast", ("dataclasses", "statistics"))])
+def test_a_command_loads_none_of_the_stdlib_modules_it_never_calls(tmp_path, command, unused):
+    code = (
+        "import json, sys, agentcast.cli\n"
+        f"loaded = lambda: [m for m in {SCORE_UNUSED!r} if m in sys.modules]\n"
+        "imported = loaded()\n"
+        "code = agentcast.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([imported, loaded(), code]), file=sys.stderr)\n"
+    )
+    argv = {
+        "score": ["--dataset", str(E2E / "questions.jsonl"), "--forecasts",
+                  str(FIXTURES / "e2e_forecast" / "forecasts.jsonl"), "--out", str(tmp_path / "scores")],
+        "forecast": ["--dataset", str(E2E / "questions.jsonl"), "--out", str(tmp_path / "run"), "--search-fixture",
+                     str(E2E / "search.jsonl"), "--cassette", str(E2E / "cassette.jsonl"), "--cutoff", "2024-04-15"],
+    }[command]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code, command, *argv], capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    imported, ran, exit_code = json.loads(done.stderr.splitlines()[-1])
+    assert (imported, exit_code) == ([], EXIT_OK)
+    assert [m for m in ran if m in unused] == []
 
 
 @pytest.mark.parametrize("caller_had_it_on", [True, False])

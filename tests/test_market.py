@@ -61,6 +61,11 @@ def test_market_record_from_api():
         MarketRecord.from_api({**market("m4"), "closeTime": "soon"})
 
 
+def test_market_records_compare_by_identity():
+    first, second = (MarketRecord.from_api(market("m1")) for _ in range(2))
+    assert first == first and first != second and len({first, second}) == 2
+
+
 def test_live_client_honors_retry_after_and_backs_off_without_it(loopback):
     loopback.serve(
         (429, {"Retry-After": "0.05"}, None),

@@ -184,6 +184,18 @@ def test_aggregate_mean_median():
     assert aggregate([Forecast(0.2), Forecast(0.6)], "median").value == pytest.approx(0.4)
 
 
+def test_aggregate_median_is_statistics_median_bit_for_bit():
+    import statistics
+
+    rng = random.Random(20)
+    pools = ([0.0, 1.0], [0.0, 1.0, 0.3, 0.3, 0.7], [0.1 * k for k in range(11)])
+    for n in range(1, 21):
+        for pool in ([rng.random() for _ in range(n)], *pools):
+            values = [rng.choice(pool) for _ in range(n)]  # draws from a small pool repeat, so ties occur
+            expected = statistics.median(values)
+            assert aggregate([Forecast(v) for v in values], "median").value.hex() == float(expected).hex(), values
+
+
 def test_aggregate_mean_stays_inside_member_envelope():
     agg = aggregate([Forecast(0.1), Forecast(0.1), Forecast(0.1)], "mean")
     assert agg.value <= 0.1

@@ -6,6 +6,11 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from agentcast.cli import ConfigError, RunConfig
+from agentcast.hierarchy import ChildTranscript, TranscriptTree
+from agentcast.llm import ChatRequest, ChatResponse, Message, RetryPolicy
+from agentcast.market import BackfillSummary, FilterVerdict, MarketRecord, MarketSchemaError
+from agentcast.metrics import CalibrationBin, CalibrationReport, ScoredSet, ScoreRow
 from agentcast.models import (
     AgentStep,
     Category,
@@ -28,6 +33,8 @@ from agentcast.models import (
     write_questions,
     write_records,
 )
+from agentcast.react import ActionEmission, FinalEmission, MalformedEmission, MalformedReason, ReactConfig
+from agentcast.tools import ExecResult, SearchResult, ToolSpec
 
 from conftest import make_question
 
@@ -348,3 +355,79 @@ def test_transcript_types():
     assert transcript.steps[0].action == "web_search"
     with pytest.raises(ValidationError, match="kind"):
         FinalState("gave_up")
+
+
+CLOSE = datetime(2024, 4, 30, tzinfo=timezone.utc)
+USER = (Message("user", "hi"),)
+TOOL = ToolSpec("web_search", "d", str)
+
+# A checked type's construction and the error it raises. Where a call has two
+# faults the message names the one checked first.
+CONSTRUCTION_CHECKS = [
+    ("forecast_1.5", lambda: Forecast(1.5), ValidationError, "value: forecast must lie in [0, 1], got 1.5"),
+    ("forecast_true", lambda: Forecast(True), ValidationError, "value: forecast must be a number, got True"),
+    ("request_no_messages", lambda: ChatRequest("m", ()), ValueError, "a chat request needs at least one message"),
+    ("request_no_messages_nan", lambda: ChatRequest("m", [], float("nan")), ValueError,
+     "a chat request needs at least one message"),
+    ("request_assistant_first", lambda: ChatRequest("m", (Message("assistant", "hi"),)), ValueError,
+     "the first message must come from system or user"),
+    ("request_nan_temperature", lambda: ChatRequest("m", USER, float("nan")), ValueError,
+     "temperature must be finite and non-negative, got nan"),
+    ("message_robot", lambda: Message("robot", "hi"), ValueError, "unknown message role 'robot'"),
+    ("final_bogus", lambda: FinalState("bogus"), ValidationError, "kind: unknown final kind 'bogus'"),
+    ("tool_empty_name", lambda: ToolSpec("", "d", str), ValueError, "bad tool name ''"),
+    ("tool_newline_name", lambda: ToolSpec("a\nb", "d", str, "bogus"), ValueError, "bad tool name 'a\\nb'"),
+    ("tool_kind", lambda: ToolSpec("t", "d", str, "worker"), ValueError, "unknown tool kind 'worker'"),
+    ("react_iterations", lambda: ReactConfig("s", (), max_iterations=0), ValueError,
+     "max_iterations must be at least 1"),
+    ("react_no_tools", lambda: ReactConfig("s", ()), ValueError, "an agent needs at least one tool"),
+    ("react_policy", lambda: ReactConfig("s", (TOOL,), on_budget_exceeded="shrink"), ValueError,
+     "unknown budget policy 'shrink'"),
+    ("market_no_resolution", lambda: MarketRecord("m1", "q", CLOSE, 1.5, True, None), MarketSchemaError,
+     "market m1: resolved without a resolution"),
+    ("market_probability", lambda: MarketRecord("m1", "q", CLOSE, 1.5, False, None), MarketSchemaError,
+     "market m1: probability 1.5 out of range"),
+    ("config_workers", lambda: RunConfig(workers=0), ConfigError, "workers must be at least 1, got 0"),
+    ("config_ensemble_and_workers", lambda: RunConfig(ensemble_size=0, workers=0), ConfigError,
+     "ensemble size must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", [row[1:] for row in CONSTRUCTION_CHECKS],
+                         ids=[row[0] for row in CONSTRUCTION_CHECKS])
+def test_a_checked_type_rejects_bad_fields_when_built(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_checked_types_convert_their_fields():
+    assert type(Forecast(1).value) is float
+    request = ChatRequest("m", list(USER), stop_sequences=["Observation:"])
+    assert request.messages == USER and request.stop_sequences == ("Observation:",)
+    assert Transcript("a", [], FinalState("final")).steps == ()
+    assert ScoredSet("m", ["q"], [0.5], [1]) == ScoredSet("m", ("q",), (0.5,), (1,))
+    assert len(ScoredSet("m", ["q1", "q2"], [0.5, 0.5], [1, 0])) == 2  # questions, not fields
+
+
+TRANSCRIPT = Transcript("a", (), FinalState("final"))
+
+# one value of each type that cannot be changed once built
+FROZEN = [
+    Forecast(0.5), Declined("r"), AgentStep("t", "a", "i", "o"), FinalState("final"), TRANSCRIPT,
+    Message("user", "hi"), ChatRequest("m", USER), ChatResponse("x"), RetryPolicy(),
+    ScoredSet("m", ("q",), (0.5,), (1,)), CalibrationBin(1, 0.5, 1.0), CalibrationReport("m", 1, (), 0.0),
+    ScoreRow("m", 0.1, 0.5), ActionEmission("t", "a", "i"), FinalEmission("t", "x"),
+    MalformedEmission(MalformedReason.NO_KEYWORD), ReactConfig("s", (TOOL,)), TOOL, SearchResult("t", "u", "s"),
+    ExecResult("", "", 0, 0.0), ChildTranscript("t", 0, TRANSCRIPT), TranscriptTree("t", TRANSCRIPT),
+    MarketRecord("m1", "q", CLOSE, 0.5, False, None), FilterVerdict("keep", "Yes"), BackfillSummary(0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=[type(v).__name__ for v in FROZEN])
+def test_a_field_cannot_be_assigned_after_building(value):
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1  # no instance dict either
