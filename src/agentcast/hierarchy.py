@@ -28,8 +28,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-NO_FINAL_ANSWER = "[subagent gave no final answer]"
-
 
 # The backend of the running `forecast_one` call and the worker runs it has
 # collected, as (task, transcript). Set and reset by each call, so
@@ -46,9 +44,11 @@ def as_tool(config: ReactConfig, description: str, observation_budget: int) -> T
     The worker may hold only raw tools: the hierarchy is exactly two levels
     deep. The action input becomes the worker's task; the observation is the
     worker's final answer text (truncated to `observation_budget`), never a
-    probability the planner could just copy. A worker that declines, for
-    example because a chat call failed after its retries, comes back as a
-    bracketed error observation so the planner can route around it. Any other
+    probability the planner could just copy. A worker run that ends with no
+    answer text always declines with a reason, such as a blown budget or a
+    chat call that failed after its retries; it comes back as a bracketed
+    error observation naming that reason, so the planner can route around
+    it. Any other
     backend error in the worker (a rejected key, a cassette miss or a failed
     cassette write) propagates and ends the run. The worker runs on the
     backend of the `forecast_one` call that invoked it, and its transcript
@@ -65,12 +65,10 @@ def as_tool(config: ReactConfig, description: str, observation_budget: int) -> T
         backend, children = _member_run.get()
         outcome = run_react(config, backend, task)
         children.append((task, outcome.transcript))
-        final = outcome.transcript.final
-        if final.kind in ("final", "truncated_finalized") and final.answer_text.strip():
-            return truncate_text(final.answer_text, observation_budget)
-        if isinstance(outcome.result, Declined) and outcome.result.reason:
-            return f"[subagent error: {outcome.result.reason}]"
-        return NO_FINAL_ANSWER
+        answer = outcome.transcript.final.answer_text
+        if answer.strip():
+            return truncate_text(answer, observation_budget)
+        return f"[subagent error: {outcome.result.reason}]"
 
     return ToolSpec(name=config.agent_id, description=description, invoke=invoke, kind="agent")
 
@@ -226,30 +224,21 @@ def save_transcript_tree(
     qdir = Path(transcripts_dir) / question_id
     qdir.mkdir(parents=True, exist_ok=True)
     planner_name = f"{member_index}.planner.transcript"
-    (qdir / planner_name).write_text(render_transcript_text(tree.planner, tree.task), encoding="utf-8")
-    entries = [
-        {
-            "file": planner_name,
-            "agent_id": tree.planner.agent_id,
-            "member_index": member_index,
-            "parent": None,
-            "parent_step": None,
-            "task": tree.task,
-        }
-    ]
+    files = [(planner_name, tree.task, tree.planner, None, None)]
     for j, child in enumerate(tree.children):
         child_name = f"{member_index}.{j}.{child.transcript.agent_id}.transcript"
-        (qdir / child_name).write_text(
-            render_transcript_text(child.transcript, child.task), encoding="utf-8"
-        )
+        files.append((child_name, child.task, child.transcript, planner_name, child.parent_step))
+    entries = []
+    for name, task, transcript, parent, parent_step in files:
+        (qdir / name).write_text(render_transcript_text(transcript, task), encoding="utf-8")
         entries.append(
             {
-                "file": child_name,
-                "agent_id": child.transcript.agent_id,
+                "file": name,
+                "agent_id": transcript.agent_id,
                 "member_index": member_index,
-                "parent": planner_name,
-                "parent_step": child.parent_step,
-                "task": child.task,
+                "parent": parent,
+                "parent_step": parent_step,
+                "task": task,
             }
         )
     return f"{question_id}/{planner_name}", entries

@@ -156,8 +156,13 @@ class FixtureMarketClient:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureMarketClient":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        markets = payload["markets"] if isinstance(payload, dict) else payload
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise MarketError(f"{path}: invalid JSON ({exc})") from None
+        markets = payload.get("markets") if isinstance(payload, dict) else payload
+        if not isinstance(markets, list) or not all(isinstance(m, dict) for m in markets):
+            raise MarketError(f"{path}: expected a list of market objects, or an object with one under markets")
         return cls(markets)
 
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]:

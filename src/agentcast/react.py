@@ -343,10 +343,11 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
     """Run one agent to completion.
 
     Ends with a Forecast or Declined plus the full transcript. The model gets
-    max_iterations emissions; if it still has not answered, one finalization
-    request is made with tools forbidden. A chat call that fails after its
-    retries (CallFailed) declines the run rather than killing the batch;
-    every other backend error, here or inside a tool, propagates.
+    max_iterations emissions; if it still has not answered, one more turn
+    asks for the final answer with tools forbidden, and its reply is read as
+    the answer whatever its form. A chat call that fails after its retries
+    (CallFailed) declines the run rather than killing the batch; every other
+    backend error, here or inside a tool, propagates.
     """
     history = History(config, task)
     tools = {tool.name: tool for tool in config.tools}
@@ -355,7 +356,14 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
     def finish(result: Forecast | Declined, final: FinalState) -> RunOutcome:
         return RunOutcome(result, Transcript(config.agent_id, tuple(history.steps), final))
 
-    def complete(messages: tuple[Message, ...]) -> tuple[str | None, RunOutcome | None]:
+    # the turn after the last iteration is the forced finalization, which always returns
+    for turn in range(config.max_iterations + 1):
+        finalizing = turn == config.max_iterations
+        messages = _prepare_messages(config, history)
+        if messages is None:
+            return finish(Declined("budget"), FinalState("truncated"))
+        if finalizing:
+            messages += (Message("user", FINALIZE_INSTRUCTION),)
         request = ChatRequest(
             model_id=config.model_id,
             messages=messages,
@@ -363,19 +371,17 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
             stop_sequences=STOP_SEQUENCES,
         )
         try:
-            return backend.complete(request).content, None
+            content = backend.complete(request).content
         except CallFailed as exc:
             logger.warning("agent %s: backend failure: %s", config.agent_id, exc)
-            return None, finish(Declined(f"backend: {exc}"), FinalState("truncated"))
-
-    for _ in range(config.max_iterations):
-        messages = _prepare_messages(config, history)
-        if messages is None:
-            return finish(Declined("budget"), FinalState("truncated"))
-        content, failed = complete(messages)
-        if failed is not None:
-            return failed
+            return finish(Declined(f"backend: {exc}"), FinalState("truncated"))
         parsed = parse_emission(content, tool_names)
+        if finalizing:
+            answer = parsed.answer_text if isinstance(parsed, FinalEmission) else content.strip()
+            result = extract_probability(answer)
+            if isinstance(result, Forecast):
+                return finish(result, FinalState("truncated_finalized", answer))
+            return finish(Declined(f"truncated: {result.reason}"), FinalState("truncated"))
         if isinstance(parsed, FinalEmission):
             return finish(extract_probability(parsed.answer_text), FinalState("final", parsed.answer_text))
         if isinstance(parsed, ActionEmission):
@@ -397,21 +403,6 @@ def run_react(config: ReactConfig, backend: Backend, task: str) -> RunOutcome:
                     observation=corrective_observation(parsed.reason, tool_names),
                 )
             )
-
-    # iteration cap reached: force one tool-free finalization
-    messages = _prepare_messages(config, history)
-    if messages is None:
-        return finish(Declined("budget"), FinalState("truncated"))
-    messages = messages + (Message("user", FINALIZE_INSTRUCTION),)
-    content, failed = complete(messages)
-    if failed is not None:
-        return failed
-    parsed = parse_emission(content, tool_names)
-    answer = parsed.answer_text if isinstance(parsed, FinalEmission) else content.strip()
-    result = extract_probability(answer)
-    if isinstance(result, Forecast):
-        return finish(result, FinalState("truncated_finalized", answer))
-    return finish(Declined(f"truncated: {result.reason}"), FinalState("truncated"))
 
 
 # --- transcript rendering ------------------------------------------------------

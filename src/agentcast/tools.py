@@ -19,10 +19,13 @@ from collections import namedtuple
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
 from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
-from .models import ValidationError, parse_timestamp, read_jsonl
+from .models import ValidationError, parse_timestamp, read_checked
+
+if TYPE_CHECKING:  # imported where used, so runs without a search skip it
+    from concurrent.futures import Future
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +126,15 @@ class LiveSearchProvider:
         return _parse_results(payload["results"])
 
 
+def _check_fixture_line(raw: Any) -> tuple[str, list[SearchResult]]:
+    if not isinstance(raw, dict) or not isinstance(raw.get("query"), str):
+        raise ValidationError("query", "a search fixture line needs a string query")
+    results = raw.get("results", [])
+    if not isinstance(results, list):
+        raise ValidationError("results", f"expected a list, got {type(results).__name__}")
+    return raw["query"], _parse_results(results)
+
+
 class FixtureSearchProvider:
     """Serves canned results from a JSONL file; the offline stand-in for the
     live provider.
@@ -138,10 +150,7 @@ class FixtureSearchProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureSearchProvider":
-        entries: dict[str, list[SearchResult]] = {}
-        for _, raw in read_jsonl(path):
-            entries[raw["query"]] = _parse_results(raw.get("results", []))
-        return cls(entries)
+        return cls(dict(read_checked(path, _check_fixture_line)))
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
         self.calls.append((query, before_date, limit))
@@ -149,19 +158,6 @@ class FixtureSearchProvider:
         if results is None:
             results = self._entries.get("default", [])
         return results[:limit]
-
-
-class _Flight:
-    """One provider call. Its lock is held until the answer lands, so
-    identical searches made meanwhile wait on it."""
-
-    __slots__ = ("landed", "results", "error")
-
-    def __init__(self):
-        self.landed = threading.Lock()
-        self.landed.acquire()
-        self.results: list[SearchResult] = []
-        self.error: BaseException | None = None
 
 
 class SearchMemo:
@@ -182,37 +178,34 @@ class SearchMemo:
         self._provider = provider
         self._members = members
         self._lock = threading.Lock()
-        self._flights: dict[str, dict[tuple[str, date, int], _Flight]] = {}
+        self._flights: dict[str, dict[tuple[str, date, int], Future[list[SearchResult]]]] = {}
         self._done: dict[str, int] = {}
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
         lane = current_lane()
         if lane is None:
             return self._provider.search(query, before_date, limit)
+        from concurrent.futures import Future
+
         key = (query, before_date, limit)
         with self._lock:
             flights = self._flights.setdefault(lane[0], {})
             flight = flights.get(key)
             leads = flight is None
             if leads:
-                flight = flights[key] = _Flight()
+                flight = flights[key] = Future()
         if not leads:
-            with flight.landed:
-                pass
-            if flight.error is not None:
-                raise flight.error
-            return list(flight.results)
+            return list(flight.result())
         try:
-            flight.results = self._provider.search(query, before_date, limit)
+            results = self._provider.search(query, before_date, limit)
         except BaseException as exc:
-            flight.error = exc
             with self._lock:
                 if flights.get(key) is flight:
                     del flights[key]
+            flight.set_exception(exc)
             raise
-        finally:
-            flight.landed.release()
-        return list(flight.results)
+        flight.set_result(results)
+        return list(results)
 
     def member_done(self, question_id: str) -> None:
         """Count one finished member of the question; the last drops its entries."""

@@ -347,12 +347,14 @@ def run_outputs(out_dir: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("workers", ["1", "8"])
 def test_forecast_replay_writes_the_committed_records(tmp_path, workers):
-    # the committed file was written by an earlier version of the record code,
-    # so a change to how records are written shows up here
+    # the committed records, transcripts and indexes were written by an
+    # earlier version of the code, so a change to how any of them is written
+    # shows up here
     out = tmp_path / "run"
     assert replay_forecast(out, "--workers", workers) == EXIT_OK
-    golden = FIXTURES / "e2e_forecast" / "forecasts.jsonl"
-    assert (out / "forecasts.jsonl").read_bytes() == golden.read_bytes()
+    golden = run_outputs(FIXTURES / "e2e_forecast")
+    assert len(golden) == 25  # the records file, 5 indexes and 19 transcripts
+    assert run_outputs(out) == golden
 
 
 def test_forecast_replay_matches_across_workers(tmp_path):
@@ -565,6 +567,36 @@ def test_cassette_miss_starts_no_queued_member(tmp_path):
     with pytest.raises(CassetteMiss):
         run_forecast(dataset, run_member, tmp_path / "run", ensemble_size=3, aggregator_mode="median", seed=0)
     assert started == ["qa"]
+
+
+def test_a_member_that_raises_marks_only_its_question_an_error(tmp_path, monkeypatch, capsys):
+    started = []
+    make_runner, run = cli.make_member_runner, cli.run_forecast
+
+    def failing_runner(*args, **kwargs):
+        run_member = make_runner(*args, **kwargs)
+
+        def runner(question):
+            started.append(question.id)
+            if question.id == "q_fed":
+                raise RuntimeError("member blew up")
+            return run_member(question)
+
+        return runner
+
+    monkeypatch.setattr(cli, "make_member_runner", failing_runner)
+    # one member run at a time, so the failing member's siblings are still queued
+    monkeypatch.setattr(cli, "run_forecast", lambda *args, **kwargs: run(*args, **(kwargs | {"workers": 1})))
+    out = tmp_path / "run"
+    assert replay_forecast(out) == EXIT_OK
+    assert "3 forecasted, 1 declined, 1 errors" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["questions"]["q_fed"] == "error"
+    assert manifest["errors"] == {"q_fed": "member blew up"}
+    assert started == ["q_eth"] * 3 + ["q_fed"] + ["q_launch"] * 3 + ["q_un"] * 3 + ["q_btc"] * 3
+    golden = (FIXTURES / "e2e_forecast" / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    written = (out / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert written == [line for line in golden if '"q_fed"' not in line]
 
 
 class RejectsTheKey:
@@ -1068,6 +1100,35 @@ def test_curate_with_a_malformed_at_exits_1_before_any_request(tmp_path, monkeyp
     assert capsys.readouterr().err.splitlines()[-1] == "error: at: malformed timestamp '2024-04-15T25:00:00Z'"
     assert backend.requests == []
     assert not dataset.exists()
+
+
+@pytest.mark.parametrize(
+    "content", ["{not json", json.dumps({"data": []})], ids=["not-json", "no-markets-key"]
+)
+def test_a_malformed_market_fixture_exits_1_naming_the_file(tmp_path, monkeypatch, capsys, content):
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(content)
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    dataset = tmp_path / "dataset.jsonl"
+    assert cli.main(curate_args(market_fixture, dataset)) == EXIT_FATAL
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: {market_fixture}: ")
+    assert backend.requests == []
+    assert not dataset.exists()
+
+
+def test_a_search_fixture_line_without_a_string_query_exits_1_naming_the_line(tmp_path, monkeypatch, capsys):
+    search_fixture = tmp_path / "search.jsonl"
+    search_fixture.write_text('{"query": "eth", "results": []}\n{"results": []}\n')
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    out = tmp_path / "run"
+    assert replay_forecast(out, "--search-fixture", str(search_fixture)) == EXIT_FATAL
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: query: ") and f"{search_fixture}:2: " in last
+    assert backend.requests == []
+    assert not out.exists()
 
 
 def test_curate_replay_of_a_laneless_cassette_exits_1(tmp_path):

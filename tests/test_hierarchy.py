@@ -7,7 +7,6 @@ from datetime import date
 import pytest
 
 from agentcast.hierarchy import (
-    NO_FINAL_ANSWER,
     as_tool,
     default_planner,
     forecast_one,

@@ -6,7 +6,7 @@ import pytest
 
 from agentcast import react
 from agentcast.llm import AuthError, CassetteMiss, Message, ScriptedBackend, TransportError
-from agentcast.models import AgentStep, Declined, Forecast
+from agentcast.models import AgentStep, Declined, FinalState, Forecast
 from agentcast.react import (
     ActionEmission,
     FinalEmission,
@@ -285,6 +285,27 @@ def test_run_react_declines_when_finalization_fails():
     outcome = run_react(config(tools, max_iterations=1), backend, "task")
     assert outcome.result == Declined("truncated: no numeric token in final answer")
     assert outcome.transcript.final.kind == "truncated"
+
+
+def test_a_failed_finalization_request_declines_with_the_backend_reason():
+    tools, _ = echo_tools()
+    backend = ScriptedBackend(["Action: web_search\nAction Input: a", TransportError("socket closed")])
+    outcome = run_react(config(tools, max_iterations=1), backend, "task")
+    assert outcome.result == Declined("backend: socket closed")
+    assert outcome.transcript.final == FinalState("truncated")
+    assert len(outcome.transcript.steps) == 1
+    assert backend.requests[-1].messages[-1] == Message("user", FINALIZE_INSTRUCTION)
+
+
+def test_a_finalization_over_the_limit_declines_with_budget_in_fail_mode():
+    tools, _ = echo_tools(["x" * 4000])
+    cfg = config(tools, max_iterations=1, context_token_limit=300, on_budget_exceeded="fail")
+    backend = ScriptedBackend(["Action: web_search\nAction Input: q", "unused"])
+    outcome = run_react(cfg, backend, "task")
+    assert outcome.result == Declined("budget")
+    assert outcome.transcript.final == FinalState("truncated")
+    assert len(outcome.transcript.steps) == 1
+    assert len(backend.requests) == 1  # the finalization request never went out
 
 
 def test_run_react_declines_on_backend_failure():

@@ -280,6 +280,57 @@ def test_memo_keeps_no_failure():
     assert len(provider.calls) == 2
 
 
+def test_memo_hands_the_leaders_failure_to_a_waiting_search():
+    entered, release, joined = threading.Event(), threading.Event(), threading.Event()
+
+    class BlockingProvider(CaptureProvider):
+        def search(self, query, before_date, limit):
+            self.calls.append((query, before_date, limit))
+            entered.set()
+            release.wait(timeout=5)
+            raise ProviderError("quota exhausted")
+
+    class SignallingLock:
+        """The memo's lock; tells when the waiter has found the leader's flight."""
+
+        def __init__(self):
+            self.lock = threading.Lock()
+
+        def __enter__(self):
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+            if threading.current_thread().name == "waiter":
+                joined.set()
+
+    provider = BlockingProvider()
+    memo = SearchMemo(provider, members=2)
+    memo._lock = SignallingLock()
+    raised = [None, None]
+
+    def member(m):
+        with in_lane("q1", m):
+            try:
+                memo.search("q", CUTOFF, 8)
+            except ProviderError as exc:
+                raised[m] = exc
+
+    leader = threading.Thread(target=member, args=(0,), name="leader")
+    waiter = threading.Thread(target=member, args=(1,), name="waiter")
+    leader.start()
+    assert entered.wait(timeout=5)
+    waiter.start()
+    assert joined.wait(timeout=5)
+    release.set()
+    for t in (leader, waiter):
+        t.join(timeout=5)
+    assert not leader.is_alive() and not waiter.is_alive()
+    assert raised[0] is not None and raised[1] is raised[0]
+    assert len(provider.calls) == 1
+    assert memo._flights["q1"] == {}  # the failed key is dropped
+
+
 def test_memo_asks_again_for_another_question():
     provider = CaptureProvider([result()])
     memo = SearchMemo(provider, members=3)
