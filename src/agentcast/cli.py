@@ -324,8 +324,8 @@ def run_forecast(
         except BackendError:
             raise  # a rejected key or a cassette fault ends the run
         except Exception as exc:
-            logger.error("question %s failed: %s", question.id, exc)
-            errors.setdefault(question.id, str(exc))
+            logger.exception("question %s failed", question.id)
+            errors.setdefault(question.id, f"{type(exc).__name__}: {exc}")
             return None
         return outcome, ref, entries
 

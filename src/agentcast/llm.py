@@ -28,7 +28,7 @@ from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
     import socket
     import ssl
-    from http.client import HTTPConnection
+    from http.client import HTTPConnection, HTTPMessage
 
 logger = logging.getLogger(__name__)
 
@@ -252,23 +252,15 @@ class RetryPolicy(NamedTuple):
         return max(0.0, min(raw, self.max_delay, left))
 
 
-def parse_retry_after(headers: dict) -> float | None:
-    """Seconds from a Retry-After header (any key case); None when absent or
-    not a number."""
-    value = None
-    for key, v in headers.items():
-        if key.lower() == "retry-after":
-            value = v
-            break
-    if value is None:
-        return None
+def parse_retry_after(headers: HTTPMessage) -> float | None:
+    """Seconds from a Retry-After header; None when absent or not a number."""
     try:
-        return max(0.0, float(value))
+        return max(0.0, float(headers.get("Retry-After")))
     except (TypeError, ValueError):
         return None
 
 
-Response = tuple[int, dict, Any]  # (status, headers, decoded JSON body or body text)
+Response = tuple[int, "HTTPMessage", Any]  # (status, case-insensitive headers, JSON body or body text)
 
 # The origin's (scheme, host, port), then the proxy's (host, port,
 # Proxy-Authorization value), or None when the request goes direct.
@@ -429,7 +421,7 @@ def http_transport(url: str, headers: dict, body: dict | None, timeout: float, p
         payload = json.loads(raw)
     except ValueError:
         payload = raw.decode("utf-8", errors="replace")
-    return resp.status, dict(resp.getheaders()), payload
+    return resp.status, resp.headers, payload
 
 
 def send_with_retry(

@@ -24,6 +24,7 @@ class ValidationError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+        self.message = message
 
 
 class Category(Enum):
@@ -453,7 +454,7 @@ def read_checked(path: str | Path, check: Callable[[Any], _T], unique: str | Non
                     raise ValidationError(unique, f"repeated {unique} {key!r}, first on line {first_line[key]}")
                 first_line[key] = lineno
         except ValidationError as exc:
-            raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc}") from None
+            raise ValidationError(exc.field_name, f"{Path(path)}:{lineno}: {exc.message}") from None
         items.append(item)
     return items
 

@@ -311,37 +311,25 @@ class _Interpreter:
         import subprocess
 
         self.workdir = tempfile.TemporaryDirectory(prefix="agentcast-sandbox-")
-        stdin, self.program_pipe = os.pipe()
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, "-I", "-c", _BOOTSTRAP],
-                stdin=stdin,
+                stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
+                encoding="utf-8",
+                errors="replace",
                 cwd=self.workdir.name,
                 env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
                 start_new_session=True,
             )
         except BaseException:
-            os.close(self.program_pipe)
             self.workdir.cleanup()
             raise
-        finally:
-            os.close(stdin)
-
-    def hand_over(self, source: bytes) -> None:
-        """Send the program's source and close stdin, so the program reads EOF."""
-        try:
-            with open(self.program_pipe, "wb") as pipe:
-                pipe.write(source + b"\0")
-        except BrokenPipeError:
-            pass  # the interpreter is gone; its exit status says so
 
     def close(self) -> None:
         """Kill and reap an interpreter that never got a program, and delete its dir."""
         _kill_group(self.proc.pid)
-        os.close(self.program_pipe)
         with self.workdir, self.proc:
             pass
 
@@ -392,11 +380,11 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     caller's path. It runs in its own process group, which is killed when
     the call ends, so no process the program started outlives the call.
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
-    back as a normal ExecResult.
+    back as a normal ExecResult. Output is read as UTF-8, and bytes that are
+    not valid UTF-8 read as U+FFFD.
     """
     import subprocess
 
-    source = program.encode("utf-8")
     interpreter = _take_interpreter()
     with interpreter.workdir, interpreter.proc as proc:
         start = time.monotonic()
@@ -404,8 +392,7 @@ def execute_code(program: str, timeout: float) -> ExecResult:
         # program without reading on: a process that left the group may
         # still hold a pipe open, so reading to EOF could wait forever.
         try:
-            interpreter.hand_over(source)
-            stdout, stderr = proc.communicate(timeout=timeout)
+            stdout, stderr = proc.communicate(program + "\0", timeout=timeout)
         except subprocess.TimeoutExpired:
             raise SandboxTimeout(timeout) from None
         finally:

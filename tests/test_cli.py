@@ -569,7 +569,7 @@ def test_cassette_miss_starts_no_queued_member(tmp_path):
     assert started == ["qa"]
 
 
-def test_a_member_that_raises_marks_only_its_question_an_error(tmp_path, monkeypatch, capsys):
+def test_a_member_that_raises_marks_only_its_question_an_error(tmp_path, monkeypatch, capsys, caplog):
     started = []
     make_runner, run = cli.make_member_runner, cli.run_forecast
 
@@ -592,7 +592,8 @@ def test_a_member_that_raises_marks_only_its_question_an_error(tmp_path, monkeyp
     assert "3 forecasted, 1 declined, 1 errors" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["questions"]["q_fed"] == "error"
-    assert manifest["errors"] == {"q_fed": "member blew up"}
+    assert manifest["errors"] == {"q_fed": "RuntimeError: member blew up"}
+    assert [r.exc_info[0] for r in caplog.records if r.levelname == "ERROR"] == [RuntimeError]
     assert started == ["q_eth"] * 3 + ["q_fed"] + ["q_launch"] * 3 + ["q_un"] * 3 + ["q_btc"] * 3
     golden = (FIXTURES / "e2e_forecast" / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     written = (out / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -710,7 +711,7 @@ def test_forecast_exits_1_on_a_repeated_question_id_before_any_request(tmp_path,
     dataset = dataset_repeating_its_first_id(tmp_path)
     out = tmp_path / "run"
     assert replay_forecast(out, dataset=dataset) == EXIT_FATAL
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: id: repeated id 'q_eth', first on line 1"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: repeated id 'q_eth', first on line 1"
     assert backend.requests == []
     assert not (out / "transcripts").exists()
 
@@ -725,7 +726,7 @@ def test_forecast_exits_1_on_a_non_string_background_before_any_request(tmp_path
     dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "run"
     assert replay_forecast(out, dataset=dataset) == EXIT_FATAL
-    expected = f"error: background: {dataset}:2: background: expected a string, got 7"
+    expected = f"error: background: {dataset}:2: expected a string, got 7"
     assert capsys.readouterr().err.splitlines()[-1] == expected
     assert backend.requests == []
     assert not (out / "transcripts").exists()
@@ -741,7 +742,7 @@ def test_forecast_resume_exits_1_on_a_repeated_question_id(tmp_path, monkeypatch
     backend = UncallableBackend()
     monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
     assert replay_forecast(out) == EXIT_FATAL
-    expected = f"error: question_id: {records}:2: question_id: repeated question_id 'q_eth', first on line 1"
+    expected = f"error: question_id: {records}:2: repeated question_id 'q_eth', first on line 1"
     assert capsys.readouterr().err.splitlines()[-1] == expected
     assert backend.requests == []
     assert not (out / "transcripts").exists()
@@ -1181,7 +1182,7 @@ def test_resolve_exits_1_on_a_repeated_question_id_and_leaves_the_dataset(tmp_pa
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": [{"id": "q_eth", "isResolved": True, "resolution": "YES"}]}))
     assert cli.main(["resolve", "--dataset", str(dataset), "--market-fixture", str(market_fixture)]) == EXIT_FATAL
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: id: repeated id 'q_eth', first on line 1"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: repeated id 'q_eth', first on line 1"
     assert dataset.read_bytes() == before
 
 
@@ -1339,7 +1340,7 @@ def test_score_reports_a_malformed_forecast_line_as_before(tmp_path, capsys, lin
     good = _record(members=_members(0.2, 0.4), aggregate=0.3)
     path.write_text(json.dumps(good) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     field, detail = message.split(": ", 1)
-    expected = f"{field}: {path}:2: {field}: {detail}"
+    expected = f"{field}: {path}:2: {detail}"
     capsys.readouterr()
     assert cli.main(["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(path)]) == EXIT_FATAL
     assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
@@ -1458,7 +1459,7 @@ def test_score_reports_a_malformed_dataset_line_as_validate_question_does(tmp_pa
     dataset.write_text(json.dumps(_question(id="q0")) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     forecasts = tmp_path / "agent.jsonl"
     forecasts.write_text("")
-    expected = f"{field}: {dataset}:2: {field}: {detail}"
+    expected = f"{field}: {dataset}:2: {detail}"
     capsys.readouterr()
     assert cli.main(["score", "--dataset", str(dataset), "--forecasts", str(forecasts)]) == EXIT_FATAL
     assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
@@ -1478,7 +1479,7 @@ def test_score_exits_1_on_a_repeated_question_id_in_the_dataset(tmp_path, capsys
     capsys.readouterr()
     argv = ["score", "--dataset", str(dataset), "--forecasts", str(forecasts), "--out", str(out), "--bins", "1"]
     assert cli.main(argv) == EXIT_FATAL
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:3: id: repeated id 'q0', first on line 1"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:3: repeated id 'q0', first on line 1"
     assert not out.exists()
 
 
@@ -1492,7 +1493,7 @@ def test_score_exits_1_on_a_repeated_question_id_in_a_forecast_file(tmp_path, ca
     capsys.readouterr()
     argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts", str(forecasts), "--out", str(out)]
     assert cli.main(argv) == EXIT_FATAL
-    expected = f"error: question_id: {forecasts}:3: question_id: repeated question_id 'q_eth', first on line 1"
+    expected = f"error: question_id: {forecasts}:3: repeated question_id 'q_eth', first on line 1"
     assert capsys.readouterr().err.splitlines()[-1] == expected
     assert not out.exists()
 
@@ -1507,7 +1508,7 @@ def test_score_exits_1_on_an_excluded_flag_that_is_not_a_boolean(tmp_path, capsy
     capsys.readouterr()
     assert cli.main(["score", "--dataset", str(dataset), "--forecasts", str(forecasts)]) == EXIT_FATAL
     err = capsys.readouterr().err
-    assert f"error: excluded: {dataset}:3: excluded: expected true or false, got 'false'" in err.splitlines()
+    assert f"error: excluded: {dataset}:3: expected true or false, got 'false'" in err.splitlines()
 
 
 # --- probe -----------------------------------------------------------------------
@@ -1572,7 +1573,7 @@ def test_probe_exits_1_on_a_malformed_line_before_any_request(tmp_path, monkeypa
     probes.write_text('{"question": "Who won the final?", "answer_patterns": ["beat"]}\n' + line + "\n")
     assert cli.main(["probe", "--probes", str(probes)]) == EXIT_FATAL
     field, detail = message.split(": ", 1)
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: {field}: {probes}:2: {field}: {detail}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {field}: {probes}:2: {detail}"
     assert backend.requests == []
 
 

@@ -277,6 +277,7 @@ UNUSABLE = (200, {}, "<html>busy</html>")
         pytest.param([DROP, 200], [1.0], None, id="connection-error-then-200"),
         pytest.param([429, 429, 200], [1.0, 2.0], None, id="429-429-200"),
         pytest.param([(429, {"Retry-After": "7"}, {}), 200], [7.0], None, id="429-retry-after-then-200"),
+        pytest.param([(429, {"retry-after": "7"}, {}), 200], [7.0], None, id="429-lowercase-retry-after-then-200"),
         pytest.param([503, DROP, 200], [1.0, 2.0], None, id="503-drop-200"),
         pytest.param([UNUSABLE], [], "unusable", id="unusable-200-body"),
         pytest.param([(429, {"Retry-After": "0"}, {}), 200], [], None, id="429-retry-after-0-then-200"),

@@ -541,6 +541,35 @@ def test_input_in_a_program_fails_at_once_with_eof():
     assert "EOFError" in observation
 
 
+def test_bytes_that_are_not_utf8_read_as_replacement_characters():
+    outcome = execute_code('import sys\nsys.stdout.buffer.write(b"ok \\xff\\n")', 10.0)
+    assert (outcome.exit_status, outcome.stdout) == (0, "ok \ufffd\n")
+
+
+def test_carriage_returns_in_output_read_as_newlines():
+    outcome = execute_code('import sys\nsys.stdout.write("a\\r\\nb\\rc\\n")', 10.0)
+    assert (outcome.exit_status, outcome.stdout) == (0, "a\nb\nc\n")
+
+
+def test_a_program_larger_than_a_pipe_buffer_runs():
+    program = "print('\u00e9')\n" + "# padding\n" * 20_000
+    assert len(program.encode("utf-8")) > 2**16
+    outcome = execute_code(program, 10.0)
+    assert (outcome.exit_status, outcome.stdout) == (0, "\u00e9\n")
+
+
+def test_a_spare_killed_before_the_call_is_replaced():
+    execute_code("pass", 10.0)
+    spare = tools._spare
+    os.killpg(spare.proc.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while _alive(spare.proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    outcome = execute_code("print('ran')", 10.0)
+    assert (outcome.exit_status, outcome.stdout) == (0, "ran\n")
+    assert not Path(spare.workdir.name).exists()
+
+
 def test_close_sandbox_kills_the_spare_and_deletes_its_dir():
     execute_code("pass", 10.0)
     spare = tools._spare
