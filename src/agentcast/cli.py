@@ -52,6 +52,7 @@ from .market import (
     LiveMarketClient,
     MarketClient,
     MarketError,
+    as_questions,
     backfill_resolutions,
     category_frequencies,
     curate_markets,
@@ -94,6 +95,7 @@ from .models import (
 from .tools import (
     DEFAULT_OBSERVATION_BUDGET,
     DEFAULT_RESULTS_PER_SEARCH,
+    DropCount,
     FixtureSearchProvider,
     LiveSearchProvider,
     SearchMemo,
@@ -277,6 +279,7 @@ def run_forecast(
     workers: int = 1,
     config_echo: dict | None = None,
     usage: UsageMeter | None = None,
+    drops: DropCount | None = None,
 ) -> dict[str, str]:
     """Run the ensemble over every question and persist records, transcripts
     and a manifest.
@@ -298,6 +301,8 @@ def run_forecast(
     interrupted or ends on a fatal error adds no records, and its rerun starts
     every question that had none. The records file is rewritten in dataset
     order, which keeps reruns byte-identical regardless of worker scheduling.
+    The manifest's token usage is read from `usage` and its count of search
+    results dropped at the cutoff from `drops`.
     Returns question id -> terminal status (forecasted, declined or error).
     """
     out_dir = Path(out_dir)
@@ -363,6 +368,7 @@ def run_forecast(
             "prompt_tokens": usage.prompt_tokens if usage else 0,
             "completion_tokens": usage.completion_tokens if usage else 0,
         },
+        "search_results_dropped": drops.total if drops else 0,
         "wall_time_s": round(time.monotonic() - started, 3),
         "finished_at": format_timestamp(utc_now()),
     }
@@ -378,6 +384,7 @@ def make_member_runner(
     provider: SearchProvider,
     *,
     single_agent: bool = False,
+    drops: DropCount | None = None,
 ) -> MemberRunner:
     """Build the per-member forecasting callable exactly as the forecast
     command wires it; the fixture generator uses this too, so recorded
@@ -386,8 +393,9 @@ def make_member_runner(
     Searches go through one `SearchMemo` per runner, so members of one
     question that search identically make one provider request and get
     identical results. The memo drops a question's entries once
-    `cfg.ensemble_size` of its members have finished."""
-    memo = SearchMemo(provider, cfg.ensemble_size)
+    `cfg.ensemble_size` of its members have finished, and counts into
+    `drops` the results each search drops at the cutoff."""
+    memo = SearchMemo(provider, cfg.ensemble_size, drops)
     build = single_agent_config if single_agent else default_planner
     config = build(memo, cfg)
 
@@ -409,7 +417,8 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
         return EXIT_EMPTY
     with closing(build_backend(ns, cfg)) as backend:
         provider = build_search_provider(ns, cfg)
-        run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent)
+        drops = DropCount()
+        run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent, drops=drops)
 
         config_echo = {
             "cutoff": cutoff.isoformat(),
@@ -430,7 +439,10 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
             workers=cfg.in_flight,
             config_echo=config_echo,
             usage=backend,
+            drops=drops,
         )
+    if drops.total:
+        logger.warning("dropped %d search results published on/after %s", drops.total, cutoff)
     counts = {status: sum(1 for s in statuses.values() if s == status) for status in set(statuses.values())}
     print(
         f"forecast complete: {counts.get('forecasted', 0)} forecasted, "
@@ -452,13 +464,14 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         raise ConfigError(f"malformed window date: {exc}") from None
     if from_date > to_date:
         raise ConfigError(f"empty window: {from_date} is after {to_date}")
-    at = parse_timestamp(ns.at, "at") if ns.at else None
+    at = parse_timestamp(ns.at, "at") if ns.at else utc_now()
     client = build_market_client(ns, cfg)
     fetched = fetch_window(client, from_date, to_date)
     if not fetched:
-        snapshot([], utc_now(), ns.out)
+        snapshot([], at, ns.out)
         print(f"no binary markets close in [{from_date}, {to_date}]; wrote empty dataset", file=sys.stderr)
         return EXIT_EMPTY
+    as_questions(fetched, at)  # a market that closed before `at` fails here, before any request
     with closing(build_backend(ns, cfg)) as backend:
         curated = curate_markets(backend, fetched, model_id=cfg.model_id, workers=cfg.in_flight)
     kept = []
@@ -476,7 +489,7 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         if verdict.keep:
             kept.append(record)
             categories[record.market_id] = category
-    questions = snapshot(kept, at or utc_now(), ns.out, categories=categories)
+    questions = snapshot(kept, at, ns.out, categories=categories)
     audit_path = Path(ns.out).with_suffix(".audit.jsonl")
     write_jsonl(audit_path, audit)
     print(f"fetched {len(fetched)} binary markets, kept {len(questions)}, dropped {len(fetched) - len(questions)}")

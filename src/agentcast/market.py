@@ -353,22 +353,21 @@ def render_category_table(frequencies: list[tuple[Category, int]]) -> str:
 # --- snapshot and resolution ----------------------------------------------------
 
 
-def snapshot(
+def as_questions(
     records: Iterable[MarketRecord],
     at: datetime,
-    out_path: str | Path,
     *,
     categories: dict[str, Category] | None = None,
 ) -> list[Question]:
-    """Freeze fetched markets into dataset Questions as of one instant.
+    """Fetched markets as dataset Questions as of one instant.
 
     The crowd probability is the market price in the record; fetched_at is
     `at` for every question, so the snapshot is honest about when the crowd
     was read. Each line goes through `check_question`, so a market that
-    closed before `at` raises ValidationError and nothing is written.
+    closed before `at` raises ValidationError.
     """
     categories = categories or {}
-    questions = [
+    return [
         check_question(
             {
                 "id": record.market_id,
@@ -382,6 +381,19 @@ def snapshot(
         )
         for record in records
     ]
+
+
+def snapshot(
+    records: Iterable[MarketRecord],
+    at: datetime,
+    out_path: str | Path,
+    *,
+    categories: dict[str, Category] | None = None,
+) -> list[Question]:
+    """Freeze fetched markets into a dataset file as of one instant, through
+    `as_questions`: a market that closed before `at` raises ValidationError
+    and nothing is written."""
+    questions = as_questions(records, at, categories=categories)
     write_questions(out_path, questions)
     return questions
 

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
 from .models import ValidationError, parse_timestamp, read_checked
 
-if TYPE_CHECKING:  # imported where used, so runs without a search skip it
+if TYPE_CHECKING:  # imported where used, so runs without a search or a program skip them
+    import subprocess
     from concurrent.futures import Future
 
 logger = logging.getLogger(__name__)
@@ -160,6 +161,28 @@ class FixtureSearchProvider:
         return results[:limit]
 
 
+def _knowable(result: SearchResult, before_date: date) -> bool:
+    """Whether `search` keeps a result: it is undated or published before before_date."""
+    return result.published is None or result.published < before_date
+
+
+class DropCount:
+    """The results `search` dropped at the cutoff, summed over the searches
+    of one run. A forecast run hands one to its `SearchMemo` and reports the
+    total once, in place of a log record from every search."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.total = 0
+
+    def add(self, results: list[SearchResult], before_date: date) -> None:
+        """Count the results that `search` drops from these."""
+        dropped = sum(1 for r in results if not _knowable(r, before_date))
+        if dropped:
+            with self._lock:
+                self.total += dropped
+
+
 class SearchMemo:
     """A search provider that asks its inner provider once per question.
 
@@ -171,17 +194,25 @@ class SearchMemo:
     `members` finished members of it, so the memo holds only the questions
     in flight; a question whose queued members never start, because a
     sibling failed, keeps its entries until the memo goes. Calls outside any
-    lane go straight to the provider.
+    lane go straight to the provider. Every call's results, asked or
+    remembered, are counted into `drops` when one is given.
     """
 
-    def __init__(self, provider: SearchProvider, members: int):
+    def __init__(self, provider: SearchProvider, members: int, drops: DropCount | None = None):
         self._provider = provider
         self._members = members
+        self._drops = drops
         self._lock = threading.Lock()
         self._flights: dict[str, dict[tuple[str, date, int], Future[list[SearchResult]]]] = {}
         self._done: dict[str, int] = {}
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
+        results = self._ask(query, before_date, limit)
+        if self._drops is not None:
+            self._drops.add(results, before_date)
+        return results
+
+    def _ask(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
         lane = current_lane()
         if lane is None:
             return self._provider.search(query, before_date, limit)
@@ -227,18 +258,16 @@ def search(
 
     The provider request carries before_date; results that still report a
     publication date on or after it are dropped here as a second line of
-    defense. Undated results are kept.
+    defense. Undated results are kept. Nothing is logged per search: a
+    forecast run counts the drops through its `SearchMemo` and reports the
+    total once.
     """
     if not query.strip():
         raise ValueError("empty search query")
     if not isinstance(before_date, date):
         raise ValueError(f"before_date must be a date, got {before_date!r}")
     results = provider.search(query, before_date, k)
-    kept = [r for r in results if r.published is None or r.published < before_date]
-    dropped = len(results) - len(kept)
-    if dropped:
-        logger.warning("dropped %d search results published on/after %s", dropped, before_date)
-    return kept[:k]
+    return [r for r in results if _knowable(r, before_date)][:k]
 
 
 # --- sandboxed code execution ----------------------------------------------
@@ -317,8 +346,6 @@ class _Interpreter:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                encoding="utf-8",
-                errors="replace",
                 cwd=self.workdir.name,
                 env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
                 start_new_session=True,
@@ -381,29 +408,78 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     the call ends, so no process the program started outlives the call.
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
     back as a normal ExecResult. Output is read as UTF-8, and bytes that are
-    not valid UTF-8 read as U+FFFD.
+    not valid UTF-8 read as U+FFFD. Only the capped head of stdout and tail
+    of stderr are kept while the output is read; the rest is read and
+    dropped.
     """
     import subprocess
 
     interpreter = _take_interpreter()
     with interpreter.workdir, interpreter.proc as proc:
         start = time.monotonic()
+        deadline = start + timeout
         # On the way out, Popen closes the pipes and reaps the killed
         # program without reading on: a process that left the group may
         # still hold a pipe open, so reading to EOF could wait forever.
         try:
-            stdout, stderr = proc.communicate(program + "\0", timeout=timeout)
+            stdout, stderr = _exchange(proc, (program + "\0").encode("utf-8", "replace"), deadline)
+            proc.wait(deadline - time.monotonic())
         except subprocess.TimeoutExpired:
             raise SandboxTimeout(timeout) from None
         finally:
             _kill_group(proc.pid)  # the program if it overran, and whatever it left running
     wall = time.monotonic() - start
-    return ExecResult(
-        stdout=stdout[:SANDBOX_OUTPUT_CAP],
-        stderr=stderr[-SANDBOX_OUTPUT_CAP:],
-        exit_status=proc.returncode,
-        wall_time=wall,
-    )
+    return ExecResult(stdout=stdout, stderr=stderr, exit_status=proc.returncode, wall_time=wall)
+
+
+def _exchange(proc: subprocess.Popen, data: bytes, deadline: float) -> tuple[str, str]:
+    """Write `data` to the program's stdin, then close it, while reading its
+    stdout and stderr to EOF. Returns the first SANDBOX_OUTPUT_CAP characters
+    of stdout and the last of stderr, decoded as UTF-8 with U+FFFD for
+    invalid bytes and with universal newlines; output past those is read
+    and not kept. Raises subprocess.TimeoutExpired at `deadline`."""
+    import codecs
+    import selectors
+    import subprocess
+    from io import IncrementalNewlineDecoder
+    from select import PIPE_BUF
+
+    def decoder() -> IncrementalNewlineDecoder:
+        return IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
+
+    head, tail = "", ""
+    out, err = decoder(), decoder()
+    view, sent = memoryview(data), 0
+    with selectors.DefaultSelector() as selector:
+        selector.register(proc.stdin, selectors.EVENT_WRITE)
+        selector.register(proc.stdout, selectors.EVENT_READ)
+        selector.register(proc.stderr, selectors.EVENT_READ)
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(proc.args, remaining)
+            for key, _ in selector.select(remaining):
+                if key.fileobj is proc.stdin:
+                    try:
+                        sent += os.write(key.fd, view[sent : sent + PIPE_BUF])
+                    except BrokenPipeError:  # the program is gone; its output says why
+                        sent = len(view)
+                    if sent == len(view):
+                        selector.unregister(proc.stdin)
+                        proc.stdin.close()
+                    continue
+                chunk = os.read(key.fd, 32768)
+                if not chunk:
+                    selector.unregister(key.fileobj)
+                elif key.fileobj is proc.stdout:
+                    if len(head) < SANDBOX_OUTPUT_CAP:
+                        head += out.decode(chunk)
+                else:
+                    tail = (tail + err.decode(chunk))[-SANDBOX_OUTPUT_CAP:]
+    if len(head) < SANDBOX_OUTPUT_CAP:
+        head += out.decode(b"", final=True)
+    tail = (tail + err.decode(b"", final=True))[-SANDBOX_OUTPUT_CAP:]
+    return head[:SANDBOX_OUTPUT_CAP], tail
 
 
 def _kill_group(pgid: int) -> None:

@@ -5,6 +5,7 @@ import errno
 import gc
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -355,6 +356,55 @@ def test_forecast_replay_writes_the_committed_records(tmp_path, workers):
     golden = run_outputs(FIXTURES / "e2e_forecast")
     assert len(golden) == 25  # the records file, 5 indexes and 19 transcripts
     assert run_outputs(out) == golden
+    assert json.loads((out / "manifest.json").read_text())["search_results_dropped"] == 0
+
+
+def with_late_results(tmp_path) -> Path:
+    """The e2e search fixture with two results dated on or after the cutoff
+    around every entry's own, so the kept results are the same."""
+    late = [
+        {"title": "late", "url": "https://example.org/late", "snippet": "after", "published": "2024-04-15"},
+        {"title": "later", "url": "https://example.org/later", "snippet": "after", "published": "2024-05-01T09:00:00Z"},
+    ]
+    path = tmp_path / "search.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in (E2E / "search.jsonl").read_text(encoding="utf-8").splitlines():
+            entry = json.loads(line)
+            entry["results"] = late[:1] + entry["results"] + late[1:]
+            fh.write(json.dumps(entry) + "\n")
+    return path
+
+
+def late_results_searched(fixture: Path, transcripts: Path) -> int:
+    """Results dated on or after the cutoff among those the fixture serves
+    for each query the run's transcripts show a search for."""
+    served = {}
+    for line in fixture.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        served[entry["query"]] = [r for r in entry["results"][:8] if (r.get("published") or "")[:10] >= "2024-04-15"]
+    late = 0
+    for transcript in transcripts.rglob("*.transcript"):
+        lines = transcript.read_text(encoding="utf-8").splitlines()
+        for action, given in zip(lines, lines[1:]):
+            if action == "Action: web_search":
+                query = given.removeprefix("Action Input:").strip().strip('"').strip()
+                late += len(served.get(query, served["default"]))
+    return late
+
+
+@pytest.mark.parametrize("workers", ["1", "8"])
+def test_search_drops_are_counted_once_per_run_and_not_logged_per_search(tmp_path, caplog, workers):
+    fixture = with_late_results(tmp_path)
+    out = tmp_path / "run"
+    with caplog.at_level(logging.DEBUG):
+        assert replay_forecast(out, "--workers", workers, "--search-fixture", str(fixture)) == EXIT_OK
+    assert run_outputs(out) == run_outputs(FIXTURES / "e2e_forecast")  # the same results were kept
+    dropped = late_results_searched(fixture, out / "transcripts")
+    assert dropped > 0
+    assert [r for r in caplog.records if r.name == "agentcast.tools"] == []
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == [f"dropped {dropped} search results published on/after 2024-04-15"]
+    assert json.loads((out / "manifest.json").read_text())["search_results_dropped"] == dropped
 
 
 def test_forecast_replay_matches_across_workers(tmp_path):
@@ -1101,6 +1151,29 @@ def test_curate_with_a_malformed_at_exits_1_before_any_request(tmp_path, monkeyp
     assert capsys.readouterr().err.splitlines()[-1] == "error: at: malformed timestamp '2024-04-15T25:00:00Z'"
     assert backend.requests == []
     assert not dataset.exists()
+
+
+@pytest.mark.parametrize("at", ["2024-06-01T00:00:00Z", None], ids=["at", "now"])
+def test_curate_of_a_market_closed_before_the_snapshot_exits_1_before_any_request(tmp_path, monkeypatch, capsys, at):
+    # before, every market was judged and classified first, and only the
+    # snapshot found that fetched_at came after close_time
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": many_markets(3)}))
+    backend = ScriptedBackend([])
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    dataset = tmp_path / "dataset.jsonl"
+    args = curate_args(market_fixture, dataset)
+    if at is None:
+        del args[args.index("--at") : args.index("--at") + 2]
+    else:
+        args[args.index("--at") + 1] = at
+    assert cli.main(args) == EXIT_FATAL
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: fetched_at: fetched_at {at or ''}")
+    assert last.endswith(" is after close_time 2024-05-10T12:00:00Z")
+    assert backend.requests == []
+    assert not dataset.exists()
+    assert not dataset.with_suffix(".audit.jsonl").exists()
 
 
 @pytest.mark.parametrize(

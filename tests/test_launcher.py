@@ -57,3 +57,35 @@ def test_a_traced_score_records_the_record_reader_and_ensemble_spread(tmp_path):
     names = [span[2] for span in spans]
     assert names.count("read_questions") == 1
     assert names.count("read_records") == 1 and names.count("ensemble_std") == 1
+
+
+def test_a_traced_forecast_replay_records_every_search_with_its_cutoff_and_kept_count(tmp_path):
+    e2e = FIXTURES / "e2e"
+    trace = tmp_path / "trace.jsonl"
+    argv = [
+        sys.executable,
+        str(LAUNCHER),
+        str(trace),
+        "forecast",
+        "--dataset",
+        str(e2e / "questions.jsonl"),
+        "--out",
+        str(tmp_path / "run"),
+        "--search-fixture",
+        str(e2e / "search.jsonl"),
+        "--cassette",
+        str(e2e / "cassette.jsonl"),
+        "--cutoff",
+        "2024-04-15",
+    ]
+    done = subprocess.run(argv, capture_output=True, text=True, env={"PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(trace.read_text(encoding="utf-8").splitlines()[0])["spans"]
+    notes = sorted(span[7] for span in spans if span[2] == "search")
+    # [query, cutoff, k, results kept] for each search the committed transcripts show
+    assert notes == [
+        ["Ethereum historical price data 2021 2022 2023", "2024-04-15", 8, 1],
+        ["fed funds futures june 2024", "2024-04-15", 8, 1],
+        ["historical price data of Ethereum", "2024-04-15", 8, 2],
+        ["next orbital test flight schedule", "2024-04-15", 8, 1],
+    ]

@@ -16,6 +16,7 @@ import agentcast
 from agentcast import tools
 from agentcast.llm import in_lane
 from agentcast.tools import (
+    DropCount,
     FixtureSearchProvider,
     LiveSearchProvider,
     ProviderError,
@@ -234,8 +235,9 @@ def test_memo_asks_once_for_three_concurrent_identical_searches():
 
 def test_memo_asks_once_per_question_and_key_under_thread_stress():
     questions, members, queries = 4, 3, 20
-    provider = SlowProvider([result()])
-    memo = SearchMemo(provider, members=members)
+    provider = SlowProvider([result(), result("late", published=CUTOFF)])
+    drops = DropCount()
+    memo = SearchMemo(provider, members=members, drops=drops)
     barrier = threading.Barrier(questions * members, timeout=10)
 
     def member(qid, m):
@@ -260,6 +262,7 @@ def test_memo_asks_once_per_question_and_key_under_thread_stress():
     assert not any(t.is_alive() for t in threads)
     assert len(provider.calls) == questions * queries
     assert memo._flights == {} and memo._done == {}
+    assert drops.total == questions * members * queries  # no count lost between threads
 
 
 def test_memo_keeps_no_failure():
@@ -379,6 +382,25 @@ def test_memo_still_filters_post_cutoff_results_on_every_call():
         with in_lane("q1", m):
             assert [r.title for r in search(memo, "q", CUTOFF)] == ["before"]
     assert len(provider.calls) == 1
+
+
+def test_memo_counts_what_every_search_drops_asked_or_remembered():
+    provider = CaptureProvider(
+        [
+            result("on cutoff", published=CUTOFF),
+            result("before", published=date(2024, 4, 1)),
+            result("undated"),
+            result("after", published=date(2024, 5, 1)),
+        ]
+    )
+    drops = DropCount()
+    memo = SearchMemo(provider, members=3, drops=drops)
+    for m in range(3):
+        with in_lane("q1", m):
+            assert [r.title for r in search(memo, "q", CUTOFF)] == ["before", "undated"]
+    search(memo, "outside any lane", CUTOFF)
+    assert len(provider.calls) == 2
+    assert drops.total == 8  # two dropped by each of four searches
 
 
 # --- sandbox -----------------------------------------------------------------
@@ -556,6 +578,37 @@ def test_a_program_larger_than_a_pipe_buffer_runs():
     assert len(program.encode("utf-8")) > 2**16
     outcome = execute_code(program, 10.0)
     assert (outcome.exit_status, outcome.stdout) == (0, "\u00e9\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_fifty_megabytes_of_output_are_capped_while_they_are_read():
+    # before, the whole output was kept until the program ended: 50 MB on
+    # stdout alone raised the caller's peak RSS from 15 MB to 162 MB
+    block = "0123456789" * 100_000
+    program = (
+        "import sys\n"
+        "block = '0123456789' * 100_000\n"
+        "for _ in range(50):\n    sys.stdout.write(block)\n"
+        "for _ in range(50):\n    sys.stderr.write(block)\n"
+        "sys.stderr.write('end')\n"
+    )
+    parent_program = (
+        "import json, resource\n"
+        "from agentcast import tools\n"
+        "tools.execute_code('pass', 10.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"outcome = tools.execute_code({program!r}, 60.0)\n"
+        "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(json.dumps([outcome.stdout, outcome.stderr, outcome.exit_status, grew]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(agentcast.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", parent_program], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    stdout, stderr, status, grew_kb = json.loads(done.stdout)
+    assert status == 0
+    assert stdout == block[:SANDBOX_OUTPUT_CAP]
+    assert stderr == (block + "end")[-SANDBOX_OUTPUT_CAP:]
+    assert grew_kb < 20 * 1024
 
 
 def test_a_spare_killed_before_the_call_is_replaced():
