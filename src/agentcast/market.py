@@ -191,7 +191,8 @@ def fetch_window(
 
     Pages through the whole listing with the before-cursor; malformed payloads
     are skipped with a warning, non-binary markets silently. Duplicates across
-    page boundaries are dropped, keeping the first occurrence.
+    page boundaries are dropped, keeping the first occurrence. A full page
+    whose last entry has no id gives no cursor and raises MarketError.
     """
     if from_date > to_date:
         raise ValueError(f"empty window: {from_date} > {to_date}")
@@ -203,6 +204,9 @@ def fetch_window(
         if not page:
             break
         for raw in page:
+            if not isinstance(raw, dict):
+                logger.warning("skipping malformed market: not an object: %.200r", raw)
+                continue
             if raw.get("outcomeType") != "BINARY":
                 continue
             try:
@@ -217,7 +221,10 @@ def fetch_window(
                 records.append(record)
         if len(page) < page_size:
             break
-        cursor = str(page[-1]["id"])
+        last = page[-1]
+        if not isinstance(last, dict) or last.get("id") is None:
+            raise MarketError(f"cannot page past a full market page whose last entry has no id: {last!r:.200}")
+        cursor = str(last["id"])
     return records
 
 

@@ -19,13 +19,12 @@ from collections import namedtuple
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
 from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
 from .models import ValidationError, parse_timestamp, read_checked
 
-if TYPE_CHECKING:  # imported where used, so runs without a search or a program skip them
-    import subprocess
+if TYPE_CHECKING:  # imported where used, so runs without a search skip it
     from concurrent.futures import Future
 
 logger = logging.getLogger(__name__)
@@ -334,30 +333,33 @@ sys.exit(run())
 class _Interpreter:
     """A sandbox interpreter, started before its program: it runs the
     bootstrap in its own session and its own fresh temp dir, with only PATH
-    and LANG in its environment, and waits for the program on stdin."""
+    and LANG in its environment, and waits for the program on stdin. Its
+    stdout and stderr are unnamed temp files outside that dir."""
 
     def __init__(self):
         import subprocess
+        from contextlib import ExitStack
 
-        self.workdir = tempfile.TemporaryDirectory(prefix="agentcast-sandbox-")
-        try:
+        with ExitStack() as undo:
+            self.workdir = tempfile.TemporaryDirectory(prefix="agentcast-sandbox-")
+            undo.push(self.workdir)
+            self.stdout = undo.enter_context(tempfile.TemporaryFile())
+            self.stderr = undo.enter_context(tempfile.TemporaryFile())
             self.proc = subprocess.Popen(
                 [sys.executable, "-I", "-c", _BOOTSTRAP],
                 stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
+                stdout=self.stdout,
+                stderr=self.stderr,
                 cwd=self.workdir.name,
                 env={name: os.environ[name] for name in _SANDBOX_ENV if name in os.environ},
                 start_new_session=True,
             )
-        except BaseException:
-            self.workdir.cleanup()
-            raise
+            undo.pop_all()
 
     def close(self) -> None:
-        """Kill and reap an interpreter that never got a program, and delete its dir."""
+        """Kill its process group, reap it, and delete its dir and output files."""
         _kill_group(self.proc.pid)
-        with self.workdir, self.proc:
+        with self.workdir, self.proc, self.stdout, self.stderr:
             pass
 
 
@@ -385,7 +387,7 @@ def _take_interpreter() -> _Interpreter:
 
 
 def close_sandbox() -> None:
-    """Kill and reap the spare interpreter, if one was started, and delete its temp dir."""
+    """Kill and reap the spare interpreter, if one was started, and delete its temp dir and files."""
     global _spare
     with _spare_lock:
         spare, _spare = _spare, None
@@ -405,81 +407,53 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     not on sys.path. The interpreter is started ahead of time: each call
     takes the spare one and starts the next, so start-up is off the
     caller's path. It runs in its own process group, which is killed when
-    the call ends, so no process the program started outlives the call.
+    the call ends, so no process left in that group outlives the call.
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
-    back as a normal ExecResult. Output is read as UTF-8, and bytes that are
-    not valid UTF-8 read as U+FFFD. Only the capped head of stdout and tail
-    of stderr are kept while the output is read; the rest is read and
-    dropped.
+    back as a normal ExecResult. The call ends when the program exits, even
+    if a process it started still holds its output. Output goes to unnamed
+    temp files, and only the capped head of stdout and tail of stderr are
+    read back, as UTF-8 with U+FFFD for invalid bytes and with universal
+    newlines.
     """
-    import subprocess
-
     interpreter = _take_interpreter()
-    with interpreter.workdir, interpreter.proc as proc:
+    proc = interpreter.proc
+    expired = threading.Event()
+
+    def expire() -> None:
+        expired.set()
+        _kill_group(proc.pid)
+
+    timer = threading.Timer(timeout, expire)
+    try:
         start = time.monotonic()
-        deadline = start + timeout
-        # On the way out, Popen closes the pipes and reaps the killed
-        # program without reading on: a process that left the group may
-        # still hold a pipe open, so reading to EOF could wait forever.
+        timer.start()
         try:
-            stdout, stderr = _exchange(proc, (program + "\0").encode("utf-8", "replace"), deadline)
-            proc.wait(deadline - time.monotonic())
-        except subprocess.TimeoutExpired:
-            raise SandboxTimeout(timeout) from None
+            proc.communicate((program + "\0").encode("utf-8", "replace"))
         finally:
-            _kill_group(proc.pid)  # the program if it overran, and whatever it left running
+            timer.cancel()
+            timer.join()
+        if expired.is_set():
+            raise SandboxTimeout(timeout)
+        stdout = _read_text(interpreter.stdout, 0)[:SANDBOX_OUTPUT_CAP]
+        stderr_size = os.fstat(interpreter.stderr.fileno()).st_size
+        stderr = _read_text(interpreter.stderr, max(0, stderr_size - _OUTPUT_WINDOW))[-SANDBOX_OUTPUT_CAP:]
+    finally:
+        interpreter.close()  # kills whatever the program left in its group
     wall = time.monotonic() - start
     return ExecResult(stdout=stdout, stderr=stderr, exit_status=proc.returncode, wall_time=wall)
 
 
-def _exchange(proc: subprocess.Popen, data: bytes, deadline: float) -> tuple[str, str]:
-    """Write `data` to the program's stdin, then close it, while reading its
-    stdout and stderr to EOF. Returns the first SANDBOX_OUTPUT_CAP characters
-    of stdout and the last of stderr, decoded as UTF-8 with U+FFFD for
-    invalid bytes and with universal newlines; output past those is read
-    and not kept. Raises subprocess.TimeoutExpired at `deadline`."""
-    import codecs
-    import selectors
-    import subprocess
-    from io import IncrementalNewlineDecoder
-    from select import PIPE_BUF
+# bytes of output read back for each stream: SANDBOX_OUTPUT_CAP characters
+# take at most 4 bytes each (a UTF-8 character, a \r\n pair or an invalid
+# sequence), plus up to 3 bytes of a character the window cuts
+_OUTPUT_WINDOW = 4 * SANDBOX_OUTPUT_CAP + 3
 
-    def decoder() -> IncrementalNewlineDecoder:
-        return IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
 
-    head, tail = "", ""
-    out, err = decoder(), decoder()
-    view, sent = memoryview(data), 0
-    with selectors.DefaultSelector() as selector:
-        selector.register(proc.stdin, selectors.EVENT_WRITE)
-        selector.register(proc.stdout, selectors.EVENT_READ)
-        selector.register(proc.stderr, selectors.EVENT_READ)
-        while selector.get_map():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise subprocess.TimeoutExpired(proc.args, remaining)
-            for key, _ in selector.select(remaining):
-                if key.fileobj is proc.stdin:
-                    try:
-                        sent += os.write(key.fd, view[sent : sent + PIPE_BUF])
-                    except BrokenPipeError:  # the program is gone; its output says why
-                        sent = len(view)
-                    if sent == len(view):
-                        selector.unregister(proc.stdin)
-                        proc.stdin.close()
-                    continue
-                chunk = os.read(key.fd, 32768)
-                if not chunk:
-                    selector.unregister(key.fileobj)
-                elif key.fileobj is proc.stdout:
-                    if len(head) < SANDBOX_OUTPUT_CAP:
-                        head += out.decode(chunk)
-                else:
-                    tail = (tail + err.decode(chunk))[-SANDBOX_OUTPUT_CAP:]
-    if len(head) < SANDBOX_OUTPUT_CAP:
-        head += out.decode(b"", final=True)
-    tail = (tail + err.decode(b"", final=True))[-SANDBOX_OUTPUT_CAP:]
-    return head[:SANDBOX_OUTPUT_CAP], tail
+def _read_text(file: IO[bytes], offset: int) -> str:
+    """Up to _OUTPUT_WINDOW bytes of `file` from `offset`, decoded as UTF-8
+    with U+FFFD for invalid bytes and with universal newlines."""
+    data = os.pread(file.fileno(), _OUTPUT_WINDOW, offset)
+    return data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _kill_group(pgid: int) -> None:

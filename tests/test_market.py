@@ -103,6 +103,29 @@ def test_fetch_window_filters_window_binary_and_malformed():
     assert [r.market_id for r in records] == ["in1", "in2"]
 
 
+@pytest.mark.parametrize(
+    "page, page_size, error",
+    [
+        (["junk", market("m1")], 10, None),
+        ([market("m1"), "junk"], 2, "last entry has no id: 'junk'"),
+        ([market("m1"), {"outcomeType": "BINARY"}], 2, "last entry has no id"),
+    ],
+    ids=["not-an-object", "last-not-an-object", "last-without-id"],
+)
+def test_fetch_window_skips_a_non_object_and_fails_on_a_page_it_cannot_page_past(
+    loopback, caplog, page, page_size, error
+):
+    # these were an AttributeError and a KeyError that escaped the CLI as tracebacks
+    loopback.serve((200, {}, page))
+    client = LiveMarketClient(loopback.url)
+    if error is None:
+        assert [r.market_id for r in fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), page_size)] == ["m1"]
+        assert "skipping malformed market: not an object: 'junk'" in caplog.text
+    else:
+        with pytest.raises(MarketError, match=error):
+            fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), page_size)
+
+
 def test_fetch_window_rejects_inverted_window():
     with pytest.raises(ValueError, match="empty window"):
         fetch_window(FixtureMarketClient([]), date(2024, 5, 1), date(2024, 4, 1))

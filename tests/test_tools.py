@@ -1,5 +1,6 @@
 """Tool layer: date-restricted search, the sandbox, observation rendering."""
 
+import io
 import json
 import os
 import signal
@@ -482,7 +483,7 @@ def test_execute_code_leaves_no_grandchild_running(tmp_path, ends):
 
 def test_execute_code_timeout_holds_against_a_process_that_left_the_group(tmp_path):
     # the grandchild starts its own session, so killing the program's group
-    # misses it, and it keeps the inherited stdout pipe open
+    # misses it, and it keeps the inherited output file open
     pid_file = tmp_path / "escaped.pid"
     program = (
         "import pathlib, subprocess, time\n"
@@ -498,6 +499,82 @@ def test_execute_code_timeout_holds_against_a_process_that_left_the_group(tmp_pa
     finally:
         if pid_file.exists() and _alive(int(pid_file.read_text())):
             os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("session", ["same-group", "setsid"])
+def test_a_program_that_exits_returns_at_once_though_a_child_holds_its_output(tmp_path, session):
+    # the child inherits the program's stdout; reading output to EOF waited
+    # for the child and turned a finished program into a timeout
+    pid_file = tmp_path / "child.pid"
+    program = (
+        "import pathlib, subprocess\n"
+        f"child = subprocess.Popen(['sleep', '30'], start_new_session={session == 'setsid'})\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(child.pid))\n"
+        "print('hi')\n"
+    )
+    try:
+        start = time.monotonic()
+        outcome = execute_code(program, 5.0)
+        assert time.monotonic() - start < 1.5
+        assert (outcome.exit_status, outcome.stdout) == (0, "hi\n")
+        if session == "same-group":
+            pid = int(pid_file.read_text())
+            deadline = time.monotonic() + 5
+            while _alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pid)
+    finally:
+        if pid_file.exists() and _alive(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "unit",
+    ["\U0001f600".encode(), b"\r\n", b"\xf0\x9f\x98", "\U0001f600\r\n\xe9\r".encode() + b"\xff"],
+    ids=["four-byte", "crlf", "invalid", "mixed"],
+)
+@pytest.mark.parametrize("pad", [0, 1, 2, 3])
+def test_output_head_and_tail_match_the_whole_decoded_stream(unit, pad):
+    # `pad` ASCII bytes before and after move where the byte windows cut
+    # into the first and last characters they read
+    data = b"a" * pad + unit * (40_000 // len(unit)) + b"b" * pad
+    program = (
+        "import sys\n"
+        f"data = b'a' * {pad} + {unit!r} * {40_000 // len(unit)} + b'b' * {pad}\n"
+        "sys.stdout.buffer.write(data)\n"
+        "sys.stderr.buffer.write(data)\n"
+    )
+    whole = io.TextIOWrapper(io.BytesIO(data), "utf-8", "replace", newline=None).read()
+    assert len(whole) > SANDBOX_OUTPUT_CAP and len(data) > 4 * SANDBOX_OUTPUT_CAP + 3
+    outcome = execute_code(program, 10.0)
+    assert outcome.exit_status == 0
+    # compared by first difference: pytest's diff of two long strings takes minutes
+    assert _first_difference(outcome.stdout, whole[:SANDBOX_OUTPUT_CAP]) is None
+    assert _first_difference(outcome.stderr, whole[-SANDBOX_OUTPUT_CAP:]) is None
+
+
+def _first_difference(text: str, expected: str) -> int | None:
+    """The first index where the strings differ, or None when they are equal."""
+    if text == expected:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+
+
+def test_calls_leave_no_thread_or_file_descriptor_behind():
+    def open_fds():
+        return len(os.listdir("/proc/self/fd")) if sys.platform.startswith("linux") else 0
+
+    execute_code("pass", 10.0)
+    threads, fds = threading.active_count(), open_fds()
+    timed_out = []
+    programs = ("print('x')", "raise SystemExit(2)", "while True: pass", "import sys; sys.stderr.write('e')", "pass")
+    for program in programs:
+        try:
+            execute_code(program, 0.5)
+        except SandboxTimeout:
+            timed_out.append(program)
+    assert timed_out == ["while True: pass"]
+    assert (threading.active_count(), open_fds()) == (threads, fds)
 
 
 def test_execute_code_output_capped():
