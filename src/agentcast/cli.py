@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 fatal configuration or API error, 2 empty result
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import logging
@@ -735,6 +736,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # At exit the interpreter's collector walks every object the run made,
+    # though nothing needs it to: every file, socket, child process and temp
+    # dir is closed before main returns. It skips frozen objects. Unregistering
+    # first keeps one hook however often main runs in a process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     ns = parser.parse_args(argv)

@@ -14,13 +14,14 @@ import contextvars
 import json
 import logging
 import math
+import re
 import select
 import threading
 import time
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from enum import Enum
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
@@ -178,18 +179,37 @@ class Backend(Protocol):
 def fingerprint(request: ChatRequest) -> str:
     """Stable digest of the semantic request content.
 
-    Covers model, messages, temperature and stop sequences.
+    SHA-256 of the request's canonical JSON: the keys messages, model_id,
+    stop_sequences and temperature in that order, no spaces, non-ASCII
+    characters as UTF-8 rather than escapes. A lane sends its whole context again on every step, so each
+    message's part of that JSON is kept in a bounded cache and encoded once.
     """
     import hashlib
 
-    payload = {
+    tail = {
         "model_id": request.model_id,
-        "messages": [[m.role, m.content] for m in request.messages],
-        "temperature": request.temperature,
         "stop_sequences": list(request.stop_sequences),
+        "temperature": request.temperature,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    messages = b",".join(map(_message_json, request.messages))
+    # hashed in one call: hashlib lets go of the GIL for each large input,
+    # and under load each time costs a wait to take it back
+    blob = b"".join((b'{"messages":[', messages, b"],", _canonical_json(tail)[1:]))
+    return hashlib.sha256(blob).hexdigest()
+
+
+# encoded messages kept by `fingerprint`: enough for every context in flight
+# at a few workers, since each context repeats all but its newest messages
+_FRAGMENT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_FRAGMENT_CACHE_SIZE)
+def _message_json(message: Message) -> bytes:
+    return _canonical_json([message.role, message.content])
+
+
+def _canonical_json(value: Any) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 # --- rate limiting and retry ---------------------------------------------
@@ -507,10 +527,26 @@ class HTTPBackend:
         return _parse_chat_payload(self._send(self._url, self._headers, body))
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def replace_surrogates(text: str) -> str:
+    """`text` with each lone surrogate as U+FFFD.
+
+    A JSON `\\ud83d` escape decodes to a lone surrogate, which UTF-8 cannot
+    encode, so text that comes in as JSON (search results, model replies,
+    market questions) passes through here before anything writes or hashes
+    it. ASCII text is returned as it is without a scan.
+    """
+    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
+
+
 def _parse_chat_payload(payload: Any) -> ChatResponse:
     try:
         choice = payload["choices"][0]
-        content = choice["message"]["content"]
+        content = choice["message"]["content"] or ""
+        if not isinstance(content, str):
+            raise TypeError
     except (KeyError, IndexError, TypeError):
         raise TransportError(f"malformed completion payload: {str(payload)[:200]}") from None
     usage = payload.get("usage") or {}
@@ -518,7 +554,7 @@ def _parse_chat_payload(payload: Any) -> ChatResponse:
     if reason not in ("stop", "length"):
         reason = "other"
     return ChatResponse(
-        content=content or "",
+        content=replace_surrogates(content),
         prompt_tokens=int(usage.get("prompt_tokens", 0)),
         completion_tokens=int(usage.get("completion_tokens", 0)),
         finish_reason=reason,

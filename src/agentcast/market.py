@@ -28,6 +28,7 @@ from .llm import (
     RetryPolicy,
     fan_out,
     in_lane,
+    replace_surrogates,
     send_with_retry,
 )
 from .metrics import render_columns
@@ -90,7 +91,7 @@ class MarketRecord(_MarketRecordFields):
             raise MarketSchemaError(f"market {raw['id']}: {exc}") from None
         return cls(
             market_id=str(raw["id"]),
-            question_text=str(raw["question"]),
+            question_text=replace_surrogates(str(raw["question"])),
             close_time=close_time,
             probability=float(raw["probability"]),
             is_resolved=bool(raw.get("isResolved", False)),

@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
-from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
+from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, replace_surrogates, send_with_retry
 from .models import ValidationError, parse_timestamp, read_checked
 
 if TYPE_CHECKING:  # imported where used, so runs without a search skip it
@@ -72,11 +72,22 @@ class SearchProvider(Protocol):
 def _parse_result(raw: dict) -> SearchResult:
     published = raw.get("published")
     return SearchResult(
-        title=str(raw.get("title", "")),
-        url=str(raw.get("url", "")),
-        snippet=str(raw.get("snippet", "")),
-        published=parse_timestamp(published, "published").date() if published else None,
+        title=replace_surrogates(str(raw.get("title", ""))),
+        url=replace_surrogates(str(raw.get("url", ""))),
+        snippet=replace_surrogates(str(raw.get("snippet", ""))),
+        published=_published_date(published) if published else None,
     )
+
+
+def _published_date(value: Any) -> date:
+    """The UTC date of a result's `published` value. A plain ISO date is read
+    directly; anything else, errors included, as `parse_timestamp` reads it."""
+    if isinstance(value, str):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    return parse_timestamp(value, "published").date()
 
 
 def _parse_results(raws: Iterable[Any]) -> list[SearchResult]:
@@ -401,13 +412,15 @@ def execute_code(program: str, timeout: float) -> ExecResult:
 
     The program runs as `program.py` in a fresh temp directory, deleted
     afterwards, with an empty stdin and an environment holding only PATH and
-    LANG, so it cannot read the API keys of the process that runs it. The
-    interpreter runs in isolated mode (`-I`), so it ignores PYTHON*
-    variables and the user site-packages, and the program's directory is
-    not on sys.path. The interpreter is started ahead of time: each call
-    takes the spare one and starts the next, so start-up is off the
-    caller's path. It runs in its own process group, which is killed when
-    the call ends, so no process left in that group outlives the call.
+    LANG. That keeps the API keys of the process that runs it out of the
+    program's own environment, but not out of its reach: nothing stops it
+    from reading them in `/proc/<parent pid>/environ`. The interpreter runs
+    in isolated mode (`-I`), so it ignores PYTHON* variables and the user
+    site-packages, and the program's directory is not on sys.path. The
+    interpreter is started ahead of time: each call takes the spare one and
+    starts the next, so start-up is off the caller's path. It runs in its
+    own process group, which is killed when the call ends, so no process
+    left in that group outlives the call.
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
     back as a normal ExecResult. The call ends when the program exits, even
     if a process it started still holds its output. Output goes to unnamed

@@ -989,6 +989,16 @@ def test_curate_empty_window_exits_2(tmp_path):
     assert out.exists() and out.read_text() == ""
 
 
+def test_curate_writes_a_lone_surrogate_in_a_question_as_a_replacement_character(tmp_path, monkeypatch):
+    # a market title cut in the middle of an emoji arrives as half an escaped pair
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(ConstantBackend("Yes")))
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": [{**many_markets(1)[0], "question": "Will \ud83d ship?"}]}))
+    dataset = tmp_path / "dataset.jsonl"
+    assert cli.main(curate_args(market_fixture, dataset)) == EXIT_OK
+    assert [q.title for q in read_questions(dataset)] == ["Will \ufffd ship?"]
+
+
 def many_markets(n: int) -> list[dict]:
     """n binary markets closing in May 2024, cycling through resolved YES,
     resolved NO, cancelled and still open."""
@@ -1820,3 +1830,56 @@ def test_shipped_e2e_fixtures_match_their_generator(tmp_path, monkeypatch):
     assert generator.main() == 0
     for name in ("questions.jsonl", "search.jsonl", "cassette.jsonl"):
         assert (tmp_path / name).read_bytes() == (E2E / name).read_bytes(), f"{name} drifted"
+
+
+# --- exit ----------------------------------------------------------------------
+
+
+def run_cli_child(code: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src), **env}, timeout=60)
+
+
+def test_exit_hooks_registered_before_main_see_the_collector_frozen(tmp_path):
+    code = (
+        "import atexit, gc, sys\n"
+        "freezes, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: freezes.append(1) or freeze()\n"
+        "atexit.register(lambda: print('at exit', len(freezes), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "import agentcast.cli\n"
+        "codes = [agentcast.cli.main(sys.argv[1:]) for _ in range(2)]\n"
+        "print(codes, len(freezes), file=sys.stderr)\n"
+    )
+    argv = ["score", "--dataset", str(E2E / "questions.jsonl"), "--forecasts",
+            str(FIXTURES / "e2e_forecast" / "forecasts.jsonl"), "--out", str(tmp_path / "scores")]
+    lines = run_cli_child(code, *argv).stderr.splitlines()
+    # nothing frozen until exit, and then once however often main ran
+    assert lines[-2:] == [f"[{EXIT_OK}, {EXIT_OK}] 0", "at exit 1 True"]
+
+
+# the committed cassette stands in for the live model, so the recording run
+# makes the same calls the committed run did
+RECORD_FROM_THE_COMMITTED_CASSETTE = (
+    "import sys\n"
+    "from agentcast import cli, llm\n"
+    "cli.HTTPBackend = lambda *args, **kwargs: llm.ReplayBackend.from_file(sys.argv[1])\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+
+def test_a_recording_process_leaves_a_whole_cassette_at_exit(tmp_path):
+    out = tmp_path / "run"
+    cassette = tmp_path / "cassette.jsonl"
+    run_cli_child(
+        RECORD_FROM_THE_COMMITTED_CASSETTE, str(E2E / "cassette.jsonl"),
+        "forecast", "--dataset", str(E2E / "questions.jsonl"), "--out", str(out), "--search-fixture",
+        str(E2E / "search.jsonl"), "--cutoff", "2024-04-15", "--cassette", str(cassette), "--record",
+        LLM_API_KEY="key", LLM_BASE_URL="http://127.0.0.1:9",
+    )
+    entries = [json.loads(line) for line in cassette.read_text(encoding="utf-8").splitlines()]
+    assert len(entries) == json.loads((out / "manifest.json").read_text())["token_usage"]["calls"] == 29
+    committed = [json.loads(line) for line in (E2E / "cassette.jsonl").read_text(encoding="utf-8").splitlines()]
+    keys = lambda lines: sorted((str(e["lane"]), e["fingerprint"]) for e in lines)
+    assert keys(entries) == keys(committed)  # every committed fingerprint, made again
+    assert run_outputs(out) == run_outputs(FIXTURES / "e2e_forecast")

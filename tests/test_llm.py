@@ -9,6 +9,7 @@ from datetime import date
 
 import pytest
 
+from agentcast import llm
 from agentcast.llm import (
     AuthError,
     BackendError,
@@ -69,6 +70,48 @@ def test_fingerprint_is_stable_and_semantic():
     assert a != fingerprint(make_request("hello", temperature=0.7))
     assert a != fingerprint(make_request("hello", stop=("Observation:",)))
     assert len(a) == 64 and int(a, 16) >= 0
+
+
+def golden_requests() -> dict[str, ChatRequest]:
+    system = Message("system", "You are a forecaster.")
+    repeated = Message("user", "ping")
+    # more distinct messages than the per-process cache of encoded messages holds
+    long_run = [Message("user" if i % 2 == 0 else "assistant", f"step {i} — note {i * 7}") for i in range(2500)]
+    return {
+        "em-dash": ChatRequest("default", (system, Message("user", "Will it ship — before May?"))),
+        "escapes": ChatRequest(
+            "modèle-1",
+            (system, Message("user", 'say "hi" \\ back\nnext\ttab\r\x00\x01\x1f\x7f\u2028\u2029</b> é \U0001f600')),
+        ),
+        "stop-empty": ChatRequest("default", (system, repeated), 0.5, ()),
+        "stop-set": ChatRequest("default", (system, repeated), 0.5, ("\nObservation:", "— end")),
+        "temperature-int": ChatRequest("default", (system, repeated), 1),
+        "temperature-float": ChatRequest("default", (system, repeated), 1.0),
+        "repeated-message": ChatRequest("default", (system, repeated, Message("assistant", "pong"), repeated, repeated)),
+        "past-the-cache": ChatRequest("default", (system, *long_run)),
+    }
+
+
+# SHA-256 of the canonical JSON of each request, as the fingerprint computed
+# it when every message was encoded on every call
+GOLDEN_FINGERPRINTS = {
+    "em-dash": "6f4a4d700669252da3727505bb44f464fa5636f814f56500b7e7aaae175c3018",
+    "escapes": "a81236e344d587d92324494f5ad880185c9aac77ec3b63cb716a881d0d72f915",
+    "stop-empty": "7a673acd8ca3e8c94294d8e69142eb33fc38de374a11865ed063e7b819667d81",
+    "stop-set": "7dc65eefa677de158904aa7c44a7f9ac3ed42ba512ab32fbcf8079ce4ba74c47",
+    "temperature-int": "7c49797c8ec656c89503cb7caf0188e8f0c65a013ab0cd1330bfab67d3d400e8",
+    "temperature-float": "803f8afcffdcdb7740c2b30c81d854716a128ec1bccaa888c171dc19396a596f",
+    "repeated-message": "854dacc7f34c3958f1967bcb834d50dfc7ac580e0d5d294ac3da0bd10ba38fea",
+    "past-the-cache": "98565d9bb984ef46bcd37824b268fd268d398f349033fafa5be79f81fcfd5bbe",
+}
+
+
+def test_fingerprint_matches_the_pinned_digests():
+    requests = golden_requests()
+    assert len(requests["past-the-cache"].messages) > llm._FRAGMENT_CACHE_SIZE
+    first = {name: fingerprint(request) for name, request in requests.items()}
+    again = {name: fingerprint(request) for name, request in requests.items()}  # served from the cache
+    assert first == again == GOLDEN_FINGERPRINTS
 
 
 def test_scripted_backend_plays_in_order_and_logs_requests():
@@ -342,6 +385,29 @@ def test_http_backend_success_and_wire_format(loopback):
         "temperature": 0.5,
         "stop": ["Observation:"],
     }
+
+
+def test_a_lone_surrogate_in_a_reply_reads_as_a_replacement_character(loopback, tmp_path):
+    # a reply cut in the middle of an escaped surrogate pair: it must still
+    # be recorded, fingerprinted in the next request and written as UTF-8
+    loopback.serve((200, {}, {"choices": [{"message": {"content": "half \ud83d, whole \U0001f600"}}]}))
+    cassette = tmp_path / "cassette.jsonl"
+    recording = RecordingBackend(HTTPBackend(loopback.url, "key"), cassette)
+    try:
+        reply = recording.complete(make_request()).content
+        assert reply == "half \ufffd, whole \U0001f600"
+        recording.complete(make_request(reply))
+    finally:
+        recording.close()
+    entries = [json.loads(line) for line in cassette.read_text(encoding="utf-8").splitlines()]
+    assert [e["response"]["content"] for e in entries] == [reply, reply]
+
+
+@pytest.mark.parametrize("content", [[{"type": "text", "text": "fine"}], 5])
+def test_http_backend_rejects_a_reply_that_is_not_text(loopback, content):
+    loopback.serve((200, {}, {"choices": [{"message": {"content": content}}]}))
+    with pytest.raises(TransportError, match="malformed completion payload"):
+        HTTPBackend(loopback.url, "key").complete(make_request())
 
 
 # --- the keep-alive transport, against a loopback server ----------------------

@@ -33,6 +33,7 @@ from agentcast.tools import (
     search,
     truncate_text,
 )
+from agentcast.models import ValidationError, parse_timestamp
 
 CUTOFF = date(2024, 4, 15)
 
@@ -120,6 +121,48 @@ def test_search_reads_timestamped_dates_against_the_cutoff(tmp_path):
     provider = dated_fixture(tmp_path, ["2024-04-14T10:15:00Z", "2024-04-15T00:30:00Z", "2024-04-13"])
     assert [r.title for r in search(provider, "q", CUTOFF)] == ["r0", "r2"]
     assert provider.search("q", CUTOFF, 8)[0].published == date(2024, 4, 14)
+
+
+# a result's `published` value and the UTC date it stands for, or None where
+# it is unreadable
+PUBLISHED_DATES = [
+    ("2024-04-14", date(2024, 4, 14)),
+    ("20240414", date(2024, 4, 14)),
+    ("2024-W15-7", date(2024, 4, 14)),
+    ("2024-04-14T23:30:00-05:00", date(2024, 4, 15)),
+    ("2024-04-14T23:30:00Z", date(2024, 4, 14)),
+    (1713139200, date(2024, 4, 15)),
+    (1713139200000, date(2024, 4, 15)),
+    (" 2024-04-14 ", date(2024, 4, 14)),
+    ("2024-02-30", None),
+    ("garbage", None),
+]
+
+
+@pytest.mark.parametrize("value, expected", PUBLISHED_DATES)
+def test_a_results_date_is_the_utc_date_parse_timestamp_reads(value, expected):
+    if expected is None:
+        with pytest.raises(ValidationError) as wanted:
+            parse_timestamp(value, "published")
+        with pytest.raises(ValidationError) as got:
+            tools._parse_result({"published": value})
+        assert str(got.value) == str(wanted.value)
+    else:
+        assert parse_timestamp(value, "published").date() == expected
+        assert tools._parse_result({"published": value}).published == expected
+
+
+def test_a_lone_surrogate_in_a_search_result_reads_as_a_replacement_character(tmp_path):
+    # JSON escapes of half an emoji, as in a snippet cut mid-character; a
+    # whole escaped pair is one character and stays
+    path = tmp_path / "search.jsonl"
+    result = r'{"title": "cut \ud83d", "url": "https://example.org/\udc00", "snippet": "half \ud83d, whole \ud83d\ude00"}'
+    path.write_text('{"query": "q", "results": [%s]}\n' % result, encoding="utf-8")
+    provider = FixtureSearchProvider.from_file(path)
+    (hit,) = provider.search("q", CUTOFF, 8)
+    assert (hit.title, hit.url, hit.snippet) == ("cut \ufffd", "https://example.org/\ufffd", "half \ufffd, whole \U0001f600")
+    observation = make_search_tool(provider, CUTOFF).invoke("q")
+    assert observation.encode("utf-8").decode("utf-8") == "cut \ufffd — half \ufffd, whole \U0001f600"
 
 
 def test_unreadable_search_date_drops_only_that_result(loopback):
