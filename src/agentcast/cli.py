@@ -59,7 +59,6 @@ from .market import (
     curate_markets,
     fetch_window,
     render_category_table,
-    snapshot,
 )
 from .metrics import (
     CalibrationReport,
@@ -91,12 +90,12 @@ from .models import (
     record_line,
     utc_now,
     write_jsonl,
+    write_questions,
     write_records,
 )
 from .tools import (
     DEFAULT_OBSERVATION_BUDGET,
     DEFAULT_RESULTS_PER_SEARCH,
-    DropCount,
     FixtureSearchProvider,
     LiveSearchProvider,
     SearchMemo,
@@ -280,7 +279,7 @@ def run_forecast(
     workers: int = 1,
     config_echo: dict | None = None,
     usage: UsageMeter | None = None,
-    drops: DropCount | None = None,
+    memo: SearchMemo | None = None,
 ) -> dict[str, str]:
     """Run the ensemble over every question and persist records, transcripts
     and a manifest.
@@ -289,7 +288,8 @@ def run_forecast(
     once, and results come back in dataset and member order. Each member
     runs in its own lane, so record/replay stays deterministic at any
     `workers`. A question's record and transcript index are built once its
-    last member is back.
+    last member is back; then `memo`, the search memo its members share,
+    forgets it, whether the question ended in a record or an error.
 
     A member that raises a backend error ends the run: queued members do
     not start and the error propagates. Any other failure marks only its
@@ -303,7 +303,7 @@ def run_forecast(
     every question that had none. The records file is rewritten in dataset
     order, which keeps reruns byte-identical regardless of worker scheduling.
     The manifest's token usage is read from `usage` and its count of search
-    results dropped at the cutoff from `drops`.
+    results dropped at the cutoff from `memo`.
     Returns question id -> terminal status (forecasted, declined or error).
     """
     out_dir = Path(out_dir)
@@ -354,6 +354,8 @@ def run_forecast(
             members = [next(outcomes) for _ in range(ensemble_size)]
             if question.id not in errors:
                 finish(question, members)
+            if memo:
+                memo.forget(question.id)
 
     statuses = {
         q.id: "error" if q.id not in results else "declined" if results[q.id]["declined"] else "forecasted"
@@ -369,7 +371,7 @@ def run_forecast(
             "prompt_tokens": usage.prompt_tokens if usage else 0,
             "completion_tokens": usage.completion_tokens if usage else 0,
         },
-        "search_results_dropped": drops.total if drops else 0,
+        "search_results_dropped": memo.dropped if memo else 0,
         "wall_time_s": round(time.monotonic() - started, 3),
         "finished_at": format_timestamp(utc_now()),
     }
@@ -380,33 +382,18 @@ def run_forecast(
 
 
 def make_member_runner(
-    cfg: RunConfig,
-    backend: Backend,
-    provider: SearchProvider,
-    *,
-    single_agent: bool = False,
-    drops: DropCount | None = None,
+    cfg: RunConfig, backend: Backend, search: SearchProvider, *, single_agent: bool = False
 ) -> MemberRunner:
     """Build the per-member forecasting callable exactly as the forecast
     command wires it; the fixture generator uses this too, so recorded
     cassettes replay against identical request fingerprints.
 
-    Searches go through one `SearchMemo` per runner, so members of one
-    question that search identically make one provider request and get
-    identical results. The memo drops a question's entries once
-    `cfg.ensemble_size` of its members have finished, and counts into
-    `drops` the results each search drops at the cutoff."""
-    memo = SearchMemo(provider, cfg.ensemble_size, drops)
+    The forecast command passes a `SearchMemo` as `search`, and the same
+    memo to `run_forecast`, so members of one question that search
+    identically make one provider request and get identical results."""
     build = single_agent_config if single_agent else default_planner
-    config = build(memo, cfg)
-
-    def run_member(question: Question) -> tuple[Forecast | Declined, TranscriptTree]:
-        try:
-            return forecast_one(config, backend, question)
-        finally:
-            memo.member_done(question.id)
-
-    return run_member
+    config = build(search, cfg)
+    return lambda question: forecast_one(config, backend, question)
 
 
 def cmd_forecast(ns: argparse.Namespace) -> int:
@@ -417,9 +404,8 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
         print("dataset is empty; nothing to forecast", file=sys.stderr)
         return EXIT_EMPTY
     with closing(build_backend(ns, cfg)) as backend:
-        provider = build_search_provider(ns, cfg)
-        drops = DropCount()
-        run_member = make_member_runner(cfg, backend, provider, single_agent=ns.single_agent, drops=drops)
+        memo = SearchMemo(build_search_provider(ns, cfg))
+        run_member = make_member_runner(cfg, backend, memo, single_agent=ns.single_agent)
 
         config_echo = {
             "cutoff": cutoff.isoformat(),
@@ -440,10 +426,10 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
             workers=cfg.in_flight,
             config_echo=config_echo,
             usage=backend,
-            drops=drops,
+            memo=memo,
         )
-    if drops.total:
-        logger.warning("dropped %d search results published on/after %s", drops.total, cutoff)
+    if memo.dropped:
+        logger.warning("dropped %d search results published on/after %s", memo.dropped, cutoff)
     counts = {status: sum(1 for s in statuses.values() if s == status) for status in set(statuses.values())}
     print(
         f"forecast complete: {counts.get('forecasted', 0)} forecasted, "
@@ -469,28 +455,26 @@ def cmd_curate(ns: argparse.Namespace) -> int:
     client = build_market_client(ns, cfg)
     fetched = fetch_window(client, from_date, to_date)
     if not fetched:
-        snapshot([], at, ns.out)
+        write_questions(ns.out, [])
         print(f"no binary markets close in [{from_date}, {to_date}]; wrote empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    as_questions(fetched, at)  # a market that closed before `at` fails here, before any request
+    snapped = as_questions(fetched, at)  # a market that closed before `at` fails here, before any request
     with closing(build_backend(ns, cfg)) as backend:
         curated = curate_markets(backend, fetched, model_id=cfg.model_id, workers=cfg.in_flight)
-    kept = []
+    questions = []
     audit = []
-    categories = {}
-    for record, (verdict, category) in zip(fetched, curated):
+    for question, (verdict, category) in zip(snapped, curated):
         audit.append(
             {
-                "market_id": record.market_id,
-                "question": record.question_text,
+                "market_id": question.id,
+                "question": question.title,
                 "verdict": verdict.verdict,
                 "judge_reply": verdict.judge_reply,
             }
         )
         if verdict.keep:
-            kept.append(record)
-            categories[record.market_id] = category
-    questions = snapshot(kept, at, ns.out, categories=categories)
+            questions.append(question._replace(category=category))
+    write_questions(ns.out, questions)
     audit_path = Path(ns.out).with_suffix(".audit.jsonl")
     write_jsonl(audit_path, audit)
     print(f"fetched {len(fetched)} binary markets, kept {len(questions)}, dropped {len(fetched) - len(questions)}")

@@ -14,7 +14,6 @@ import contextvars
 import json
 import logging
 import math
-import re
 import select
 import threading
 import time
@@ -25,6 +24,8 @@ from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
+
+from .models import replace_surrogates
 
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
     import socket
@@ -525,20 +526,6 @@ class HTTPBackend:
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
         return _parse_chat_payload(self._send(self._url, self._headers, body))
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def replace_surrogates(text: str) -> str:
-    """`text` with each lone surrogate as U+FFFD.
-
-    A JSON `\\ud83d` escape decodes to a lone surrogate, which UTF-8 cannot
-    encode, so text that comes in as JSON (search results, model replies,
-    market questions) passes through here before anything writes or hashes
-    it. ASCII text is returned as it is without a scan.
-    """
-    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
 
 
 def _parse_chat_payload(payload: Any) -> ChatResponse:

@@ -28,7 +28,6 @@ from .llm import (
     RetryPolicy,
     fan_out,
     in_lane,
-    replace_surrogates,
     send_with_retry,
 )
 from .metrics import render_columns
@@ -39,6 +38,7 @@ from .models import (
     check_question,
     parse_timestamp,
     read_questions,
+    replace_surrogates,
     write_questions,
 )
 
@@ -361,27 +361,21 @@ def render_category_table(frequencies: list[tuple[Category, int]]) -> str:
 # --- snapshot and resolution ----------------------------------------------------
 
 
-def as_questions(
-    records: Iterable[MarketRecord],
-    at: datetime,
-    *,
-    categories: dict[str, Category] | None = None,
-) -> list[Question]:
-    """Fetched markets as dataset Questions as of one instant.
+def as_questions(records: Iterable[MarketRecord], at: datetime) -> list[Question]:
+    """Fetched markets as dataset Questions as of one instant, in category
+    Unknown until curation classifies them.
 
     The crowd probability is the market price in the record; fetched_at is
     `at` for every question, so the snapshot is honest about when the crowd
     was read. Each line goes through `check_question`, so a market that
     closed before `at` raises ValidationError.
     """
-    categories = categories or {}
     return [
         check_question(
             {
                 "id": record.market_id,
                 "title": record.question_text,
                 "close_time": record.close_time,
-                "category": categories.get(record.market_id, Category.UNKNOWN).value,
                 "crowd_prob": record.probability,
                 "source": "market",
                 "fetched_at": at,
@@ -389,21 +383,6 @@ def as_questions(
         )
         for record in records
     ]
-
-
-def snapshot(
-    records: Iterable[MarketRecord],
-    at: datetime,
-    out_path: str | Path,
-    *,
-    categories: dict[str, Category] | None = None,
-) -> list[Question]:
-    """Freeze fetched markets into a dataset file as of one instant, through
-    `as_questions`: a market that closed before `at` raises ValidationError
-    and nothing is written."""
-    questions = as_questions(records, at, categories=categories)
-    write_questions(out_path, questions)
-    return questions
 
 
 class BackfillSummary(NamedTuple):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections import namedtuple
 from datetime import datetime, timezone
 from enum import Enum
@@ -25,6 +26,20 @@ class ValidationError(ValueError):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
         self.message = message
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def replace_surrogates(text: str) -> str:
+    """`text` with each lone surrogate as U+FFFD.
+
+    A JSON `\\ud83d` escape decodes to a lone surrogate, which UTF-8 cannot
+    encode, so text that comes in as JSON (dataset lines, search results,
+    model replies, market questions) passes through here before anything
+    writes or hashes it. ASCII text is returned as it is without a scan.
+    """
+    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
 
 
 class Category(Enum):
@@ -210,6 +225,8 @@ def check_question(raw: Any) -> Question:
     qid = raw["id"]
     if not isinstance(qid, str) or not qid.strip():
         raise ValidationError("id", "missing or empty question id")
+    if replace_surrogates(qid) != qid:
+        raise ValidationError("id", f"question id {qid!r} holds a lone surrogate")
     title = raw["title"]
     if not isinstance(title, str) or not title.strip():
         raise ValidationError("title", "missing or empty title")
@@ -239,16 +256,18 @@ def check_question(raw: Any) -> Question:
     label = _optional_text(raw, "category")
     category = Category.UNKNOWN if label is None else Category.from_label(label)
     return Question(
-        qid, title, close_time, fetched_at, background, resolution_criteria,
+        qid, replace_surrogates(title), close_time, fetched_at, background, resolution_criteria,
         category, crowd_prob, outcome, source, excluded,
     )
 
 
 def _optional_text(raw: dict, key: str) -> str | None:
     value = raw.get(key)
-    if value is not None and not isinstance(value, str):
+    if value is None:
+        return None
+    if not isinstance(value, str):
         raise ValidationError(key, f"expected a string, got {value!r}")
-    return value
+    return replace_surrogates(value)
 
 
 # --- transcripts --------------------------------------------------------

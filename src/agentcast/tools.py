@@ -21,8 +21,8 @@ from functools import partial
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
-from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, replace_surrogates, send_with_retry
-from .models import ValidationError, parse_timestamp, read_checked
+from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
+from .models import ValidationError, parse_timestamp, read_checked, replace_surrogates
 
 if TYPE_CHECKING:  # imported where used, so runs without a search skip it
     from concurrent.futures import Future
@@ -176,23 +176,6 @@ def _knowable(result: SearchResult, before_date: date) -> bool:
     return result.published is None or result.published < before_date
 
 
-class DropCount:
-    """The results `search` dropped at the cutoff, summed over the searches
-    of one run. A forecast run hands one to its `SearchMemo` and reports the
-    total once, in place of a log record from every search."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.total = 0
-
-    def add(self, results: list[SearchResult], before_date: date) -> None:
-        """Count the results that `search` drops from these."""
-        dropped = sum(1 for r in results if not _knowable(r, before_date))
-        if dropped:
-            with self._lock:
-                self.total += dropped
-
-
 class SearchMemo:
     """A search provider that asks its inner provider once per question.
 
@@ -200,26 +183,24 @@ class SearchMemo:
     before_date, limit). The first call of a key asks the provider, and
     identical calls made while it runs wait for its answer. A failure goes
     to the calls that waited on it but is not kept, so the next call asks
-    again. A question's entries are dropped once `member_done` has counted
-    `members` finished members of it, so the memo holds only the questions
-    in flight; a question whose queued members never start, because a
-    sibling failed, keeps its entries until the memo goes. Calls outside any
-    lane go straight to the provider. Every call's results, asked or
-    remembered, are counted into `drops` when one is given.
+    again. A question's entries stay until `forget` drops them, once its
+    record is built. Calls outside any lane go straight to the provider.
+    `dropped` sums the results `search` drops at the cutoff from every
+    call's results, asked or remembered, so a run reports one total.
     """
 
-    def __init__(self, provider: SearchProvider, members: int, drops: DropCount | None = None):
+    def __init__(self, provider: SearchProvider):
         self._provider = provider
-        self._members = members
-        self._drops = drops
         self._lock = threading.Lock()
         self._flights: dict[str, dict[tuple[str, date, int], Future[list[SearchResult]]]] = {}
-        self._done: dict[str, int] = {}
+        self.dropped = 0
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
         results = self._ask(query, before_date, limit)
-        if self._drops is not None:
-            self._drops.add(results, before_date)
+        dropped = sum(1 for r in results if not _knowable(r, before_date))
+        if dropped:
+            with self._lock:
+                self.dropped += dropped
         return results
 
     def _ask(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
@@ -248,14 +229,10 @@ class SearchMemo:
         flight.set_result(results)
         return list(results)
 
-    def member_done(self, question_id: str) -> None:
-        """Count one finished member of the question; the last drops its entries."""
+    def forget(self, question_id: str) -> None:
+        """Drop the question's entries."""
         with self._lock:
-            done = self._done.pop(question_id, 0) + 1
-            if done < self._members:
-                self._done[question_id] = done
-            else:
-                self._flights.pop(question_id, None)
+            self._flights.pop(question_id, None)
 
 
 def search(

@@ -21,7 +21,7 @@ from pathlib import Path
 from agentcast.cli import RunConfig, make_member_runner, run_forecast
 from agentcast.llm import RecordingBackend, ScriptedBackend
 from agentcast.models import Category, Question, check_question, read_records, write_questions
-from agentcast.tools import FixtureSearchProvider
+from agentcast.tools import FixtureSearchProvider, SearchMemo
 
 E2E = Path(__file__).parent / "e2e"
 CUTOFF = "2024-04-15"
@@ -197,8 +197,8 @@ def main() -> int:
         cassette_path.unlink()
     cfg = RunConfig(cutoff=CUTOFF)
     backend = RecordingBackend(ScriptedBackend(build_script()), cassette_path)
-    provider = FixtureSearchProvider.from_file(E2E / "search.jsonl")
-    runner = make_member_runner(cfg, backend, provider)
+    memo = SearchMemo(FixtureSearchProvider.from_file(E2E / "search.jsonl"))
+    runner = make_member_runner(cfg, backend, memo)
 
     with tempfile.TemporaryDirectory() as out:
         statuses = run_forecast(
@@ -208,6 +208,7 @@ def main() -> int:
             ensemble_size=3,
             aggregator_mode=cfg.aggregator,
             seed=cfg.seed,
+            memo=memo,
         )
         records = {r.question_id: r for r in read_records(Path(out) / "forecasts.jsonl")}
     backend.close()

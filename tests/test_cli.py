@@ -62,7 +62,7 @@ from agentcast.models import (
     write_questions,
 )
 from agentcast.react import context_estimate
-from agentcast.tools import FixtureSearchProvider, close_sandbox
+from agentcast.tools import FixtureSearchProvider, SearchMemo, close_sandbox, search
 
 from conftest import FIXTURES, make_question
 
@@ -648,6 +648,32 @@ def test_a_member_that_raises_marks_only_its_question_an_error(tmp_path, monkeyp
     golden = (FIXTURES / "e2e_forecast" / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     written = (out / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     assert written == [line for line in golden if '"q_fed"' not in line]
+
+
+def test_run_forecast_leaves_no_question_in_the_search_memo(tmp_path):
+    # the memo once counted finished members to drop a question's entries,
+    # so a question whose queued members never started kept them
+    cfg = RunConfig(cutoff="2024-04-15")
+    backend = ReplayBackend.from_file(E2E / "cassette.jsonl")
+    memo = SearchMemo(FixtureSearchProvider.from_file(E2E / "search.jsonl"))
+    run_member = make_member_runner(cfg, backend, memo)
+
+    def runner(question):
+        if question.id == "q_eth":
+            search(memo, "historical price data of Ethereum", cfg.cutoff_date())
+            raise RuntimeError("member blew up")
+        return run_member(question)
+
+    dataset = read_questions(E2E / "questions.jsonl")
+    out = tmp_path / "run"
+    statuses = run_forecast(
+        dataset, runner, out, ensemble_size=3, aggregator_mode="median", seed=0, workers=1, memo=memo
+    )
+    assert statuses["q_eth"] == "error"
+    assert memo._flights == {}
+    golden = (FIXTURES / "e2e_forecast" / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    written = (out / "forecasts.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert written == [line for line in golden if '"q_eth"' not in line]
 
 
 class RejectsTheKey:
@@ -1266,6 +1292,36 @@ def test_resolve_exits_1_on_a_repeated_question_id_and_leaves_the_dataset(tmp_pa
     market_fixture.write_text(json.dumps({"markets": [{"id": "q_eth", "isResolved": True, "resolution": "YES"}]}))
     assert cli.main(["resolve", "--dataset", str(dataset), "--market-fixture", str(market_fixture)]) == EXIT_FATAL
     assert capsys.readouterr().err.splitlines()[-1] == f"error: id: {dataset}:6: repeated id 'q_eth', first on line 1"
+    assert dataset.read_bytes() == before
+
+
+def surrogate_dataset(tmp_path, **fields) -> Path:
+    """A one-question dataset whose line holds `fields` as written, escapes included."""
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({**make_question(qid="mkt_yes").to_dict(), **fields}) + "\n", encoding="utf-8")
+    return dataset
+
+
+def test_resolve_writes_a_lone_surrogate_in_a_title_as_a_replacement_character(tmp_path, capsys):
+    # the rewrite used to die on the unencodable title and lose the outcome it found
+    dataset = surrogate_dataset(tmp_path, title="Will \ud83d ship?")
+    assert "\\ud83d" in dataset.read_text(encoding="utf-8")
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": [{"id": "mkt_yes", "isResolved": True, "resolution": "YES"}]}))
+    assert cli.main(["resolve", "--dataset", str(dataset), "--market-fixture", str(market_fixture)]) == EXIT_OK
+    assert "resolved 1, pending 0, excluded 0" in capsys.readouterr().out
+    (question,) = read_questions(dataset)
+    assert (question.title, question.outcome) == ("Will \ufffd ship?", 1)
+
+
+def test_resolve_exits_1_on_a_lone_surrogate_in_an_id_and_leaves_the_dataset(tmp_path, capsys):
+    dataset = surrogate_dataset(tmp_path, id="mkt\ud83d")
+    before = dataset.read_bytes()
+    market_fixture = tmp_path / "markets.json"
+    market_fixture.write_text(json.dumps({"markets": []}))
+    assert cli.main(["resolve", "--dataset", str(dataset), "--market-fixture", str(market_fixture)]) == EXIT_FATAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: id: ") and "lone surrogate" in err[0]
     assert dataset.read_bytes() == before
 
 

@@ -17,6 +17,7 @@ from agentcast.market import (
     MarketError,
     MarketRecord,
     MarketSchemaError,
+    as_questions,
     backfill_resolutions,
     category_frequencies,
     classify_category,
@@ -24,7 +25,6 @@ from agentcast.market import (
     fetch_window,
     llm_filter,
     render_category_table,
-    snapshot,
 )
 from agentcast.models import Category, ValidationError, read_questions, write_questions
 
@@ -202,11 +202,12 @@ def test_snapshot_writes_questions_with_crowd_price(tmp_path):
     ]
     at = datetime(2024, 4, 15, 12, 0, 0, tzinfo=timezone.utc)
     out = tmp_path / "dataset.jsonl"
-    questions = snapshot(records, at, out, categories={"m1": Category.SPORTS})
-    assert [q.id for q in read_questions(out)] == ["m1", "m2"]
+    questions = as_questions(records, at)
+    write_questions(out, questions)
+    assert read_questions(out) == questions
+    assert [q.id for q in questions] == ["m1", "m2"]
     assert questions[0].crowd_prob == 0.62
-    assert questions[0].category is Category.SPORTS
-    assert questions[1].category is Category.UNKNOWN
+    assert all(q.category is Category.UNKNOWN for q in questions)  # until curation classifies them
     assert all(q.fetched_at == at for q in questions)
     assert all(q.outcome is None and q.source == "market" for q in questions)
 
@@ -215,7 +216,7 @@ def test_snapshot_taken_after_a_market_closed_raises_and_writes_nothing(tmp_path
     records = [MarketRecord.from_api(market("m1")), MarketRecord.from_api(market("m2", close="2024-04-10T00:00:00Z"))]
     out = tmp_path / "dataset.jsonl"
     with pytest.raises(ValidationError) as raised:
-        snapshot(records, datetime(2024, 4, 15, tzinfo=timezone.utc), out)
+        write_questions(out, as_questions(records, datetime(2024, 4, 15, tzinfo=timezone.utc)))
     assert str(raised.value) == "fetched_at: fetched_at 2024-04-15T00:00:00Z is after close_time 2024-04-10T00:00:00Z"
     assert not out.exists()
 

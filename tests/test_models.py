@@ -341,6 +341,23 @@ def test_check_question_returns_what_validate_question_builds(tmp_path, fields):
     assert read_questions(path) == [question]
 
 
+@pytest.mark.parametrize("field", ["title", "background", "resolution_criteria", "source"])
+def test_check_question_reads_a_lone_surrogate_in_a_text_field_as_a_replacement_character(tmp_path, field):
+    # a JSON "\\ud83d" escape decodes to half a pair, which UTF-8 cannot write
+    question = check_question({**make_question().to_dict(), field: "Will \ud83d ship?"})
+    assert getattr(question, field) == "Will \ufffd ship?"
+    path = tmp_path / "questions.jsonl"
+    write_questions(path, [question])
+    assert read_questions(path) == [question]
+
+
+def test_check_question_rejects_a_lone_surrogate_in_an_id():
+    # replacing it could merge two distinct ids into one
+    with pytest.raises(ValidationError, match=r"^id: .*lone surrogate") as raised:
+        check_question({**make_question().to_dict(), "id": "q\ud83d"})
+    assert raised.value.field_name == "id"
+
+
 def test_check_record_rejects_malformed_members():
     for check in (check_record, record_line):
         with pytest.raises(ValidationError, match="members"):

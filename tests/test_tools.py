@@ -17,7 +17,6 @@ import agentcast
 from agentcast import tools
 from agentcast.llm import in_lane
 from agentcast.tools import (
-    DropCount,
     FixtureSearchProvider,
     LiveSearchProvider,
     ProviderError,
@@ -259,7 +258,7 @@ class SlowProvider(CaptureProvider):
 
 def test_memo_asks_once_for_three_concurrent_identical_searches():
     provider = SlowProvider([result("A")], delay=0.2)
-    memo = SearchMemo(provider, members=3)
+    memo = SearchMemo(provider)
     barrier = threading.Barrier(3, timeout=5)
     served = [None] * 3
 
@@ -280,8 +279,7 @@ def test_memo_asks_once_for_three_concurrent_identical_searches():
 def test_memo_asks_once_per_question_and_key_under_thread_stress():
     questions, members, queries = 4, 3, 20
     provider = SlowProvider([result(), result("late", published=CUTOFF)])
-    drops = DropCount()
-    memo = SearchMemo(provider, members=members, drops=drops)
+    memo = SearchMemo(provider)
     barrier = threading.Barrier(questions * members, timeout=10)
 
     def member(qid, m):
@@ -291,7 +289,6 @@ def test_memo_asks_once_per_question_and_key_under_thread_stress():
         with in_lane(qid, m):
             for i in order:
                 assert search(memo, f"query {i}", CUTOFF) == [result()]
-        memo.member_done(qid)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -305,8 +302,10 @@ def test_memo_asks_once_per_question_and_key_under_thread_stress():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(provider.calls) == questions * queries
-    assert memo._flights == {} and memo._done == {}
-    assert drops.total == questions * members * queries  # no count lost between threads
+    assert memo.dropped == questions * members * queries  # no count lost between threads
+    for q in range(questions):
+        memo.forget(f"q{q}")
+    assert memo._flights == {}
 
 
 def test_memo_keeps_no_failure():
@@ -318,7 +317,7 @@ def test_memo_keeps_no_failure():
             return super().search(query, before_date, limit)
 
     provider = FlakyProvider([result("A")])
-    memo = SearchMemo(provider, members=3)
+    memo = SearchMemo(provider)
     with in_lane("q1", 0):
         with pytest.raises(ProviderError):
             memo.search("q", CUTOFF, 8)
@@ -352,7 +351,7 @@ def test_memo_hands_the_leaders_failure_to_a_waiting_search():
                 joined.set()
 
     provider = BlockingProvider()
-    memo = SearchMemo(provider, members=2)
+    memo = SearchMemo(provider)
     memo._lock = SignallingLock()
     raised = [None, None]
 
@@ -380,7 +379,7 @@ def test_memo_hands_the_leaders_failure_to_a_waiting_search():
 
 def test_memo_asks_again_for_another_question():
     provider = CaptureProvider([result()])
-    memo = SearchMemo(provider, members=3)
+    memo = SearchMemo(provider)
     for qid in ("q1", "q2"):
         with in_lane(qid, 0):
             memo.search("same query", CUTOFF, 8)
@@ -389,31 +388,32 @@ def test_memo_asks_again_for_another_question():
 
 def test_memo_keys_on_cutoff_and_limit_too():
     provider = CaptureProvider([result()])
-    memo = SearchMemo(provider, members=3)
+    memo = SearchMemo(provider)
     with in_lane("q1", 0):
         for before, limit in ((CUTOFF, 8), (date(2024, 4, 1), 8), (CUTOFF, 3), (CUTOFF, 8)):
             memo.search("q", before, limit)
     assert provider.calls == [("q", CUTOFF, 8), ("q", date(2024, 4, 1), 8), ("q", CUTOFF, 3)]
 
 
-def test_memo_drops_a_question_once_its_last_member_is_done():
+def test_memo_drops_a_question_it_is_told_to_forget():
     provider = CaptureProvider([result()])
-    memo = SearchMemo(provider, members=2)
-    with in_lane("q1", 0):
-        memo.search("q", CUTOFF, 8)
-    memo.member_done("q1")
+    memo = SearchMemo(provider)
+    for qid in ("q1", "q2"):
+        with in_lane(qid, 0):
+            memo.search("q", CUTOFF, 8)
     with in_lane("q1", 1):
-        memo.search("q", CUTOFF, 8)  # one member is still running: served from the memo
-    assert len(provider.calls) == 1
-    memo.member_done("q1")
+        memo.search("q", CUTOFF, 8)  # not forgotten yet: served from the memo
+    assert len(provider.calls) == 2
+    memo.forget("q1")
+    assert list(memo._flights) == ["q2"]
     with in_lane("q1", 0):
         memo.search("q", CUTOFF, 8)
-    assert len(provider.calls) == 2
+    assert len(provider.calls) == 3
 
 
 def test_memo_passes_searches_outside_a_lane_straight_through():
     provider = CaptureProvider([result()])
-    memo = SearchMemo(provider, members=1)
+    memo = SearchMemo(provider)
     memo.search("q", CUTOFF, 8)
     memo.search("q", CUTOFF, 8)
     assert len(provider.calls) == 2
@@ -421,7 +421,7 @@ def test_memo_passes_searches_outside_a_lane_straight_through():
 
 def test_memo_still_filters_post_cutoff_results_on_every_call():
     provider = CaptureProvider([result("before", published=date(2024, 4, 1)), result("after", published=date(2024, 5, 1))])
-    memo = SearchMemo(provider, members=3)
+    memo = SearchMemo(provider)
     for m in range(3):
         with in_lane("q1", m):
             assert [r.title for r in search(memo, "q", CUTOFF)] == ["before"]
@@ -437,14 +437,13 @@ def test_memo_counts_what_every_search_drops_asked_or_remembered():
             result("after", published=date(2024, 5, 1)),
         ]
     )
-    drops = DropCount()
-    memo = SearchMemo(provider, members=3, drops=drops)
+    memo = SearchMemo(provider)
     for m in range(3):
         with in_lane("q1", m):
             assert [r.title for r in search(memo, "q", CUTOFF)] == ["before", "undated"]
     search(memo, "outside any lane", CUTOFF)
     assert len(provider.calls) == 2
-    assert drops.total == 8  # two dropped by each of four searches
+    assert memo.dropped == 8  # two dropped by each of four searches
 
 
 # --- sandbox -----------------------------------------------------------------
