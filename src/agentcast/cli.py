@@ -88,6 +88,7 @@ from .models import (
     read_record_lines,
     read_records,
     record_line,
+    replace_surrogates,
     utc_now,
     write_jsonl,
     write_questions,
@@ -626,7 +627,7 @@ def check_probe(raw: Any) -> tuple[str, list[str]]:
     patterns = raw.get("answer_patterns", [])
     if not isinstance(patterns, list) or not all(isinstance(p, str) and p for p in patterns):
         raise ValidationError("answer_patterns", f"expected a list of non-empty strings, got {patterns!r}")
-    return question, patterns
+    return replace_surrogates(question), [replace_surrogates(p) for p in patterns]
 
 
 def cmd_probe(ns: argparse.Namespace) -> int:

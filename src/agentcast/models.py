@@ -403,10 +403,6 @@ def record_line(raw: dict) -> dict:
 # --- JSONL IO -----------------------------------------------------------
 
 
-def dump_json_line(d: dict) -> str:
-    return json.dumps(d, ensure_ascii=False)
-
-
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
     """Write one JSON object per line. The lines go to a temp file beside the
     target, which then replaces it, so a crash mid-write leaves the old file."""
@@ -416,7 +412,7 @@ def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> None:
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for d in dicts:
-                fh.write(dump_json_line(d) + "\n")
+                fh.write(json.dumps(d, ensure_ascii=False) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

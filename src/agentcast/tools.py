@@ -270,7 +270,6 @@ class ExecResult(NamedTuple):
     stdout: str
     stderr: str
     exit_status: int
-    wall_time: float
 
 
 # characters of stdout (the head) and of stderr (the tail) a program may
@@ -346,7 +345,12 @@ class _Interpreter:
 
     def close(self) -> None:
         """Kill its process group, reap it, and delete its dir and output files."""
-        _kill_group(self.proc.pid)
+        import signal
+
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the group has already exited
         with self.workdir, self.proc, self.stdout, self.stderr:
             pass
 
@@ -399,38 +403,39 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     own process group, which is killed when the call ends, so no process
     left in that group outlives the call.
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
-    back as a normal ExecResult. The call ends when the program exits, even
-    if a process it started still holds its output. Output goes to unnamed
-    temp files, and only the capped head of stdout and tail of stderr are
-    read back, as UTF-8 with U+FFFD for invalid bytes and with universal
-    newlines.
+    back as a normal ExecResult. The cap is a wait on the program's pidfd,
+    so no thread is started per call. The call ends when the program exits,
+    even if a process it started still holds its output. Output goes to
+    unnamed temp files, and only the capped head of stdout and tail of
+    stderr are read back, as UTF-8 with U+FFFD for invalid bytes and with
+    universal newlines.
     """
+    import select
+
     interpreter = _take_interpreter()
     proc = interpreter.proc
-    expired = threading.Event()
-
-    def expire() -> None:
-        expired.set()
-        _kill_group(proc.pid)
-
-    timer = threading.Timer(timeout, expire)
     try:
-        start = time.monotonic()
-        timer.start()
+        deadline = time.monotonic() + timeout
         try:
-            proc.communicate((program + "\0").encode("utf-8", "replace"))
+            with proc.stdin:
+                proc.stdin.write((program + "\0").encode("utf-8", "replace"))
+        except BrokenPipeError:
+            pass  # it died before reading its program; its exit status says how
+        pidfd = os.pidfd_open(proc.pid)
+        try:
+            exit_wait = select.poll()  # select.select refuses descriptors >= 1024
+            exit_wait.register(pidfd, select.POLLIN)
+            exited = exit_wait.poll(max(0.0, deadline - time.monotonic()) * 1000)
         finally:
-            timer.cancel()
-            timer.join()
-        if expired.is_set():
+            os.close(pidfd)
+        if not exited:
             raise SandboxTimeout(timeout)
         stdout = _read_text(interpreter.stdout, 0)[:SANDBOX_OUTPUT_CAP]
         stderr_size = os.fstat(interpreter.stderr.fileno()).st_size
         stderr = _read_text(interpreter.stderr, max(0, stderr_size - _OUTPUT_WINDOW))[-SANDBOX_OUTPUT_CAP:]
     finally:
-        interpreter.close()  # kills whatever the program left in its group
-    wall = time.monotonic() - start
-    return ExecResult(stdout=stdout, stderr=stderr, exit_status=proc.returncode, wall_time=wall)
+        interpreter.close()  # kills whatever the program left in its group, and reaps it
+    return ExecResult(stdout=stdout, stderr=stderr, exit_status=proc.returncode)
 
 
 # bytes of output read back for each stream: SANDBOX_OUTPUT_CAP characters
@@ -444,15 +449,6 @@ def _read_text(file: IO[bytes], offset: int) -> str:
     with U+FFFD for invalid bytes and with universal newlines."""
     data = os.pread(file.fileno(), _OUTPUT_WINDOW, offset)
     return data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _kill_group(pgid: int) -> None:
-    import signal
-
-    try:
-        os.killpg(pgid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass  # the group has already exited
 
 
 # --- observation rendering --------------------------------------------------

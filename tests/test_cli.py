@@ -1716,6 +1716,19 @@ def test_probe_exits_1_on_a_malformed_line_before_any_request(tmp_path, monkeypa
     assert backend.requests == []
 
 
+def test_probe_reads_lone_surrogates_as_replacement_characters(tmp_path, capsys):
+    # a JSON \ud83d escape reached the request fingerprint as it was, and
+    # hashing it raised UnicodeEncodeError out of cli.main
+    cassette = tmp_path / "probe_cassette.jsonl"
+    backend = RecordingBackend(ScriptedBackend(["The \ufffd team won the 2024 race."]), cassette)
+    leakage_probe(backend, "Who won \ufffd the 2024 race?", ["\ufffd team won"])
+    backend.close()
+    probes = tmp_path / "probes.jsonl"
+    probes.write_text('{"question": "Who won \\ud83d the 2024 race?", "answer_patterns": ["\\ud83d team won"]}\n')
+    assert cli.main(["probe", "--probes", str(probes), "--cassette", str(cassette)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["Leaked\tWho won \ufffd the 2024 race?", "probe summary: Leaked: 1"]
+
+
 # --- recording -------------------------------------------------------------------
 
 

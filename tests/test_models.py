@@ -436,7 +436,7 @@ FROZEN = [
     ScoredSet("m", ("q",), (0.5,), (1,)), CalibrationBin(1, 0.5, 1.0), CalibrationReport("m", 1, (), 0.0),
     ScoreRow("m", 0.1, 0.5), ActionEmission("t", "a", "i"), FinalEmission("t", "x"),
     MalformedEmission(MalformedReason.NO_KEYWORD), ReactConfig("s", (TOOL,)), TOOL, SearchResult("t", "u", "s"),
-    ExecResult("", "", 0, 0.0), ChildTranscript("t", 0, TRANSCRIPT), TranscriptTree("t", TRANSCRIPT),
+    ExecResult("", "", 0), ChildTranscript("t", 0, TRANSCRIPT), TranscriptTree("t", TRANSCRIPT),
     MarketRecord("m1", "q", CLOSE, 0.5, False, None), FilterVerdict("keep", "Yes"), BackfillSummary(0, 0, 0),
 ]
 
