@@ -53,7 +53,6 @@ from .market import (
     LiveMarketClient,
     MarketClient,
     MarketError,
-    as_questions,
     backfill_resolutions,
     category_frequencies,
     curate_markets,
@@ -454,17 +453,17 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         raise ConfigError(f"empty window: {from_date} is after {to_date}")
     at = parse_timestamp(ns.at, "at") if ns.at else utc_now()
     client = build_market_client(ns, cfg)
-    fetched = fetch_window(client, from_date, to_date)
+    # a market that closed before `at` fails here, after paging and before any request
+    fetched = fetch_window(client, from_date, to_date, at)
     if not fetched:
         write_questions(ns.out, [])
         print(f"no binary markets close in [{from_date}, {to_date}]; wrote empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    snapped = as_questions(fetched, at)  # a market that closed before `at` fails here, before any request
     with closing(build_backend(ns, cfg)) as backend:
         curated = curate_markets(backend, fetched, model_id=cfg.model_id, workers=cfg.in_flight)
     questions = []
     audit = []
-    for question, (verdict, category) in zip(snapped, curated):
+    for question, (verdict, category) in zip(fetched, curated):
         audit.append(
             {
                 "market_id": question.id,

@@ -627,8 +627,9 @@ CassetteKey = tuple[Lane | None, str]
 
 def load_cassette(path: str | Path) -> dict[CassetteKey, list[ChatResponse]]:
     """Parse a cassette into (lane, fingerprint) -> ordered responses. Entries
-    without a lane load under lane None. Corrupt lines raise CassetteError
-    naming the file and line number."""
+    without a lane load under lane None; reply text reads lone surrogates as
+    U+FFFD. Corrupt lines, including a reply that is not a string, raise
+    CassetteError naming the file and line number."""
     path = Path(path)
     entries: dict[CassetteKey, list[ChatResponse]] = {}
     try:
@@ -647,8 +648,11 @@ def load_cassette(path: str | Path) -> dict[CassetteKey, list[ChatResponse]]:
                     question_id, member_index = lane
                     lane = (str(question_id), int(member_index))
                 resp = raw["response"]
+                content = resp["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}, not a string")
                 response = ChatResponse(
-                    content=resp["content"],
+                    content=replace_surrogates(content),
                     prompt_tokens=int(resp.get("prompt_tokens", 0)),
                     completion_tokens=int(resp.get("completion_tokens", 0)),
                     finish_reason=resp.get("finish_reason", "stop"),

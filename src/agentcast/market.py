@@ -1,6 +1,6 @@
 """Prediction-market ingestion: fetch binary markets over a close-date
-window, filter them with an LLM judge, classify topics, snapshot the crowd
-price, and backfill resolutions later.
+window as questions that snapshot the crowd price, filter them with an LLM
+judge, classify topics, and backfill resolutions later.
 
 The wire format follows the public Manifold-style REST API (ids, question
 text, closeTime in epoch milliseconds, probability, isResolved/resolution,
@@ -38,7 +38,6 @@ from .models import (
     check_question,
     parse_timestamp,
     read_questions,
-    replace_surrogates,
     write_questions,
 )
 
@@ -54,49 +53,6 @@ class MarketError(Exception):
 
 class MarketSchemaError(MarketError):
     """A market payload was missing required fields."""
-
-
-class _MarketRecordFields(NamedTuple):
-    market_id: str
-    question_text: str
-    close_time: datetime
-    probability: float
-    is_resolved: bool
-    resolution: str | None
-
-
-class MarketRecord(_MarketRecordFields):
-    """One binary market as fetched, before curation. Two records are equal
-    only if they are the same object."""
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.is_resolved and self.resolution is None:
-            raise MarketSchemaError(f"market {self.market_id}: resolved without a resolution")
-        if not 0.0 <= self.probability <= 1.0:
-            raise MarketSchemaError(f"market {self.market_id}: probability {self.probability!r} out of range")
-        return self
-
-    @classmethod
-    def from_api(cls, raw: dict) -> "MarketRecord":
-        for key in ("id", "question", "closeTime", "probability"):
-            if key not in raw:
-                raise MarketSchemaError(f"market payload missing {key!r}: {str(raw)[:120]}")
-        try:
-            close_time = parse_timestamp(raw["closeTime"], "closeTime")
-        except ValidationError as exc:
-            raise MarketSchemaError(f"market {raw['id']}: {exc}") from None
-        return cls(
-            market_id=str(raw["id"]),
-            question_text=replace_surrogates(str(raw["question"])),
-            close_time=close_time,
-            probability=float(raw["probability"]),
-            is_resolved=bool(raw.get("isResolved", False)),
-            resolution=raw.get("resolution"),
-        )
 
 
 class MarketClient(Protocol):
@@ -182,23 +138,55 @@ class FixtureMarketClient:
         return self._by_id[market_id]
 
 
+def _market_fields(raw: dict) -> dict:
+    """The dataset fields of one binary market payload. MarketSchemaError
+    if a field is missing, closeTime does not parse, a resolved market has
+    no resolution, or probability is not a JSON number in [0, 1]."""
+    for key in ("id", "question", "closeTime", "probability"):
+        if key not in raw:
+            raise MarketSchemaError(f"market payload missing {key!r}: {str(raw)[:120]}")
+    market_id = str(raw["id"])
+    try:
+        close_time = parse_timestamp(raw["closeTime"], "closeTime")
+    except ValidationError as exc:
+        raise MarketSchemaError(f"market {market_id}: {exc}") from None
+    if raw.get("isResolved", False) and raw.get("resolution") is None:
+        raise MarketSchemaError(f"market {market_id}: resolved without a resolution")
+    probability = raw["probability"]
+    if isinstance(probability, bool) or not isinstance(probability, (int, float)) or not 0.0 <= probability <= 1.0:
+        raise MarketSchemaError(f"market {market_id}: probability {probability!r} is not a number in [0, 1]")
+    return {
+        "id": market_id,
+        "title": str(raw["question"]),
+        "close_time": close_time,
+        "crowd_prob": probability,
+        "source": "market",
+    }
+
+
 def fetch_window(
     client: MarketClient,
     from_date: date,
     to_date: date,
+    at: datetime,
     page_size: int = DEFAULT_PAGE_SIZE,
-) -> list[MarketRecord]:
-    """Fetch every binary market closing inside [from_date, to_date].
+) -> list[Question]:
+    """Every binary market closing inside [from_date, to_date], as a dataset
+    Question read at `at`: the crowd probability is the market price,
+    fetched_at is `at`, and the category is Unknown until curation
+    classifies it.
 
     Pages through the whole listing with the before-cursor; malformed payloads
     are skipped with a warning, non-binary markets silently. Duplicates across
     page boundaries are dropped, keeping the first occurrence. A full page
-    whose last entry has no id gives no cursor and raises MarketError.
+    whose last entry has no id gives no cursor and raises MarketError. The
+    Questions are checked only once the listing is read, so a market that
+    closed before `at` raises ValidationError after every page request.
     """
     if from_date > to_date:
         raise ValueError(f"empty window: {from_date} > {to_date}")
     seen: set[str] = set()
-    records: list[MarketRecord] = []
+    markets: list[dict] = []
     cursor: str | None = None
     while True:
         page = client.list_markets(before_id=cursor, limit=page_size)
@@ -211,22 +199,22 @@ def fetch_window(
             if raw.get("outcomeType") != "BINARY":
                 continue
             try:
-                record = MarketRecord.from_api(raw)
+                fields = _market_fields(raw)
             except MarketSchemaError as exc:
                 logger.warning("skipping malformed market: %s", exc)
                 continue
-            if record.market_id in seen:
+            if fields["id"] in seen:
                 continue
-            seen.add(record.market_id)
-            if from_date <= record.close_time.date() <= to_date:
-                records.append(record)
+            seen.add(fields["id"])
+            if from_date <= fields["close_time"].date() <= to_date:
+                markets.append(fields)
         if len(page) < page_size:
             break
         last = page[-1]
         if not isinstance(last, dict) or last.get("id") is None:
             raise MarketError(f"cannot page past a full market page whose last entry has no id: {last!r:.200}")
         cursor = str(last["id"])
-    return records
+    return [check_question({**fields, "fetched_at": at}) for fields in markets]
 
 
 # --- LLM curation -------------------------------------------------------------
@@ -323,29 +311,29 @@ def classify_category(backend: Backend, question_text: str, *, model_id: str = "
 
 def curate_markets(
     backend: Backend,
-    records: Sequence[MarketRecord],
+    questions: Sequence[Question],
     *,
     model_id: str = "default",
     workers: int = 1,
 ) -> list[tuple[FilterVerdict, Category | None]]:
     """Judge every market and classify the kept ones, `workers` markets at a
-    time. Returns (verdict, category) per record in listing order; the
+    time. Returns (verdict, category) per question in listing order; the
     category is None for a dropped market.
 
-    Each market's requests run in lane (market_id, 0), so a recorded curate
+    Each market's requests run in lane (question id, 0), so a recorded curate
     replays the same at any `workers`. A backend error that is not a
     CallFailed stops the run: markets not started yet send no request, and
     the error propagates once the markets in flight finish.
     """
 
-    def curate_one(record: MarketRecord) -> tuple[FilterVerdict, Category | None]:
-        with in_lane(record.market_id, 0):
-            verdict = llm_filter(backend, record.question_text, model_id=model_id)
+    def curate_one(question: Question) -> tuple[FilterVerdict, Category | None]:
+        with in_lane(question.id, 0):
+            verdict = llm_filter(backend, question.title, model_id=model_id)
             if not verdict.keep:
                 return verdict, None
-            return verdict, classify_category(backend, record.question_text, model_id=model_id)
+            return verdict, classify_category(backend, question.title, model_id=model_id)
 
-    return list(fan_out(curate_one, records, workers))
+    return list(fan_out(curate_one, questions, workers))
 
 
 def category_frequencies(questions: Iterable[Question]) -> list[tuple[Category, int]]:
@@ -358,31 +346,7 @@ def render_category_table(frequencies: list[tuple[Category, int]]) -> str:
     return render_columns(("Category", "Count"), [(c.value, str(count)) for c, count in frequencies])
 
 
-# --- snapshot and resolution ----------------------------------------------------
-
-
-def as_questions(records: Iterable[MarketRecord], at: datetime) -> list[Question]:
-    """Fetched markets as dataset Questions as of one instant, in category
-    Unknown until curation classifies them.
-
-    The crowd probability is the market price in the record; fetched_at is
-    `at` for every question, so the snapshot is honest about when the crowd
-    was read. Each line goes through `check_question`, so a market that
-    closed before `at` raises ValidationError.
-    """
-    return [
-        check_question(
-            {
-                "id": record.market_id,
-                "title": record.question_text,
-                "close_time": record.close_time,
-                "crowd_prob": record.probability,
-                "source": "market",
-                "fetched_at": at,
-            }
-        )
-        for record in records
-    ]
+# --- resolution ------------------------------------------------------------------
 
 
 class BackfillSummary(NamedTuple):

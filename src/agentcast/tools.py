@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
-from .llm import BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
+from .llm import AuthError, BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
 from .models import ValidationError, parse_timestamp, read_checked, replace_surrogates
 
 if TYPE_CHECKING:  # imported where used, so runs without a search skip it
@@ -108,9 +108,9 @@ def _parse_results(raws: Iterable[Any]) -> list[SearchResult]:
 
 class LiveSearchProvider:
     """HTTP search adapter. Sends the cutoff as a query parameter on every
-    request through `llm.send_with_retry`; every failure, including a body
-    with no `results` list, raises ProviderError. Never called in replay
-    runs."""
+    request through `llm.send_with_retry`. A rejected key raises AuthError,
+    which ends the run; every other failure, including a body with no
+    `results` list, raises ProviderError. Never called in replay runs."""
 
     def __init__(
         self,
@@ -130,6 +130,8 @@ class LiveSearchProvider:
         params = {"q": query, "num": str(limit), "before": before_date.isoformat()}
         try:
             payload = self._send(self._url, self._headers, params=params)
+        except AuthError:
+            raise  # a rejected key ends the run, as it does for chat
         except BackendError as exc:
             raise ProviderError(f"search failed: {exc}") from exc
         if not isinstance(payload, dict) or not isinstance(payload.get("results"), list):
@@ -279,14 +281,19 @@ SANDBOX_OUTPUT_CAP = 8000
 
 _SANDBOX_ENV = ("PATH", "LANG")
 
+# bytes any one file a program writes may hold, its stdout and stderr
+# included; a write past it fails with EFBIG (the interpreter ignores SIGXFSZ)
+_FILE_SIZE_CAP = 64 * 2**20
+
 # Run by each sandbox interpreter before its program exists: read the program
 # from stdin up to EOF, then run it as `python -I program.py` would run in
-# this directory, as `__main__`, with argv[0] and __file__ "program.py". The
-# parent ends the program with a NUL byte, which valid source cannot hold, so
-# EOF without one means the parent is gone: nothing runs and the empty
-# directory is removed. An uncaught exception is printed without this
-# script's frame and exits 1; SystemExit keeps its code.
-_BOOTSTRAP = """\
+# this directory, as `__main__`, with argv[0] and __file__ "program.py", and
+# with no file growing past _FILE_SIZE_CAP. The parent ends the program with
+# a NUL byte, which valid source cannot hold, so EOF without one means the
+# parent is gone: nothing runs and the empty directory is removed. An
+# uncaught exception is printed without this script's frame and exits 1;
+# SystemExit keeps its code.
+_BOOTSTRAP = f"""\
 import sys
 def run():
     source = sys.stdin.buffer.read()
@@ -300,6 +307,8 @@ def run():
     source = source[:-1]
     with open("program.py", "wb") as fh:
         fh.write(source)
+    import resource
+    resource.setrlimit(resource.RLIMIT_FSIZE, ({_FILE_SIZE_CAP}, {_FILE_SIZE_CAP}))
     main = type(sys)("__main__")
     main.__file__ = "program.py"
     sys.modules["__main__"] = main
@@ -408,7 +417,8 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     even if a process it started still holds its output. Output goes to
     unnamed temp files, and only the capped head of stdout and tail of
     stderr are read back, as UTF-8 with U+FFFD for invalid bytes and with
-    universal newlines.
+    universal newlines. No file the program writes, those two included, may
+    grow past _FILE_SIZE_CAP bytes.
     """
     import select
 

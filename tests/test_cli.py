@@ -309,6 +309,37 @@ def test_forecast_replay_end_to_end(tmp_path):
             assert (out / "transcripts" / member["transcript_ref"]).exists()
 
 
+def test_forecast_replay_reads_a_lone_surrogate_in_a_reply_as_a_replacement_character(tmp_path, capsys):
+    # the planner's final answer for q_eth ends in half an escaped pair
+    lines = (E2E / "cassette.jsonl").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    n = next(i for i, e in enumerate(entries) if e["response"]["content"].endswith("Final Answer: 0.35"))
+    assert entries[n]["lane"] == ["q_eth", 0]
+    entries[n]["response"]["content"] += "\ud83d"
+    cassette = tmp_path / "cassette.jsonl"
+    cassette.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+    assert "\\ud83d" in cassette.read_text(encoding="utf-8")
+    out = tmp_path / "run"
+    assert replay_forecast(out, cassette=cassette) == EXIT_OK
+    assert "4 forecasted, 1 declined, 0 errors" in capsys.readouterr().out
+    transcript = (out / "transcripts" / "q_eth" / "0.planner.transcript").read_text(encoding="utf-8")
+    assert transcript.endswith("=== final (final) ===\n0.35\ufffd\n")
+
+
+def test_forecast_with_a_rejected_search_key_exits_1(tmp_path, loopback, monkeypatch, capsys):
+    # forecasts made without evidence are not worth a finished run
+    loopback.serve((401, {}, None))
+    monkeypatch.setenv("SEARCH_API_KEY", "revoked")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search_base_url": loopback.url}))
+    out = tmp_path / "run"
+    args = ["forecast", "--dataset", str(E2E / "questions.jsonl"), "--out", str(out)]
+    args += ["--cassette", str(E2E / "cassette.jsonl"), "--cutoff", "2024-04-15", "--config", str(config)]
+    assert cli.main(args) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == "error: authentication rejected (401)"
+    assert loopback.requests and all(target.startswith("/search?") for _, target, *_ in loopback.requests)
+
+
 class UncallableBackend:
     """A chat backend no request may reach."""
 

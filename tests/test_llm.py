@@ -198,6 +198,10 @@ def test_corrupt_cassette_names_line(tmp_path):
     cassette.write_text('{"fingerprint": "f"}\n', encoding="utf-8")
     with pytest.raises(CassetteError, match=r"cassette\.jsonl:1"):
         load_cassette(cassette)
+    # a reply that is not text was accepted here and failed at its first use
+    cassette.write_text(good + "\n" + good.replace('"x"', "[1]") + "\n", encoding="utf-8")
+    with pytest.raises(CassetteError, match=r"cassette\.jsonl:2: corrupt cassette entry \(content is list, not a string\)"):
+        load_cassette(cassette)
     with pytest.raises(CassetteError, match="cannot open"):
         load_cassette(tmp_path / "missing.jsonl")
 
@@ -288,7 +292,7 @@ LIVE_CLIENTS = {
         lambda url, **kw: LiveSearchProvider(url, "key", **kw).search("q", date(2024, 4, 1), 8),
         {"results": [{"title": "T", "url": "u", "snippet": "s"}]},
         {
-            "401": (ProviderError, "401"),
+            "401": (AuthError, "401"),  # a rejected key ends the run
             "404": (ProviderError, "404"),
             "exhausted": (ProviderError, "429"),
             "unusable": (ProviderError, "malformed search payload"),

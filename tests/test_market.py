@@ -15,9 +15,6 @@ from agentcast.market import (
     FixtureMarketClient,
     LiveMarketClient,
     MarketError,
-    MarketRecord,
-    MarketSchemaError,
-    as_questions,
     backfill_resolutions,
     category_frequencies,
     classify_category,
@@ -47,25 +44,6 @@ def market(mid, close="2024-04-20T00:00:00Z", prob=0.5, resolved=False, resoluti
     return raw
 
 
-def test_market_record_from_api():
-    record = MarketRecord.from_api(market("m1", prob=0.62))
-    assert record.market_id == "m1"
-    assert record.probability == 0.62
-    assert record.close_time == datetime(2024, 4, 20, tzinfo=timezone.utc)
-    assert not record.is_resolved
-    with pytest.raises(MarketSchemaError, match="probability"):
-        MarketRecord.from_api(market("m2", prob=1.7))
-    with pytest.raises(MarketSchemaError, match="missing"):
-        MarketRecord.from_api({"id": "m3", "question": "q"})
-    with pytest.raises(MarketSchemaError, match="closeTime"):
-        MarketRecord.from_api({**market("m4"), "closeTime": "soon"})
-
-
-def test_market_records_compare_by_identity():
-    first, second = (MarketRecord.from_api(market("m1")) for _ in range(2))
-    assert first == first and first != second and len({first, second}) == 2
-
-
 def test_live_client_honors_retry_after_and_backs_off_without_it(loopback):
     loopback.serve(
         (429, {"Retry-After": "0.05"}, None),
@@ -79,17 +57,20 @@ def test_live_client_honors_retry_after_and_backs_off_without_it(loopback):
     assert sleeps == [0.05, 2.0, 4.0]  # the hint, then the usual 2**attempt backoff
 
 
+AT = datetime(2024, 4, 15, 12, 0, 0, tzinfo=timezone.utc)
+
+
 def test_fetch_window_pages_with_before_cursor():
     markets = [market(f"m{i:02d}") for i in range(25)]
     client = FixtureMarketClient(markets)
-    records = fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), page_size=10)
-    assert len(records) == 25
-    assert len({r.market_id for r in records}) == 25
+    questions = fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT, page_size=10)
+    assert len(questions) == 25
+    assert len({q.id for q in questions}) == 25
     # cursor sequence: first page unanchored, then the last id of each page
     assert client.page_requests == [(None, 10), ("m09", 10), ("m19", 10)]
 
 
-def test_fetch_window_filters_window_binary_and_malformed():
+def test_fetch_window_filters_window_binary_and_malformed(caplog):
     markets = [
         market("in1", close="2024-04-16T00:00:00Z"),
         market("edge_lo", close="2024-04-15T23:59:59Z"),  # day before the window
@@ -97,10 +78,34 @@ def test_fetch_window_filters_window_binary_and_malformed():
         market("out_hi", close="2024-05-16T00:00:01Z"),
         market("multi", outcomeType="MULTIPLE_CHOICE"),
         {"id": "broken", "outcomeType": "BINARY", "question": "q"},  # missing fields
+        market("soon", closeTime="soon"),
+        market("unresolved", resolved=True),
+        market("high", prob=1.7),
+        market("null", prob=None),
+        market("text", prob="abc"),
+        market("list", prob=[0.5]),
+        market("bool", prob=True),
+        market("numeric_text", prob="0.5"),
+        market("nan", prob=float("nan")),
     ]
     client = FixtureMarketClient(markets)
-    records = fetch_window(client, date(2024, 4, 16), date(2024, 5, 15))
-    assert [r.market_id for r in records] == ["in1", "in2"]
+    with caplog.at_level(logging.WARNING, logger="agentcast.market"):
+        questions = fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT)
+    assert [q.id for q in questions] == ["in1", "in2"]
+    warnings = [r.getMessage() for r in caplog.records]
+    assert all(w.startswith("skipping malformed market: ") for w in warnings)
+    assert warnings[0].startswith("skipping malformed market: market payload missing 'closeTime'")
+    assert warnings[1:] == [
+        "skipping malformed market: market soon: closeTime: malformed timestamp 'soon'",
+        "skipping malformed market: market unresolved: resolved without a resolution",
+        "skipping malformed market: market high: probability 1.7 is not a number in [0, 1]",
+        "skipping malformed market: market null: probability None is not a number in [0, 1]",
+        "skipping malformed market: market text: probability 'abc' is not a number in [0, 1]",
+        "skipping malformed market: market list: probability [0.5] is not a number in [0, 1]",
+        "skipping malformed market: market bool: probability True is not a number in [0, 1]",
+        "skipping malformed market: market numeric_text: probability '0.5' is not a number in [0, 1]",
+        "skipping malformed market: market nan: probability nan is not a number in [0, 1]",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -119,16 +124,16 @@ def test_fetch_window_skips_a_non_object_and_fails_on_a_page_it_cannot_page_past
     loopback.serve((200, {}, page))
     client = LiveMarketClient(loopback.url)
     if error is None:
-        assert [r.market_id for r in fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), page_size)] == ["m1"]
+        assert [q.id for q in fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT, page_size)] == ["m1"]
         assert "skipping malformed market: not an object: 'junk'" in caplog.text
     else:
         with pytest.raises(MarketError, match=error):
-            fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), page_size)
+            fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT, page_size)
 
 
 def test_fetch_window_rejects_inverted_window():
     with pytest.raises(ValueError, match="empty window"):
-        fetch_window(FixtureMarketClient([]), date(2024, 5, 1), date(2024, 4, 1))
+        fetch_window(FixtureMarketClient([]), date(2024, 5, 1), date(2024, 4, 1), AT)
 
 
 def test_fixture_client_from_file(tmp_path):
@@ -196,28 +201,29 @@ def test_category_frequency_table():
 
 
 def test_snapshot_writes_questions_with_crowd_price(tmp_path):
-    records = [
-        MarketRecord.from_api(market("m1", prob=0.62)),
-        MarketRecord.from_api(market("m2", prob=0.3)),
-    ]
-    at = datetime(2024, 4, 15, 12, 0, 0, tzinfo=timezone.utc)
+    client = FixtureMarketClient([market("m1", prob=0.62), market("m2", prob=0.3), market("m3", prob=1)])
     out = tmp_path / "dataset.jsonl"
-    questions = as_questions(records, at)
+    questions = fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT)
     write_questions(out, questions)
     assert read_questions(out) == questions
-    assert [q.id for q in questions] == ["m1", "m2"]
-    assert questions[0].crowd_prob == 0.62
+    assert [q.id for q in questions] == ["m1", "m2", "m3"]
+    assert [q.crowd_prob for q in questions] == [0.62, 0.3, 1.0] and type(questions[2].crowd_prob) is float
+    assert all(q.title == f"Will {q.id} happen?" for q in questions)
+    assert all(q.close_time == datetime(2024, 4, 20, tzinfo=timezone.utc) for q in questions)
     assert all(q.category is Category.UNKNOWN for q in questions)  # until curation classifies them
-    assert all(q.fetched_at == at for q in questions)
+    assert all(q.fetched_at == AT for q in questions)
     assert all(q.outcome is None and q.source == "market" for q in questions)
 
 
 def test_snapshot_taken_after_a_market_closed_raises_and_writes_nothing(tmp_path):
-    records = [MarketRecord.from_api(market("m1")), MarketRecord.from_api(market("m2", close="2024-04-10T00:00:00Z"))]
+    # the listing is read to its end before any question is checked
+    client = FixtureMarketClient([market("m1"), market("m2", close="2024-04-10T00:00:00Z"), market("m3")])
     out = tmp_path / "dataset.jsonl"
+    at = datetime(2024, 4, 15, tzinfo=timezone.utc)
     with pytest.raises(ValidationError) as raised:
-        write_questions(out, as_questions(records, datetime(2024, 4, 15, tzinfo=timezone.utc)))
+        write_questions(out, fetch_window(client, date(2024, 4, 1), date(2024, 5, 15), at, page_size=2))
     assert str(raised.value) == "fetched_at: fetched_at 2024-04-15T00:00:00Z is after close_time 2024-04-10T00:00:00Z"
+    assert client.page_requests == [(None, 2), ("m2", 2)]
     assert not out.exists()
 
 
@@ -350,12 +356,14 @@ class LaneEchoBackend:
 
 
 def test_curate_markets_under_thread_switch_stress_loses_no_call():
-    records = [MarketRecord.from_api(market(f"m{i:03d}")) for i in range(120)]
+    questions = fetch_window(
+        FixtureMarketClient([market(f"m{i:03d}") for i in range(120)]), date(2024, 4, 16), date(2024, 5, 15), AT
+    )
     backend = UsageMeter(LaneEchoBackend())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        curated = curate_markets(backend, records, workers=16)
+        curated = curate_markets(backend, questions, workers=16)
     finally:
         sys.setswitchinterval(interval)
     labels = Category.labels()

@@ -9,7 +9,7 @@ import pytest
 from agentcast.cli import ConfigError, RunConfig
 from agentcast.hierarchy import ChildTranscript, TranscriptTree
 from agentcast.llm import ChatRequest, ChatResponse, Message, RetryPolicy
-from agentcast.market import BackfillSummary, FilterVerdict, MarketRecord, MarketSchemaError
+from agentcast.market import BackfillSummary, FilterVerdict
 from agentcast.metrics import CalibrationBin, CalibrationReport, ScoredSet, ScoreRow
 from agentcast.models import (
     AgentStep,
@@ -374,7 +374,6 @@ def test_transcript_types():
         FinalState("gave_up")
 
 
-CLOSE = datetime(2024, 4, 30, tzinfo=timezone.utc)
 USER = (Message("user", "hi"),)
 TOOL = ToolSpec("web_search", "d", str)
 
@@ -400,10 +399,6 @@ CONSTRUCTION_CHECKS = [
     ("react_no_tools", lambda: ReactConfig("s", ()), ValueError, "an agent needs at least one tool"),
     ("react_policy", lambda: ReactConfig("s", (TOOL,), on_budget_exceeded="shrink"), ValueError,
      "unknown budget policy 'shrink'"),
-    ("market_no_resolution", lambda: MarketRecord("m1", "q", CLOSE, 1.5, True, None), MarketSchemaError,
-     "market m1: resolved without a resolution"),
-    ("market_probability", lambda: MarketRecord("m1", "q", CLOSE, 1.5, False, None), MarketSchemaError,
-     "market m1: probability 1.5 out of range"),
     ("config_workers", lambda: RunConfig(workers=0), ConfigError, "workers must be at least 1, got 0"),
     ("config_ensemble_and_workers", lambda: RunConfig(ensemble_size=0, workers=0), ConfigError,
      "ensemble size must be at least 1, got 0"),
@@ -437,7 +432,7 @@ FROZEN = [
     ScoreRow("m", 0.1, 0.5), ActionEmission("t", "a", "i"), FinalEmission("t", "x"),
     MalformedEmission(MalformedReason.NO_KEYWORD), ReactConfig("s", (TOOL,)), TOOL, SearchResult("t", "u", "s"),
     ExecResult("", "", 0), ChildTranscript("t", 0, TRANSCRIPT), TranscriptTree("t", TRANSCRIPT),
-    MarketRecord("m1", "q", CLOSE, 0.5, False, None), FilterVerdict("keep", "Yes"), BackfillSummary(0, 0, 0),
+    make_question(), FilterVerdict("keep", "Yes"), BackfillSummary(0, 0, 0),
 ]
 
 

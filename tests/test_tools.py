@@ -471,6 +471,36 @@ def test_execute_code_cannot_read_api_keys(monkeypatch):
     assert "search-secret-0815" not in outcome.stdout + outcome.stderr
 
 
+CANARY = "sk-canary-5150"
+
+
+def _stdout_of_code_run_in_a_child(program: str) -> str:
+    """stdout of `program` run through `execute_code` by a child interpreter
+    that holds a canary LLM_API_KEY in its exec-time environment, which
+    monkeypatch.setenv cannot put there. Three processes in all: the child,
+    its sandbox interpreter and the spare that call starts."""
+    parent_program = f"from agentcast import tools\nprint(tools.execute_code({program!r}, 10.0).stdout, end='')\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(agentcast.__file__).parents[1]), LLM_API_KEY=CANARY)
+    done = subprocess.run([sys.executable, "-c", parent_program], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_key_in_the_callers_exec_time_environment_is_not_in_the_programs():
+    stdout = _stdout_of_code_run_in_a_child("import os\nprint(os.environ.get('LLM_API_KEY'))\nprint(dict(os.environ))")
+    assert stdout.startswith("None\n")
+    assert CANARY not in stdout
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the program can read its parent's /proc/<pid>/environ until the bootstrap's audit hook lands",
+)
+def test_a_key_in_the_callers_exec_time_environment_cannot_be_read_through_proc():
+    program = "import os\nprint(open(f'/proc/{os.getppid()}/environ', 'rb').read().decode('latin-1'))"
+    assert CANARY not in _stdout_of_code_run_in_a_child(program)
+
+
 def test_execute_code_runs_the_interpreter_in_isolated_mode():
     outcome = execute_code("import os, sys\nprint(sys.flags.isolated, os.getcwd() in sys.path)", 10.0)
     assert outcome.exit_status == 0
@@ -648,6 +678,29 @@ def test_a_program_handed_to_an_interpreter_that_died_unread_comes_back_killed(m
 def test_execute_code_output_capped():
     outcome = execute_code(f"print('y' * {SANDBOX_OUTPUT_CAP + 2000})", 10.0)
     assert outcome.stdout == "y" * SANDBOX_OUTPUT_CAP
+
+
+def test_a_program_flooding_its_output_stops_at_the_file_size_cap():
+    flood = "import sys\nblock = b'y' * 2**20\nwhile True:\n    sys.stdout.buffer.write(block)\n"
+    outcome = execute_code(flood, 10.0)
+    assert outcome.exit_status == 1
+    assert outcome.stdout == "y" * SANDBOX_OUTPUT_CAP
+    assert outcome.stderr.rstrip().endswith("OSError: [Errno 27] File too large")
+
+
+def test_a_program_cannot_write_a_file_past_the_file_size_cap():
+    # seeking makes a sparse file, so the test writes two bytes, not 64 MB
+    program = (
+        "with open('data.bin', 'wb', buffering=0) as fh:\n"
+        f"    fh.seek({tools._FILE_SIZE_CAP} - 1)\n"
+        "    fh.write(b'a')\n"
+        "    print('up to the cap')\n"
+        "    fh.write(b'b')\n"
+    )
+    outcome = execute_code(program, 10.0)
+    assert outcome.exit_status == 1
+    assert outcome.stdout == "up to the cap\n"
+    assert outcome.stderr.rstrip().endswith("OSError: [Errno 27] File too large")
 
 
 def test_execute_code_runs_the_program_as_program_py_in_its_own_directory():
