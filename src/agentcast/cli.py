@@ -227,23 +227,21 @@ def _require_env(name: str) -> str:
     return value
 
 
-def build_backend(ns: argparse.Namespace, cfg: RunConfig) -> UsageMeter:
+def build_backend(ns: argparse.Namespace, cfg: RunConfig) -> Backend:
     """Replay when a cassette is given (unless recording), else live HTTP,
     optionally wrapped to record."""
     if ns.cassette and not ns.record:
-        return UsageMeter(ReplayBackend.from_file(ns.cassette))
+        return ReplayBackend.from_file(ns.cassette)
     api_key = _require_env("LLM_API_KEY")
     base_url = cfg.llm_base_url or os.environ.get("LLM_BASE_URL", "")
     if not base_url:
         raise ConfigError("no LLM base URL (set LLM_BASE_URL or llm_base_url in the config)")
-    backend: Backend = HTTPBackend(
-        base_url, api_key, rate_limiter=RateLimiter(cfg.rate_limit_rpm)
-    )
+    backend = HTTPBackend(base_url, api_key, rate_limiter=RateLimiter(cfg.rate_limit_rpm))
     if ns.record:
         if not ns.cassette:
             raise ConfigError("--record needs --cassette PATH to write to")
-        backend = RecordingBackend(backend, ns.cassette)
-    return UsageMeter(backend)
+        return RecordingBackend(backend, ns.cassette)
+    return backend
 
 
 def build_search_provider(ns: argparse.Namespace, cfg: RunConfig) -> SearchProvider:
@@ -403,31 +401,31 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
     if not dataset:
         print("dataset is empty; nothing to forecast", file=sys.stderr)
         return EXIT_EMPTY
-    with closing(build_backend(ns, cfg)) as backend:
-        memo = SearchMemo(build_search_provider(ns, cfg))
-        run_member = make_member_runner(cfg, backend, memo, single_agent=ns.single_agent)
+    backend = UsageMeter(build_backend(ns, cfg))
+    memo = SearchMemo(build_search_provider(ns, cfg))
+    run_member = make_member_runner(cfg, backend, memo, single_agent=ns.single_agent)
 
-        config_echo = {
-            "cutoff": cutoff.isoformat(),
-            "ensemble_size": cfg.ensemble_size,
-            "aggregator": cfg.aggregator,
-            "seed": cfg.seed,
-            "model_id": cfg.model_id,
-            "temperature": cfg.temperature,
-            "single_agent": bool(ns.single_agent),
-        }
-        statuses = run_forecast(
-            dataset,
-            run_member,
-            ns.out,
-            ensemble_size=cfg.ensemble_size,
-            aggregator_mode=cfg.aggregator,
-            seed=cfg.seed,
-            workers=cfg.in_flight,
-            config_echo=config_echo,
-            usage=backend,
-            memo=memo,
-        )
+    config_echo = {
+        "cutoff": cutoff.isoformat(),
+        "ensemble_size": cfg.ensemble_size,
+        "aggregator": cfg.aggregator,
+        "seed": cfg.seed,
+        "model_id": cfg.model_id,
+        "temperature": cfg.temperature,
+        "single_agent": bool(ns.single_agent),
+    }
+    statuses = run_forecast(
+        dataset,
+        run_member,
+        ns.out,
+        ensemble_size=cfg.ensemble_size,
+        aggregator_mode=cfg.aggregator,
+        seed=cfg.seed,
+        workers=cfg.in_flight,
+        config_echo=config_echo,
+        usage=backend,
+        memo=memo,
+    )
     if memo.dropped:
         logger.warning("dropped %d search results published on/after %s", memo.dropped, cutoff)
     counts = {status: sum(1 for s in statuses.values() if s == status) for status in set(statuses.values())}
@@ -459,8 +457,7 @@ def cmd_curate(ns: argparse.Namespace) -> int:
         write_questions(ns.out, [])
         print(f"no binary markets close in [{from_date}, {to_date}]; wrote empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    with closing(build_backend(ns, cfg)) as backend:
-        curated = curate_markets(backend, fetched, model_id=cfg.model_id, workers=cfg.in_flight)
+    curated = curate_markets(build_backend(ns, cfg), fetched, model_id=cfg.model_id, workers=cfg.in_flight)
     questions = []
     audit = []
     for question, (verdict, category) in zip(fetched, curated):
@@ -639,13 +636,11 @@ def cmd_probe(ns: argparse.Namespace) -> int:
         print("no probes to run", file=sys.stderr)
         return EXIT_EMPTY
     counts: dict[str, int] = {}
-    with closing(build_backend(ns, cfg)) as backend:
-        for question, patterns in probes:
-            result, _reply = leakage_probe(
-                backend, question, patterns, model_id=cfg.model_id, temperature=cfg.temperature
-            )
-            counts[result.value] = counts.get(result.value, 0) + 1
-            print(f"{result.value}\t{question}")
+    backend = build_backend(ns, cfg)
+    for question, patterns in probes:
+        result, _reply = leakage_probe(backend, question, patterns, model_id=cfg.model_id, temperature=cfg.temperature)
+        counts[result.value] = counts.get(result.value, 0) + 1
+        print(f"{result.value}\t{question}")
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"probe summary: {summary}")
     return EXIT_OK

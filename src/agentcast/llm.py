@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
 
-from .models import replace_surrogates
+from .models import ValidationError, read_checked, replace_surrogates
 
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
     import socket
@@ -220,8 +220,8 @@ class RateLimiter:
     """Token bucket for one live client. The CLI gives the chat backend and
     the search provider one each, both sized by `rate_limit_rpm`.
 
-    Capacity equals the per-minute budget, so a fresh limiter allows a burst
-    of that size before callers start waiting.
+    Capacity equals the per-minute budget, and is at least one token, so a
+    fresh limiter allows a burst of that size before callers start waiting.
     """
 
     def __init__(
@@ -232,7 +232,7 @@ class RateLimiter:
     ):
         if not math.isfinite(requests_per_minute) or requests_per_minute <= 0:
             raise ValueError(f"requests_per_minute must be finite and positive, got {requests_per_minute!r}")
-        self._capacity = float(requests_per_minute)
+        self._capacity = max(1.0, requests_per_minute)
         self._rate = requests_per_minute / 60.0
         self._tokens = self._capacity
         self._clock = clock
@@ -584,7 +584,9 @@ def _request_summary(request: ChatRequest) -> dict:
 
 class RecordingBackend:
     """Wraps a live backend and appends every exchange to a cassette file,
-    tagged with the lane it was made in (null outside any lane: probe)."""
+    tagged with the lane it was made in (null outside any lane: probe). Each
+    exchange opens the file, appends its line and closes it again, so no
+    file stays open and nothing needs closing."""
 
     def __init__(self, inner: Backend, cassette_path: str | Path):
         self._inner = inner
@@ -592,7 +594,7 @@ class RecordingBackend:
         self._lock = threading.Lock()
         try:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self._path, "a", encoding="utf-8")
+            open(self._path, "a", encoding="utf-8").close()  # an unwritable path fails before any request
         except OSError as exc:
             raise CassetteError(f"cannot open cassette {self._path} for writing: {exc}") from exc
 
@@ -612,14 +614,11 @@ class RecordingBackend:
         line = json.dumps(entry, ensure_ascii=False)
         with self._lock:
             try:
-                self._fh.write(line + "\n")
-                self._fh.flush()
+                with open(self._path, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
             except OSError as exc:
                 raise CassetteError(f"cannot write cassette {self._path}: {exc}") from exc
         return response
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 CassetteKey = tuple[Lane | None, str]
@@ -631,36 +630,41 @@ def load_cassette(path: str | Path) -> dict[CassetteKey, list[ChatResponse]]:
     U+FFFD. Corrupt lines, including a reply that is not a string, raise
     CassetteError naming the file and line number."""
     path = Path(path)
-    entries: dict[CassetteKey, list[ChatResponse]] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        lines = read_checked(path, _cassette_entry)
     except OSError as exc:
         raise CassetteError(f"cannot open cassette {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                fp = raw["fingerprint"]
-                lane = raw.get("lane")
-                if lane is not None:
-                    question_id, member_index = lane
-                    lane = (str(question_id), int(member_index))
-                resp = raw["response"]
-                content = resp["content"]
-                if not isinstance(content, str):
-                    raise TypeError(f"content is {type(content).__name__}, not a string")
-                response = ChatResponse(
-                    content=replace_surrogates(content),
-                    prompt_tokens=int(resp.get("prompt_tokens", 0)),
-                    completion_tokens=int(resp.get("completion_tokens", 0)),
-                    finish_reason=resp.get("finish_reason", "stop"),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CassetteError(f"{path}:{lineno}: corrupt cassette entry ({exc})") from None
-            entries.setdefault((lane, fp), []).append(response)
+    except ValidationError as exc:  # its message reads "<path>:<line>: <fault>"
+        lineno, _, fault = exc.message[len(f"{path}:") :].partition(": ")
+        raise CassetteError(f"{path}:{lineno}: corrupt cassette entry ({fault})") from None
+    entries: dict[CassetteKey, list[ChatResponse]] = {}
+    for key, response in lines:
+        entries.setdefault(key, []).append(response)
     return entries
+
+
+def _cassette_entry(raw: Any) -> tuple[CassetteKey, ChatResponse]:
+    try:
+        fp = raw["fingerprint"]
+        if not isinstance(fp, str):
+            raise TypeError(f"fingerprint is {type(fp).__name__}, not a string")
+        lane = raw.get("lane")
+        if lane is not None:
+            question_id, member_index = lane
+            lane = (str(question_id), int(member_index))
+        resp = raw["response"]
+        content = resp["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"content is {type(content).__name__}, not a string")
+        response = ChatResponse(
+            content=replace_surrogates(content),
+            prompt_tokens=int(resp.get("prompt_tokens", 0)),
+            completion_tokens=int(resp.get("completion_tokens", 0)),
+            finish_reason=resp.get("finish_reason", "stop"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError("entry", str(exc)) from None
+    return (lane, fp), response
 
 
 class ReplayBackend:
@@ -708,11 +712,6 @@ class UsageMeter:
             self.prompt_tokens += response.prompt_tokens
             self.completion_tokens += response.completion_tokens
         return response
-
-    def close(self) -> None:
-        """Close the wrapped backend if it holds a file open (a recording)."""
-        if isinstance(self._inner, RecordingBackend):
-            self._inner.close()
 
 
 # --- leakage probe --------------------------------------------------------

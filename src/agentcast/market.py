@@ -38,6 +38,7 @@ from .models import (
     check_question,
     parse_timestamp,
     read_questions,
+    replace_surrogates,
     write_questions,
 )
 
@@ -113,8 +114,12 @@ class FixtureMarketClient:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureMarketClient":
+        data = Path(path).read_bytes()
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise MarketError(f"{path}:{lineno}: not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise MarketError(f"{path}: invalid JSON ({exc})") from None
         markets = payload.get("markets") if isinstance(payload, dict) else payload
@@ -140,12 +145,18 @@ class FixtureMarketClient:
 
 def _market_fields(raw: dict) -> dict:
     """The dataset fields of one binary market payload. MarketSchemaError
-    if a field is missing, closeTime does not parse, a resolved market has
-    no resolution, or probability is not a JSON number in [0, 1]."""
+    if a field is missing, the id is blank or holds a lone surrogate, the
+    question is not a non-blank string, closeTime does not parse, a resolved
+    market has no resolution, or probability is not a JSON number in [0, 1]."""
     for key in ("id", "question", "closeTime", "probability"):
         if key not in raw:
             raise MarketSchemaError(f"market payload missing {key!r}: {str(raw)[:120]}")
     market_id = str(raw["id"])
+    if not market_id.strip() or replace_surrogates(market_id) != market_id:
+        raise MarketSchemaError(f"market id {market_id!r} is blank or holds a lone surrogate")
+    question = raw["question"]
+    if not isinstance(question, str) or not question.strip():
+        raise MarketSchemaError(f"market {market_id}: question {question!r} is not a non-blank string")
     try:
         close_time = parse_timestamp(raw["closeTime"], "closeTime")
     except ValidationError as exc:
@@ -157,7 +168,7 @@ def _market_fields(raw: dict) -> dict:
         raise MarketSchemaError(f"market {market_id}: probability {probability!r} is not a number in [0, 1]")
     return {
         "id": market_id,
-        "title": str(raw["question"]),
+        "title": question,
         "close_time": close_time,
         "crowd_prob": probability,
         "source": "market",

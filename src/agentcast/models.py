@@ -427,13 +427,18 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     Each line gives what json.loads gives for it, but a line that is just one
     value, as write_jsonl writes them, skips json.loads' whitespace passes.
-    Malformed JSON raises ValidationError naming the file and line.
+    Malformed JSON, or bytes that are not UTF-8, raise ValidationError naming
+    the file and line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    # bytes that are not UTF-8 read as lone surrogates, which no UTF-8 text
+    # decodes to, so only a line that is not ASCII needs the scan
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii() and _SURROGATE.search(line):
+                raise ValidationError("line", f"{path}:{lineno}: not valid UTF-8")
             try:
                 value, end = _raw_decode(line)
             except json.JSONDecodeError:

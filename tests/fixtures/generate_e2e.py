@@ -211,7 +211,6 @@ def main() -> int:
             memo=memo,
         )
         records = {r.question_id: r for r in read_records(Path(out) / "forecasts.jsonl")}
-    backend.close()
 
     # sanity: the scripted flow must have produced exactly the intended run
     assert statuses == {

@@ -1,9 +1,7 @@
 """CLI wiring: config precedence, the forecast/curate/resolve/score/probe
 commands run end to end over fixtures, resume semantics, and exit codes."""
 
-import errno
 import gc
-import io
 import json
 import logging
 import math
@@ -40,7 +38,6 @@ from agentcast.llm import (
     RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
-    UsageMeter,
     current_lane,
     fingerprint,
     in_lane,
@@ -353,7 +350,7 @@ class UncallableBackend:
 
 def test_forecast_with_an_unknown_aggregator_exits_1_before_any_request(tmp_path, monkeypatch, capsys):
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"aggregator": "mode"}))
     out = tmp_path / "run"
@@ -459,7 +456,7 @@ class BarrierBackend:
 
 
 def test_forecast_runs_a_questions_members_concurrently(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(BarrierBackend(3)))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: BarrierBackend(3))
     dataset = tmp_path / "one.jsonl"
     write_questions(dataset, [make_question()])
     out = tmp_path / "run"
@@ -520,7 +517,7 @@ def test_forecast_single_agent_end_to_end(tmp_path, monkeypatch):
     # declines instead of compacting
     def forecast(out, dataset, script, *extra):
         backend = ScriptedBackend(script)
-        monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+        monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
         rc = cli.main(
             [
                 "forecast",
@@ -596,10 +593,7 @@ def test_a_recorded_run_whose_program_raised_replays(tmp_path):
         return run_forecast(dataset, runner, out, ensemble_size=1, aggregator_mode="median", seed=0)
 
     recorder = RecordingBackend(ScriptedBackend(computation_script("raise RuntimeError('boom')")), cassette)
-    try:
-        assert forecast(recorder, tmp_path / "recorded") == {dataset[0].id: "forecasted"}
-    finally:
-        recorder.close()
+    assert forecast(recorder, tmp_path / "recorded") == {dataset[0].id: "forecasted"}
     assert forecast(ReplayBackend.from_file(cassette), tmp_path / "replayed") == {dataset[0].id: "forecasted"}
     recorded = run_outputs(tmp_path / "recorded")
     assert run_outputs(tmp_path / "replayed") == recorded
@@ -627,7 +621,7 @@ def test_forecast_leaves_no_process_or_sandbox_dir_behind(tmp_path, monkeypatch)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     before = live_children()
     backend = ScriptedBackend(computation_script("print(6 * 7)"))
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     dataset = tmp_path / "one.jsonl"
     write_questions(dataset, [make_question()])
     out = tmp_path / "run"
@@ -723,7 +717,7 @@ class RejectsTheKey:
 
 def test_forecast_with_a_rejected_key_exits_1_and_a_rerun_forecasts_everything(tmp_path, monkeypatch, capsys):
     backend = RejectsTheKey(3)
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     out = tmp_path / "run"
     assert replay_forecast(out, "--workers", "1") == EXIT_FATAL
     assert len(backend.requests) == 3  # the first question's members; no queued member started
@@ -736,23 +730,18 @@ def test_forecast_with_a_rejected_key_exits_1_and_a_rerun_forecasts_everything(t
     assert run_outputs(out) == run_outputs(tmp_path / "fresh")
 
 
-class FullDisk(io.StringIO):
-    def write(self, text):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_forecast_recording_whose_write_fails_exits_1(tmp_path, monkeypatch, capsys):
-    class FullDiskRecorder(RecordingBackend):
+    class UnwritableRecorder(RecordingBackend):
         def __init__(self, inner, path):
             super().__init__(inner, path)
-            self._fh.close()
-            self._fh = FullDisk()
+            Path(path).unlink()
+            Path(path).mkdir()  # every append now fails with IsADirectoryError
 
     live = ScriptedBackend(["Thought: enough.\nFinal Answer: 0.4"] * 15)
     monkeypatch.setenv("LLM_API_KEY", "key")
     monkeypatch.setenv("LLM_BASE_URL", "http://llm.invalid/v1")
     monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: live)
-    monkeypatch.setattr(cli, "RecordingBackend", FullDiskRecorder)
+    monkeypatch.setattr(cli, "RecordingBackend", UnwritableRecorder)
     out = tmp_path / "run"
     cassette = tmp_path / "cassette.jsonl"
     assert replay_forecast(out, "--record", "--workers", "1", cassette=cassette) == EXIT_FATAL
@@ -763,7 +752,7 @@ def test_forecast_recording_whose_write_fails_exits_1(tmp_path, monkeypatch, cap
 
 def counting_runner(counter):
     cfg = RunConfig(cutoff="2024-04-15")
-    backend = UsageMeter(ReplayBackend.from_file(E2E / "cassette.jsonl"))
+    backend = ReplayBackend.from_file(E2E / "cassette.jsonl")
     provider = FixtureSearchProvider.from_file(E2E / "search.jsonl")
     inner = make_member_runner(cfg, backend, provider)
 
@@ -814,7 +803,7 @@ def test_forecast_exits_1_on_a_repeated_question_id_before_any_request(tmp_path,
     # before, a replay died on an unrelated cassette miss and a live run
     # forecast the question twice
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     dataset = dataset_repeating_its_first_id(tmp_path)
     out = tmp_path / "run"
     assert replay_forecast(out, dataset=dataset) == EXIT_FATAL
@@ -826,7 +815,7 @@ def test_forecast_exits_1_on_a_repeated_question_id_before_any_request(tmp_path,
 def test_forecast_exits_1_on_a_non_string_background_before_any_request(tmp_path, monkeypatch, capsys):
     # before, the number reached the planner's task prompt as "Background: 7"
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     lines = (E2E / "questions.jsonl").read_text(encoding="utf-8").splitlines()
     lines[1] = json.dumps({**json.loads(lines[1]), "background": 7})
     dataset = tmp_path / "dataset.jsonl"
@@ -847,7 +836,7 @@ def test_forecast_resume_exits_1_on_a_repeated_question_id(tmp_path, monkeypatch
     records = out / "forecasts.jsonl"
     records.write_text("\n".join([lines[0], lines[0]]) + "\n", encoding="utf-8")
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     assert replay_forecast(out) == EXIT_FATAL
     expected = f"error: question_id: {records}:2: repeated question_id 'q_eth', first on line 1"
     assert capsys.readouterr().err.splitlines()[-1] == expected
@@ -978,7 +967,6 @@ def record_curate_cassette(path: Path) -> None:
         classify_category(backend, "Will the central bank cut rates before July?")
     with in_lane("mkt_personal", 0):
         assert not llm_filter(backend, "Will I finish my thesis this month?").keep
-    backend.close()
 
 
 def test_curate_filters_and_snapshots(tmp_path, capsys):
@@ -1048,7 +1036,7 @@ def test_curate_empty_window_exits_2(tmp_path):
 
 def test_curate_writes_a_lone_surrogate_in_a_question_as_a_replacement_character(tmp_path, monkeypatch):
     # a market title cut in the middle of an emoji arrives as half an escaped pair
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(ConstantBackend("Yes")))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: ConstantBackend("Yes"))
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": [{**many_markets(1)[0], "question": "Will \ud83d ship?"}]}))
     dataset = tmp_path / "dataset.jsonl"
@@ -1097,7 +1085,7 @@ def test_curate_and_resolve_keep_ensemble_many_markets_in_flight_at_default_sett
     markets = many_markets(3)
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": markets}))
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(BarrierBackend(3, "Yes")))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: BarrierBackend(3, "Yes"))
     dataset = tmp_path / "dataset.jsonl"
     assert cli.main(curate_args(market_fixture, dataset)) == EXIT_OK
     assert [q.id for q in read_questions(dataset)] == ["mkt0", "mkt1", "mkt2"]
@@ -1196,7 +1184,7 @@ def test_curate_auth_error_exits_1_and_starts_no_queued_market(tmp_path, monkeyp
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": many_markets(9)}))
     backend = AuthFailsOnFirstMarket()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     dataset = tmp_path / "dataset.jsonl"
     assert cli.main(curate_args(market_fixture, dataset)) == EXIT_FATAL
     # only the three markets already in flight beside mkt0 sent a request
@@ -1210,7 +1198,7 @@ def test_curate_with_a_malformed_at_exits_1_before_any_request(tmp_path, monkeyp
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": many_markets(3)}))
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     dataset = tmp_path / "dataset.jsonl"
     args = curate_args(market_fixture, dataset)
     args[args.index("--at") + 1] = "2024-04-15T25:00:00Z"
@@ -1227,7 +1215,7 @@ def test_curate_of_a_market_closed_before_the_snapshot_exits_1_before_any_reques
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": many_markets(3)}))
     backend = ScriptedBackend([])
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     dataset = tmp_path / "dataset.jsonl"
     args = curate_args(market_fixture, dataset)
     if at is None:
@@ -1250,7 +1238,7 @@ def test_a_malformed_market_fixture_exits_1_naming_the_file(tmp_path, monkeypatc
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(content)
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     dataset = tmp_path / "dataset.jsonl"
     assert cli.main(curate_args(market_fixture, dataset)) == EXIT_FATAL
     last = capsys.readouterr().err.splitlines()[-1]
@@ -1263,7 +1251,7 @@ def test_a_search_fixture_line_without_a_string_query_exits_1_naming_the_line(tm
     search_fixture = tmp_path / "search.jsonl"
     search_fixture.write_text('{"query": "eth", "results": []}\n{"results": []}\n')
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     out = tmp_path / "run"
     assert replay_forecast(out, "--search-fixture", str(search_fixture)) == EXIT_FATAL
     last = capsys.readouterr().err.splitlines()[-1]
@@ -1282,7 +1270,6 @@ def test_curate_replay_of_a_laneless_cassette_exits_1(tmp_path):
     llm_filter(backend, "Will the central bank cut rates before July?")
     llm_filter(backend, "Will I finish my thesis this month?")
     classify_category(backend, "Will the central bank cut rates before July?")
-    backend.close()
     dataset = tmp_path / "dataset.jsonl"
     assert cli.main(curate_args(market_fixture, dataset, "--cassette", str(cassette))) == EXIT_FATAL
     assert not dataset.exists()
@@ -1700,7 +1687,6 @@ def record_probe_cassette(path: Path) -> None:
     backend = RecordingBackend(ScriptedBackend(PROBE_REPLIES), path)
     for probe in probes:
         leakage_probe(backend, probe["question"], probe.get("answer_patterns", []))
-    backend.close()
 
 
 def test_probe_replay_classifies_replies(tmp_path, capsys):
@@ -1738,7 +1724,7 @@ def test_probe_exits_1_on_a_malformed_line_before_any_request(tmp_path, monkeypa
     # before, these gave a traceback, or "abc" was matched a character at a
     # time so any reply with an "a" counted as Leaked
     backend = UncallableBackend()
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: UsageMeter(backend))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
     probes = tmp_path / "probes.jsonl"
     probes.write_text('{"question": "Who won the final?", "answer_patterns": ["beat"]}\n' + line + "\n")
     assert cli.main(["probe", "--probes", str(probes)]) == EXIT_FATAL
@@ -1753,7 +1739,6 @@ def test_probe_reads_lone_surrogates_as_replacement_characters(tmp_path, capsys)
     cassette = tmp_path / "probe_cassette.jsonl"
     backend = RecordingBackend(ScriptedBackend(["The \ufffd team won the 2024 race."]), cassette)
     leakage_probe(backend, "Who won \ufffd the 2024 race?", ["\ufffd team won"])
-    backend.close()
     probes = tmp_path / "probes.jsonl"
     probes.write_text('{"question": "Who won \\ud83d the 2024 race?", "answer_patterns": ["\\ud83d team won"]}\n')
     assert cli.main(["probe", "--probes", str(probes), "--cassette", str(cassette)]) == EXIT_OK
@@ -1796,6 +1781,62 @@ def test_record_closes_the_cassette(tmp_path, monkeypatch, command):
     assert cassette.read_text(encoding="utf-8").count("\n") >= 2
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning) and "cassette.jsonl" in str(w.message)]
     assert leaks == []
+
+
+# --- input encoding --------------------------------------------------------------
+
+
+def copy_with_a_byte_that_is_not_utf8(source: Path, target: Path) -> Path:
+    """`source` copied to `target` with a 0xff byte after the first quote of its second line."""
+    first, second, rest = source.read_bytes().split(b"\n", 2)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(b"\n".join([first, second.replace(b'"', b'"\xff', 1), rest]))
+    return target
+
+
+PACKAGED_PROBES = Path(cli.__file__).parent / "data" / "probes.jsonl"
+
+
+NOT_UTF8 = "line: {bad}:2: not valid UTF-8"
+
+
+@pytest.mark.parametrize(
+    "source, name, command, error",
+    [
+        (E2E / "questions.jsonl", "bad.jsonl", "score --dataset {bad} --forecasts {forecasts}", NOT_UTF8),
+        (FIXTURES / "e2e_forecast" / "forecasts.jsonl", "bad.jsonl", "score --dataset {questions} --forecasts {bad}",
+         NOT_UTF8),
+        (FIXTURES / "e2e_forecast" / "forecasts.jsonl", "run/forecasts.jsonl", "forecast {forecast} --out {run}",
+         NOT_UTF8),
+        (E2E / "search.jsonl", "bad.jsonl", "forecast {forecast} --out {run} --search-fixture {bad}", NOT_UTF8),
+        (PACKAGED_PROBES, "bad.jsonl", "probe --probes {bad} --cassette {cassette}", NOT_UTF8),
+        (E2E / "cassette.jsonl", "bad.jsonl", "probe --cassette {bad}",
+         "{bad}:2: corrupt cassette entry (not valid UTF-8)"),
+        (None, "bad.json", "resolve --dataset {questions} --market-fixture {bad}", "{bad}:2: not valid UTF-8"),
+    ],
+    ids=["dataset", "records", "rerun-records", "search-fixture", "probes", "cassette", "market-fixture"],
+)
+def test_an_input_that_is_not_utf8_exits_1_naming_the_line(tmp_path, monkeypatch, capsys, source, name, command, error):
+    # each was a UnicodeDecodeError traceback
+    if source is None:
+        source = tmp_path / "markets.json"
+        source.write_text(json.dumps({"markets": [{"id": "q_eth", "isResolved": False}]}, indent=2))
+    bad = copy_with_a_byte_that_is_not_utf8(source, tmp_path / name)
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: backend)
+    questions = tmp_path / "questions.jsonl"
+    questions.write_bytes((E2E / "questions.jsonl").read_bytes())
+    forecast = ["--dataset", str(questions), "--cassette", str(E2E / "cassette.jsonl"), "--cutoff", "2024-04-15",
+                "--search-fixture", str(E2E / "search.jsonl")]
+    paths = {"bad": bad, "forecasts": FIXTURES / "e2e_forecast" / "forecasts.jsonl", "questions": questions,
+             "run": tmp_path / "run", "cassette": E2E / "cassette.jsonl"}
+    argv = []
+    for token in command.split():  # a path stays one argument, spaces and all
+        argv += forecast if token == "{forecast}" else [token.format(**paths)]
+    assert cli.main(argv) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + error.format(bad=bad)
+    assert backend.requests == []
+    assert questions.read_bytes() == (E2E / "questions.jsonl").read_bytes()
 
 
 # --- imports -------------------------------------------------------------------

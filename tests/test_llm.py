@@ -2,6 +2,7 @@
 
 import base64
 import json
+import os
 import sys
 import threading
 import time
@@ -134,7 +135,6 @@ def test_record_then_replay_round_trip(tmp_path):
     assert recording.complete(req).content == "first"
     assert recording.complete(req).content == "second"  # same fingerprint, second entry
     assert recording.complete(make_request("different")).content == "other"
-    recording.close()
 
     replay = ReplayBackend.from_file(cassette)
     assert replay.complete(make_request("different")).content == "other"
@@ -153,7 +153,6 @@ def test_replay_serves_each_lane_its_own_entries(tmp_path):
     with in_lane("q1", 1):
         recording.complete(req)
     recording.complete(req)
-    recording.close()
     lanes = [json.loads(line)["lane"] for line in cassette.read_text().splitlines()]
     assert lanes == [["q1", 0], ["q1", 1], None]
 
@@ -171,7 +170,6 @@ def test_replay_misses_unknown_request(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
     recording = RecordingBackend(ScriptedBackend(["x"]), cassette)
     recording.complete(make_request("known"))
-    recording.close()
     replay = ReplayBackend.from_file(cassette)
     with pytest.raises(CassetteMiss, match="fingerprint"):
         replay.complete(make_request("never recorded"))
@@ -181,7 +179,6 @@ def test_cassette_line_that_still_carries_max_tokens_replays(tmp_path):
     cassette = tmp_path / "cassette.jsonl"
     recording = RecordingBackend(ScriptedBackend(["x"]), cassette)
     recording.complete(make_request())
-    recording.close()
     entry = json.loads(cassette.read_text())
     assert set(entry["request"]) == {"model_id", "n_messages", "last_message"}
     entry["request"]["max_tokens"] = 256  # summaries written by older versions carry it
@@ -204,6 +201,12 @@ def test_corrupt_cassette_names_line(tmp_path):
         load_cassette(cassette)
     with pytest.raises(CassetteError, match="cannot open"):
         load_cassette(tmp_path / "missing.jsonl")
+    cassette.write_bytes(good.encode() + b"\n" + good.replace('"x"', '"\xff"').encode("latin-1") + b"\n")
+    with pytest.raises(CassetteError, match=r"cassette\.jsonl:2: corrupt cassette entry \(not valid UTF-8\)"):
+        load_cassette(cassette)
+    cassette.write_text(good.replace('"f"', '["f"]') + "\n", encoding="utf-8")  # was an unhashable-type TypeError
+    with pytest.raises(CassetteError, match=r"cassette\.jsonl:1: corrupt cassette entry \(fingerprint is list"):
+        load_cassette(cassette)
 
 
 def test_recording_backend_unwritable_path_is_fatal(tmp_path):
@@ -211,6 +214,30 @@ def test_recording_backend_unwritable_path_is_fatal(tmp_path):
     target.mkdir()
     with pytest.raises(CassetteError, match="cannot open"):
         RecordingBackend(ScriptedBackend([]), target)
+
+
+def descriptors_on(path):
+    """How many of this process's file descriptors are open on `path`."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == str(path.resolve())
+        except OSError:  # the descriptor listdir itself used, closed since
+            pass
+    return count
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+def test_a_recorder_holds_no_descriptor_and_each_line_is_on_disk_when_complete_returns(tmp_path):
+    cassette = tmp_path / "cassette.jsonl"
+    recording = RecordingBackend(ScriptedBackend(["first", "second"]), cassette)
+    assert cassette.exists() and descriptors_on(cassette) == 0
+    recorded = []
+    for prompt, reply in [("a", "first"), ("b", "second")]:
+        recording.complete(make_request(prompt))
+        recorded.append(reply)
+        assert descriptors_on(cassette) == 0
+        assert [json.loads(line)["response"]["content"] for line in cassette.read_text().splitlines()] == recorded
 
 
 def test_usage_meter_accumulates():
@@ -397,12 +424,9 @@ def test_a_lone_surrogate_in_a_reply_reads_as_a_replacement_character(loopback, 
     loopback.serve((200, {}, {"choices": [{"message": {"content": "half \ud83d, whole \U0001f600"}}]}))
     cassette = tmp_path / "cassette.jsonl"
     recording = RecordingBackend(HTTPBackend(loopback.url, "key"), cassette)
-    try:
-        reply = recording.complete(make_request()).content
-        assert reply == "half \ufffd, whole \U0001f600"
-        recording.complete(make_request(reply))
-    finally:
-        recording.close()
+    reply = recording.complete(make_request()).content
+    assert reply == "half \ufffd, whole \U0001f600"
+    recording.complete(make_request(reply))
     entries = [json.loads(line) for line in cassette.read_text(encoding="utf-8").splitlines()]
     assert [e["response"]["content"] for e in entries] == [reply, reply]
 
@@ -540,6 +564,22 @@ def test_rate_limiter_allows_burst_then_waits():
     waited = limiter.acquire()  # bucket empty: one token refills in 1s at 60/min
     assert waited == pytest.approx(1.0)
     assert sleeps and sleeps[0] == pytest.approx(1.0)
+
+
+def test_rate_limiter_below_one_request_per_minute_grants_tokens():
+    # the bucket held at most 0.5 tokens at 0.5 rpm, so acquire slept forever
+    clock = {"now": 0.0}
+    sleeps = []
+
+    def fake_sleep(seconds):
+        assert len(sleeps) < 10, "no token after ten sleeps"
+        sleeps.append(seconds)
+        clock["now"] += seconds
+
+    limiter = RateLimiter(0.5, clock=lambda: clock["now"], sleep=fake_sleep)
+    assert limiter.acquire() == 0.0
+    assert limiter.acquire() == pytest.approx(120.0)
+    assert sleeps == [pytest.approx(120.0)]
 
 
 def test_rate_limiter_rejects_nonpositive_budget():

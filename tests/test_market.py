@@ -87,6 +87,12 @@ def test_fetch_window_filters_window_binary_and_malformed(caplog):
         market("bool", prob=True),
         market("numeric_text", prob="0.5"),
         market("nan", prob=float("nan")),
+        # each of these was kept as "None" or "5", or ended the whole curate
+        market("null_question", question=None),
+        market("number_question", question=5),
+        market("blank_question", question=" \t"),
+        market("surrogate\ud800"),
+        market(" "),
     ]
     client = FixtureMarketClient(markets)
     with caplog.at_level(logging.WARNING, logger="agentcast.market"):
@@ -105,6 +111,11 @@ def test_fetch_window_filters_window_binary_and_malformed(caplog):
         "skipping malformed market: market bool: probability True is not a number in [0, 1]",
         "skipping malformed market: market numeric_text: probability '0.5' is not a number in [0, 1]",
         "skipping malformed market: market nan: probability nan is not a number in [0, 1]",
+        "skipping malformed market: market null_question: question None is not a non-blank string",
+        "skipping malformed market: market number_question: question 5 is not a non-blank string",
+        "skipping malformed market: market blank_question: question ' \\t' is not a non-blank string",
+        "skipping malformed market: market id 'surrogate\\ud800' is blank or holds a lone surrogate",
+        "skipping malformed market: market id ' ' is blank or holds a lone surrogate",
     ]
 
 

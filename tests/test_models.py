@@ -163,6 +163,20 @@ def test_read_jsonl_names_file_and_line_on_corruption(tmp_path):
         list(read_jsonl(path))
 
 
+def test_read_jsonl_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # this was a UnicodeDecodeError traceback; text that is UTF-8 or an
+    # escaped lone surrogate still reads as before
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes('{"a": "é"}\n{"a": "\\ud83d"}\n{"a": "\xff"}\n'.encode("utf-8") + b'{"a": "\xff"}\n')
+    lines = read_jsonl(path)
+    assert next(lines) == (1, {"a": "é"})
+    assert next(lines) == (2, {"a": "\ud83d"})
+    assert next(lines) == (3, {"a": "\xff"})
+    with pytest.raises(ValidationError) as raised:
+        next(lines)
+    assert str(raised.value) == f"line: {path}:4: not valid UTF-8"
+
+
 @pytest.mark.parametrize(
     "line",
     [
