@@ -118,6 +118,12 @@ EXIT_EMPTY = 2
 # --- configuration -----------------------------------------------------------
 
 
+# the model latency, in seconds, at which the default in-flight still keeps
+# the rate budget busy, and the most requests that default ever asks for
+_LATENCY_CEILING_S = 10
+_MAX_IN_FLIGHT = 32
+
+
 class _RunConfigFields(NamedTuple):
     model_id: str = "default"
     temperature: float = DEFAULT_TEMPERATURE
@@ -125,7 +131,7 @@ class _RunConfigFields(NamedTuple):
     aggregator: str = "median"
     bins: int = 10
     seed: int = 0
-    workers: int = 1
+    workers: int | None = None
     max_iterations: int = 10
     worker_iterations: int = 10
     observation_budget: int = DEFAULT_OBSERVATION_BUDGET
@@ -148,7 +154,7 @@ class RunConfig(_RunConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.ensemble_size < 1:
             raise ConfigError(f"ensemble size must be at least 1, got {self.ensemble_size}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         if not 0 <= self.temperature < math.inf:
             raise ConfigError(f"temperature must be finite and non-negative, got {self.temperature}")
@@ -168,9 +174,16 @@ class RunConfig(_RunConfigFields):
 
     @property
     def in_flight(self) -> int:
-        """Requests kept in flight: `workers` questions times their ensemble
-        members in forecast, and that many markets in curate and resolve."""
-        return self.workers * self.ensemble_size
+        """Requests forecast and curate keep in flight. With `workers` set,
+        that many questions times their ensemble members. Unset, enough to
+        keep `rate_limit_rpm` busy at a model latency of `_LATENCY_CEILING_S`
+        by Little's law, at most `_MAX_IN_FLIGHT`, then rounded up to whole
+        questions: 12 at 60 rpm with an ensemble of 3."""
+        if self.workers is not None:
+            return self.workers * self.ensemble_size
+        # capped before rounding, so a huge finite rpm cannot overflow
+        requests = min(_MAX_IN_FLIGHT, self.rate_limit_rpm * _LATENCY_CEILING_S / 60)
+        return math.ceil(requests / self.ensemble_size) * self.ensemble_size
 
     def cutoff_date(self) -> date:
         if not self.cutoff:
@@ -413,6 +426,8 @@ def cmd_forecast(ns: argparse.Namespace) -> int:
         "model_id": cfg.model_id,
         "temperature": cfg.temperature,
         "single_agent": bool(ns.single_agent),
+        "in_flight": cfg.in_flight,
+        "rate_limit_rpm": cfg.rate_limit_rpm,
     }
     statuses = run_forecast(
         dataset,
@@ -483,7 +498,8 @@ def cmd_curate(ns: argparse.Namespace) -> int:
 def cmd_resolve(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     client = build_market_client(ns, cfg)
-    summary = backfill_resolutions(client, ns.dataset, workers=cfg.in_flight)
+    # the market client has no rate limiter, so the model's budget does not set this pace
+    summary = backfill_resolutions(client, ns.dataset, workers=(cfg.workers or 1) * cfg.ensemble_size)
     print(f"resolved {summary.resolved}, pending {summary.pending}, excluded {summary.excluded}")
     return EXIT_OK
 
@@ -659,7 +675,11 @@ _SHARED_FLAGS = {
     "--aggregator": {"choices": AGGREGATORS, "help": "ensemble aggregation"},
     "--bins": {"type": int, "help": "calibration bin count"},
     "--seed": {"type": int, "help": "seed for sampled aggregation"},
-    "--workers": {"type": int, "help": "questions (forecast) or N x ensemble markets (curate, resolve) in flight"},
+    "--workers": {
+        "type": int,
+        "help": "questions (forecast) or N x ensemble markets (curate, resolve) in flight "
+        "(default: enough to fill rate_limit_rpm for forecast and curate, 1 for resolve)",
+    },
 }
 
 

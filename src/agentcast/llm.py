@@ -241,19 +241,19 @@ class RateLimiter:
         self._lock = threading.Lock()
 
     def acquire(self) -> float:
-        """Take one token, sleeping until one is available. Returns the wait."""
-        waited = 0.0
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(self._capacity, self._tokens + (now - self._last) * self._rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return waited
-                shortfall = (1.0 - self._tokens) / self._rate
-            self._sleep(shortfall)
-            waited += shortfall
+        """Take one token, sleeping until it is due. Returns the wait.
+
+        A caller with no token left reserves the next one due, taking the
+        count below zero, so waiters leave in arrival order and each sleeps
+        once."""
+        with self._lock:
+            now = self._clock()
+            self._tokens = min(self._capacity, self._tokens + (now - self._last) * self._rate) - 1.0
+            self._last = now
+            wait = max(0.0, -self._tokens / self._rate)
+        if wait:
+            self._sleep(wait)
+        return wait
 
 
 class RetryPolicy(NamedTuple):

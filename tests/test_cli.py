@@ -79,6 +79,32 @@ def test_load_config_file_values_beat_defaults(tmp_path):
     assert cfg.aggregator == "median"  # untouched default
 
 
+def test_workers_null_in_a_config_file_leaves_the_rate_budget_to_set_the_pace(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"workers": None, "rate_limit_rpm": 30}))
+    cfg = RunConfig(**load_config(path))
+    assert cfg.workers is None and cfg.in_flight == 6
+    path.write_text(json.dumps({"workers": 0}))
+    with pytest.raises(ConfigError, match="workers must be at least 1, got 0"):
+        RunConfig(**load_config(path))
+
+
+@pytest.mark.parametrize(
+    "rpm, in_flight",
+    [
+        (0.5, {1: 1, 3: 3, 5: 5}),  # below one request in flight: one whole question
+        (60, {1: 10, 3: 12, 5: 10}),  # 60 rpm x 10 s / 60 = 10 requests, rounded up to whole questions
+        (1e6, {1: 32, 3: 33, 5: 35}),  # capped at 32, then rounded up
+        (1e308, {1: 32, 3: 33, 5: 35}),  # capped before rounding, so no overflow
+    ],
+)
+def test_default_in_flight_covers_the_rate_budget_in_whole_questions(rpm, in_flight):
+    for ensemble_size, expected in in_flight.items():
+        assert RunConfig(rate_limit_rpm=rpm, ensemble_size=ensemble_size).in_flight == expected
+        # a set `workers` is an override: that many questions' members
+        assert RunConfig(rate_limit_rpm=rpm, ensemble_size=ensemble_size, workers=2).in_flight == 2 * ensemble_size
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"ensembel_size": 5, "zzz": 1}))
@@ -374,17 +400,21 @@ def run_outputs(out_dir: Path) -> dict[str, bytes]:
     return {str(f.relative_to(out_dir)): f.read_bytes() for f in files if f.is_file()}
 
 
-@pytest.mark.parametrize("workers", ["1", "8"])
+@pytest.mark.parametrize("workers", ["1", "8", None])
 def test_forecast_replay_writes_the_committed_records(tmp_path, workers):
     # the committed records, transcripts and indexes were written by an
     # earlier version of the code, so a change to how any of them is written
     # shows up here
     out = tmp_path / "run"
-    assert replay_forecast(out, "--workers", workers) == EXIT_OK
+    assert replay_forecast(out, *(["--workers", workers] if workers else [])) == EXIT_OK
     golden = run_outputs(FIXTURES / "e2e_forecast")
     assert len(golden) == 25  # the records file, 5 indexes and 19 transcripts
     assert run_outputs(out) == golden
-    assert json.loads((out / "manifest.json").read_text())["search_results_dropped"] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["search_results_dropped"] == 0
+    # the manifest says what pace the run kept
+    in_flight = RunConfig(workers=int(workers) if workers else None).in_flight
+    assert (manifest["config"]["in_flight"], manifest["config"]["rate_limit_rpm"]) == (in_flight, 60.0)
 
 
 def with_late_results(tmp_path) -> Path:
@@ -463,6 +493,46 @@ def test_forecast_runs_a_questions_members_concurrently(tmp_path, monkeypatch):
     assert replay_forecast(out, "--workers", "1", dataset=dataset) == EXIT_OK
     (record,) = read_record_lines(out / "forecasts.jsonl")
     assert record["aggregate"] == 0.4 and len(record["members"]) == 3
+
+
+class OpenLaneCounter:
+    """Answers once the first `parties` requests are waiting at the same
+    time, and every later one at once; counts the most lanes it ever held
+    open together."""
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.open: set = set()
+        self.most = 0
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            first_wave = self.calls <= self.barrier.parties
+            self.open.add(current_lane())
+            self.most = max(self.most, len(self.open))
+        try:
+            if first_wave:
+                self.barrier.wait()
+                time.sleep(0.05)  # long enough for a lane past the cap to arrive
+            return ChatResponse("Thought: enough.\nFinal Answer: 0.4")
+        finally:
+            with self.lock:
+                self.open.discard(current_lane())
+
+
+@pytest.mark.parametrize("questions", [1, 5])
+def test_forecast_at_default_settings_holds_its_in_flight_lanes_and_never_more(tmp_path, monkeypatch, questions):
+    dataset = tmp_path / "dataset.jsonl"
+    write_questions(dataset, [make_question(qid=f"q{i}") for i in range(questions)])
+    lanes = min(RunConfig().in_flight, 3 * questions)  # 3 lanes (one question) or 12 (of 15)
+    backend = OpenLaneCounter(lanes)
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: backend)
+    assert replay_forecast(tmp_path / "run", dataset=dataset) == EXIT_OK
+    assert backend.calls == 3 * questions
+    assert backend.most == lanes
 
 
 class ArrivalOrderBackend:
@@ -1068,30 +1138,47 @@ def curate_args(market_fixture: Path, out: Path, *extra: str) -> list[str]:
 
 
 class BarrierMarketClient(FixtureMarketClient):
-    """Serves a market only once `parties` fetches are waiting at the same time."""
+    """Serves a market only once `parties` fetches are waiting at the same
+    time; counts the most fetches it ever held open together."""
 
     def __init__(self, markets, parties: int):
         super().__init__(markets)
         self.barrier = threading.Barrier(parties, timeout=5)
+        self.lock = threading.Lock()
+        self.open = self.most = 0
 
     def get_market(self, market_id):
-        self.barrier.wait()
-        return super().get_market(market_id)
+        with self.lock:
+            self.open += 1
+            self.most = max(self.most, self.open)
+        try:
+            self.barrier.wait()
+            time.sleep(0.02)  # long enough for a fetch past the cap to arrive
+            return super().get_market(market_id)
+        finally:
+            with self.lock:
+                self.open -= 1
 
 
-def test_curate_and_resolve_keep_ensemble_many_markets_in_flight_at_default_settings(tmp_path, monkeypatch):
-    # workers 1 x ensemble 3: three judge requests, then three classifier
-    # requests, then three fetches must all be waiting at once
-    markets = many_markets(3)
+def test_curate_fills_the_rate_budget_and_resolve_keeps_ensemble_many_markets_in_flight(tmp_path, monkeypatch):
+    # at default settings curate keeps the rate budget's 12 markets in
+    # flight: twelve judge requests, then twelve classifier requests must
+    # all be waiting at once. resolve has no rate budget and keeps workers
+    # 1 x ensemble 3 fetches in flight.
+    in_flight = RunConfig().in_flight
+    assert in_flight == 12
+    markets = many_markets(in_flight)
     market_fixture = tmp_path / "markets.json"
     market_fixture.write_text(json.dumps({"markets": markets}))
-    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: BarrierBackend(3, "Yes"))
+    monkeypatch.setattr(cli, "build_backend", lambda ns, cfg: BarrierBackend(in_flight, "Yes"))
     dataset = tmp_path / "dataset.jsonl"
     assert cli.main(curate_args(market_fixture, dataset)) == EXIT_OK
-    assert [q.id for q in read_questions(dataset)] == ["mkt0", "mkt1", "mkt2"]
+    assert [q.id for q in read_questions(dataset)] == [m["id"] for m in markets]
 
-    monkeypatch.setattr(cli, "build_market_client", lambda ns, cfg: BarrierMarketClient(markets, 3))
+    client = BarrierMarketClient(markets, 3)
+    monkeypatch.setattr(cli, "build_market_client", lambda ns, cfg: client)
     assert cli.main(["resolve", "--dataset", str(dataset)]) == EXIT_OK
+    assert client.most == 3
     by_id = {q.id: q for q in read_questions(dataset)}
     assert (by_id["mkt0"].outcome, by_id["mkt1"].outcome, by_id["mkt2"].excluded) == (1, 0, True)
 
@@ -1950,7 +2037,8 @@ def test_main_closes_every_connection_it_opened(tmp_path, loopback, capsys):
     config.write_text(json.dumps({"market_base_url": loopback.url}))
     assert cli.main(["resolve", "--dataset", str(dataset), "--config", str(config)]) == EXIT_OK
     assert "resolved 6, pending 0, excluded 0" in capsys.readouterr().out
-    assert len(loopback.requests) == 6 and 1 <= loopback.accepts <= RunConfig().in_flight
+    # resolve keeps workers 1 x ensemble markets in flight, so at most that many connections
+    assert len(loopback.requests) == 6 and 1 <= loopback.accepts <= RunConfig().ensemble_size
     # the server sees the client close its end of every connection
     assert loopback.wait_closed(loopback.accepts)
     gc.collect()  # an unclosed socket would warn here, and warnings are errors

@@ -582,6 +582,22 @@ def test_rate_limiter_below_one_request_per_minute_grants_tokens():
     assert sleeps == [pytest.approx(120.0)]
 
 
+def test_rate_limiter_waiters_reserve_slots_in_arrival_order_and_sleep_once():
+    # the clock never moves, so each caller past the burst must reserve the
+    # token after the one the caller before it reserved
+    sleeps = []
+
+    def fake_sleep(seconds):
+        assert len(sleeps) < 3, "a caller slept more than once"
+        sleeps.append(seconds)
+
+    limiter = RateLimiter(60, clock=lambda: 0.0, sleep=fake_sleep)
+    for _ in range(60):
+        assert limiter.acquire() == 0.0
+    assert [limiter.acquire() for _ in range(3)] == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
+    assert sleeps == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
+
+
 def test_rate_limiter_rejects_nonpositive_budget():
     # a NaN or infinite budget used to be accepted; a NaN one then waited NaN seconds forever
     for rpm in (0, -1, float("nan"), float("inf"), float("-inf")):
