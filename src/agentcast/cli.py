@@ -81,13 +81,13 @@ from .models import (
     RecordRow,
     ValidationError,
     format_timestamp,
+    loads,
     parse_timestamp,
     read_checked,
     read_questions,
     read_record_lines,
     read_records,
     record_line,
-    replace_surrogates,
     utc_now,
     write_jsonl,
     write_questions,
@@ -200,7 +200,7 @@ _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)
 
 def load_config(path: str | Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an int past the digit limit
@@ -639,7 +639,7 @@ def check_probe(raw: Any) -> tuple[str, list[str]]:
     patterns = raw.get("answer_patterns", [])
     if not isinstance(patterns, list) or not all(isinstance(p, str) and p for p in patterns):
         raise ValidationError("answer_patterns", f"expected a list of non-empty strings, got {patterns!r}")
-    return replace_surrogates(question), [replace_surrogates(p) for p in patterns]
+    return question, patterns
 
 
 def cmd_probe(ns: argparse.Namespace) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlencode, urlsplit
 
-from .models import ValidationError, read_checked, replace_surrogates
+from .models import ValidationError, loads, read_checked
 
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
     import socket
@@ -391,7 +391,7 @@ def _connect(route: Route, timeout: float) -> HTTPConnection:
 def http_transport(url: str, headers: dict, body: dict | None, timeout: float, params: dict | None = None) -> Response:
     """POST `body` as JSON, or GET with `params` (None values dropped) when
     there is no body, and return the status, the headers and the JSON payload
-    (the body text when it is not JSON).
+    as `models.loads` reads it (the body text when it is not JSON).
 
     The request goes over a kept-alive connection from the process pool.
     Redirects are not followed. A network failure closes the connection and
@@ -438,10 +438,11 @@ def http_transport(url: str, headers: dict, body: dict | None, timeout: float, p
         conn.close()
     else:
         _POOL.give(route, conn)
+    text = raw.decode("utf-8-sig", "replace")  # json.loads(bytes) would keep encoded surrogates
     try:
-        payload = json.loads(raw)
+        payload = loads(text)
     except ValueError:
-        payload = raw.decode("utf-8", errors="replace")
+        payload = text
     return resp.status, resp.headers, payload
 
 
@@ -541,7 +542,7 @@ def _parse_chat_payload(payload: Any) -> ChatResponse:
     if reason not in ("stop", "length"):
         reason = "other"
     return ChatResponse(
-        content=replace_surrogates(content),
+        content=content,
         prompt_tokens=int(usage.get("prompt_tokens", 0)),
         completion_tokens=int(usage.get("completion_tokens", 0)),
         finish_reason=reason,
@@ -626,9 +627,8 @@ CassetteKey = tuple[Lane | None, str]
 
 def load_cassette(path: str | Path) -> dict[CassetteKey, list[ChatResponse]]:
     """Parse a cassette into (lane, fingerprint) -> ordered responses. Entries
-    without a lane load under lane None; reply text reads lone surrogates as
-    U+FFFD. Corrupt lines, including a reply that is not a string, raise
-    CassetteError naming the file and line number."""
+    without a lane load under lane None. Corrupt lines, including a reply
+    that is not a string, raise CassetteError naming the file and line number."""
     path = Path(path)
     try:
         lines = read_checked(path, _cassette_entry)
@@ -657,7 +657,7 @@ def _cassette_entry(raw: Any) -> tuple[CassetteKey, ChatResponse]:
         if not isinstance(content, str):
             raise TypeError(f"content is {type(content).__name__}, not a string")
         response = ChatResponse(
-            content=replace_surrogates(content),
+            content=content,
             prompt_tokens=int(resp.get("prompt_tokens", 0)),
             completion_tokens=int(resp.get("completion_tokens", 0)),
             finish_reason=resp.get("finish_reason", "stop"),

@@ -36,9 +36,9 @@ from .models import (
     Question,
     ValidationError,
     check_question,
+    loads,
     parse_timestamp,
     read_questions,
-    replace_surrogates,
     write_questions,
 )
 
@@ -116,7 +116,7 @@ class FixtureMarketClient:
     def from_file(cls, path: str | Path) -> "FixtureMarketClient":
         data = Path(path).read_bytes()
         try:
-            payload = json.loads(data.decode("utf-8"))
+            payload = loads(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise MarketError(f"{path}:{lineno}: not valid UTF-8") from None
@@ -145,15 +145,15 @@ class FixtureMarketClient:
 
 def _market_fields(raw: dict) -> dict:
     """The dataset fields of one binary market payload. MarketSchemaError
-    if a field is missing, the id is blank or holds a lone surrogate, the
+    if a field is missing, the id is blank or holds U+FFFD, the
     question is not a non-blank string, closeTime does not parse, a resolved
     market has no resolution, or probability is not a JSON number in [0, 1]."""
     for key in ("id", "question", "closeTime", "probability"):
         if key not in raw:
             raise MarketSchemaError(f"market payload missing {key!r}: {str(raw)[:120]}")
     market_id = str(raw["id"])
-    if not market_id.strip() or replace_surrogates(market_id) != market_id:
-        raise MarketSchemaError(f"market id {market_id!r} is blank or holds a lone surrogate")
+    if not market_id.strip() or "\ufffd" in market_id:
+        raise MarketSchemaError(f"market id {market_id!r} is blank, or holds U+FFFD or a lone surrogate")
     question = raw["question"]
     if not isinstance(question, str) or not question.strip():
         raise MarketSchemaError(f"market {market_id}: question {question!r} is not a non-blank string")

@@ -29,17 +29,23 @@ class ValidationError(ValueError):
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_ESCAPED_SURROGATE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def replace_surrogates(text: str) -> str:
-    """`text` with each lone surrogate as U+FFFD.
+def loads(text: str) -> Any:
+    """`json.loads(text)`, with each lone surrogate (a `\\ud83d` escape) in a
+    string or key read as U+FFFD, which UTF-8 can write. Every JSON text from
+    outside is decoded here or, line by line, in read_jsonl."""
+    value = json.loads(text)
+    return _without_surrogates(value) if "\\u" in text and _ESCAPED_SURROGATE.search(text) else value
 
-    A JSON `\\ud83d` escape decodes to a lone surrogate, which UTF-8 cannot
-    encode, so text that comes in as JSON (dataset lines, search results,
-    model replies, market questions) passes through here before anything
-    writes or hashes it. ASCII text is returned as it is without a scan.
-    """
-    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
+
+def _without_surrogates(value: Any) -> Any:
+    if isinstance(value, str):
+        return _SURROGATE.sub("\ufffd", value)
+    if isinstance(value, dict):
+        return {_without_surrogates(k): _without_surrogates(v) for k, v in value.items()}
+    return [_without_surrogates(v) for v in value] if isinstance(value, list) else value
 
 
 class Category(Enum):
@@ -225,8 +231,8 @@ def check_question(raw: Any) -> Question:
     qid = raw["id"]
     if not isinstance(qid, str) or not qid.strip():
         raise ValidationError("id", "missing or empty question id")
-    if replace_surrogates(qid) != qid:
-        raise ValidationError("id", f"question id {qid!r} holds a lone surrogate")
+    if "\ufffd" in qid:  # what a lone surrogate reads as; ids that differ in one must not merge
+        raise ValidationError("id", f"question id {qid!r} holds U+FFFD or a lone surrogate")
     title = raw["title"]
     if not isinstance(title, str) or not title.strip():
         raise ValidationError("title", "missing or empty title")
@@ -256,7 +262,7 @@ def check_question(raw: Any) -> Question:
     label = _optional_text(raw, "category")
     category = Category.UNKNOWN if label is None else Category.from_label(label)
     return Question(
-        qid, replace_surrogates(title), close_time, fetched_at, background, resolution_criteria,
+        qid, title, close_time, fetched_at, background, resolution_criteria,
         category, crowd_prob, outcome, source, excluded,
     )
 
@@ -267,7 +273,7 @@ def _optional_text(raw: dict, key: str) -> str | None:
         return None
     if not isinstance(value, str):
         raise ValidationError(key, f"expected a string, got {value!r}")
-    return replace_surrogates(value)
+    return value
 
 
 # --- transcripts --------------------------------------------------------
@@ -425,7 +431,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, parsed_object) pairs; blank lines are skipped.
 
-    Each line gives what json.loads gives for it, but a line that is just one
+    Each line gives what `loads` gives for it, but a line that is just one
     value, as write_jsonl writes them, skips json.loads' whitespace passes.
     Malformed JSON, or bytes that are not UTF-8, raise ValidationError naming
     the file and line.
@@ -448,6 +454,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                     value = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError("line", f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if "\\u" in line and _ESCAPED_SURROGATE.search(line):  # as loads does
+                value = _without_surrogates(value)
             yield lineno, value
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
 from .llm import AuthError, BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
-from .models import ValidationError, parse_timestamp, read_checked, replace_surrogates
+from .models import ValidationError, parse_timestamp, read_checked
 
 if TYPE_CHECKING:  # imported where used, so runs without a search skip it
     from concurrent.futures import Future
@@ -72,9 +72,9 @@ class SearchProvider(Protocol):
 def _parse_result(raw: dict) -> SearchResult:
     published = raw.get("published")
     return SearchResult(
-        title=replace_surrogates(str(raw.get("title", ""))),
-        url=replace_surrogates(str(raw.get("url", ""))),
-        snippet=replace_surrogates(str(raw.get("snippet", ""))),
+        title=str(raw.get("title", "")),
+        url=str(raw.get("url", "")),
+        snippet=str(raw.get("snippet", "")),
         published=_published_date(published) if published else None,
     )
 

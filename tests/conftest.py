@@ -48,14 +48,15 @@ DROP = "drop"  # a reply that closes the connection without answering
 class LoopbackServer(ThreadingHTTPServer):
     """HTTP/1.1 keep-alive server on 127.0.0.1 that the live clients talk to.
 
-    Replies are (status, headers, body): a str body goes out as text, None as
-    an empty body, anything else as JSON. DROP closes the connection without
-    a reply. `serve` queues replies (the last one repeats); `route`, when
-    set, picks the reply from (method, target) instead. Every request is
-    logged on `.requests` as (method, target, headers, body bytes), and
-    `.accepts` and `.closed` count the connections the server opened and
-    closed. With `close_when_idle` set the server closes every connection
-    after its reply without saying so, as one with a short idle timeout does.
+    Replies are (status, headers, body): a str body goes out as text, bytes
+    as they are, None as an empty body, anything else as JSON. DROP closes
+    the connection without a reply. `serve` queues replies (the last one
+    repeats); `route`, when set, picks the reply from (method, target)
+    instead. Every request is logged on `.requests` as (method, target,
+    headers, body bytes), and `.accepts` and `.closed` count the connections
+    the server opened and closed. With `close_when_idle` set the server
+    closes every connection after its reply without saying so, as one with a
+    short idle timeout does.
     """
 
     daemon_threads = False  # server_close joins the connection threads
@@ -119,6 +120,8 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
             data, kind = b"", "text/plain"
         elif isinstance(payload, str):
             data, kind = payload.encode("utf-8"), "text/html"
+        elif isinstance(payload, bytes):
+            data, kind = payload, "application/json"
         else:
             data, kind = json.dumps(payload).encode("utf-8"), "application/json"
         self.send_response(status)

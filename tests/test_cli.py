@@ -386,6 +386,23 @@ def test_forecast_with_an_unknown_aggregator_exits_1_before_any_request(tmp_path
     assert not (out / "transcripts").exists()
 
 
+def test_forecast_replay_with_a_lone_surrogate_in_the_config_exits_1_without_a_traceback(tmp_path):
+    # "m\\ud83d" reads as "m\ufffd", which the cassette never recorded; the
+    # raw surrogate once reached the manifest write and ended in a traceback
+    config = tmp_path / "run.json"
+    config.write_text('{"model_id": "m\\ud83d"}', encoding="utf-8")
+    argv = ["forecast", "--dataset", str(E2E / "questions.jsonl"), "--out", str(tmp_path / "run"),
+            "--search-fixture", str(E2E / "search.jsonl"), "--cassette", str(E2E / "cassette.jsonl"),
+            "--cutoff", "2024-04-15", "--config", str(config)]
+    code = "import sys, agentcast.cli; sys.exit(agentcast.cli.main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert done.returncode == EXIT_FATAL
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert errors == done.stderr.splitlines()[-1:]
+
+
 def test_forecast_replay_is_deterministic(tmp_path):
     assert replay_forecast(tmp_path / "a") == EXIT_OK
     assert replay_forecast(tmp_path / "b") == EXIT_OK

@@ -431,6 +431,22 @@ def test_a_lone_surrogate_in_a_reply_reads_as_a_replacement_character(loopback, 
     assert [e["response"]["content"] for e in entries] == [reply, reply]
 
 
+def test_an_encoded_lone_surrogate_in_a_body_reads_as_replacement_characters(loopback):
+    # ED A0 BD is a surrogate written as UTF-8, which is not valid UTF-8;
+    # json.loads(bytes) would read it as "\ud83d". A BOM still reads.
+    half = b"\xed\xa0\xbd"
+    loopback.serve(
+        (200, {}, b'{"choices": [{"message": {"content": "half ' + half + b'"}}]}'),
+        (200, {}, b'{"results": [{"title": "cut ' + half + b'", "url": "u", "snippet": "s"}]}'),
+        (200, {}, b'\xef\xbb\xbf{"choices": [{"message": {"content": "fine"}}]}'),
+    )
+    backend = HTTPBackend(loopback.url, "key")
+    assert backend.complete(make_request()).content == "half \ufffd\ufffd\ufffd"
+    (hit,) = LiveSearchProvider(loopback.url, "key").search("q", date(2024, 4, 15), 8)
+    assert hit.title == "cut \ufffd\ufffd\ufffd"
+    assert backend.complete(make_request()).content == "fine"
+
+
 @pytest.mark.parametrize("content", [[{"type": "text", "text": "fine"}], 5])
 def test_http_backend_rejects_a_reply_that_is_not_text(loopback, content):
     loopback.serve((200, {}, {"choices": [{"message": {"content": content}}]}))

@@ -70,7 +70,7 @@ def test_fetch_window_pages_with_before_cursor():
     assert client.page_requests == [(None, 10), ("m09", 10), ("m19", 10)]
 
 
-def test_fetch_window_filters_window_binary_and_malformed(caplog):
+def test_fetch_window_filters_window_binary_and_malformed(caplog, tmp_path):
     markets = [
         market("in1", close="2024-04-16T00:00:00Z"),
         market("edge_lo", close="2024-04-15T23:59:59Z"),  # day before the window
@@ -91,10 +91,12 @@ def test_fetch_window_filters_window_binary_and_malformed(caplog):
         market("null_question", question=None),
         market("number_question", question=5),
         market("blank_question", question=" \t"),
-        market("surrogate\ud800"),
+        market("surrogate\ud800"),  # written as a JSON escape, which reads as U+FFFD
         market(" "),
     ]
-    client = FixtureMarketClient(markets)
+    fixture = tmp_path / "markets.json"
+    fixture.write_text(json.dumps(markets), encoding="utf-8")
+    client = FixtureMarketClient.from_file(fixture)
     with caplog.at_level(logging.WARNING, logger="agentcast.market"):
         questions = fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT)
     assert [q.id for q in questions] == ["in1", "in2"]
@@ -114,8 +116,8 @@ def test_fetch_window_filters_window_binary_and_malformed(caplog):
         "skipping malformed market: market null_question: question None is not a non-blank string",
         "skipping malformed market: market number_question: question 5 is not a non-blank string",
         "skipping malformed market: market blank_question: question ' \\t' is not a non-blank string",
-        "skipping malformed market: market id 'surrogate\\ud800' is blank or holds a lone surrogate",
-        "skipping malformed market: market id ' ' is blank or holds a lone surrogate",
+        "skipping malformed market: market id 'surrogate\ufffd' is blank, or holds U+FFFD or a lone surrogate",
+        "skipping malformed market: market id ' ' is blank, or holds U+FFFD or a lone surrogate",
     ]
 
 

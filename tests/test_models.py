@@ -1,11 +1,14 @@
 """Domain type validation and JSONL round-trips."""
 
+import ast
 import json
 import math
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import agentcast
 from agentcast.cli import ConfigError, RunConfig
 from agentcast.hierarchy import ChildTranscript, TranscriptTree
 from agentcast.llm import ChatRequest, ChatResponse, Message, RetryPolicy
@@ -23,6 +26,7 @@ from agentcast.models import (
     check_question,
     check_record,
     format_timestamp,
+    loads,
     normalize_timestamp,
     parse_timestamp,
     read_jsonl,
@@ -164,17 +168,48 @@ def test_read_jsonl_names_file_and_line_on_corruption(tmp_path):
 
 
 def test_read_jsonl_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
-    # this was a UnicodeDecodeError traceback; text that is UTF-8 or an
-    # escaped lone surrogate still reads as before
+    # this was a UnicodeDecodeError traceback; text that is UTF-8 still reads
+    # as before, and an escaped lone surrogate reads as U+FFFD
     path = tmp_path / "bad.jsonl"
     path.write_bytes('{"a": "é"}\n{"a": "\\ud83d"}\n{"a": "\xff"}\n'.encode("utf-8") + b'{"a": "\xff"}\n')
     lines = read_jsonl(path)
     assert next(lines) == (1, {"a": "é"})
-    assert next(lines) == (2, {"a": "\ud83d"})
+    assert next(lines) == (2, {"a": "\ufffd"})
     assert next(lines) == (3, {"a": "\xff"})
     with pytest.raises(ValidationError) as raised:
         next(lines)
     assert str(raised.value) == f"line: {path}:4: not valid UTF-8"
+
+
+def test_loads_reads_each_lone_surrogate_as_a_replacement_character():
+    # in keys and at any depth; a whole escaped pair is one character, and an
+    # escaped backslash before "ud83d" is no escape at all
+    text = r'{"k\ud83d": [{"v": "a\udc00b"}, "\ud83d\ude00", "\\ud83d", 1.5, null]}'
+    assert loads(text) == {"k\ufffd": [{"v": "a\ufffdb"}, "\U0001f600", "\\ud83d", 1.5, None]}
+    assert loads(r'"\u00e9"') == "\xe9"
+
+
+def test_only_models_decodes_json_or_names_a_surrogate():
+    # every JSON text from outside is decoded by models.loads or read_jsonl,
+    # which read a lone surrogate as U+FFFD; a module that decoded JSON itself
+    # would need a fix of its own for every field it reads
+    decoders = {"loads", "load", "JSONDecoder"}
+    found = []
+    for path in sorted(Path(agentcast.__file__).parent.glob("*.py")):
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                named = node.value.id == "json" and node.attr in decoders
+            elif isinstance(node, ast.ImportFrom):
+                named = node.module == "json" and any(alias.name in decoders for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named = any("\ud800" <= c <= "\udfff" for c in node.value)
+            else:
+                named = False
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize(
@@ -194,13 +229,16 @@ def test_read_jsonl_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
         '\ufeff{"a": 1}\n',
         '{"a": "\x01"}\n',
         'tru\n',
+        '{"k\\ud83d": ["\\udc00"]}\n',
+        ' {"k\\ud83d": ["\\udc00"]}\n',
     ],
 )
 def test_read_jsonl_gives_what_json_loads_gives_for_each_line(tmp_path, line):
+    # as models.loads gives it: json.loads with each lone surrogate as U+FFFD
     path = tmp_path / "lines.jsonl"
     path.write_text(line, encoding="utf-8")
     try:
-        expected = json.loads(line)
+        expected = loads(line)
     except json.JSONDecodeError as exc:
         with pytest.raises(ValidationError) as raised:
             list(read_jsonl(path))
@@ -358,18 +396,25 @@ def test_check_question_returns_what_validate_question_builds(tmp_path, fields):
 @pytest.mark.parametrize("field", ["title", "background", "resolution_criteria", "source"])
 def test_check_question_reads_a_lone_surrogate_in_a_text_field_as_a_replacement_character(tmp_path, field):
     # a JSON "\\ud83d" escape decodes to half a pair, which UTF-8 cannot write
-    question = check_question({**make_question().to_dict(), field: "Will \ud83d ship?"})
-    assert getattr(question, field) == "Will \ufffd ship?"
     path = tmp_path / "questions.jsonl"
+    path.write_text(json.dumps({**make_question().to_dict(), field: "Will \ud83d ship?"}) + "\n", encoding="utf-8")
+    assert "\\ud83d" in path.read_text(encoding="utf-8")
+    (question,) = read_questions(path)
+    assert getattr(question, field) == "Will \ufffd ship?"
     write_questions(path, [question])
     assert read_questions(path) == [question]
 
 
-def test_check_question_rejects_a_lone_surrogate_in_an_id():
-    # replacing it could merge two distinct ids into one
-    with pytest.raises(ValidationError, match=r"^id: .*lone surrogate") as raised:
-        check_question({**make_question().to_dict(), "id": "q\ud83d"})
-    assert raised.value.field_name == "id"
+def test_check_question_rejects_a_lone_surrogate_in_an_id(tmp_path):
+    # it reads as U+FFFD, so "q\\ud83d" and "q\\ud83e" would merge into one id;
+    # a literal U+FFFD is rejected too
+    path = tmp_path / "questions.jsonl"
+    line = json.dumps({**make_question().to_dict(), "id": "q\ud83d"})
+    for text in (line, line.replace("\\ud83d", "\ufffd")):
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^id: .*:1: .*lone surrogate") as raised:
+            read_questions(path)
+        assert raised.value.field_name == "id"
 
 
 def test_check_record_rejects_malformed_members():
