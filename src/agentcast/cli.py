@@ -100,7 +100,6 @@ from .tools import (
     LiveSearchProvider,
     SearchMemo,
     SearchProvider,
-    close_sandbox,
 )
 
 logger = logging.getLogger(__name__)
@@ -763,7 +762,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     finally:
         close_connections()
-        close_sandbox()
 
 
 if __name__ == "__main__":

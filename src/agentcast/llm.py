@@ -552,29 +552,6 @@ def _parse_chat_payload(payload: Any) -> ChatResponse:
 # --- scripted / recording / replay ----------------------------------------
 
 
-class ScriptedBackend:
-    """Returns queued replies in order; stands in for a live provider.
-
-    Script items may be plain strings, ChatResponse objects, or exceptions
-    (raised when reached). Every request is kept on `.requests`.
-    """
-
-    def __init__(self, script: Iterable[str | ChatResponse | Exception]):
-        self._queue = deque(script)
-        self.requests: list[ChatRequest] = []
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        self.requests.append(request)
-        if not self._queue:
-            raise BackendError(f"script exhausted after {len(self.requests) - 1} replies")
-        item = self._queue.popleft()
-        if isinstance(item, Exception):
-            raise item
-        if isinstance(item, str):
-            return ChatResponse(content=item)
-        return item
-
-
 def _request_summary(request: ChatRequest) -> dict:
     return {
         "model_id": request.model_id,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from collections import Counter, namedtuple
 from functools import reduce
 from operator import add, sub
@@ -306,22 +305,3 @@ def render_columns(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
         cells = [cell.ljust(widths[i]) for i, cell in enumerate(row)]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str) -> list[dict[str, str]]:
-    """Parse a rendered table back into row dicts keyed by header names.
-
-    Columns are split on runs of two or more spaces; a trailing blank cell
-    (e.g. an empty Std column) comes back as an empty string.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return []
-    header = re.split(r" {2,}", lines[0].strip())
-    rows = []
-    for line in lines[1:]:
-        cells = re.split(r" {2,}", line.rstrip())
-        while len(cells) < len(header):
-            cells.append("")
-        rows.append(dict(zip(header, cells)))
-    return rows

@@ -8,9 +8,9 @@ publication date are filtered out again locally.
 
 from __future__ import annotations
 
-import atexit
 import logging
 import os
+import site
 import sys
 import tempfile
 import threading
@@ -285,16 +285,25 @@ _SANDBOX_ENV = ("PATH", "LANG")
 # included; a write past it fails with EFBIG (the interpreter ignores SIGXFSZ)
 _FILE_SIZE_CAP = 64 * 2**20
 
-# Run by each sandbox interpreter before its program exists: read the program
-# from stdin up to EOF, then run it as `python -I program.py` would run in
-# this directory, as `__main__`, with argv[0] and __file__ "program.py", and
-# with no file growing past _FILE_SIZE_CAP. The parent ends the program with
-# a NUL byte, which valid source cannot hold, so EOF without one means the
-# parent is gone: nothing runs and the empty directory is removed. An
-# uncaught exception is printed without this script's frame and exits 1;
-# SystemExit keeps its code.
+# site-packages dirs that exist, for the bootstrap to put on the sandbox's sys.path
+_SITE_PACKAGES = [path for path in site.getsitepackages() if os.path.isdir(path)]
+
+# Run by each sandbox interpreter, which starts with -I -S, before its program
+# exists. It first puts back what `site` would have: the site-packages dirs
+# (but none of their .pth lines) and the exit, quit, help, copyright, credits
+# and license builtins. It then reads the program from stdin up to EOF and
+# runs it as `python -I program.py` would run in this directory, as
+# `__main__`, with argv[0] and __file__ "program.py", and with no file growing
+# past _FILE_SIZE_CAP. The parent ends the program with a NUL byte, which
+# valid source cannot hold, so EOF without one means the parent is gone:
+# nothing runs and the empty directory is removed. An uncaught exception is
+# printed without this script's frame and exits 1; SystemExit keeps its code.
 _BOOTSTRAP = f"""\
-import sys
+import site, sys
+sys.path.extend({_SITE_PACKAGES!r})
+site.setquit()
+site.sethelper()
+site.setcopyright()
 def run():
     source = sys.stdin.buffer.read()
     if not source.endswith(b"\\0"):
@@ -342,7 +351,7 @@ class _Interpreter:
             self.stdout = undo.enter_context(tempfile.TemporaryFile())
             self.stderr = undo.enter_context(tempfile.TemporaryFile())
             self.proc = subprocess.Popen(
-                [sys.executable, "-I", "-c", _BOOTSTRAP],
+                [sys.executable, "-I", "-S", "-c", _BOOTSTRAP],
                 stdin=subprocess.PIPE,
                 stdout=self.stdout,
                 stderr=self.stderr,
@@ -364,38 +373,6 @@ class _Interpreter:
             pass
 
 
-_spare: _Interpreter | None = None
-_spare_lock = threading.Lock()
-
-
-def _take_interpreter() -> _Interpreter:
-    """The spare interpreter, or a cold one if there is none (or it died);
-    either way a new spare is started for the next call."""
-    global _spare
-    with _spare_lock:
-        taken, _spare = _spare, _Interpreter()
-    if taken is None:
-        # Exit hooks run last-registered first, and the first temp dir
-        # registered the one that removes leftover temp dirs: registering
-        # after it kills the spare at exit before its dir goes.
-        atexit.unregister(close_sandbox)
-        atexit.register(close_sandbox)
-        return _Interpreter()
-    if taken.proc.poll() is None:
-        return taken
-    taken.close()
-    return _Interpreter()
-
-
-def close_sandbox() -> None:
-    """Kill and reap the spare interpreter, if one was started, and delete its temp dir and files."""
-    global _spare
-    with _spare_lock:
-        spare, _spare = _spare, None
-    if spare is not None:
-        spare.close()
-
-
 def execute_code(program: str, timeout: float) -> ExecResult:
     """Run model-written Python with this interpreter, under a wall-clock cap
     of `timeout` seconds from hand-over, and capture its output.
@@ -404,13 +381,13 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     afterwards, with an empty stdin and an environment holding only PATH and
     LANG. That keeps the API keys of the process that runs it out of the
     program's own environment, but not out of its reach: nothing stops it
-    from reading them in `/proc/<parent pid>/environ`. The interpreter runs
-    in isolated mode (`-I`), so it ignores PYTHON* variables and the user
-    site-packages, and the program's directory is not on sys.path. The
-    interpreter is started ahead of time: each call takes the spare one and
-    starts the next, so start-up is off the caller's path. It runs in its
-    own process group, which is killed when the call ends, so no process
-    left in that group outlives the call.
+    from reading them in `/proc/<parent pid>/environ`. Each call starts its
+    own interpreter, in isolated mode and without `site` (`-I -S`), so it
+    ignores PYTHON* variables and the user site-packages, runs no `.pth` line
+    or `sitecustomize`, and does not put the program's directory on sys.path;
+    the bootstrap adds the site-packages dirs. It runs in its own process
+    group, which is killed when the call ends, so no process left in that
+    group outlives the call.
     Raises SandboxTimeout when the wall clock cap is hit; nonzero exits come
     back as a normal ExecResult. The cap is a wait on the program's pidfd,
     so no thread is started per call. The call ends when the program exits,
@@ -422,7 +399,7 @@ def execute_code(program: str, timeout: float) -> ExecResult:
     """
     import select
 
-    interpreter = _take_interpreter()
+    interpreter = _Interpreter()
     proc = interpreter.proc
     try:
         deadline = time.monotonic() + timeout

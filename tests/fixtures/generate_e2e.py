@@ -19,9 +19,12 @@ import tempfile
 from pathlib import Path
 
 from agentcast.cli import RunConfig, make_member_runner, run_forecast
-from agentcast.llm import RecordingBackend, ScriptedBackend
+from agentcast.llm import RecordingBackend
 from agentcast.models import Category, Question, check_question, read_records, write_questions
 from agentcast.tools import FixtureSearchProvider, SearchMemo
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import ScriptedBackend  # noqa: E402
 
 E2E = Path(__file__).parent / "e2e"
 CUTOFF = "2024-04-15"

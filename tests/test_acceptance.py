@@ -21,7 +21,6 @@ from agentcast.hierarchy import (
     render_task_prompt,
     single_agent_config,
 )
-from agentcast.llm import ScriptedBackend
 from agentcast.metrics import (
     ScoredSet,
     ScoreRow,
@@ -31,7 +30,6 @@ from agentcast.metrics import (
     brier,
     calibration_index,
     ensemble_std,
-    parse_table,
     render_calibration_table,
     render_score_table,
 )
@@ -51,6 +49,7 @@ from agentcast.tools import SearchResult, make_search_tool
 import pytest
 
 from conftest import FIXTURES, make_question
+from helpers import ScriptedBackend, parse_table
 from oracles import (
     oracle_accuracy,
     oracle_brier,

@@ -37,14 +37,12 @@ from agentcast.llm import (
     Message,
     RecordingBackend,
     ReplayBackend,
-    ScriptedBackend,
     current_lane,
     fingerprint,
     in_lane,
     leakage_probe,
 )
 from agentcast.market import FixtureMarketClient, classify_category, llm_filter
-from agentcast.metrics import parse_table
 from agentcast.models import (
     Category,
     Forecast,
@@ -59,9 +57,10 @@ from agentcast.models import (
     write_questions,
 )
 from agentcast.react import context_estimate
-from agentcast.tools import FixtureSearchProvider, SearchMemo, close_sandbox, search
+from agentcast.tools import FixtureSearchProvider, SearchMemo, search
 
 from conftest import FIXTURES, make_question
+from helpers import ScriptedBackend, parse_table
 
 E2E = FIXTURES / "e2e"
 
@@ -704,7 +703,6 @@ def live_children() -> set[int]:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists children through /proc")
 def test_forecast_leaves_no_process_or_sandbox_dir_behind(tmp_path, monkeypatch):
-    close_sandbox()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     before = live_children()
     backend = ScriptedBackend(computation_script("print(6 * 7)"))

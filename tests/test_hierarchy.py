@@ -16,12 +16,13 @@ from agentcast.hierarchy import (
     write_tree_index,
 )
 from agentcast.cli import RunConfig
-from agentcast.llm import CassetteMiss, ChatRequest, ChatResponse, Message, ScriptedBackend, TransportError
+from agentcast.llm import CassetteMiss, ChatRequest, ChatResponse, Message, TransportError
 from agentcast.models import Declined, Forecast, read_jsonl
 from agentcast.react import ReactConfig
 from agentcast.tools import ToolSpec
 
 from conftest import make_question
+from helpers import ScriptedBackend
 
 CUTOFF = date(2024, 4, 15)
 

@@ -26,7 +26,6 @@ from agentcast.llm import (
     RecordingBackend,
     ReplayBackend,
     RetryPolicy,
-    ScriptedBackend,
     TransportError,
     UsageMeter,
     fan_out,
@@ -40,6 +39,7 @@ from agentcast.market import LiveMarketClient, MarketError
 from agentcast.tools import LiveSearchProvider, ProviderError
 
 from conftest import DROP
+from helpers import ScriptedBackend
 
 
 def make_request(content="hello", temperature=0.5, stop=()):

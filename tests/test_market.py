@@ -8,7 +8,7 @@ from datetime import date, datetime, timezone
 
 import pytest
 
-from agentcast.llm import AuthError, ChatResponse, ScriptedBackend, TransportError, UsageMeter, current_lane
+from agentcast.llm import AuthError, ChatResponse, TransportError, UsageMeter, current_lane
 from agentcast.market import (
     FILTER_PROMPT,
     FilterVerdict,
@@ -26,6 +26,7 @@ from agentcast.market import (
 from agentcast.models import Category, ValidationError, read_questions, write_questions
 
 from conftest import make_question
+from helpers import ScriptedBackend
 
 
 def market(mid, close="2024-04-20T00:00:00Z", prob=0.5, resolved=False, resolution=None, **extra):

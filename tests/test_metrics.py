@@ -21,12 +21,12 @@ from agentcast.metrics import (
     brier,
     calibration_index,
     ensemble_std,
-    parse_table,
     render_calibration_table,
     render_score_table,
 )
 from agentcast.models import Declined, Forecast, check_record, read_records, record_line, write_records
 
+from helpers import parse_table
 from oracles import (
     numpy_accuracy,
     numpy_brier,

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from agentcast import react
-from agentcast.llm import AuthError, CassetteMiss, Message, ScriptedBackend, TransportError
+from agentcast.llm import AuthError, CassetteMiss, Message, TransportError
 from agentcast.models import AgentStep, Declined, FinalState, Forecast
 from agentcast.react import (
     ActionEmission,
@@ -28,6 +28,8 @@ from agentcast.react import (
     run_react,
 )
 from agentcast.tools import ToolSpec
+
+from helpers import ScriptedBackend
 
 TOOLS = ("Google Search Snippets", "web_search", "python")
 

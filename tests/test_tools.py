@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from datetime import date
@@ -25,7 +26,6 @@ from agentcast.tools import (
     SearchMemo,
     SearchResult,
     ToolSpec,
-    close_sandbox,
     execute_code,
     make_code_tool,
     make_search_tool,
@@ -477,8 +477,8 @@ CANARY = "sk-canary-5150"
 def _stdout_of_code_run_in_a_child(program: str) -> str:
     """stdout of `program` run through `execute_code` by a child interpreter
     that holds a canary LLM_API_KEY in its exec-time environment, which
-    monkeypatch.setenv cannot put there. Three processes in all: the child,
-    its sandbox interpreter and the spare that call starts."""
+    monkeypatch.setenv cannot put there. Two processes in all: the child and
+    its sandbox interpreter."""
     parent_program = f"from agentcast import tools\nprint(tools.execute_code({program!r}, 10.0).stdout, end='')\n"
     env = dict(os.environ, PYTHONPATH=str(Path(agentcast.__file__).parents[1]), LLM_API_KEY=CANARY)
     done = subprocess.run([sys.executable, "-c", parent_program], capture_output=True, text=True, env=env, timeout=60)
@@ -505,6 +505,52 @@ def test_execute_code_runs_the_interpreter_in_isolated_mode():
     outcome = execute_code("import os, sys\nprint(sys.flags.isolated, os.getcwd() in sys.path)", 10.0)
     assert outcome.exit_status == 0
     assert outcome.stdout.split() == ["1", "False"]
+
+
+def _json_of_python(*args: str):
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_the_program_runs_without_site_but_has_the_site_packages_path():
+    # the path `python -I` builds, minus what only a .pth line adds
+    isolated_path, site_dirs = _json_of_python(
+        "-I", "-c", "import json, site, sys\nprint(json.dumps([sys.path, site.getsitepackages()]))"
+    )
+    bare_path = _json_of_python("-I", "-S", "-c", "import json, sys\nprint(json.dumps(sys.path))")
+    expected = [path for path in isolated_path if path in bare_path or path in site_dirs]
+    outcome = execute_code("import json, sys\nprint(json.dumps([sys.path, sys.flags.no_site]))", 10.0)
+    assert outcome.exit_status == 0, outcome.stderr
+    assert json.loads(outcome.stdout) == [expected, 1]
+
+
+@pytest.mark.parametrize("program, status", [("exit(3)", 3), ("quit()", 0)])
+def test_the_exit_builtins_that_site_adds_still_work(program, status):
+    assert execute_code(program, 10.0) == ("", "", status)
+
+
+def test_a_program_imports_numpy_from_site_packages():
+    import numpy
+
+    outcome = execute_code("import numpy\nprint(numpy.__version__)", 10.0)
+    assert (outcome.exit_status, outcome.stdout) == (0, f"{numpy.__version__}\n")
+
+
+def test_one_code_call_starts_one_interpreter_and_leaves_nothing_behind(tmp_path, monkeypatch):
+    started = []
+
+    class CountedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", CountedPopen)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert execute_code("print('x')", 10.0) == ("x\n", "", 0)
+    assert len(started) == 1
+    assert not _alive(started[0].pid)
+    assert list(tmp_path.glob("agentcast-sandbox-*")) == []
 
 
 def test_execute_code_timeout_enforced_with_grace():
@@ -661,13 +707,15 @@ def test_a_code_call_starts_no_thread(monkeypatch):
 
 def test_a_program_handed_to_an_interpreter_that_died_unread_comes_back_killed(monkeypatch):
     # the interpreter's end of stdin is closed, so the hand-over meets a broken pipe
+    start = tools._Interpreter
+
     def dead_interpreter():
-        interpreter = tools._Interpreter()
+        interpreter = start()
         os.killpg(interpreter.proc.pid, signal.SIGKILL)
         os.waitid(os.P_PID, interpreter.proc.pid, os.WEXITED | os.WNOWAIT)
         return interpreter
 
-    monkeypatch.setattr(tools, "_take_interpreter", dead_interpreter)
+    monkeypatch.setattr(tools, "_Interpreter", dead_interpreter)
     program = "print('never')\n" + "# padding\n" * 20_000
     assert len(program.encode("utf-8")) > 2**16
     fds = len(os.listdir("/proc/self/fd"))
@@ -809,49 +857,18 @@ def test_fifty_megabytes_of_output_are_capped_while_they_are_read():
     assert grew_kb < 20 * 1024
 
 
-def test_a_spare_killed_before_the_call_is_replaced():
-    execute_code("pass", 10.0)
-    spare = tools._spare
-    os.killpg(spare.proc.pid, signal.SIGKILL)
-    deadline = time.monotonic() + 5
-    while _alive(spare.proc.pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    outcome = execute_code("print('ran')", 10.0)
-    assert (outcome.exit_status, outcome.stdout) == (0, "ran\n")
-    assert not Path(spare.workdir.name).exists()
-
-
-def test_close_sandbox_kills_the_spare_and_deletes_its_dir():
-    execute_code("pass", 10.0)
-    spare = tools._spare
-    assert spare is not None and _alive(spare.proc.pid)
-    close_sandbox()
-    assert tools._spare is None
-    assert not _alive(spare.proc.pid)
-    assert not Path(spare.workdir.name).exists()
-
-
-def test_a_spare_exits_without_running_anything_when_its_parent_dies(tmp_path):
-    parent_program = (
-        "import os\n"
-        "from agentcast import tools\n"
-        "tools.execute_code('pass', 10.0)\n"
-        "print(tools._spare.proc.pid, tools._spare.workdir.name, flush=True)\n"
-        "os._exit(0)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(agentcast.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", parent_program], capture_output=True, text=True, env=env, timeout=30)
-    pid_text, workdir = done.stdout.split()
-    pid = int(pid_text)
+def test_an_interpreter_whose_stdin_ends_without_the_nul_runs_nothing_and_removes_its_dir():
+    # what an interpreter sees when its parent dies before handing over the whole program
+    interpreter = tools._Interpreter()
     try:
-        deadline = time.monotonic() + 2
-        while _alive(pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not _alive(pid)
-        assert not Path(workdir).exists()  # the spare removed its empty dir
+        with interpreter.proc.stdin:
+            interpreter.proc.stdin.write(b"print('ran')\n")
+        assert interpreter.proc.wait(timeout=10) == 0
+        assert os.fstat(interpreter.stdout.fileno()).st_size == 0
+        assert os.fstat(interpreter.stderr.fileno()).st_size == 0
+        assert not Path(interpreter.workdir.name).exists()
     finally:
-        if _alive(pid):
-            os.killpg(pid, signal.SIGKILL)
+        interpreter.close()
 
 
 def test_code_tool_invocation_strips_fences_and_reports_errors():
