@@ -49,6 +49,7 @@ from .llm import (
 )
 from .market import (
     DEFAULT_MARKET_BASE_URL,
+    MARKET_RATE_LIMIT_RPM,
     FixtureMarketClient,
     LiveMarketClient,
     MarketClient,
@@ -173,15 +174,20 @@ class RunConfig(_RunConfigFields):
 
     @property
     def in_flight(self) -> int:
-        """Requests forecast and curate keep in flight. With `workers` set,
-        that many questions times their ensemble members. Unset, enough to
-        keep `rate_limit_rpm` busy at a model latency of `_LATENCY_CEILING_S`
-        by Little's law, at most `_MAX_IN_FLIGHT`, then rounded up to whole
-        questions: 12 at 60 rpm with an ensemble of 3."""
+        """Requests forecast and curate keep in flight against the model's
+        budget: 12 at 60 rpm with an ensemble of 3."""
+        return self.in_flight_at(self.rate_limit_rpm)
+
+    def in_flight_at(self, rate_limit_rpm: float) -> int:
+        """Requests to keep in flight against a budget of `rate_limit_rpm`.
+        With `workers` set, that many questions times their ensemble members.
+        Unset, enough to keep the budget busy at a latency of
+        `_LATENCY_CEILING_S` by Little's law, at most `_MAX_IN_FLIGHT`, then
+        rounded up to whole questions."""
         if self.workers is not None:
             return self.workers * self.ensemble_size
         # capped before rounding, so a huge finite rpm cannot overflow
-        requests = min(_MAX_IN_FLIGHT, self.rate_limit_rpm * _LATENCY_CEILING_S / 60)
+        requests = min(_MAX_IN_FLIGHT, rate_limit_rpm * _LATENCY_CEILING_S / 60)
         return math.ceil(requests / self.ensemble_size) * self.ensemble_size
 
     def cutoff_date(self) -> date:
@@ -270,7 +276,7 @@ def build_search_provider(ns: argparse.Namespace, cfg: RunConfig) -> SearchProvi
 def build_market_client(ns: argparse.Namespace, cfg: RunConfig) -> MarketClient:
     if ns.market_fixture:
         return FixtureMarketClient.from_file(ns.market_fixture)
-    return LiveMarketClient(cfg.market_base_url)
+    return LiveMarketClient(cfg.market_base_url, rate_limiter=RateLimiter(MARKET_RATE_LIMIT_RPM))
 
 
 # --- forecast ------------------------------------------------------------------
@@ -497,8 +503,8 @@ def cmd_curate(ns: argparse.Namespace) -> int:
 def cmd_resolve(ns: argparse.Namespace) -> int:
     cfg = resolve_config(ns)
     client = build_market_client(ns, cfg)
-    # the market client has no rate limiter, so the model's budget does not set this pace
-    summary = backfill_resolutions(client, ns.dataset, workers=(cfg.workers or 1) * cfg.ensemble_size)
+    # the market API's budget sets this pace, not the model's
+    summary = backfill_resolutions(client, ns.dataset, workers=cfg.in_flight_at(MARKET_RATE_LIMIT_RPM))
     print(f"resolved {summary.resolved}, pending {summary.pending}, excluded {summary.excluded}")
     return EXIT_OK
 
@@ -677,7 +683,7 @@ _SHARED_FLAGS = {
     "--workers": {
         "type": int,
         "help": "questions (forecast) or N x ensemble markets (curate, resolve) in flight "
-        "(default: enough to fill rate_limit_rpm for forecast and curate, 1 for resolve)",
+        "(default: enough to fill rate_limit_rpm, or the market API's budget for resolve)",
     },
 }
 

@@ -218,7 +218,8 @@ def _canonical_json(value: Any) -> bytes:
 
 class RateLimiter:
     """Token bucket for one live client. The CLI gives the chat backend and
-    the search provider one each, both sized by `rate_limit_rpm`.
+    the search provider one each, both sized by `rate_limit_rpm`, and the
+    market client one sized by `market.MARKET_RATE_LIMIT_RPM`.
 
     Capacity equals the per-minute budget, and is at least one token, so a
     fresh limiter allows a burst of that size before callers start waiting.

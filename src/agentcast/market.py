@@ -18,6 +18,7 @@ from datetime import date, datetime
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
+from urllib.parse import quote
 
 from .llm import (
     Backend,
@@ -25,6 +26,7 @@ from .llm import (
     CallFailed,
     ChatRequest,
     Message,
+    RateLimiter,
     RetryPolicy,
     fan_out,
     in_lane,
@@ -46,6 +48,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MARKET_BASE_URL = "https://api.manifold.markets/v0"
 DEFAULT_PAGE_SIZE = 500
+# Manifold's API documentation allows 500 requests per minute per IP. A
+# token bucket lets through at most twice its per-minute rate in any minute
+# (a full burst, then the refill), so the market budget is half of that.
+MARKET_RATE_LIMIT_RPM = 250
 
 
 class MarketError(Exception):
@@ -65,7 +71,9 @@ class MarketClient(Protocol):
 class LiveMarketClient:
     """Thin REST adapter over `llm.send_with_retry`. Every failure raises
     MarketError, including a body that is not JSON (the transport hands it
-    over as text, which fails the payload type checks)."""
+    over as text, which fails the payload type checks). A `rate_limiter`
+    gives every request, retries included, a token first; the CLI sizes it
+    by `MARKET_RATE_LIMIT_RPM`."""
 
     def __init__(
         self,
@@ -74,9 +82,10 @@ class LiveMarketClient:
         retry: RetryPolicy = RetryPolicy(),
         sleep: Callable[[float], None] = time.sleep,
         timeout: float = 30.0,
+        rate_limiter: RateLimiter | None = None,
     ):
         self._base_url = base_url.rstrip("/")
-        self._send = partial(send_with_retry, timeout=timeout, retry=retry, sleep=sleep)
+        self._send = partial(send_with_retry, timeout=timeout, retry=retry, sleep=sleep, rate_limiter=rate_limiter)
 
     def _get(self, path: str, params: dict | None = None):
         try:
@@ -94,7 +103,8 @@ class LiveMarketClient:
         return payload
 
     def get_market(self, market_id: str) -> dict:
-        payload = self._get(f"/market/{market_id}")
+        # one path segment, so an id holding "#", "?" or "/" cannot name another URL
+        payload = self._get("/market/" + quote(market_id, safe=""))
         if not isinstance(payload, dict):
             raise MarketError(f"expected a market object, got {type(payload).__name__}")
         return payload

@@ -1,6 +1,7 @@
 """CLI wiring: config precedence, the forecast/curate/resolve/score/probe
 commands run end to end over fixtures, resume semantics, and exit codes."""
 
+import argparse
 import gc
 import json
 import logging
@@ -35,6 +36,7 @@ from agentcast.llm import (
     ChatRequest,
     ChatResponse,
     Message,
+    RateLimiter,
     RecordingBackend,
     ReplayBackend,
     current_lane,
@@ -42,7 +44,13 @@ from agentcast.llm import (
     in_lane,
     leakage_probe,
 )
-from agentcast.market import FixtureMarketClient, classify_category, llm_filter
+from agentcast.market import (
+    MARKET_RATE_LIMIT_RPM,
+    FixtureMarketClient,
+    LiveMarketClient,
+    classify_category,
+    llm_filter,
+)
 from agentcast.models import (
     Category,
     Forecast,
@@ -1175,11 +1183,10 @@ class BarrierMarketClient(FixtureMarketClient):
                 self.open -= 1
 
 
-def test_curate_fills_the_rate_budget_and_resolve_keeps_ensemble_many_markets_in_flight(tmp_path, monkeypatch):
+def test_curate_fills_the_rate_budget_and_resolve_fills_the_market_budget(tmp_path, monkeypatch):
     # at default settings curate keeps the rate budget's 12 markets in
     # flight: twelve judge requests, then twelve classifier requests must
-    # all be waiting at once. resolve has no rate budget and keeps workers
-    # 1 x ensemble 3 fetches in flight.
+    # all be waiting at once.
     in_flight = RunConfig().in_flight
     assert in_flight == 12
     markets = many_markets(in_flight)
@@ -1190,12 +1197,29 @@ def test_curate_fills_the_rate_budget_and_resolve_keeps_ensemble_many_markets_in
     assert cli.main(curate_args(market_fixture, dataset)) == EXIT_OK
     assert [q.id for q in read_questions(dataset)] == [m["id"] for m in markets]
 
-    client = BarrierMarketClient(markets, 3)
-    monkeypatch.setattr(cli, "build_market_client", lambda ns, cfg: client)
-    assert cli.main(["resolve", "--dataset", str(dataset)]) == EXIT_OK
-    assert client.most == 3
-    by_id = {q.id: q for q in read_questions(dataset)}
-    assert (by_id["mkt0"].outcome, by_id["mkt1"].outcome, by_id["mkt2"].excluded) == (1, 0, True)
+    # resolve keeps the market budget's 33 fetches in flight, even when the
+    # model's budget allows 3, and --workers 1 keeps 1 x ensemble 3
+    assert RunConfig().in_flight_at(MARKET_RATE_LIMIT_RPM) == 33
+    slow_model = tmp_path / "run.json"
+    slow_model.write_text(json.dumps({"rate_limit_rpm": 6}))
+    fates = ["YES", "NO", "CANCEL"]
+    markets = [{"id": f"mkt{i}", "isResolved": True, "resolution": fates[i % 3]} for i in range(33)]
+    for flags, width in ((["--config", str(slow_model)], 33), (["--workers", "1"], 3)):
+        write_questions(dataset, [make_question(qid=m["id"], source="market") for m in markets])
+        client = BarrierMarketClient(markets, width)
+        monkeypatch.setattr(cli, "build_market_client", lambda ns, cfg: client)
+        assert cli.main(["resolve", "--dataset", str(dataset), *flags]) == EXIT_OK
+        assert client.most == width
+        by_id = {q.id: q for q in read_questions(dataset)}
+        assert (by_id["mkt30"].outcome, by_id["mkt31"].outcome, by_id["mkt32"].excluded) == (1, 0, True)
+
+
+def test_live_market_requests_pass_the_market_budget_whatever_the_model_rpm(monkeypatch):
+    budgets = []
+    monkeypatch.setattr(cli, "RateLimiter", lambda rpm: budgets.append(rpm) or RateLimiter(rpm))
+    ns = argparse.Namespace(market_fixture=None)
+    assert isinstance(cli.build_market_client(ns, RunConfig(rate_limit_rpm=6)), LiveMarketClient)
+    assert budgets == [MARKET_RATE_LIMIT_RPM]
 
 
 class MarketArrivalBackend:
@@ -2050,9 +2074,10 @@ def test_main_closes_every_connection_it_opened(tmp_path, loopback, capsys):
     write_questions(dataset, [make_question(qid=f"m{i}", source="market") for i in range(6)])
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"market_base_url": loopback.url}))
-    assert cli.main(["resolve", "--dataset", str(dataset), "--config", str(config)]) == EXIT_OK
+    argv = ["resolve", "--dataset", str(dataset), "--config", str(config), "--workers", "1"]
+    assert cli.main(argv) == EXIT_OK
     assert "resolved 6, pending 0, excluded 0" in capsys.readouterr().out
-    # resolve keeps workers 1 x ensemble markets in flight, so at most that many connections
+    # --workers 1 keeps 1 x ensemble markets in flight, so at most that many connections
     assert len(loopback.requests) == 6 and 1 <= loopback.accepts <= RunConfig().ensemble_size
     # the server sees the client close its end of every connection
     assert loopback.wait_closed(loopback.accepts)

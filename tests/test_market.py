@@ -5,10 +5,11 @@ import logging
 import sys
 import threading
 from datetime import date, datetime, timezone
+from urllib.parse import unquote
 
 import pytest
 
-from agentcast.llm import AuthError, ChatResponse, TransportError, UsageMeter, current_lane
+from agentcast.llm import AuthError, ChatResponse, RateLimiter, TransportError, UsageMeter, current_lane
 from agentcast.market import (
     FILTER_PROMPT,
     FilterVerdict,
@@ -56,6 +57,27 @@ def test_live_client_honors_retry_after_and_backs_off_without_it(loopback):
     client = LiveMarketClient(loopback.url, sleep=sleeps.append)
     assert client.get_market("m1")["id"] == "m1"
     assert sleeps == [0.05, 2.0, 4.0]  # the hint, then the usual 2**attempt backoff
+
+
+def test_live_client_takes_a_limiter_token_for_every_request_and_retry(loopback):
+    loopback.serve((429, {"Retry-After": "0"}, None), (200, {}, market("m1")), (200, {}, market("m2")))
+    waits = []
+    limiter = RateLimiter(1, clock=lambda: 0.0, sleep=waits.append)  # one token, then one a minute
+    client = LiveMarketClient(loopback.url, sleep=lambda seconds: None, rate_limiter=limiter)
+    assert [client.get_market(mid)["id"] for mid in ("m1", "m2")] == ["m1", "m2"]
+    assert waits == pytest.approx([60.0, 120.0])  # the retry waits for a token, and so does m2
+
+
+def test_live_client_sends_a_market_id_as_one_path_segment(loopback):
+    # ids come from the user's dataset: "#" must not cut the URL, "?" must
+    # not start a query and "/" must not walk to another path
+    loopback.route = lambda method, target: (200, {}, {"id": unquote(target.removeprefix("/market/"))})
+    client = LiveMarketClient(loopback.url)
+    ids = ["a#b", "a?limit=1", "a/../markets", "Xy7zQ0"]
+    assert [client.get_market(market_id)["id"] for market_id in ids] == ids
+    assert [target for _, target, _, _ in loopback.requests] == [
+        "/market/a%23b", "/market/a%3Flimit%3D1", "/market/a%2F..%2Fmarkets", "/market/Xy7zQ0"
+    ]
 
 
 AT = datetime(2024, 4, 15, 12, 0, 0, tzinfo=timezone.utc)
