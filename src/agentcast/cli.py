@@ -53,7 +53,6 @@ from .market import (
     FixtureMarketClient,
     LiveMarketClient,
     MarketClient,
-    MarketError,
     backfill_resolutions,
     category_frequencies,
     curate_markets,
@@ -758,7 +757,6 @@ def main(argv: list[str] | None = None) -> int:
         AuthError,
         ValidationError,
         MetricError,
-        MarketError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

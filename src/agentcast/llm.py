@@ -1,11 +1,13 @@
 """Chat-completion backends.
 
-One protocol (`complete(ChatRequest) -> ChatResponse`) with four
-implementations: a live HTTP adapter with retry and rate limiting, a scripted
-backend for tests, and a recording/replay pair built on JSONL cassettes keyed
-by the calling lane and a stable request fingerprint. Replay is the offline
-mode the whole test suite and the deterministic CLI runs sit on. `fan_out`
-runs the lanes of forecast, curate and resolve concurrently.
+One protocol (`complete(ChatRequest) -> ChatResponse`) with three
+implementations: a live HTTP adapter, and a recording/replay pair built on
+JSONL cassettes keyed by the calling lane and a stable request fingerprint.
+Replay is the offline mode the whole test suite and the deterministic CLI
+runs sit on. `send_with_retry` is the request, retry and status policy of
+every live client (chat, search and market), and the errors below are the
+failure vocabulary of all three. `fan_out` runs the lanes of forecast,
+curate and resolve concurrently.
 """
 
 from __future__ import annotations
@@ -41,29 +43,23 @@ R = TypeVar("R")
 
 
 class BackendError(Exception):
-    """Base class for chat backend failures."""
+    """Base class for the failures of a live call or a cassette."""
 
 
 class AuthError(BackendError):
-    """Credentials rejected. Never retried."""
+    """Credentials rejected. Never retried; ends the run."""
 
 
 class CallFailed(BackendError):
-    """One call failed after its retries. The caller declines the member or
-    drops the market, and the run goes on; every other BackendError (a
-    rejected key, a cassette fault) ends the run."""
-
-
-class RateLimited(CallFailed):
-    """Provider throttled us and retries were exhausted."""
-
-    def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
+    """One chat, search or market call failed. The caller skips that one
+    item: it declines the member, drops the market, gives a `search error:`
+    observation or leaves the question pending, and the run goes on. Every
+    other BackendError (a rejected key, a cassette fault) ends the run."""
 
 
 class TransportError(CallFailed):
-    """Network failure or an HTTP status we do not handle."""
+    """A network failure, or an HTTP status, that outlasted the retries; a
+    status we do not handle; or a 200 whose payload is unusable."""
 
 
 class CassetteError(BackendError):
@@ -466,8 +462,9 @@ def send_with_retry(
     and a 5xx are retried after `retry.delay` (a 429's Retry-After when it has
     one, even 0) until `retry.total_delay_ceiling` seconds of waiting are
     spent; the attempt after that is the last. A 401/403 raises AuthError at
-    once and a 429 that outlasts the retries RateLimited; a network failure
-    or a 5xx on the last attempt, and any other status, raise TransportError.
+    once. A network failure, a 429 or a 5xx on the last attempt, and any
+    other status, raise TransportError. The caller turns a 200 payload it
+    cannot use into a TransportError too, so each client fails the same way.
     """
     left = retry.total_delay_ceiling
     for attempt in range(retry.max_attempts):
@@ -488,7 +485,7 @@ def send_with_retry(
             if status == 429:
                 hint = parse_retry_after(resp_headers)
                 if final:
-                    raise RateLimited(f"rate limited (429) after {attempt + 1} attempts", retry_after=hint)
+                    raise TransportError(f"rate limited (429) after {attempt + 1} attempts")
             elif status < 500:
                 raise TransportError(f"unexpected status {status}: {str(payload)[:200]}")
             elif final:
@@ -536,18 +533,15 @@ def _parse_chat_payload(payload: Any) -> ChatResponse:
         content = choice["message"]["content"] or ""
         if not isinstance(content, str):
             raise TypeError
-    except (KeyError, IndexError, TypeError):
+        usage = payload.get("usage") or {}
+        prompt_tokens = int(usage.get("prompt_tokens", 0))
+        completion_tokens = int(usage.get("completion_tokens", 0))
+        reason = choice.get("finish_reason", "stop")
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError):
         raise TransportError(f"malformed completion payload: {str(payload)[:200]}") from None
-    usage = payload.get("usage") or {}
-    reason = choice.get("finish_reason", "stop")
     if reason not in ("stop", "length"):
         reason = "other"
-    return ChatResponse(
-        content=content,
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
-        completion_tokens=int(usage.get("completion_tokens", 0)),
-        finish_reason=reason,
-    )
+    return ChatResponse(content, prompt_tokens, completion_tokens, reason)
 
 
 # --- scripted / recording / replay ----------------------------------------

@@ -22,12 +22,12 @@ from urllib.parse import quote
 
 from .llm import (
     Backend,
-    BackendError,
     CallFailed,
     ChatRequest,
     Message,
     RateLimiter,
     RetryPolicy,
+    TransportError,
     fan_out,
     in_lane,
     send_with_retry,
@@ -54,14 +54,6 @@ DEFAULT_PAGE_SIZE = 500
 MARKET_RATE_LIMIT_RPM = 250
 
 
-class MarketError(Exception):
-    """Market API failure."""
-
-
-class MarketSchemaError(MarketError):
-    """A market payload was missing required fields."""
-
-
 class MarketClient(Protocol):
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]: ...
 
@@ -69,11 +61,12 @@ class MarketClient(Protocol):
 
 
 class LiveMarketClient:
-    """Thin REST adapter over `llm.send_with_retry`. Every failure raises
-    MarketError, including a body that is not JSON (the transport hands it
-    over as text, which fails the payload type checks). A `rate_limiter`
-    gives every request, retries included, a token first; the CLI sizes it
-    by `MARKET_RATE_LIMIT_RPM`."""
+    """Thin REST adapter over `llm.send_with_retry`, failing as chat and
+    search do: a rejected key raises AuthError, which ends the run, and every
+    other failure raises TransportError, including a body of the wrong JSON
+    type or one that is not JSON (the transport hands it over as text). A
+    `rate_limiter` gives every request, retries included, a token first; the
+    CLI sizes it by `MARKET_RATE_LIMIT_RPM`."""
 
     def __init__(
         self,
@@ -87,26 +80,20 @@ class LiveMarketClient:
         self._base_url = base_url.rstrip("/")
         self._send = partial(send_with_retry, timeout=timeout, retry=retry, sleep=sleep, rate_limiter=rate_limiter)
 
-    def _get(self, path: str, params: dict | None = None):
-        try:
-            return self._send(self._base_url + path, {}, params=params)
-        except BackendError as exc:
-            raise MarketError(f"market API {path} failed: {exc}") from exc
-
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]:
         params = {"limit": str(limit)}
         if before_id is not None:
             params["before"] = before_id
-        payload = self._get("/markets", params)
+        payload = self._send(self._base_url + "/markets", {}, params=params)
         if not isinstance(payload, list):
-            raise MarketError(f"expected a market list, got {type(payload).__name__}")
+            raise TransportError(f"malformed market payload: expected a market list, got {type(payload).__name__}")
         return payload
 
     def get_market(self, market_id: str) -> dict:
         # one path segment, so an id holding "#", "?" or "/" cannot name another URL
-        payload = self._get("/market/" + quote(market_id, safe=""))
+        payload = self._send(self._base_url + "/market/" + quote(market_id, safe=""), {})
         if not isinstance(payload, dict):
-            raise MarketError(f"expected a market object, got {type(payload).__name__}")
+            raise TransportError(f"malformed market payload: expected a market object, got {type(payload).__name__}")
         return payload
 
 
@@ -114,7 +101,9 @@ class FixtureMarketClient:
     """Serves canned market payloads with real cursor pagination semantics.
 
     Page requests are logged on `.page_requests` as (before_id, limit) so
-    tests can assert the cursor sequence.
+    tests can assert the cursor sequence. An unknown id raises CallFailed,
+    as a live 404 does, and a file that holds no market list raises
+    ValidationError.
     """
 
     def __init__(self, markets: list[dict]):
@@ -129,12 +118,14 @@ class FixtureMarketClient:
             payload = loads(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
-            raise MarketError(f"{path}:{lineno}: not valid UTF-8") from None
+            raise ValidationError("markets", f"{path}:{lineno}: not valid UTF-8") from None
         except json.JSONDecodeError as exc:
-            raise MarketError(f"{path}: invalid JSON ({exc})") from None
+            raise ValidationError("markets", f"{path}: invalid JSON ({exc})") from None
         markets = payload.get("markets") if isinstance(payload, dict) else payload
         if not isinstance(markets, list) or not all(isinstance(m, dict) for m in markets):
-            raise MarketError(f"{path}: expected a list of market objects, or an object with one under markets")
+            raise ValidationError(
+                "markets", f"{path}: expected a list of market objects, or an object with one under markets"
+            )
         return cls(markets)
 
     def list_markets(self, before_id: str | None, limit: int) -> list[dict]:
@@ -149,33 +140,35 @@ class FixtureMarketClient:
 
     def get_market(self, market_id: str) -> dict:
         if market_id not in self._by_id:
-            raise MarketError(f"no such market {market_id!r}")
+            raise CallFailed(f"no such market {market_id!r}")
         return self._by_id[market_id]
 
 
 def _market_fields(raw: dict) -> dict:
-    """The dataset fields of one binary market payload. MarketSchemaError
+    """The dataset fields of one binary market payload. ValidationError
     if a field is missing, the id is blank or holds U+FFFD, the
     question is not a non-blank string, closeTime does not parse, a resolved
     market has no resolution, or probability is not a JSON number in [0, 1]."""
     for key in ("id", "question", "closeTime", "probability"):
         if key not in raw:
-            raise MarketSchemaError(f"market payload missing {key!r}: {str(raw)[:120]}")
+            raise ValidationError(key, f"market payload missing {key!r}: {str(raw)[:120]}")
     market_id = str(raw["id"])
     if not market_id.strip() or "\ufffd" in market_id:
-        raise MarketSchemaError(f"market id {market_id!r} is blank, or holds U+FFFD or a lone surrogate")
+        raise ValidationError("id", f"market id {market_id!r} is blank, or holds U+FFFD or a lone surrogate")
     question = raw["question"]
     if not isinstance(question, str) or not question.strip():
-        raise MarketSchemaError(f"market {market_id}: question {question!r} is not a non-blank string")
+        raise ValidationError("question", f"market {market_id}: question {question!r} is not a non-blank string")
     try:
         close_time = parse_timestamp(raw["closeTime"], "closeTime")
     except ValidationError as exc:
-        raise MarketSchemaError(f"market {market_id}: {exc}") from None
+        raise ValidationError("closeTime", f"market {market_id}: {exc}") from None
     if raw.get("isResolved", False) and raw.get("resolution") is None:
-        raise MarketSchemaError(f"market {market_id}: resolved without a resolution")
+        raise ValidationError("resolution", f"market {market_id}: resolved without a resolution")
     probability = raw["probability"]
     if isinstance(probability, bool) or not isinstance(probability, (int, float)) or not 0.0 <= probability <= 1.0:
-        raise MarketSchemaError(f"market {market_id}: probability {probability!r} is not a number in [0, 1]")
+        raise ValidationError(
+            "probability", f"market {market_id}: probability {probability!r} is not a number in [0, 1]"
+        )
     return {
         "id": market_id,
         "title": question,
@@ -200,7 +193,8 @@ def fetch_window(
     Pages through the whole listing with the before-cursor; malformed payloads
     are skipped with a warning, non-binary markets silently. Duplicates across
     page boundaries are dropped, keeping the first occurrence. A full page
-    whose last entry has no id gives no cursor and raises MarketError. The
+    whose last entry has no id gives no cursor and raises TransportError, as
+    any other unusable reply does; a client's own failures propagate. The
     Questions are checked only once the listing is read, so a market that
     closed before `at` raises ValidationError after every page request.
     """
@@ -221,8 +215,8 @@ def fetch_window(
                 continue
             try:
                 fields = _market_fields(raw)
-            except MarketSchemaError as exc:
-                logger.warning("skipping malformed market: %s", exc)
+            except ValidationError as exc:
+                logger.warning("skipping malformed market: %s", exc.message)
                 continue
             if fields["id"] in seen:
                 continue
@@ -233,7 +227,7 @@ def fetch_window(
             break
         last = page[-1]
         if not isinstance(last, dict) or last.get("id") is None:
-            raise MarketError(f"cannot page past a full market page whose last entry has no id: {last!r:.200}")
+            raise TransportError(f"cannot page past a full market page whose last entry has no id: {last!r:.200}")
         cursor = str(last["id"])
     return [check_question({**fields, "fetched_at": at}) for fields in markets]
 
@@ -382,7 +376,9 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path, *, work
     YES -> 1, NO -> 0; anything else a market resolved to (cancelled,
     ambiguous, numeric) marks the question excluded. Unresolved markets stay
     pending and are retried on the next run, and so does a market whose fetch
-    fails: one bad market never loses the outcomes found for the others.
+    fails (CallFailed): one bad market never loses the outcomes found for the
+    others. Any other error, a rejected key among them, propagates before
+    the file is rewritten, so the dataset is left as it was.
     Open markets are fetched `workers` at a time; outcomes are applied in
     dataset order, so the rewritten file does not depend on `workers`.
     An update sets outcome 0 or 1, or excluded, on a checked question that
@@ -393,7 +389,7 @@ def backfill_resolutions(client: MarketClient, dataset_path: str | Path, *, work
     def fetch(question: Question) -> dict | None:
         try:
             return client.get_market(question.id)
-        except MarketError as exc:
+        except CallFailed as exc:
             logger.warning("market %s could not be fetched (%s); leaving it pending", question.id, exc)
             return None
 

@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol
 
-from .llm import AuthError, BackendError, RateLimiter, RetryPolicy, current_lane, send_with_retry
+from .llm import CallFailed, RateLimiter, RetryPolicy, TransportError, current_lane, send_with_retry
 from .models import ValidationError, parse_timestamp, read_checked
 
 if TYPE_CHECKING:  # imported where used, so runs without a search skip it
@@ -52,10 +52,6 @@ class ToolSpec(namedtuple("ToolSpec", "name description invoke kind")):
 
 
 # --- web search -----------------------------------------------------------
-
-
-class ProviderError(Exception):
-    """Search provider failure after retries."""
 
 
 class SearchResult(NamedTuple):
@@ -108,9 +104,10 @@ def _parse_results(raws: Iterable[Any]) -> list[SearchResult]:
 
 class LiveSearchProvider:
     """HTTP search adapter. Sends the cutoff as a query parameter on every
-    request through `llm.send_with_retry`. A rejected key raises AuthError,
-    which ends the run; every other failure, including a body with no
-    `results` list, raises ProviderError. Never called in replay runs."""
+    request through `llm.send_with_retry`, and fails as chat does: a rejected
+    key raises AuthError, which ends the run, and every other failure,
+    including a body with no `results` list, raises TransportError. Never
+    called in replay runs."""
 
     def __init__(
         self,
@@ -128,14 +125,9 @@ class LiveSearchProvider:
 
     def search(self, query: str, before_date: date, limit: int) -> list[SearchResult]:
         params = {"q": query, "num": str(limit), "before": before_date.isoformat()}
-        try:
-            payload = self._send(self._url, self._headers, params=params)
-        except AuthError:
-            raise  # a rejected key ends the run, as it does for chat
-        except BackendError as exc:
-            raise ProviderError(f"search failed: {exc}") from exc
+        payload = self._send(self._url, self._headers, params=params)
         if not isinstance(payload, dict) or not isinstance(payload.get("results"), list):
-            raise ProviderError(f"malformed search payload: {str(payload)[:200]}")
+            raise TransportError(f"malformed search payload: {str(payload)[:200]}")
         return _parse_results(payload["results"])
 
 
@@ -488,7 +480,9 @@ def make_search_tool(
     k: int = DEFAULT_RESULTS_PER_SEARCH,
     observation_budget: int = DEFAULT_OBSERVATION_BUDGET,
 ) -> ToolSpec:
-    """Search tool bound to a cutoff date. The action input is the query."""
+    """Search tool bound to a cutoff date. The action input is the query. A
+    search that fails (CallFailed) becomes a `search error:` observation;
+    every other backend error, a rejected key included, ends the run."""
 
     def invoke(action_input: str) -> str:
         query = action_input.strip().strip('"').strip()
@@ -496,7 +490,7 @@ def make_search_tool(
             return "search error: empty query"
         try:
             results = search(provider, query, cutoff, k)
-        except ProviderError as exc:
+        except CallFailed as exc:
             return f"search error: {exc}"
         return truncate_text(_render_search_results(results), observation_budget)
 

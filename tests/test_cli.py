@@ -1368,7 +1368,7 @@ def test_a_malformed_market_fixture_exits_1_naming_the_file(tmp_path, monkeypatc
     dataset = tmp_path / "dataset.jsonl"
     assert cli.main(curate_args(market_fixture, dataset)) == EXIT_FATAL
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith(f"error: {market_fixture}: ")
+    assert last.startswith(f"error: markets: {market_fixture}: ")
     assert backend.requests == []
     assert not dataset.exists()
 
@@ -1467,6 +1467,41 @@ def test_resolve_exits_1_on_a_lone_surrogate_in_an_id_and_leaves_the_dataset(tmp
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: id: ") and "lone surrogate" in err[0]
     assert dataset.read_bytes() == before
+
+
+def test_resolve_with_a_rejected_market_request_exits_1_and_leaves_the_dataset(tmp_path, loopback, capsys):
+    # this used to leave every question pending and exit 0
+    loopback.serve((401, {}, None))
+    dataset = tmp_path / "dataset.jsonl"
+    write_questions(dataset, [make_question(qid=f"m{i}", source="market") for i in range(3)])
+    before = dataset.read_bytes()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"market_base_url": loopback.url}))
+    assert cli.main(["resolve", "--dataset", str(dataset), "--config", str(config)]) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines() == ["error: authentication rejected (401)"]
+    assert dataset.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "run.json"]  # no temp file left
+
+
+@pytest.mark.parametrize(
+    "status, error",
+    [(401, "error: authentication rejected (401)"), (404, "backend error: unexpected status 404: {}")],
+    ids=["401", "404"],
+)
+def test_curate_with_a_failed_market_listing_exits_1_before_any_chat_request(
+    tmp_path, loopback, monkeypatch, capsys, status, error
+):
+    loopback.serve((status, {}, {}))
+    backend = UncallableBackend()
+    monkeypatch.setattr(cli, "HTTPBackend", lambda *args, **kwargs: backend)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"market_base_url": loopback.url}))
+    out = tmp_path / "dataset.jsonl"
+    argv = ["curate", "--from", "2024-05-01", "--to", "2024-05-31", "--out", str(out), "--config", str(config)]
+    assert cli.main(argv) == EXIT_FATAL
+    assert capsys.readouterr().err.splitlines()[-1] == error
+    assert [target.split("?")[0] for _, target, *_ in loopback.requests] == ["/markets"]
+    assert backend.requests == [] and not out.exists()
 
 
 # --- score -----------------------------------------------------------------------
@@ -1938,7 +1973,8 @@ NOT_UTF8 = "line: {bad}:2: not valid UTF-8"
         (PACKAGED_PROBES, "bad.jsonl", "probe --probes {bad} --cassette {cassette}", NOT_UTF8),
         (E2E / "cassette.jsonl", "bad.jsonl", "probe --cassette {bad}",
          "{bad}:2: corrupt cassette entry (not valid UTF-8)"),
-        (None, "bad.json", "resolve --dataset {questions} --market-fixture {bad}", "{bad}:2: not valid UTF-8"),
+        (None, "bad.json", "resolve --dataset {questions} --market-fixture {bad}",
+         "markets: {bad}:2: not valid UTF-8"),
     ],
     ids=["dataset", "records", "rerun-records", "search-fixture", "probes", "cassette", "market-fixture"],
 )

@@ -21,7 +21,6 @@ from agentcast.llm import (
     HTTPBackend,
     Message,
     ProbeResult,
-    RateLimited,
     RateLimiter,
     RecordingBackend,
     ReplayBackend,
@@ -35,8 +34,8 @@ from agentcast.llm import (
     leakage_probe,
     load_cassette,
 )
-from agentcast.market import LiveMarketClient, MarketError
-from agentcast.tools import LiveSearchProvider, ProviderError
+from agentcast.market import LiveMarketClient
+from agentcast.tools import LiveSearchProvider
 
 from conftest import DROP
 from helpers import ScriptedBackend
@@ -302,39 +301,23 @@ CHAT_OK = {
     "usage": {"prompt_tokens": 12, "completion_tokens": 3},
 }
 
-# client: (call given a base URL and the client's keyword arguments, 200 body,
-# (error, message pattern) raised on each failing row)
+# client: (call given a base URL and the client's keyword arguments, 200 body)
 LIVE_CLIENTS = {
-    "chat": (
-        lambda url, **kw: HTTPBackend(url, "key", **kw).complete(make_request()),
-        CHAT_OK,
-        {
-            "401": (AuthError, "401"),
-            "404": (TransportError, "404"),
-            "exhausted": (RateLimited, "429"),
-            "unusable": (TransportError, "malformed completion payload"),
-        },
-    ),
+    "chat": (lambda url, **kw: HTTPBackend(url, "key", **kw).complete(make_request()), CHAT_OK),
     "search": (
         lambda url, **kw: LiveSearchProvider(url, "key", **kw).search("q", date(2024, 4, 1), 8),
         {"results": [{"title": "T", "url": "u", "snippet": "s"}]},
-        {
-            "401": (AuthError, "401"),  # a rejected key ends the run
-            "404": (ProviderError, "404"),
-            "exhausted": (ProviderError, "429"),
-            "unusable": (ProviderError, "malformed search payload"),
-        },
     ),
-    "market": (
-        lambda url, **kw: LiveMarketClient(url, **kw).get_market("m1"),
-        {"id": "m1"},
-        {
-            "401": (MarketError, "401"),
-            "404": (MarketError, "404"),
-            "exhausted": (MarketError, "429"),
-            "unusable": (MarketError, "expected a market object"),
-        },
-    ),
+    "market": (lambda url, **kw: LiveMarketClient(url, **kw).get_market("m1"), {"id": "m1"}),
+}
+
+# (error, message pattern) that every live client raises on each failing row:
+# a rejected key ends the run, and every other failure skips one item
+FAILURES = {
+    "401": (AuthError, "401"),
+    "404": (TransportError, "404"),
+    "exhausted": (TransportError, "429"),
+    "unusable": (TransportError, "malformed (completion|search|market) payload"),
 }
 
 THROTTLED = (429, {"Retry-After": "30"}, {})
@@ -361,13 +344,13 @@ UNUSABLE = (200, {}, "<html>busy</html>")
 )
 @pytest.mark.parametrize("client", sorted(LIVE_CLIENTS))
 def test_live_clients_share_one_status_table(loopback, client, served, sleeps, fails_with):
-    call, ok_body, errors = LIVE_CLIENTS[client]
+    call, ok_body = LIVE_CLIENTS[client]
     loopback.serve(*[(o, {}, ok_body if o == 200 else {}) if isinstance(o, int) else o for o in served])
     slept = []
     if fails_with is None:
         assert call(loopback.url, sleep=slept.append)
     else:
-        error, pattern = errors[fails_with]
+        error, pattern = FAILURES[fails_with]
         with pytest.raises(error, match=pattern):
             call(loopback.url, sleep=slept.append)
     assert len(loopback.requests) == len(served)
@@ -376,11 +359,11 @@ def test_live_clients_share_one_status_table(loopback, client, served, sleeps, f
 
 @pytest.mark.parametrize("client", sorted(LIVE_CLIENTS))
 def test_live_clients_keep_a_custom_attempt_cap(loopback, client):
-    call, _, errors = LIVE_CLIENTS[client]
+    call, _ = LIVE_CLIENTS[client]
     loopback.serve((429, {}, {}))
     slept = []
     policy = RetryPolicy(max_attempts=4, base_delay=10.0, max_delay=100.0, total_delay_ceiling=35.0)
-    with pytest.raises(errors["exhausted"][0]):
+    with pytest.raises(TransportError, match="429"):
         call(loopback.url, sleep=slept.append, retry=policy)
     assert len(loopback.requests) == 4  # never exceeds the cap
     assert slept == [10.0, 20.0, 5.0]  # the third wait is cut to the 35 s ceiling
@@ -447,9 +430,24 @@ def test_an_encoded_lone_surrogate_in_a_body_reads_as_replacement_characters(loo
     assert backend.complete(make_request()).content == "fine"
 
 
-@pytest.mark.parametrize("content", [[{"type": "text", "text": "fine"}], 5])
-def test_http_backend_rejects_a_reply_that_is_not_text(loopback, content):
-    loopback.serve((200, {}, {"choices": [{"message": {"content": content}}]}))
+def completion(content="fine", **fields):
+    return {"choices": [{"message": {"content": content}}], **fields}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(completion([{"type": "text", "text": "fine"}]), id="content-is-a-list"),
+        pytest.param(completion(5), id="content-is-a-number"),
+        # these escaped as a TypeError, an AttributeError, a ValueError and an OverflowError
+        pytest.param(completion(usage={"prompt_tokens": None}), id="usage-tokens-null"),
+        pytest.param(completion(usage=[1]), id="usage-is-a-list"),
+        pytest.param(completion(usage={"prompt_tokens": "n/a"}), id="usage-tokens-text"),
+        pytest.param(completion(usage={"completion_tokens": 1e400}), id="usage-tokens-infinite"),
+    ],
+)
+def test_http_backend_rejects_a_reply_that_is_not_text(loopback, payload):
+    loopback.serve((200, {}, payload))
     with pytest.raises(TransportError, match="malformed completion payload"):
         HTTPBackend(loopback.url, "key").complete(make_request())
 
@@ -496,7 +494,7 @@ def test_concurrent_calls_never_share_a_connection(loopback):
             market_id = f"t{t}c{i}"
             try:
                 got = client.get_market(market_id)["id"]
-            except MarketError as exc:
+            except TransportError as exc:
                 got = exc
             if got != market_id:
                 wrong.append((market_id, got))
@@ -540,7 +538,7 @@ def test_https_through_a_proxy_opens_a_tunnel(loopback, monkeypatch):
     loopback.serve((502, {}, None))  # refuse the tunnel, so no TLS is needed
     monkeypatch.setenv("https_proxy", loopback.url)
     client = LiveMarketClient("https://market.example", retry=RetryPolicy(max_attempts=1))
-    with pytest.raises(MarketError, match="Tunnel connection failed: 502"):
+    with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
         client.get_market("m1")
     assert [r[:2] for r in loopback.requests] == [("CONNECT", "market.example:443")]
 

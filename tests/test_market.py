@@ -9,13 +9,12 @@ from urllib.parse import unquote
 
 import pytest
 
-from agentcast.llm import AuthError, ChatResponse, RateLimiter, TransportError, UsageMeter, current_lane
+from agentcast.llm import AuthError, CallFailed, ChatResponse, RateLimiter, TransportError, UsageMeter, current_lane
 from agentcast.market import (
     FILTER_PROMPT,
     FilterVerdict,
     FixtureMarketClient,
     LiveMarketClient,
-    MarketError,
     backfill_resolutions,
     category_frequencies,
     classify_category,
@@ -163,7 +162,7 @@ def test_fetch_window_skips_a_non_object_and_fails_on_a_page_it_cannot_page_past
         assert [q.id for q in fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT, page_size)] == ["m1"]
         assert "skipping malformed market: not an object: 'junk'" in caplog.text
     else:
-        with pytest.raises(MarketError, match=error):
+        with pytest.raises(TransportError, match=error):
             fetch_window(client, date(2024, 4, 16), date(2024, 5, 15), AT, page_size)
 
 
@@ -177,6 +176,8 @@ def test_fixture_client_from_file(tmp_path):
     path.write_text(json.dumps({"markets": [market("m1")]}), encoding="utf-8")
     client = FixtureMarketClient.from_file(path)
     assert client.get_market("m1")["id"] == "m1"
+    with pytest.raises(CallFailed, match="no such market 'm2'"):  # as a live 404 does
+        client.get_market("m2")
 
 
 def test_llm_filter_keep_drop_and_normalization():
@@ -307,7 +308,7 @@ def test_backfill_counts_a_failing_market_as_pending_and_keeps_the_rest(tmp_path
     class FlakyClient(FixtureMarketClient):
         def get_market(self, market_id):
             if market_id == "broken1":
-                raise MarketError("market API failed after 4 attempts: status 503")
+                raise TransportError("server error (503) after 4 attempts")
             return super().get_market(market_id)
 
     dataset = tmp_path / "dataset.jsonl"
@@ -340,7 +341,7 @@ def test_backfill_keeps_a_market_whose_body_is_not_json_pending(tmp_path, loopba
     loopback.route = route
     dataset = tmp_path / "dataset.jsonl"
     write_questions(dataset, [make_question(qid=qid) for qid in ("yes1", "html1", "yes2")])
-    with pytest.raises(MarketError, match="expected a market object, got str"):
+    with pytest.raises(TransportError, match="expected a market object, got str"):
         LiveMarketClient(loopback.url).get_market("html1")
     summary = backfill_resolutions(LiveMarketClient(loopback.url), dataset)
     assert (summary.resolved, summary.pending, summary.excluded) == (2, 1, 0)
@@ -355,7 +356,7 @@ def test_concurrent_backfill_keeps_a_failing_market_pending_and_resolves_the_res
         def get_market(self, market_id):
             self.barrier.wait()
             if market_id == "broken1":
-                raise MarketError("market API failed after 5 attempts: status 503")
+                raise TransportError("server error (503) after 5 attempts")
             return super().get_market(market_id)
 
     dataset = tmp_path / "dataset.jsonl"

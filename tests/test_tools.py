@@ -16,11 +16,10 @@ import pytest
 
 import agentcast
 from agentcast import tools
-from agentcast.llm import in_lane
+from agentcast.llm import AuthError, TransportError, in_lane
 from agentcast.tools import (
     FixtureSearchProvider,
     LiveSearchProvider,
-    ProviderError,
     SANDBOX_OUTPUT_CAP,
     SandboxTimeout,
     SearchMemo,
@@ -205,6 +204,15 @@ def test_unusable_search_body_becomes_a_search_error(loopback, body):
     assert tool.invoke("q").startswith("search error: malformed search payload")
 
 
+def test_a_failed_live_search_is_an_observation_and_a_rejected_key_ends_the_run(loopback):
+    tool = make_search_tool(LiveSearchProvider(loopback.url, "key"), CUTOFF)
+    loopback.serve((404, {}, {}))
+    assert tool.invoke("q") == "search error: unexpected status 404: {}"
+    loopback.serve((401, {}, {}))
+    with pytest.raises(AuthError, match="401"):
+        tool.invoke("q")
+
+
 def test_render_search_observation():
     tool = make_search_tool(CaptureProvider([result("A", "first"), result("B", "second")]), CUTOFF)
     assert tool.invoke("q") == "A — first\nB — second"
@@ -233,7 +241,7 @@ def test_search_tool_invocation():
 def test_search_tool_surfaces_provider_failure_as_observation():
     class FailingProvider:
         def search(self, query, before_date, limit):
-            raise ProviderError("quota exhausted")
+            raise TransportError("quota exhausted")
 
     tool = make_search_tool(FailingProvider(), CUTOFF)
     assert tool.invoke("q") == "search error: quota exhausted"
@@ -313,13 +321,13 @@ def test_memo_keeps_no_failure():
         def search(self, query, before_date, limit):
             if not self.calls:
                 self.calls.append((query, before_date, limit))
-                raise ProviderError("quota exhausted")
+                raise TransportError("quota exhausted")
             return super().search(query, before_date, limit)
 
     provider = FlakyProvider([result("A")])
     memo = SearchMemo(provider)
     with in_lane("q1", 0):
-        with pytest.raises(ProviderError):
+        with pytest.raises(TransportError):
             memo.search("q", CUTOFF, 8)
     with in_lane("q1", 1):
         assert memo.search("q", CUTOFF, 8) == [result("A")]
@@ -334,7 +342,7 @@ def test_memo_hands_the_leaders_failure_to_a_waiting_search():
             self.calls.append((query, before_date, limit))
             entered.set()
             release.wait(timeout=5)
-            raise ProviderError("quota exhausted")
+            raise TransportError("quota exhausted")
 
     class SignallingLock:
         """The memo's lock; tells when the waiter has found the leader's flight."""
@@ -359,7 +367,7 @@ def test_memo_hands_the_leaders_failure_to_a_waiting_search():
         with in_lane("q1", m):
             try:
                 memo.search("q", CUTOFF, 8)
-            except ProviderError as exc:
+            except TransportError as exc:
                 raised[m] = exc
 
     leader = threading.Thread(target=member, args=(0,), name="leader")
