@@ -16,6 +16,8 @@ import contextvars
 import json
 import logging
 import math
+import os
+import re
 import select
 import threading
 import time
@@ -32,7 +34,6 @@ from .models import ValidationError, loads, read_checked
 if TYPE_CHECKING:  # imported where used, so replay and score runs skip them
     import socket
     import ssl
-    from http.client import HTTPConnection, HTTPMessage
 
 logger = logging.getLogger(__name__)
 
@@ -270,15 +271,16 @@ class RetryPolicy(NamedTuple):
         return max(0.0, min(raw, self.max_delay, left))
 
 
-def parse_retry_after(headers: HTTPMessage) -> float | None:
-    """Seconds from a Retry-After header; None when absent or not a number."""
+def parse_retry_after(headers: dict[str, str]) -> float | None:
+    """Seconds from the `retry-after` header of a response's headers (keyed
+    by lower-case name); None when absent or not a number."""
     try:
-        return max(0.0, float(headers.get("Retry-After")))
+        return max(0.0, float(headers.get("retry-after")))
     except (TypeError, ValueError):
         return None
 
 
-Response = tuple[int, "HTTPMessage", Any]  # (status, case-insensitive headers, JSON body or body text)
+Response = tuple[int, dict[str, str], Any]  # (status, headers by lower-case name, JSON body or body text)
 
 # The origin's (scheme, host, port), then the proxy's (host, port,
 # Proxy-Authorization value), or None when the request goes direct.
@@ -286,41 +288,42 @@ Route = tuple[str, str, int, "tuple[str, int, str | None] | None"]
 
 
 class ConnectionPool:
-    """Idle keep-alive connections by route, shared by the live clients of a
+    """Idle keep-alive sockets by route, shared by the live clients of a
     process.
 
-    A call takes a connection out and gives it back only after reading its
-    whole response, so no two threads ever hold the same connection, and the
-    pool never keeps more connections than were in use at once.
+    A call takes a socket out and gives it back only after reading its
+    whole response with nothing received past its end, so no two threads
+    ever hold the same connection, an idle socket holds no unread bytes, and
+    the pool never keeps more connections than were in use at once.
     """
 
     def __init__(self):
-        self._idle: dict[Route, list[HTTPConnection]] = {}
+        self._idle: dict[Route, list[socket.socket]] = {}
         self._lock = threading.Lock()
 
-    def take(self, route: Route) -> HTTPConnection | None:
-        """The most recently used idle connection for `route` that the
-        server has not closed, or None."""
+    def take(self, route: Route) -> socket.socket | None:
+        """The most recently used idle socket for `route` that the server
+        has not closed, or None."""
         while True:
             with self._lock:
                 idle = self._idle.get(route)
                 if not idle:
                     return None
-                conn = idle.pop()
-            if conn.sock is not None and not _readable(conn.sock):
-                return conn
-            conn.close()
+                sock = idle.pop()
+            if not _readable(sock):
+                return sock
+            sock.close()
 
-    def give(self, route: Route, conn: HTTPConnection) -> None:
+    def give(self, route: Route, sock: socket.socket) -> None:
         with self._lock:
-            self._idle.setdefault(route, []).append(conn)
+            self._idle.setdefault(route, []).append(sock)
 
     def close(self) -> None:
         with self._lock:
             idle, self._idle = self._idle, {}
-        for conns in idle.values():
-            for conn in conns:
-                conn.close()
+        for socks in idle.values():
+            for sock in socks:
+                sock.close()
 
 
 def _readable(sock: socket.socket) -> bool:
@@ -349,12 +352,18 @@ def _tls_context() -> ssl.SSLContext:
 def _route(parts: SplitResult) -> Route:
     """Where a request for `parts` goes: direct, or through the proxy that
     `HTTP_PROXY`/`HTTPS_PROXY` name unless `NO_PROXY` exempts the host.
+    The proxy settings are read only when a variable whose lower-cased name
+    is `<scheme>_proxy` is set, the only ones `urllib.request.getproxies`
+    reads for the URL's scheme on Linux.
     A malformed port raises ValueError."""
-    from urllib.request import getproxies, proxy_bypass
-
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError("not an http(s) URL")
     port = parts.port or (443 if parts.scheme == "https" else 80)
+    variable = parts.scheme + "_proxy"
+    if not any(name.lower() == variable and os.environ[name] for name in os.environ):
+        return parts.scheme, parts.hostname, port, None
+    from urllib.request import getproxies, proxy_bypass
+
     proxy = getproxies().get(parts.scheme)
     if not proxy or proxy_bypass(f"{parts.hostname}:{port}"):
         return parts.scheme, parts.hostname, port, None
@@ -370,32 +379,177 @@ def _route(parts: SplitResult) -> Route:
     return parts.scheme, parts.hostname, port, (via.hostname, via.port or 80, auth)
 
 
-def _connect(route: Route, timeout: float) -> HTTPConnection:
-    """A new, not yet connected connection for `route`. HTTPS through a
-    proxy tunnels with CONNECT, and TLS is verified against the origin."""
-    import http.client
+def _connect(route: Route, timeout: float) -> socket.socket:
+    """A connected socket for `route`. HTTPS through a proxy tunnels with
+    CONNECT, and TLS is verified against the origin host."""
+    import socket
 
     scheme, host, port, proxy = route
-    address = (host, port) if proxy is None else proxy[:2]
-    if scheme == "http":
-        return http.client.HTTPConnection(*address, timeout=timeout)
-    conn = http.client.HTTPSConnection(*address, timeout=timeout, context=_tls_context())
-    if proxy is not None:
-        conn.set_tunnel(host, port, headers={"Proxy-Authorization": proxy[2]} if proxy[2] else None)
-    return conn
+    sock = socket.create_connection((host, port) if proxy is None else proxy[:2], timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if scheme == "https":
+            if proxy is not None:
+                authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+                fields = {"Host": authority}
+                if proxy[2]:
+                    fields["Proxy-Authorization"] = proxy[2]
+                sock.sendall(_encode_request("CONNECT", authority, fields))
+                _, status, _ = _read_head(_Reader(sock))
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status}")
+            sock = _tls_context().wrap_socket(sock, server_hostname=host)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+# a request header line: a name without space, colon or NUL, and a value
+# without CR, LF or NUL, so a header can never start another line
+_HEADER_LINE = re.compile(r"[^\s:\0]+: [^\r\n\0]*").fullmatch
+
+
+def _encode_request(method: str, target: str, fields: dict, body: bytes = b"") -> bytes:
+    """The bytes of one HTTP/1.1 request. A header that could end its line
+    early, or that Latin-1 cannot encode, raises ValueError."""
+    lines = [f"{method} {target} HTTP/1.1"]
+    for name, value in fields.items():
+        line = f"{name}: {value}"
+        if not _HEADER_LINE(line):
+            raise ValueError(f"illegal header {name!r}")
+        lines.append(line)
+    lines += ("", "")
+    return "\r\n".join(lines).encode("latin-1") + body
+
+
+# the limits the standard library's HTTP client puts on a response head
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _Reader:
+    """The bytes one socket received that no part of a response used yet.
+    A parse error raises ValueError, and a close before the response ended
+    ConnectionError."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = bytearray()
+
+    @property
+    def pending(self) -> bool:
+        return bool(self._buf)
+
+    def _fill(self) -> None:
+        data = self._sock.recv(65536)
+        if not data:
+            raise ConnectionError("connection closed before the response ended")
+        self._buf += data
+
+    def line(self) -> bytes:
+        """The next line without its line ending; at most 64 KiB with it."""
+        start = 0
+        while (end := self._buf.find(b"\n", start)) < 0 and len(self._buf) <= _MAX_LINE:
+            start = len(self._buf)
+            self._fill()
+        if not 0 <= end < _MAX_LINE:
+            raise ValueError(f"response line longer than {_MAX_LINE} bytes")
+        line = bytes(self._buf[:end]).removesuffix(b"\r")
+        del self._buf[: end + 1]
+        return line
+
+    def exactly(self, n: int) -> bytes:
+        while len(self._buf) < n:
+            self._fill()
+        data = bytes(self._buf[:n])
+        del self._buf[:n]
+        return data
+
+    def rest(self) -> bytes:
+        """Everything up to the close."""
+        while data := self._sock.recv(65536):
+            self._buf += data
+        data = bytes(self._buf)
+        self._buf.clear()
+        return data
+
+
+def _read_fields(reader: _Reader) -> dict[str, str]:
+    """Header lines up to the blank line that ends them, keyed by lower-case
+    name; a repeated header's values are joined with ", "."""
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = reader.line()
+        if not line:
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise ValueError(f"malformed header line {line[:80]!r}")
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise ValueError(f"more than {_MAX_HEADERS} headers")
+
+
+def _read_head(reader: _Reader) -> tuple[str, int, dict[str, str]]:
+    """The version, status and headers of one response head."""
+    line = reader.line()
+    version, _, rest = line.decode("latin-1").partition(" ")
+    code = rest.partition(" ")[0]
+    if not version.startswith("HTTP/1.") or len(code) != 3 or not code.isdecimal() or code < "100":
+        raise ValueError(f"malformed status line {line[:80]!r}")
+    return version, int(code), _read_fields(reader)
+
+
+def _read_response(reader: _Reader) -> tuple[int, dict[str, str], bytes, bool]:
+    """One response after its 1xx interim replies: the status, the headers,
+    the body, and whether the connection can carry another request."""
+    version, status, headers = _read_head(reader)
+    while status < 200:
+        version, status, headers = _read_head(reader)
+    reusable = version != "HTTP/1.0" and "close" not in headers.get("connection", "").lower()
+    if status in (204, 304):
+        body = b""
+    elif headers.get("transfer-encoding", "").lower().endswith("chunked"):
+        chunks = []
+        while size := _chunk_size(reader.line()):
+            chunks.append(reader.exactly(size))
+            if reader.line():
+                raise ValueError("chunk data longer than its size")
+        _read_fields(reader)  # the trailer
+        body = b"".join(chunks)
+    elif "content-length" in headers:
+        length = headers["content-length"]
+        if not length.isdecimal():
+            raise ValueError(f"bad Content-Length {length[:80]!r}")
+        body = reader.exactly(int(length))
+    else:
+        body, reusable = reader.rest(), False
+    return status, headers, body, reusable and not reader.pending
+
+
+def _chunk_size(line: bytes) -> int:
+    """The size on a chunk's first line, its extensions dropped."""
+    size = line.partition(b";")[0].strip()
+    if not size or size.strip(b"0123456789abcdefABCDEF"):
+        raise ValueError(f"bad chunk size {line[:80]!r}")
+    return int(size, 16)
 
 
 def http_transport(url: str, headers: dict, body: dict | None, timeout: float, params: dict | None = None) -> Response:
     """POST `body` as JSON, or GET with `params` (None values dropped) when
-    there is no body, and return the status, the headers and the JSON payload
-    as `models.loads` reads it (the body text when it is not JSON).
+    there is no body, and return the status, the headers keyed by lower-case
+    name, and the JSON payload as `models.loads` reads it (the body text
+    when it is not JSON).
 
-    The request goes over a kept-alive connection from the process pool.
-    Redirects are not followed. A network failure closes the connection and
-    raises TransportError; the caller's retry policy decides what follows.
+    The request is HTTP/1.1, written on the socket of a kept-alive
+    connection from the process pool; the body comes back by
+    Content-Length, chunked, or up to the close, and is never compressed.
+    Redirects are not followed. A header holding CR, LF or NUL raises
+    TransportError before anything is sent. A network failure or a response
+    that cannot be parsed closes the connection and raises TransportError;
+    the caller's retry policy decides what follows.
     """
-    import http.client
-
     parts = urlsplit(url)
     try:
         route = _route(parts)
@@ -405,42 +559,49 @@ def http_transport(url: str, headers: dict, body: dict | None, timeout: float, p
     query = "&".join(q for q in (parts.query, query) if q)
     target = (parts.path or "/") + (f"?{query}" if query else "")
     target = quote(target, safe="/?%:@!$&'()*+,;=~")  # encode spaces and non-ASCII; keep what is encoded
-    send_headers = {"User-Agent": "agentcast", "Accept": "*/*", **headers}
+    host = parts.netloc.rpartition("@")[2]
+    fields = {"Host": host, "User-Agent": "agentcast", "Accept": "*/*", "Accept-Encoding": "identity", **headers}
     proxy = route[3]
     if proxy is not None and parts.scheme == "http":
         # a plain proxy takes the absolute URL, and its credentials on every request
-        target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+        target = f"http://{host}{target}"
         if proxy[2]:
-            send_headers["Proxy-Authorization"] = proxy[2]
-    data = None
+            fields["Proxy-Authorization"] = proxy[2]
+    data = b""
     if body is not None:
         try:
             data = json.dumps(body, allow_nan=False).encode("utf-8")
         except ValueError as exc:
             raise TransportError(f"cannot send to {url}: body is not valid JSON ({exc})") from None
-        send_headers["Content-Type"] = "application/json"
-
-    conn = _POOL.take(route) or _connect(route, timeout)
+        fields["Content-Type"] = "application/json"
+        fields["Content-Length"] = str(len(data))
     try:
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
-        conn.request("GET" if data is None else "POST", target, body=data, headers=send_headers)
-        resp = conn.getresponse()
-        raw = resp.read()
-    except (OSError, http.client.HTTPException, ValueError) as exc:  # ValueError: an illegal header
-        conn.close()
+        request = _encode_request("GET" if body is None else "POST", target, fields, data)
+    except ValueError as exc:
+        raise TransportError(f"request to {url} failed: {exc}") from None
+
+    sock = _POOL.take(route)
+    try:
+        if sock is None:
+            sock = _connect(route, timeout)
+        else:
+            sock.settimeout(timeout)
+        sock.sendall(request)
+        status, resp_headers, raw, reusable = _read_response(_Reader(sock))
+    except (OSError, ValueError) as exc:
+        if sock is not None:
+            sock.close()
         raise TransportError(f"request to {url} failed: {exc}") from exc
-    if resp.will_close:
-        conn.close()
+    if reusable:
+        _POOL.give(route, sock)
     else:
-        _POOL.give(route, conn)
+        sock.close()
     text = raw.decode("utf-8-sig", "replace")  # json.loads(bytes) would keep encoded surrogates
     try:
         payload = loads(text)
     except ValueError:
         payload = text
-    return resp.status, resp.headers, payload
+    return status, resp_headers, payload
 
 
 def send_with_retry(

@@ -49,8 +49,10 @@ class LoopbackServer(ThreadingHTTPServer):
     """HTTP/1.1 keep-alive server on 127.0.0.1 that the live clients talk to.
 
     Replies are (status, headers, body): a str body goes out as text, bytes
-    as they are, None as an empty body, anything else as JSON. DROP closes
-    the connection without a reply. `serve` queues replies (the last one
+    as they are, None as an empty body, anything else as JSON. A reply that
+    is bytes alone is written as it is, in one write, status line and all,
+    for the tests of the client's response parser. DROP closes the
+    connection without a reply. `serve` queues replies (the last one
     repeats); `route`, when set, picks the reply from (method, target)
     instead. Every request is logged on `.requests` as (method, target,
     headers, body bytes), and `.accepts` and `.closed` count the connections
@@ -114,6 +116,10 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
         reply = self.server.next_reply(self.command, self.path)
         if reply == DROP:
             self.close_connection = True
+            return
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            self.close_connection = self.server.close_when_idle
             return
         status, headers, payload = reply
         if payload is None:

@@ -2048,6 +2048,36 @@ def test_a_command_loads_none_of_the_stdlib_modules_it_never_calls(tmp_path, com
     assert [m for m in ran if m in unused] == []
 
 
+# what reading the proxy settings loads; a run with none set loads none of it
+PROXY_MODULES = ["http.client", "urllib.request", "email"]
+
+
+@pytest.mark.parametrize("proxy, loaded", [(None, []), ("http://127.0.0.1:9", PROXY_MODULES)], ids=["direct", "proxy"])
+def test_resolve_loads_the_proxy_modules_only_when_a_proxy_is_set(tmp_path, loopback, proxy, loaded):
+    def route(method, target):
+        return 200, {}, {"id": target.rsplit("/", 1)[-1], "isResolved": True, "resolution": "YES"}
+
+    loopback.route = route
+    dataset = tmp_path / "dataset.jsonl"
+    write_questions(dataset, [make_question(qid=f"m{i}", source="market") for i in range(2)])
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"market_base_url": loopback.url}))
+    code = (
+        "import json, sys, agentcast.cli\n"
+        "code = agentcast.cli.main(sys.argv[1:])\n"
+        f"print(json.dumps([[m for m in {PROXY_MODULES!r} if m in sys.modules], code]), file=sys.stderr)\n"
+    )
+    env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    if proxy:  # no_proxy exempts the loopback market, so the proxy is read but not used
+        env.update(http_proxy=proxy, no_proxy="127.0.0.1")
+    argv = ["resolve", "--dataset", str(dataset), "--config", str(config)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, env=env,
+                          timeout=60)
+    assert json.loads(done.stderr.splitlines()[-1]) == [loaded, EXIT_OK]
+    assert "resolved 2, pending 0" in done.stdout
+    assert sorted(r[1] for r in loopback.requests) == ["/market/m0", "/market/m1"]
+
+
 @pytest.mark.parametrize("caller_had_it_on", [True, False])
 def test_score_restores_the_collector_on_every_exit(tmp_path, monkeypatch, caller_had_it_on):
     good = _record(members=_members(0.2, 0.4), aggregate=0.3)

@@ -1,5 +1,6 @@
 """Backends: fingerprints, cassette record/replay, retry policy, rate limiting."""
 
+import ast
 import base64
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -546,22 +548,163 @@ def test_https_through_a_proxy_opens_a_tunnel(loopback, monkeypatch):
 def test_transport_posts_json_and_drops_none_params(loopback):
     loopback.serve((200, {"X-Trace": "7"}, {"ok": True}))
     status, headers, payload = http_transport(loopback.url + "/chat?v=1", {"Authorization": "k"}, {"a": 1}, 5.0)
-    assert (status, headers["X-Trace"], payload) == (200, "7", {"ok": True})
-    status, _, _ = http_transport(loopback.url + "/list", {}, None, 5.0, {"limit": "5", "before": None})
+    assert (status, headers["x-trace"], payload) == (200, "7", {"ok": True})
+    netloc = loopback.url.removeprefix("http://")
+    status, _, _ = http_transport(f"http://user:pw@{netloc}/list", {}, None, 5.0, {"limit": "5", "before": None})
     assert status == 200
-    (m1, t1, h1, b1), (m2, t2, _, b2) = loopback.requests
+    (m1, t1, h1, b1), (m2, t2, h2, b2) = loopback.requests
     assert (m1, t1, json.loads(b1), h1["Content-Type"], h1["Authorization"]) == (
         "POST", "/chat?v=1", {"a": 1}, "application/json", "k"
     )
-    assert (m2, t2, b2) == ("GET", "/list?limit=5", b"")
+    assert (m2, t2, b2, h2["Host"], h2["Accept-Encoding"]) == ("GET", "/list?limit=5", b"", netloc, "identity")
+    assert "Content-Length" not in h2
     with pytest.raises(TransportError, match="not valid JSON"):
         http_transport(loopback.url, {}, {"p": float("nan")}, 5.0)
     with pytest.raises(TransportError, match="http"):
         http_transport("ftp://example.org/x", {}, None, 5.0)
-    with pytest.raises(TransportError, match="failed"):  # an illegal header value
-        http_transport(loopback.url + "/chat", {"Authorization": "Bearer k\r\n"}, {"a": 1}, 5.0)
+    # a header that could start a line of its own is refused before anything is sent
+    for illegal in ({"Authorization": "Bearer k\r\n"}, {"Authorization": "k\0"}, {"X-A\r\nX-B": "1"}, {"X\n": "1"}):
+        with pytest.raises(TransportError, match="failed"):
+            http_transport(loopback.url + "/chat", illegal, {"a": 1}, 5.0)
+    assert len(loopback.requests) == 2
     http_transport(loopback.url + "/market/é x%41", {}, None, 5.0, {"q": "a b"})
     assert loopback.requests[-1][:2] == ("GET", "/market/%C3%A9%20x%41?q=a+b")
+
+
+# --- the response parser, against scripted bytes ------------------------------
+
+NEXT = b'HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n{"next": 1}'
+
+
+def hundred_headers():
+    return b"".join(b"X-%d: 1\r\n" % i for i in range(99))
+
+
+@pytest.mark.parametrize(
+    "reply, server_closes, payload, fields, reused",
+    [
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 99\r\nX-Twice: a\r\nx-twice: b\r\n\r\n"
+            b'5;name="v"\r\n{"a":\r\n3\r\n 1}\r\n0\r\nX-Checksum: 1\r\n\r\n',
+            False, {"a": 1}, {"x-twice": "a, b", "content-length": "99"}, True, id="chunked-with-extension-and-trailer",
+        ),
+        pytest.param(b'HTTP/1.1 200 OK\r\n\r\n{"a": 1}', True, {"a": 1}, {}, False, id="body-up-to-the-close"),
+        pytest.param(
+            b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+            False, {}, {}, True, id="100-continue-first",
+        ),
+        pytest.param(b"HTTP/1.1 204 No Content\r\n\r\n", False, "", {}, True, id="204-has-no-body"),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+            False, {}, {"connection": "close"}, False, id="connection-close",
+        ),
+        pytest.param(b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}", False, {}, {}, False, id="http-1.0"),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}" + NEXT.replace(b"next", b"late"),
+            False, {}, {}, False, id="bytes-past-the-end",
+        ),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\n" + hundred_headers() + b"Content-Length: 2\r\n\r\n{}",
+            False, {}, {"x-98": "1"}, True, id="100-headers",
+        ),
+    ],
+)
+def test_the_parser_reads_each_framing_and_pools_only_a_clean_end(loopback, reply, server_closes, payload, fields,
+                                                                   reused):
+    loopback.serve(reply, NEXT)
+    loopback.close_when_idle = server_closes
+    # a short timeout: a parser that waited for more bytes would fail here, not pass late
+    status, headers, got = http_transport(loopback.url + "/a", {}, None, 2.0)
+    assert (status in (200, 204), got) == (True, payload)
+    assert fields.items() <= headers.items()
+    # the next call gets its own reply, on the same connection only when the first could carry it
+    assert http_transport(loopback.url + "/b", {}, None, 2.0)[2] == {"next": 1}
+    assert [r[1] for r in loopback.requests] == ["/a", "/b"]
+    assert loopback.accepts == (1 if reused else 2)
+
+
+@pytest.mark.parametrize(
+    "reply, server_closes",
+    [
+        pytest.param(b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\n{}", False, id="malformed-status-line"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\n{}", False, id="negative-content-length"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}", False, id="bad-content-length"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}", True, id="truncated-body"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n", False,
+                     id="bad-chunk-size"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 2\r\n\r\n{}", False,
+                     id="header-line-over-64KiB"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nX-0: 1\r\n" + hundred_headers() + b"Content-Length: 2\r\n\r\n{}", False,
+                     id="101-headers"),
+    ],
+)
+def test_a_reply_the_parser_cannot_read_fails_and_closes_the_connection(loopback, reply, server_closes):
+    loopback.serve(reply, NEXT)
+    loopback.close_when_idle = server_closes
+    with pytest.raises(TransportError, match="failed"):
+        http_transport(loopback.url + "/a", {}, None, 2.0)
+    assert loopback.wait_closed(1)  # the server kept it open unless it closed it itself
+    assert http_transport(loopback.url + "/b", {}, None, 2.0)[2] == {"next": 1}
+    assert loopback.accepts == 2
+
+
+def test_https_to_a_plain_listener_fails_and_sends_no_plain_request(loopback):
+    with pytest.raises(TransportError, match="failed"):
+        http_transport(loopback.url.replace("http://", "https://") + "/a", {}, None, 1.0)
+    assert loopback.requests == []
+
+
+class RecordingContext:
+    """Stands in for the TLS context: records the name each handshake
+    would verify and leaves the socket plain."""
+
+    def __init__(self):
+        self.hostnames = []
+
+    def wrap_socket(self, sock, server_hostname):
+        self.hostnames.append(server_hostname)
+        return sock
+
+
+def test_tls_verifies_the_origin_host_direct_and_through_a_tunnel(loopback, monkeypatch):
+    context = RecordingContext()
+    monkeypatch.setattr(llm, "_tls_context", lambda: context)
+    loopback.route = lambda method, target: (200, {}, None) if method == "CONNECT" else market_route(method, target)
+    port = loopback.url.rsplit(":", 1)[1]
+    assert LiveMarketClient(f"https://localhost:{port}").get_market("m1")["id"] == "m1"
+    monkeypatch.setenv("https_proxy", "http://user:pw@" + loopback.url.removeprefix("http://"))
+    assert LiveMarketClient("https://market.example").get_market("m2")["id"] == "m2"
+    assert context.hostnames == ["localhost", "market.example"]
+    assert [r[:2] for r in loopback.requests] == [
+        ("GET", "/market/m1"), ("CONNECT", "market.example:443"), ("GET", "/market/m2")
+    ]
+    tunnel = loopback.requests[1][2]
+    assert (tunnel["Host"], tunnel["Proxy-Authorization"]) == ("market.example:443", "Basic dXNlcjpwdw==")
+    assert loopback.requests[2][2]["Host"] == "market.example"
+
+
+def test_only_route_imports_urllib_request_and_nothing_imports_http_client():
+    # the live clients speak HTTP on the socket; urllib.request (and the
+    # http.client it loads) is read only for the proxy settings
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] + [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            hits = [name for name in names if name.startswith(("http.client", "urllib.request"))]
+            if hits:  # one per statement: `from urllib.request import a, b` names it once
+                found.append((path.name, scope, hits[0]))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, child.name if named else scope)
+
+    for path in sorted(Path(llm.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert found == [("llm.py", "_route", "urllib.request")]
 
 
 def test_rate_limiter_allows_burst_then_waits():
